@@ -29,26 +29,6 @@ std::map<std::string, std::shared_ptr<const CostModel>>& CostMap() {
   return *m;
 }
 
-// Hooks live behind their own mutex (not CacheMutex) and are copied out
-// before invocation, so a hook may call back into the cache and a
-// concurrent SetModelCacheHooks never races an in-flight lookup.
-std::mutex& HooksMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-ModelCacheHooks& Hooks() {
-  static auto* hooks = new ModelCacheHooks();
-  return *hooks;
-}
-
-ModelCacheHooks CopyHooks() {
-  std::lock_guard<std::mutex> lock(HooksMutex());
-  return Hooks();
-}
-
-}  // namespace
-
 std::string CostModelCacheKey(const GpuSpec& gpu,
                               const SystemProfile& profile) {
   // Every field of both structs: a missed field would alias two distinct
@@ -65,15 +45,7 @@ std::string CostModelCacheKey(const GpuSpec& gpu,
       profile.issue_queue_depth, profile.allocator_overhead);
 }
 
-void SetModelCacheHooks(ModelCacheHooks hooks) {
-  std::lock_guard<std::mutex> lock(HooksMutex());
-  Hooks() = std::move(hooks);
-}
-
-void ClearModelCacheHooks() {
-  std::lock_guard<std::mutex> lock(HooksMutex());
-  Hooks() = ModelCacheHooks{};
-}
+}  // namespace
 
 std::shared_ptr<const NnModel> CachedModel(
     const std::string& key, const std::function<NnModel()>& builder) {
@@ -84,22 +56,10 @@ std::shared_ptr<const NnModel> CachedModel(
       return it->second;
     }
   }
-  const ModelCacheHooks hooks = CopyHooks();
-  // Snapshot (or other external store) lookup before paying for the build.
-  std::shared_ptr<const NnModel> built;
-  if (hooks.find_model) {
-    built = hooks.find_model(key);
-  }
-  if (built == nullptr) {
-    // Build outside the lock: builders can be expensive, and a builder that
-    // itself consults the cache must not deadlock. Concurrent first
-    // requests may build twice; the first insert wins and both get
-    // identical values.
-    built = std::make_shared<const NnModel>(builder());
-    if (hooks.record_model) {
-      hooks.record_model(key, *built);
-    }
-  }
+  // Build outside the lock: builders can be expensive, and a builder that
+  // itself consults the cache must not deadlock. Concurrent first requests
+  // may build twice; the first insert wins and both get identical values.
+  auto built = std::make_shared<const NnModel>(builder());
   std::lock_guard<std::mutex> lock(CacheMutex());
   if (ModelMap().size() >= kMaxEntries) {
     ModelMap().clear();
@@ -118,15 +78,7 @@ std::shared_ptr<const CostModel> CachedCostModel(const GpuSpec& gpu,
       return it->second;
     }
   }
-  // No find hook here: the caller already holds (gpu, profile) and the
-  // constructor is two member copies — there is nothing a store could save.
-  // Recording still matters: it is how `snapshot build` learns which
-  // hardware points the scenario sweep actually exercises.
   auto built = std::make_shared<const CostModel>(gpu, profile);
-  const ModelCacheHooks hooks = CopyHooks();
-  if (hooks.record_cost_model) {
-    hooks.record_cost_model(key, gpu, profile);
-  }
   std::lock_guard<std::mutex> lock(CacheMutex());
   if (CostMap().size() >= kMaxEntries) {
     CostMap().clear();

@@ -11,14 +11,6 @@
 // runner's `--jobs` thread pool. Entries are shared_ptr<const T>; a caller
 // keeps its reference alive independently of the cache, so the bounded
 // clear-on-overflow eviction can never invalidate an object in use.
-//
-// Snapshot integration: src/store cannot be linked from here (it sits above
-// core in the library layering), so it plugs in through ModelCacheHooks —
-// `find_model` is consulted on a cache miss before the builder runs
-// (snapshot hit → the materialized model enters the cache and the builder
-// never executes), and the `record_*` hooks observe every build so `oobp
-// snapshot build` can collect the zoo. With no hooks installed the cache
-// behaves exactly as before.
 
 #ifndef OOBP_SRC_NN_MODEL_CACHE_H_
 #define OOBP_SRC_NN_MODEL_CACHE_H_
@@ -48,33 +40,6 @@ std::shared_ptr<const CostModel> CachedCostModel(const GpuSpec& gpu,
 size_t ModelCacheSize();
 size_t CostModelCacheSize();
 void ClearModelCaches();
-
-// The cache key for a (gpu, profile) cost-model point: every field of both
-// structs serialized, so distinct configurations never collide. Exposed so
-// the snapshot store can address cost-model records by the same identity.
-std::string CostModelCacheKey(const GpuSpec& gpu,
-                              const SystemProfile& profile);
-
-// External cache plug-in (see header comment). All members optional; an
-// unset member is simply skipped. Hooks are invoked with no cache lock
-// held, so they may themselves call back into the cache.
-struct ModelCacheHooks {
-  // Consulted on a CachedModel miss before `builder` runs. Returning
-  // nullptr means "not found, build as usual".
-  std::function<std::shared_ptr<const NnModel>(const std::string& key)>
-      find_model;
-  // Observes every model the builder produced (cache misses only).
-  std::function<void(const std::string& key, const NnModel& model)>
-      record_model;
-  // Observes every cost-model point built (cache misses only); `key` is
-  // CostModelCacheKey(gpu, profile).
-  std::function<void(const std::string& key, const GpuSpec& gpu,
-                     const SystemProfile& profile)>
-      record_cost_model;
-};
-
-void SetModelCacheHooks(ModelCacheHooks hooks);
-void ClearModelCacheHooks();
 
 }  // namespace oobp
 

@@ -16,7 +16,6 @@
 #include "src/runner/registry.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/serve/fleet_engine.h"
-#include "src/store/snapshot.h"
 
 namespace oobp {
 namespace {
@@ -155,7 +154,7 @@ ScenarioResult RunFleetCorun(const ScenarioParams& params, bool ooo) {
       CachedModel("resnet:L50:B32", [] { return ResNet(50, 32, 224); });
   const TrainGraph graph(train_model.get());
   const IterationSchedule schedule =
-      ooo ? SnapshotOooSchedule(graph, base.gpu, base.profile).schedule
+      ooo ? MakeOooSchedule(graph, base.gpu, base.profile).schedule
           : ConventionalIteration(graph);
   const TrainMetrics solo =
       SingleGpuEngine({base.gpu, base.profile, /*precompiled_issue=*/true})

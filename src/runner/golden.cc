@@ -6,8 +6,6 @@
 
 #include "src/common/str_util.h"
 #include "src/runner/json.h"
-#include "src/store/format.h"
-#include "src/store/snapshot.h"
 
 namespace oobp {
 
@@ -84,36 +82,6 @@ std::optional<GoldenSpec> LoadGoldenFile(const std::string& path,
     spec.checks.push_back(std::move(check));
   }
   return spec;
-}
-
-std::optional<GoldenSpec> LoadGoldenSpec(const std::string& dir,
-                                         const std::string& scenario,
-                                         std::string* error) {
-  if (const std::shared_ptr<const SnapshotReader> reader = ActiveSnapshot()) {
-    if (const auto view = reader->FindGolden(scenario)) {
-      GoldenSpec spec;
-      spec.scenario = std::string(view->scenario);
-      spec.checks.reserve(view->check_count);
-      for (size_t i = 0; i < view->check_count; ++i) {
-        const GoldenCheckRecord& rec = view->checks[i];
-        GoldenCheck check;
-        check.key = std::string(reader->Str(rec.key));
-        check.has_expect = (rec.flags & kGoldenHasExpect) != 0;
-        check.expect = rec.expect;
-        check.rel_tol = rec.rel_tol;
-        check.abs_tol = rec.abs_tol;
-        check.has_min = (rec.flags & kGoldenHasMin) != 0;
-        check.min = rec.min;
-        check.has_max = (rec.flags & kGoldenHasMax) != 0;
-        check.max = rec.max;
-        spec.checks.push_back(std::move(check));
-      }
-      return spec;
-    }
-    // Scenario absent from the snapshot: fall through to the file so a
-    // partially-populated snapshot never hides a checked-in golden.
-  }
-  return LoadGoldenFile(GoldenPathFor(dir, scenario), error);
 }
 
 bool GoldenCheckPasses(const GoldenCheck& check, double value) {

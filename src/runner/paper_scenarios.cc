@@ -18,7 +18,6 @@
 #include "src/nn/model_cache.h"
 #include "src/nn/model_zoo.h"
 #include "src/runner/registry.h"
-#include "src/store/snapshot.h"
 #include "src/runtime/data_parallel_engine.h"
 #include "src/runtime/pipeline_engine.h"
 #include "src/runtime/single_gpu_engine.h"
@@ -181,7 +180,7 @@ SingleGpuRow RunSingleGpuConfig(const NnModel& model) {
       SingleGpuEngine({gpu, xla, /*precompiled_issue=*/true})
           .Run(model, conventional);
 
-  const JointScheduleResult sched = SnapshotOooSchedule(graph, gpu, xla);
+  const JointScheduleResult sched = MakeOooSchedule(graph, gpu, xla);
   const TrainMetrics m_ooo =
       SingleGpuEngine({gpu, xla, /*precompiled_issue=*/true})
           .Run(model, sched.schedule);
@@ -333,7 +332,7 @@ void RegisterPaperScenarios() {
       std::shared_ptr<const NnModel> (*make)(int);
     };
     // Cache keys follow the sweep/steady conventions so a batch-32 fig07
-    // model and its steady_* twin share one zoo (and one snapshot) entry.
+    // model and its steady_* twin share one zoo entry.
     const std::vector<Fig07Entry> fig07 = {
         {"fig07_densenet121", "DenseNet-121(k24)",
          [](int b) {

@@ -1,11 +1,26 @@
 #include "src/runner/registry.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <stdexcept>
+#include <system_error>
 
 #include "src/common/check.h"
 #include "src/runner/glob.h"
 
 namespace oobp {
+
+namespace {
+
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+bool ParseInt(std::string_view text, int* out) { return ParseWhole(text, out); }
 
 std::string ScenarioParams::GetString(const std::string& key,
                                       const std::string& def) const {
@@ -15,12 +30,28 @@ std::string ScenarioParams::GetString(const std::string& key,
 
 int ScenarioParams::GetInt(const std::string& key, int def) const {
   auto it = values_.find(key);
-  return it == values_.end() ? def : std::atoi(it->second.c_str());
+  if (it == values_.end()) {
+    return def;
+  }
+  int value = 0;
+  if (!ParseInt(it->second, &value)) {
+    throw std::invalid_argument("param '" + key + "': '" + it->second +
+                                "' is not an integer");
+  }
+  return value;
 }
 
 double ScenarioParams::GetDouble(const std::string& key, double def) const {
   auto it = values_.find(key);
-  return it == values_.end() ? def : std::atof(it->second.c_str());
+  if (it == values_.end()) {
+    return def;
+  }
+  double value = 0.0;
+  if (!ParseWhole(it->second, &value)) {
+    throw std::invalid_argument("param '" + key + "': '" + it->second +
+                                "' is not a number");
+  }
+  return value;
 }
 
 ScenarioRegistry& ScenarioRegistry::Global() {

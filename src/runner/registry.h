@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/runner/glob.h"
@@ -20,8 +21,15 @@
 
 namespace oobp {
 
+// Whole-string integer parsing (std::from_chars): false unless `text` is one
+// in-range integer with nothing before or after it, so "4OO" and "" are
+// rejected rather than read as 4 and 0.
+bool ParseInt(std::string_view text, int* out);
+
 // String-typed parameter bag with typed getters; CLI --param key=value
-// overrides land here.
+// overrides land here. GetInt/GetDouble throw std::invalid_argument, naming
+// the key, when a present value does not parse as a whole number (the rule
+// of ParseInt); the runner reports that as a scenario failure.
 class ScenarioParams {
  public:
   void Set(const std::string& key, const std::string& value) {

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -17,9 +17,7 @@
 #include "src/runner/perf.h"
 #include "src/runner/search_scenarios.h"
 #include "src/runner/serve_scenarios.h"
-#include "src/runner/snapshot_build.h"
 #include "src/runner/sweep_scenarios.h"
-#include "src/store/snapshot.h"
 
 namespace oobp {
 
@@ -148,31 +146,35 @@ RunnerReport RunScenarios(const RunnerOptions& opts) {
   // Post-processing stays single-threaded and in registration order so the
   // printed report and any written files are deterministic.
   for (ScenarioRun& run : report.runs) {
-    if (!run.ok) {
-      ++report.num_scenario_failures;
-    }
     if (run.ok && !opts.golden_dir.empty()) {
-      std::string error;
-      if (const auto spec =
-              LoadGoldenSpec(opts.golden_dir, run.scenario->name, &error);
-          spec.has_value()) {
+      // A scenario without a golden file is simply not compared; a golden
+      // file that exists but does not load fails with the parse error.
+      const std::string path =
+          GoldenPathFor(opts.golden_dir, run.scenario->name);
+      if (std::filesystem::exists(path)) {
         run.golden_compared = true;
-        run.golden_failures = CheckAgainstGolden(*spec, run.result);
+        std::string error;
+        if (const auto spec = LoadGoldenFile(path, &error)) {
+          run.golden_failures = CheckAgainstGolden(*spec, run.result);
+        } else {
+          run.golden_failures.push_back(error);
+        }
         if (!run.golden_failures.empty()) {
           ++report.num_golden_failures;
         }
       }
-      // A scenario without a golden file is simply not compared.
     }
     if (run.ok && !opts.output_dir.empty()) {
       const std::string path =
           opts.output_dir + "/BENCH_" + run.scenario->name + ".json";
       std::ofstream out(path, std::ios::binary);
-      if (out) {
-        out << run.json;
-      } else if (opts.print) {
-        std::printf("warning: cannot write %s\n", path.c_str());
+      if (!(out << run.json)) {
+        run.ok = false;
+        run.error = "cannot write " + path;
       }
+    }
+    if (!run.ok) {
+      ++report.num_scenario_failures;
     }
     if (opts.print) {
       PrintRun(run);
@@ -237,9 +239,10 @@ int BenchUsage() {
                "                 with --perf: "
                "'fig07_*,fig10_*,fig13_*,serve_*,steady_*')\n"
                "  --jobs=N       thread-pool size; 0 = all cores (default 1)\n"
-               "  --out=DIR      write BENCH_<scenario>.json files (default .)\n"
-               "  --golden[=DIR] compare against golden files "
-               "(default bench/golden)\n"
+               "  --out=DIR      write BENCH_<scenario>.json files into DIR,\n"
+               "                 which must exist (default .)\n"
+               "  --golden[=DIR] compare against the golden files in DIR,\n"
+               "                 which must exist (default bench/golden)\n"
                "  --param k=v    forward a parameter to every scenario\n"
                "  --sim-threads=N  worker threads INSIDE one simulation for\n"
                "                 scenarios with sharded engines (fleet_*,\n"
@@ -254,34 +257,7 @@ int BenchUsage() {
                "                 committed baseline (default "
                "bench/perf_baseline.json);\n"
                "                 inflation fails, wall-clock bands are\n"
-               "                 informational (Release builds only)\n"
-               "  --snapshot[=PATH] activate a prebuilt snapshot (default\n"
-               "                 bench/oobp.snapshot; also via the\n"
-               "                 OOBP_SNAPSHOT env var): models, schedules,\n"
-               "                 goldens, and the perf baseline load from the\n"
-               "                 mapping instead of being rebuilt — results\n"
-               "                 are byte-identical; a stale snapshot falls\n"
-               "                 back silently, a corrupt one is an error\n");
-  return 2;
-}
-
-// Shared --snapshot / OOBP_SNAPSHOT activation policy: corruption is a hard
-// error (the user named a file and it is broken — hiding that would mask
-// bit rot), staleness falls back to in-process builds with a notice (the
-// registry simply moved on; results stay correct either way).
-int ActivateSnapshotOrExplain(const std::string& path) {
-  std::string error;
-  switch (ActivateSnapshot(path, ComputeScenarioRegistryHash(),
-                           /*check_registry=*/true, &error)) {
-    case SnapshotActivation::kActive:
-      return 0;
-    case SnapshotActivation::kStale:
-      std::fprintf(stderr, "note: %s\n", error.c_str());
-      return 0;
-    case SnapshotActivation::kError:
-      std::fprintf(stderr, "snapshot: %s\n", error.c_str());
-      return 2;
-  }
+               "                 informational (Release builds only)\n");
   return 2;
 }
 
@@ -300,7 +276,6 @@ int BenchMain(int argc, char** argv) {
   bool list = false;
   bool perf = false;
   bool filter_given = false;
-  std::string snapshot_path;
   PerfOptions perf_opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -325,14 +300,29 @@ int BenchMain(int argc, char** argv) {
       }
       return "";
     };
+    // Integer flag values must parse whole and be >= `min`; anything else
+    // is a usage error, never a silent 0.
+    auto int_value = [&](int min, int* out) {
+      const std::string v = next_value();
+      if (ParseInt(v, out) && *out >= min) {
+        return true;
+      }
+      std::fprintf(stderr, "--%s needs an integer >= %d, got '%s'\n",
+                   arg.c_str(), min, v.c_str());
+      return false;
+    };
     if (arg == "list") {
       list = true;
     } else if (arg == "perf") {
       perf = true;
     } else if (arg == "warmup") {
-      perf_opts.warmup = std::atoi(next_value().c_str());
+      if (!int_value(0, &perf_opts.warmup)) {
+        return BenchUsage();
+      }
     } else if (arg == "repeats") {
-      perf_opts.repeats = std::atoi(next_value().c_str());
+      if (!int_value(1, &perf_opts.repeats)) {
+        return BenchUsage();
+      }
     } else if (arg == "check") {
       perf_opts.check = true;
       if (has_value && !value.empty()) {
@@ -342,19 +332,22 @@ int BenchMain(int argc, char** argv) {
       opts.filter = next_value();
       filter_given = true;
     } else if (arg == "jobs") {
-      opts.jobs = std::atoi(next_value().c_str());
+      if (!int_value(0, &opts.jobs)) {
+        return BenchUsage();
+      }
     } else if (arg == "out") {
       opts.output_dir = next_value();
     } else if (arg == "golden") {
       const std::string dir = next_value();
       opts.golden_dir = dir.empty() ? "bench/golden" : dir;
-    } else if (arg == "snapshot") {
-      const std::string p = next_value();
-      snapshot_path = p.empty() ? kDefaultSnapshotPath : p;
     } else if (arg == "sim-threads") {
       // Sugar for --param sim_threads=N: intra-scenario parallelism for
       // engines that support sharded simulation (fleet_*, cluster_*).
-      opts.params.Set("sim_threads", next_value());
+      int threads = 0;
+      if (!int_value(1, &threads)) {
+        return BenchUsage();
+      }
+      opts.params.Set("sim_threads", std::to_string(threads));
     } else if (arg == "param") {
       const std::string kv = next_value();
       const size_t split = kv.find('=');
@@ -371,19 +364,15 @@ int BenchMain(int argc, char** argv) {
       return BenchUsage();
     }
   }
-  if (snapshot_path.empty()) {
-    if (const char* env = std::getenv("OOBP_SNAPSHOT");
-        env != nullptr && env[0] != '\0') {
-      snapshot_path = env;
-    }
-  }
-  if (!snapshot_path.empty()) {
-    if (const int rc = ActivateSnapshotOrExplain(snapshot_path); rc != 0) {
-      return rc;
-    }
-  }
   if (list) {
     return ListScenarios();
+  }
+  // A misspelled directory would otherwise gate nothing or write nothing.
+  for (const std::string* dir : {&opts.output_dir, &opts.golden_dir}) {
+    if (!dir->empty() && !std::filesystem::is_directory(*dir)) {
+      std::fprintf(stderr, "no such directory: %s\n", dir->c_str());
+      return 2;
+    }
   }
   if (perf) {
     if (filter_given) {

@@ -14,7 +14,9 @@
 //
 // Each scenario writes `<out>/BENCH_<scenario>.json`; --golden compares
 // results against `<golden>/<scenario>.json` tolerance files and the exit
-// code reports any scenario error or golden mismatch.
+// code reports any scenario error or golden mismatch. A missing golden file
+// means "not compared"; one that does not parse is a golden mismatch, and a
+// result file that cannot be written fails its scenario.
 
 #ifndef OOBP_SRC_RUNNER_RUNNER_H_
 #define OOBP_SRC_RUNNER_RUNNER_H_

@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/common/str_util.h"
 #include "src/common/time.h"
+#include "src/core/joint_scheduler.h"
 #include "src/core/schedule.h"
 #include "src/nn/model_cache.h"
 #include "src/nn/model_zoo.h"
@@ -22,7 +23,6 @@
 #include "src/search/evaluator.h"
 #include "src/search/fast_eval.h"
 #include "src/search/search.h"
-#include "src/store/snapshot.h"
 #include "src/validate/schedule_checker.h"
 
 namespace oobp {
@@ -52,10 +52,7 @@ SearchOptions BaseOptions(const ScenarioParams& params) {
 // Runs the three schedulers — in-order, MakeOooSchedule, SearchSchedule —
 // on every config and reports simulated iteration times plus the
 // heuristic-vs-searched gap. All three are scored by the same
-// ScheduleEvaluator, and the searched schedule always comes through the
-// snapshot front door, so a snapshot hit reproduces the metrics
-// byte-for-byte (the evaluator re-scores; evaluation counts are never
-// reported).
+// ScheduleEvaluator (evaluation counts are never reported).
 ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
                             const ScenarioParams& params) {
   const SearchOptions options = BaseOptions(params);
@@ -75,15 +72,15 @@ ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
         eval.IterationTime(ConventionalIteration(graph));
 
     const JointScheduleResult ooo =
-        SnapshotOooSchedule(graph, config.gpu, profile);
+        MakeOooSchedule(graph, config.gpu, profile);
     const ScheduleCheckReport ooo_check =
         CheckIterationSchedule(graph, ooo.schedule);
     OOBP_CHECK(ooo_check.ok())
         << config.name << " ooo schedule: " << ooo_check.ToString();
     const TimeNs ooo_time = eval.IterationTime(ooo.schedule);
 
-    const JointScheduleResult searched =
-        SnapshotSearchSchedule(graph, config.gpu, profile, options);
+    const SearchResult searched =
+        SearchSchedule(graph, config.gpu, profile, options);
     const ScheduleCheckReport search_check =
         CheckIterationSchedule(graph, searched.schedule);
     OOBP_CHECK(search_check.ok())
@@ -149,7 +146,7 @@ ScenarioResult RunSearchDeep(const std::vector<GapConfig>& configs,
         eval.IterationTime(ConventionalIteration(graph));
 
     const JointScheduleResult ooo =
-        SnapshotOooSchedule(graph, config.gpu, profile);
+        MakeOooSchedule(graph, config.gpu, profile);
     const TimeNs ooo_time = eval.IterationTime(ooo.schedule);
 
     const SearchResult searched =
@@ -333,7 +330,7 @@ ScenarioResult RunEvalFidelity(const std::vector<GapConfig>& configs,
 
 std::vector<GapConfig> Fig07Configs() {
   // Cache keys follow the fig07/steady conventions so these points share
-  // one zoo (and one snapshot) entry with the figure scenarios.
+  // one zoo entry with the figure scenarios.
   return {
       {"densenet121",
        CachedModel("densenet:L121:k24:B32:I32",

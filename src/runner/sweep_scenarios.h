@@ -24,7 +24,7 @@ void RegisterSweepScenarios();
 // The Figure 13 pre-training models (BERT / GPT-3-medium with the embedding
 // GEMMs sharded across a tensor-parallel group), memoized under the same
 // zoo keys the fig13 sweeps use so scenarios elsewhere (e.g. the search_gap
-// suite) share one cached — and one snapshot — entry per point.
+// suite) share one cached entry per point.
 std::shared_ptr<const NnModel> Fig13ShardedBert(int layers, int micro_batch);
 std::shared_ptr<const NnModel> Fig13ShardedGpt3(int micro_batch);
 

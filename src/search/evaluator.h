@@ -30,7 +30,7 @@ class ScheduleEvaluator {
  public:
   // `model` must outlive the evaluator. The cost model is taken from the
   // process-wide cache (CachedCostModel), so evaluators share the point
-  // with the engines and the snapshot store.
+  // with the engines.
   ScheduleEvaluator(const NnModel* model, const GpuSpec& gpu,
                     const SystemProfile& profile);
 

@@ -55,11 +55,6 @@ namespace oobp {
 
 class FastScheduleEvaluator {
  public:
-  // Bumped whenever the analytic recurrence changes in a way that could
-  // alter scores; keyed into the candidate cache and the snapshot store's
-  // SearchKeyHash so persisted results never cross evaluator versions.
-  static constexpr int kVersion = 1;
-
   // `model` must outlive the evaluator; the cost model comes from the
   // process-wide cache, shared with the engines and ScheduleEvaluator.
   FastScheduleEvaluator(const NnModel* model, const GpuSpec& gpu,

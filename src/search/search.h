@@ -167,17 +167,6 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
                             const SystemProfile& profile,
                             const SearchOptions& options = {});
 
-// SearchSchedule with snapshot fall-through: a stored schedule whose
-// content key (SearchKeyHash) matches is materialized from the active
-// snapshot; otherwise the search runs and the result is captured when
-// recording. Only the schedule and its peak are stored — consumers re-score
-// with ScheduleEvaluator, so reported metrics are byte-identical with and
-// without a snapshot.
-JointScheduleResult SnapshotSearchSchedule(const TrainGraph& graph,
-                                           const GpuSpec& gpu,
-                                           const SystemProfile& profile,
-                                           const SearchOptions& options = {});
-
 }  // namespace oobp
 
 #endif  // OOBP_SRC_SEARCH_SEARCH_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <utility>
 
 namespace oobp {
@@ -11,37 +10,7 @@ namespace {
 // Flushed (not incremented per event) so the hot path stays atomic-free.
 std::atomic<uint64_t> g_total_processed{0};
 constexpr size_t kAry = 4;  // heap fan-out; shallow trees, cache-dense sifts
-
-// First-run capture (see header). The armed flag is the only thing the Run
-// hot path touches; the timestamp and result are guarded by the
-// exchange(false) that exactly one Run() call wins.
-std::atomic<bool> g_first_run_armed{false};
-std::chrono::steady_clock::time_point g_first_run_armed_at;
-std::atomic<double> g_first_run_ms{-1.0};
-
-void MaybeCaptureFirstRun() {
-  if (!g_first_run_armed.load(std::memory_order_relaxed)) {
-    return;
-  }
-  if (g_first_run_armed.exchange(false, std::memory_order_acq_rel)) {
-    g_first_run_ms.store(
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - g_first_run_armed_at)
-            .count(),
-        std::memory_order_relaxed);
-  }
-}
 }  // namespace
-
-void SimEngine::ArmFirstRunCapture() {
-  g_first_run_ms.store(-1.0, std::memory_order_relaxed);
-  g_first_run_armed_at = std::chrono::steady_clock::now();
-  g_first_run_armed.store(true, std::memory_order_release);
-}
-
-double SimEngine::FirstRunCaptureMs() {
-  return g_first_run_ms.load(std::memory_order_relaxed);
-}
 
 SimEngine::~SimEngine() {
   g_total_processed.fetch_add(processed_, std::memory_order_relaxed);
@@ -168,7 +137,6 @@ bool SimEngine::Step() {
 }
 
 uint64_t SimEngine::Run(TimeNs limit) {
-  MaybeCaptureFirstRun();
   uint64_t count = 0;
   while (!heap_.empty() && heap_[0].time <= limit) {
     if (!Step()) {
@@ -184,7 +152,6 @@ uint64_t SimEngine::Run(TimeNs limit) {
 }
 
 uint64_t SimEngine::RunUntil(TimeNs t, uint64_t tie_seq_bound) {
-  MaybeCaptureFirstRun();
   OOBP_CHECK_GE(t, now_);
   uint64_t count = 0;
   while (!heap_.empty() &&

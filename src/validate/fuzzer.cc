@@ -30,7 +30,6 @@
 #include "src/search/evaluator.h"
 #include "src/search/search.h"
 #include "src/sim/engine.h"
-#include "src/store/snapshot.h"
 #include "src/validate/schedule_checker.h"
 #include "src/validate/sim_validator.h"
 
@@ -982,34 +981,15 @@ int FuzzMain(int argc, char** argv) {
       opts.include_serve = false;
     } else if (arg == "--verbose") {
       opts.verbose = true;
-    } else if (arg == "--snapshot" || value_of("--snapshot=") != nullptr) {
-      // Activates the snapshot so fuzz runs exercise the activation/lookup
-      // paths under the sanitizers. The registry check is skipped (the
-      // fuzzer registers no scenarios, so its hash would never match) and
-      // the fuzzer's own schedules are NOT rerouted — it exists to check
-      // the real scheduler, not the cache.
-      const char* v5 = value_of("--snapshot=");
-      const std::string path =
-          v5 != nullptr && v5[0] != '\0' ? v5 : "bench/oobp.snapshot";
-      std::string error;
-      if (ActivateSnapshot(path, /*expected_registry_hash=*/0,
-                           /*check_registry=*/false, &error) ==
-          SnapshotActivation::kError) {
-        std::fprintf(stderr, "fuzz: snapshot: %s\n", error.c_str());
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: oobp fuzz [--seeds=N] [--base-seed=N] [--jobs=N]\n"
                    "                 [--checks=GLOBS] [--no-serve] "
-                   "[--snapshot[=PATH]] [--verbose]\n"
+                   "[--verbose]\n"
                    "  --jobs=N       seeds per thread pool; 0 = all cores\n"
                    "  --checks=GLOBS comma-separated globs over families\n"
                    "                 schedule,memory,train,dag,link,serve,"
-                   "fleet,search\n"
-                   "  --snapshot[=PATH] activate a snapshot (model-cache\n"
-                   "                 lookups route through it) so corruption\n"
-                   "                 and lookup paths run under sanitizers\n");
+                   "fleet,search\n");
       return 2;
     }
   }

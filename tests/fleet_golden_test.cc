@@ -5,22 +5,30 @@
 //   * results satisfy the pinned golden files in bench/golden, including
 //     the headline pair: the ooo co-run fleet holds p99 flat (<= 10%
 //     growth) as load doubles while the in-order baseline degrades.
+// It also hosts the full golden sweep: every registered scenario run at
+// --jobs 4 against every file in bench/golden.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "src/runner/cluster_scenarios.h"
 #include "src/runner/fleet_scenarios.h"
 #include "src/runner/golden.h"
+#include "src/runner/paper_scenarios.h"
 #include "src/runner/registry.h"
 #include "src/runner/runner.h"
+#include "src/runner/search_scenarios.h"
+#include "src/runner/serve_scenarios.h"
+#include "src/runner/sweep_scenarios.h"
 #include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
 
 constexpr size_t kFleetScenarios = 11;  // 3 policies x 3 sizes + corun pair
+constexpr int kGoldenFiles = 46;        // files in bench/golden
 
 RunnerOptions FleetOpts(int jobs) {
   RunnerOptions opts;
@@ -104,6 +112,32 @@ TEST(FleetGoldenTest, ResultsMatchPinnedGoldensAndHeadlineHolds) {
   EXPECT_LT(ooo->Get("p99_growth"), baseline->Get("p99_growth"));
   // The co-run price on training stays within the paper's <= 2% band.
   EXPECT_LE(ooo->Get("load2.train_overhead"), 1.02);
+}
+
+// The one gate over all of bench/golden, and the only one for the ana_*
+// sweeps: every golden file is compared and none mismatches.
+TEST(FleetGoldenTest, FullGoldenSweepMatchesEveryGolden) {
+  RegisterPaperScenarios();
+  RegisterServeScenarios();
+  RegisterSweepScenarios();
+  RegisterFleetScenarios();
+  RegisterClusterScenarios();
+  RegisterSearchScenarios();
+  RunnerOptions opts;
+  opts.jobs = 4;
+  opts.print = false;
+  opts.golden_dir = OOBP_REPO_ROOT "/bench/golden";
+  const RunnerReport report = RunScenarios(opts);
+  int compared = 0;
+  for (const ScenarioRun& run : report.runs) {
+    EXPECT_TRUE(run.ok) << run.scenario->name << ": " << run.error;
+    for (const std::string& failure : run.golden_failures) {
+      ADD_FAILURE() << run.scenario->name << ": " << failure;
+    }
+    compared += run.golden_compared ? 1 : 0;
+  }
+  EXPECT_EQ(compared, kGoldenFiles);
+  EXPECT_EQ(report.num_golden_failures, 0);
 }
 
 }  // namespace

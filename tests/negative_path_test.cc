@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -161,6 +163,83 @@ TEST(RunnerCliNegativeTest, UnknownFlagExitsNonzeroWithUsage) {
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.find("unknown flag --frobnicate"), std::string::npos) << err;
   EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+}
+
+struct CliRun {
+  int rc = 0;
+  std::string out;
+  std::string err;
+};
+
+// `oobp bench` over fig04_dp_unit (a unit-time toy that runs in
+// milliseconds) plus `flags`, with stdout and stderr captured.
+CliRun RunFig04(const std::vector<std::string>& flags) {
+  std::vector<std::string> args = {"oobp", "bench", "--filter=fig04_dp_unit"};
+  args.insert(args.end(), flags.begin(), flags.end());
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  CliRun run;
+  run.rc = CallBenchMain(std::move(args));
+  run.out = testing::internal::GetCapturedStdout();
+  run.err = testing::internal::GetCapturedStderr();
+  return run;
+}
+
+std::string TempDirFor(const std::string& tag) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("negative_" + tag);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+TEST(RunnerCliNegativeTest, MalformedGoldenFileIsAGoldenFailure) {
+  const std::string dir = TempDirFor("golden");
+  std::ofstream(dir + "/fig04_dp_unit.json")
+      << R"({"scenario": "fig04_dp_unit", "checks": [{"key": "unit_a", "exp)";
+  const CliRun run = RunFig04({"--golden=" + dir, "--out=" + dir});
+  EXPECT_EQ(run.rc, 1) << run.out << run.err;
+  EXPECT_NE(run.out.find("golden MISMATCH: " + dir + "/fig04_dp_unit.json: "),
+            std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("1 golden-checked, 1 mismatched"), std::string::npos)
+      << run.out;
+}
+
+TEST(RunnerCliNegativeTest, MissingGoldenOrOutputDirIsAUsageError) {
+  const std::string out = TempDirFor("missing_dir");
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{"--golden=/no/such/dir", "--out=" + out},
+        std::vector<std::string>{"--out=/no/such/dir"}}) {
+    const CliRun run = RunFig04(flags);
+    EXPECT_EQ(run.rc, 2) << flags[0];
+    EXPECT_NE(run.err.find("no such directory: /no/such/dir"),
+              std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.out.find("fig04_dp_unit"), std::string::npos)
+        << "ran despite " << flags[0] << ": " << run.out;
+  }
+}
+
+TEST(RunnerCliNegativeTest, MalformedNumericFlagIsAUsageError) {
+  const std::string out = TempDirFor("numeric_flag");
+  for (const std::string flag :
+       {"--jobs=abc", "--jobs=-1", "--jobs=4x", "--sim-threads=abc",
+        "--sim-threads=0", "--warmup=x", "--repeats=2.5"}) {
+    const CliRun run = RunFig04({flag, "--out=" + out});
+    EXPECT_EQ(run.rc, 2) << flag;
+    EXPECT_NE(run.err.find("needs an integer"), std::string::npos)
+        << flag << ": " << run.err;
+  }
+}
+
+TEST(RunnerCliNegativeTest, MalformedParamFailsTheScenarioNamingTheKey) {
+  const CliRun run = RunFig04(
+      {"--param", "unit_sync_units=3x", "--out=" + TempDirFor("param")});
+  EXPECT_EQ(run.rc, 1);
+  EXPECT_NE(run.out.find("FAILED: param 'unit_sync_units': '3x'"),
+            std::string::npos)
+      << run.out;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,23 @@ TEST_F(RunnerTest, ScenarioParamsTypedGetters) {
   EXPECT_EQ(p.GetString("mode", ""), "fast");
   EXPECT_TRUE(p.Has("mode"));
   EXPECT_FALSE(p.Has("missing"));
+
+  // A number must be the whole value: no trailing junk, no blanks, no
+  // fraction for an int, no overflow. The error names the key.
+  for (const char* bad : {"4OO", "", " 7", "7 ", "1.5", "abc", "99999999999"}) {
+    p.Set("budget", bad);
+    try {
+      p.GetInt("budget", 0);
+      ADD_FAILURE() << "GetInt accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("budget"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* bad : {"1.25x", "", "x1", "1,5"}) {
+    p.Set("ratio", bad);
+    EXPECT_THROW(p.GetDouble("ratio", 0.0), std::invalid_argument) << bad;
+  }
 }
 
 TEST_F(RunnerTest, ParamsReachScenarios) {
@@ -178,6 +196,22 @@ TEST_F(RunnerTest, FailingScenarioIsReportedNotFatal) {
   EXPECT_EQ(report.runs[1].error, "synthetic failure");
   EXPECT_EQ(report.num_scenario_failures, 1);
   EXPECT_FALSE(report.ok());
+}
+
+TEST_F(RunnerTest, UnwritableOutputFailsTheRun) {
+  AddSynthetic("unwritable", 1.0);
+  const fs::path dir = MakeTempDir("unwritable");
+  std::ofstream(dir / "not_a_dir") << "x";
+  RunnerOptions opts;
+  opts.print = false;
+  opts.output_dir = (dir / "not_a_dir").string();
+  const RunnerReport report = RunScenarios(opts);
+  ASSERT_EQ(report.runs.size(), 1u);
+  EXPECT_FALSE(report.runs[0].ok);
+  EXPECT_NE(report.runs[0].error.find("cannot write"), std::string::npos)
+      << report.runs[0].error;
+  EXPECT_EQ(report.num_scenario_failures, 1);
+  fs::remove_all(dir);
 }
 
 TEST_F(RunnerTest, ScenarioJsonShapeAndDeterminism) {

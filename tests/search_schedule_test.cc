@@ -24,9 +24,7 @@
 #include "src/nn/layer_builder.h"
 #include "src/nn/train_graph.h"
 #include "src/search/evaluator.h"
-#include "src/search/fast_eval.h"
 #include "src/search/search.h"
-#include "src/store/snapshot.h"
 #include "src/validate/schedule_checker.h"
 
 namespace oobp {
@@ -239,45 +237,6 @@ TEST(SearchScheduleTest, ZeroBudgetReturnsConventional) {
   EXPECT_EQ(result.schedule.ToString(),
             ConventionalIteration(graph).ToString());
   EXPECT_EQ(result.best_time, result.conventional_time);
-}
-
-TEST(SearchScheduleTest, SnapshotFrontDoorMatchesDirectSearchWhenInactive) {
-  DeactivateSnapshot();
-  Rng rng(23);
-  const NnModel model = RandomModel(rng);
-  const TrainGraph graph(&model);
-  const SystemProfile profile = SystemProfile::TensorFlowXla();
-
-  SearchOptions options;
-  options.beam = 2;
-  options.budget = 15;
-  const SearchResult direct =
-      SearchSchedule(graph, GpuSpec::V100(), profile, options);
-  const JointScheduleResult via_snapshot =
-      SnapshotSearchSchedule(graph, GpuSpec::V100(), profile, options);
-  EXPECT_EQ(via_snapshot.schedule.ToString(), direct.schedule.ToString());
-  EXPECT_EQ(via_snapshot.peak_memory, direct.peak_memory);
-}
-
-TEST(SearchScheduleTest, SearchKeyHashSeparatesEveryKnob) {
-  Rng rng(31);
-  const NnModel model = RandomModel(rng);
-  const GpuSpec gpu = GpuSpec::V100();
-  const SystemProfile profile = SystemProfile::TensorFlowXla();
-  const uint64_t base = SearchKeyHash(model, gpu, profile, 4, 1, 400, 1.1, 0);
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 5, 1, 400, 1.1, 0));
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 2, 400, 1.1, 0));
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 1, 401, 1.1, 0));
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 1, 400, 1.2, 0));
-  EXPECT_NE(base,
-            SearchKeyHash(model, GpuSpec::P100(), profile, 4, 1, 400, 1.1, 0));
-  // A scoring-pipeline revision must key differently: old snapshots go
-  // stale instead of replaying under the new evaluator.
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 1, 400, 1.1,
-                                FastScheduleEvaluator::kVersion));
-  // Searched keys must never collide with the heuristic's key space for the
-  // same scheduling problem (both live in the snapshot's schedules section).
-  EXPECT_NE(base, ScheduleKeyHash(model, gpu, profile, 1.1));
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //   oobp_sim hybrid   --model=bert24 --gpus=8 --replicas=2 [--k=0]
 //   oobp_sim replay   --model=densenet121 --schedule=<file>
 //   oobp_sim search   --model=densenet121 --batch=32 [--gpu=v100|p100|titanxp]
-//                     [--beam=N] [--seed=N] [--budget=N] [--snapshot[=<path>]]
+//                     [--beam=N] [--seed=N] [--budget=N]
 //                     [--eval=exact|two-tier] [--audit-interval=N]
 //                     [--threads=N | --sim-threads=N]
 //                     [--export-schedule=<file>]
@@ -30,13 +30,9 @@
 //                     [--param k=v]  (see src/runner; --check gates perf
 //                     event counts against bench/perf_baseline.json)
 //   oobp_sim fuzz     [--seeds=N] [--base-seed=N] [--jobs=N] [--checks=<glob>]
-//                     [--no-serve] [--snapshot[=<path>]] [--verbose]
+//                     [--no-serve] [--verbose]
 //                     (seeded differential fuzzer, see src/validate; --jobs=0
 //                     uses all cores, report is byte-identical to --jobs=1)
-//   oobp_sim snapshot <build|info|verify|startup> [--flags]
-//                     (binary snapshot of the model zoo, cost models,
-//                     precomputed schedules, goldens, and perf baseline;
-//                     see src/runner/snapshot_build.h and src/store)
 //
 // Common flags: --trace=<path.json> exports the execution timeline;
 // `single --system=ooo --export-schedule=<file>` saves the computed
@@ -56,14 +52,12 @@
 #include "src/core/schedule_io.h"
 #include "src/nn/model_zoo.h"
 #include "src/runner/runner.h"
-#include "src/runner/snapshot_build.h"
 #include "src/runtime/data_parallel_engine.h"
 #include "src/runtime/hybrid_engine.h"
 #include "src/runtime/pipeline_engine.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/search/evaluator.h"
 #include "src/search/search.h"
-#include "src/store/snapshot.h"
 #include "src/validate/fuzzer.h"
 #include "src/validate/schedule_checker.h"
 
@@ -373,21 +367,6 @@ int RunSearch(const Flags& flags) {
   const GpuSpec gpu = MakeGpu(flags.Get("gpu", "v100"));
   const SystemProfile profile = SystemProfile::TensorFlowXla();
 
-  const std::string snapshot = flags.Get("snapshot", "");
-  if (!snapshot.empty()) {
-    // Like `fuzz --snapshot`: skip the registry check (this mode registers
-    // no scenarios); a stored search result with a matching content key is
-    // reused, everything else is computed in-process.
-    const std::string path = snapshot == "1" ? kDefaultSnapshotPath : snapshot;
-    std::string error;
-    if (ActivateSnapshot(path, /*expected_registry_hash=*/0,
-                         /*check_registry=*/false,
-                         &error) == SnapshotActivation::kError) {
-      std::fprintf(stderr, "search: snapshot: %s\n", error.c_str());
-      return 2;
-    }
-  }
-
   SearchOptions options;
   options.beam = flags.GetInt("beam", 4);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
@@ -410,10 +389,9 @@ int RunSearch(const Flags& flags) {
   ScheduleEvaluator eval(&model, gpu, profile);
   const TimeNs conventional_time =
       eval.IterationTime(ConventionalIteration(graph));
-  const JointScheduleResult ooo = SnapshotOooSchedule(graph, gpu, profile);
+  const JointScheduleResult ooo = MakeOooSchedule(graph, gpu, profile);
   const TimeNs ooo_time = eval.IterationTime(ooo.schedule);
-  const JointScheduleResult searched =
-      SnapshotSearchSchedule(graph, gpu, profile, options);
+  const SearchResult searched = SearchSchedule(graph, gpu, profile, options);
   const TimeNs search_time = eval.IterationTime(searched.schedule);
 
   // Machine-verify both schedules; a violation is a hard failure.
@@ -478,9 +456,6 @@ int Usage() {
       "  fuzz      seeded differential fuzzer over schedules, memory,\n"
       "            training, DAG, link, serving, and fleet checkers\n"
       "            (`fuzz --help` lists its flags)\n"
-      "  snapshot  build / info / verify / startup for the binary snapshot\n"
-      "            of models, cost points, precomputed schedules, goldens,\n"
-      "            and the perf baseline (`snapshot --help` for details)\n"
       "\n"
       "see the header comment of tools/oobp_sim.cc for per-mode flags\n");
   return 2;
@@ -518,9 +493,6 @@ int main(int argc, char** argv) {
   }
   if (mode == "fuzz") {
     return oobp::FuzzMain(argc, argv);
-  }
-  if (mode == "snapshot") {
-    return oobp::SnapshotMain(argc, argv);
   }
   return oobp::Usage();
 }
