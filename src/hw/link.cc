@@ -60,7 +60,7 @@ Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,
   msg.name = std::move(name);
   msg.on_complete = std::move(on_complete);
   pending_.emplace(std::make_pair(priority, id), std::move(msg));
-  done_[id] = false;
+  done_.push_back(false);
   if (observer_ != nullptr) {
     observer_->OnTransferSubmitted(*this, id, bytes, priority);
   }
@@ -69,9 +69,8 @@ Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,
 }
 
 bool Link::Done(TransferId id) const {
-  auto it = done_.find(id);
-  OOBP_CHECK(it != done_.end()) << "unknown transfer id " << id;
-  return it->second;
+  OOBP_CHECK(id >= 1 && id < next_id_) << "unknown transfer id " << id;
+  return done_[static_cast<size_t>(id - 1)];
 }
 
 void Link::RefillAndStart() {
@@ -127,7 +126,7 @@ void Link::StartNextChunk() {
         ev.args["bytes"] = std::to_string(m.total);
         trace_->Add(ev);
       }
-      done_[m.seq] = true;
+      done_[static_cast<size_t>(m.seq - 1)] = true;
       ++completed_count_;
       if (observer_ != nullptr) {
         observer_->OnTransferCompleted(*this, m.seq);
@@ -137,10 +136,14 @@ void Link::StartNextChunk() {
       if (cb) {
         cb();
       }
-    } else if (commit_window_bytes_ == 0) {
-      // Fully preemptible mode: return the partially sent message to the
-      // priority queue so a newly arrived higher-priority transfer can cut
-      // in at the chunk boundary.
+    } else if (commit_window_bytes_ == 0 && !pending_.empty() &&
+               pending_.begin()->first < std::make_pair(m.priority, m.seq)) {
+      // Fully preemptible mode: a pending transfer outranks the partially
+      // sent message, so return the message to the priority queue and let
+      // the refill below cut the newcomer in at the chunk boundary. When
+      // nothing outranks it, the refill would pick the message straight
+      // back; it stays at the head instead, and the next chunk is scheduled
+      // by the same ScheduleAfter call either way.
       Message back = std::move(committed_.front());
       committed_.pop_front();
       committed_bytes_ -= back.remaining;

@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/time.h"
 #include "src/sim/engine.h"
@@ -131,7 +132,8 @@ class Link {
   std::deque<Message> committed_;
   int64_t committed_bytes_ = 0;
   int64_t completed_count_ = 0;
-  std::map<TransferId, bool> done_;
+  // done_[id - 1]: ids are dense from 1.
+  std::vector<bool> done_;
   LinkObserver* observer_ = nullptr;
 };
 

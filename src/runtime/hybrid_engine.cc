@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/str_util.h"
 #include "src/hw/link.h"
 #include "src/sim/engine.h"
 
@@ -97,7 +97,8 @@ HybridResult HybridEngine::Run(const NnModel& micro_model,
     engine.ScheduleAt(pipe.wgrad_done[l], [=, &engine, &sync_done] {
       for (int p = 0; p < parts; ++p) {
         const int64_t bytes = std::min<int64_t>(part, volume - p * part);
-        link->Transfer(bytes, l, StrFormat("sync[%d].%d", l, p),
+        // No trace recorder on these links, so the name is never read.
+        link->Transfer(bytes, l, std::string(),
                        [=, &engine, &sync_done] {
                          if (--*remaining == 0) {
                            sync_done[l] = engine.now();

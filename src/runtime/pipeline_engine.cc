@@ -470,7 +470,9 @@ class PipeSim {
     }
     AddMem(src, bytes);  // send buffer
     LinkFor(src, dst)->Transfer(
-        bytes, /*priority=*/0, StrFormat("act[%d]%c#%d", l, 'A' + m % 26, t),
+        bytes, /*priority=*/0,
+        trace_ != nullptr ? StrFormat("act[%d]%c#%d", l, 'A' + m % 26, t)
+                          : std::string(),
         [this, t, m, l, src, dst, bytes] {
           AddMem(src, -bytes);
           AddMem(dst, bytes);
@@ -499,7 +501,9 @@ class PipeSim {
       return;
     }
     LinkFor(src, dst)->Transfer(
-        bytes, /*priority=*/0, StrFormat("grad[%d]%c#%d", l, 'A' + m % 26, t),
+        bytes, /*priority=*/0,
+        trace_ != nullptr ? StrFormat("grad[%d]%c#%d", l, 'A' + m % 26, t)
+                          : std::string(),
         std::move(arrive));
   }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -298,44 +299,107 @@ void MetamorphicDagChecks(Rng& rng, uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// Link fuzz: random transfers at random times under the validator.
+// Link fuzz: random transfers at random times under the validator, then the
+// same transfers at one priority, where the link must act as a FIFO whose
+// completion times have a closed form.
+
+struct FuzzTransfer {
+  int64_t bytes = 0;
+  int priority = 0;
+  TimeNs at = 0;
+};
+
+// Completion times of `transfers` on a FIFO link: in (submit time, list
+// index) order, each message starts when it is submitted or when the one
+// before it is done, pays the latency once, then sends its chunks back to
+// back.
+std::vector<TimeNs> FifoCompletionTimes(
+    const Link& link, int64_t chunk,
+    const std::vector<FuzzTransfer>& transfers) {
+  std::vector<size_t> order(transfers.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return transfers[a].at < transfers[b].at;
+  });
+  std::vector<TimeNs> done(transfers.size());
+  TimeNs prev = 0;
+  for (size_t i : order) {
+    TimeNs t = std::max(transfers[i].at, prev) + link.spec().latency;
+    for (int64_t left = transfers[i].bytes; left > 0; left -= chunk) {
+      t += link.SerializationTime(std::min(chunk, left));
+    }
+    done[i] = prev = t;
+  }
+  return done;
+}
 
 void LinkFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
-  SimValidator validator;
-  int64_t completed = 0;
-  int total = 0;
-  {
-    ValidationScope scope(&validator);
-    SimEngine engine;
-    LinkSpec spec;
-    spec.name = "fuzz-link";
-    spec.bandwidth_gbps = rng.Uniform(1.0, 50.0);
-    spec.latency = static_cast<TimeNs>(rng.NextBelow(25001));
-    const int64_t chunk = int64_t{1} << (14 + rng.NextBelow(7));  // 16K..1M
-    const int64_t window =
-        rng.NextBelow(2) == 0 ? 0 : int64_t{1} << (16 + rng.NextBelow(6));
-    Link link(&engine, spec, chunk, nullptr, 200, window);
-    total = 4 + static_cast<int>(rng.NextBelow(17));  // 4..20 transfers
-    for (int t = 0; t < total; ++t) {
-      const int64_t bytes = 1 + static_cast<int64_t>(rng.NextBelow(1 << 22));
-      const int priority = static_cast<int>(rng.NextBelow(4));
-      const TimeNs at = static_cast<TimeNs>(rng.NextBelow(Ms(1)));
-      engine.ScheduleAt(at, [&link, &completed, bytes, priority] {
-        link.Transfer(bytes, priority, "t", [&completed] { ++completed; });
-      });
+  LinkSpec spec;
+  spec.name = "fuzz-link";
+  spec.bandwidth_gbps = rng.Uniform(1.0, 50.0);
+  spec.latency = static_cast<TimeNs>(rng.NextBelow(25001));
+  const int64_t chunk = int64_t{1} << (14 + rng.NextBelow(7));  // 16K..1M
+  const int64_t window =
+      rng.NextBelow(2) == 0 ? 0 : int64_t{1} << (16 + rng.NextBelow(6));
+  std::vector<FuzzTransfer> transfers(4 + rng.NextBelow(17));  // 4..20
+  for (FuzzTransfer& t : transfers) {
+    t.bytes = 1 + static_cast<int64_t>(rng.NextBelow(1 << 22));
+    t.priority = static_cast<int>(rng.NextBelow(4));
+    t.at = static_cast<TimeNs>(rng.NextBelow(Ms(1)));
+  }
+
+  // Runs the list on a fresh link under the validator and returns each
+  // transfer's completion time (-1 if it never completed). With `fifo` set,
+  // every transfer runs at priority 0 and `fifo` receives the reference.
+  auto run = [&](const char* what, std::vector<TimeNs>* fifo) {
+    std::vector<TimeNs> done(transfers.size(), -1);
+    SimValidator validator;
+    {
+      ValidationScope scope(&validator);
+      SimEngine engine;
+      Link link(&engine, spec, chunk, nullptr, 200, window);
+      for (size_t i = 0; i < transfers.size(); ++i) {
+        const int64_t bytes = transfers[i].bytes;
+        const int priority = fifo != nullptr ? 0 : transfers[i].priority;
+        engine.ScheduleAt(transfers[i].at, [&, i, bytes, priority] {
+          link.Transfer(bytes, priority, "t",
+                        [&, i] { done[i] = engine.now(); });
+        });
+      }
+      engine.Run();
+      if (fifo != nullptr) {
+        *fifo = FifoCompletionTimes(link, chunk, transfers);
+      }
     }
-    engine.Run();
-  }
-  if (completed != total) {
-    errors->push_back(StrFormat(
-        "seed %llu: link drained %lld of %d transfers",
-        static_cast<unsigned long long>(seed),
-        static_cast<long long>(completed), total));
-  }
-  if (!validator.ok()) {
-    errors->push_back(StrFormat("seed %llu: link fuzz: %s",
-                                static_cast<unsigned long long>(seed),
-                                validator.Summary().c_str()));
+    const auto drained = std::count_if(done.begin(), done.end(),
+                                       [](TimeNs t) { return t >= 0; });
+    if (drained != static_cast<int64_t>(transfers.size())) {
+      errors->push_back(StrFormat(
+          "seed %llu: %s link drained %lld of %zu transfers",
+          static_cast<unsigned long long>(seed), what,
+          static_cast<long long>(drained), transfers.size()));
+    }
+    if (!validator.ok()) {
+      errors->push_back(StrFormat("seed %llu: %s link fuzz: %s",
+                                  static_cast<unsigned long long>(seed), what,
+                                  validator.Summary().c_str()));
+    }
+    return done;
+  };
+
+  run("mixed-priority", nullptr);
+  std::vector<TimeNs> fifo;
+  const std::vector<TimeNs> done = run("one-priority", &fifo);
+  for (size_t i = 0; i < transfers.size(); ++i) {
+    if (done[i] != fifo[i]) {
+      errors->push_back(StrFormat(
+          "seed %llu: one-priority link (window %lld): transfer %zu done at "
+          "%lld, FIFO reference %lld",
+          static_cast<unsigned long long>(seed), static_cast<long long>(window),
+          i, static_cast<long long>(done[i]),
+          static_cast<long long>(fifo[i])));
+      break;
+    }
   }
 }
 

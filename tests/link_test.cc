@@ -67,6 +67,83 @@ TEST(LinkTest, HigherPriorityPreemptsAtChunkBoundary) {
   EXPECT_EQ(bulk_done, 1100);
 }
 
+// The chunk-boundary cases below pin what a fully preemptible link does when
+// a transfer arrives at, or just before, a chunk boundary. 1 byte/ns and
+// 100-byte chunks put the bulk transfer's boundaries at 100, 200, ...
+
+TEST(LinkTest, ArrivalQueuedBeforeBoundaryPreemptsAtIt) {
+  SimEngine engine;
+  Link link(&engine, TestSpec(), /*chunk_bytes=*/100);
+  TimeNs bulk_done = -1, urgent_done = -1;
+  link.Transfer(1000, /*priority=*/10, "bulk",
+                [&] { bulk_done = engine.now(); });
+  // Scheduled at t=0, so this event precedes the boundary at t=200, whose
+  // event is scheduled at t=100: the urgent transfer is pending when the
+  // boundary re-selects.
+  engine.ScheduleAt(200, [&] {
+    link.Transfer(100, /*priority=*/0, "urgent",
+                  [&] { urgent_done = engine.now(); });
+  });
+  engine.Run();
+  EXPECT_EQ(urgent_done, 300);
+  EXPECT_EQ(bulk_done, 1100);
+  EXPECT_EQ(link.busy_time(), 1100);
+}
+
+TEST(LinkTest, ArrivalQueuedAfterBoundaryWaitsOneChunk) {
+  SimEngine engine;
+  Link link(&engine, TestSpec(), /*chunk_bytes=*/100);
+  TimeNs bulk_done = -1, urgent_done = -1;
+  link.Transfer(1000, /*priority=*/10, "bulk",
+                [&] { bulk_done = engine.now(); });
+  // Scheduled at t=150, after the boundary event at t=200 was scheduled (at
+  // t=100): the bulk transfer's next chunk has already started when the
+  // urgent transfer arrives, so it cuts in at t=300.
+  engine.ScheduleAt(150, [&] {
+    engine.ScheduleAt(200, [&] {
+      link.Transfer(100, /*priority=*/0, "urgent",
+                    [&] { urgent_done = engine.now(); });
+    });
+  });
+  engine.Run();
+  EXPECT_EQ(urgent_done, 400);
+  EXPECT_EQ(bulk_done, 1100);
+  EXPECT_EQ(link.busy_time(), 1100);
+}
+
+TEST(LinkTest, EqualPriorityNewcomerNeverPreempts) {
+  SimEngine engine;
+  Link link(&engine, TestSpec(), /*chunk_bytes=*/100);
+  TimeNs first_done = -1, second_done = -1;
+  link.Transfer(1000, /*priority=*/5, "first",
+                [&] { first_done = engine.now(); });
+  engine.ScheduleAt(150, [&] {
+    link.Transfer(100, /*priority=*/5, "second",
+                  [&] { second_done = engine.now(); });
+  });
+  engine.Run();
+  EXPECT_EQ(first_done, 1000);
+  EXPECT_EQ(second_done, 1100);
+}
+
+TEST(LinkTest, PreemptedMessagePaysLatencyOnce) {
+  SimEngine engine;
+  Link link(&engine, TestSpec(1.0, /*latency=*/50), /*chunk_bytes=*/100);
+  TimeNs bulk_done = -1, urgent_done = -1;
+  link.Transfer(1000, /*priority=*/10, "bulk",
+                [&] { bulk_done = engine.now(); });
+  engine.ScheduleAt(120, [&] {
+    link.Transfer(100, /*priority=*/0, "urgent",
+                  [&] { urgent_done = engine.now(); });
+  });
+  engine.Run();
+  // Bulk's first chunk (latency + 100 B) ends at 150; urgent runs 150-300;
+  // bulk resumes without paying latency again and sends 900 B by 1200.
+  EXPECT_EQ(urgent_done, 300);
+  EXPECT_EQ(bulk_done, 1200);
+  EXPECT_EQ(link.busy_time(), 1200);
+}
+
 TEST(LinkTest, CommitWindowLimitsPreemption) {
   SimEngine engine;
   // Window of 500 bytes: that much bulk data is committed and cannot be
@@ -74,20 +151,24 @@ TEST(LinkTest, CommitWindowLimitsPreemption) {
   Link link(&engine, TestSpec(), /*chunk_bytes=*/100, nullptr, 200,
             /*commit_window_bytes=*/500);
   TimeNs urgent_done = -1;
+  std::vector<TimeNs> bulk_done;
   // Bulk traffic arrives as 100-byte partitions (as the data-parallel
   // engine submits it).
   for (int i = 0; i < 10; ++i) {
-    link.Transfer(100, /*priority=*/10, "bulk", [] {});
+    link.Transfer(100, /*priority=*/10, "bulk",
+                  [&] { bulk_done.push_back(engine.now()); });
   }
   engine.ScheduleAt(10, [&] {
     link.Transfer(100, /*priority=*/0, "urgent",
                   [&] { urgent_done = engine.now(); });
   });
   engine.Run();
-  // At t=10 the committed region holds ~500 bulk bytes; the urgent message
-  // transmits only after they drain: done around 500 + 100.
-  EXPECT_GE(urgent_done, 500);
-  EXPECT_LE(urgent_done, 700);
+  // At t=10 the committed region holds the first five bulk partitions
+  // (500 bytes); the urgent message transmits only after they drain, then
+  // the rest of the bulk backlog follows.
+  EXPECT_EQ(urgent_done, 600);
+  EXPECT_EQ(bulk_done, (std::vector<TimeNs>{100, 200, 300, 400, 500, 700, 800,
+                                            900, 1000, 1100}));
 }
 
 TEST(LinkTest, CommitWindowZeroIsFullyPreemptible) {
@@ -111,6 +192,16 @@ TEST(LinkTest, DoneQueriesAndBusyTime) {
   EXPECT_TRUE(link.Done(id));
   EXPECT_EQ(link.busy_time(), 500);
   EXPECT_TRUE(link.idle());
+}
+
+TEST(LinkDeathTest, DoneOnUnknownIdAborts) {
+  SimEngine engine;
+  Link link(&engine, TestSpec());
+  link.Transfer(100, 0, "a", nullptr);
+  const Link::TransferId last = link.Transfer(100, 0, "b", nullptr);
+  EXPECT_DEATH(link.Done(0), "unknown transfer id");
+  EXPECT_DEATH(link.Done(-1), "unknown transfer id");
+  EXPECT_DEATH(link.Done(last + 1), "unknown transfer id");
 }
 
 TEST(LinkTest, LatencyPaidOncePerMessageNotPerChunk) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-shot health check, eight tiers:
+# One-shot health check, nine tiers:
 #   1. Release build: unit-test tier + unit-time toy scenarios vs goldens.
 #   2. ASan+UBSan build (-DOOBP_SANITIZE=ON): unit-test tier under the
 #      sanitizers (catches lifetime bugs in the event slab / callback moves).
@@ -50,6 +50,13 @@
 #      SimValidator, beam-monotonicity metamorphic, two-tier bit-identity
 #      incl. threads=3 and zero audit error; every second seed runs — see
 #      DESIGN.md §13-14).
+#   9. Benchmark self-test: `hostbench/run.py --selftest` builds the
+#      host-time benchmark (its own Release CMake project over src/, in
+#      build-dir/hostbench) and checks its helpers, that a seed's digest
+#      and exact counters repeat across processes, and the pinned digests
+#      of every workload (hostbench/pinned.json). Those digests cover
+#      configs no golden does (48-GPU Pub-A data parallelism, random k,
+#      8-GPU OOO-Pipe2), so a src/ change that moves one fails here.
 #
 # Tier matrix (tier x build):
 #   tier 1, 3, 4, 5 -> Release build    (speed; golden gates are exact)
@@ -57,6 +64,7 @@
 #   tier 7          -> TSan build       (data races in the sharded coordinator)
 #   tier 8          -> Release (search goldens) + TSan (parallel portfolio)
 #                      + ASan (search fuzz smoke)
+#   tier 9          -> hostbench's own Release build
 #
 # Usage: tools/check.sh [build-dir [asan-build-dir [tsan-build-dir]]]
 set -euo pipefail
@@ -154,5 +162,9 @@ ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \
     --checks=search
+
+# --- Tier 9: benchmark self-test: pinned digests of every workload --------
+CARGO_TARGET_DIR="${BUILD_DIR}" python3 "${REPO_ROOT}/hostbench/run.py" \
+    --selftest
 
 echo "check.sh: all green"
