@@ -27,13 +27,16 @@ struct TrainMetrics {
 struct ReplayStats {
   bool attempted = false;  // run was long enough and replay was enabled
   bool replayed = false;   // periodicity proven; tail extrapolated
-  int simulated_iterations = 0;  // iterations actually event-simulated
+  int simulated_iterations = 0;  // iterations actually simulated
   int total_iterations = 0;      // warm-up + measured
-  // Empty when replayed: "disabled", "traced", "short-run",
-  // "empty-schedule", "synchronous" (pipeline flush strategies complete in
-  // one simulated iteration — nothing to extrapolate), or "aperiodic"
-  // (detection failed; full rerun).
+  // Empty when replayed: "disabled", "traced", "short-run", "synchronous"
+  // (pipeline flush strategies complete in one simulated iteration —
+  // nothing to extrapolate), or "aperiodic" (detection failed; full rerun).
   std::string fallback_reason;
+  // Single-GPU only: the run went through the exact two-stream executor
+  // rather than the event simulation (DESIGN.md §6.3). False for traced
+  // runs and under the SimValidator, which need the event path.
+  bool executor = false;
 };
 
 // One serializable metric entry; ordered lists of these are what the

@@ -9,6 +9,8 @@
 #include "src/core/memory_model.h"
 #include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
+#include "src/hw/validation_hooks.h"
+#include "src/runtime/train_sim.h"
 #include "src/sim/engine.h"
 
 namespace oobp {
@@ -143,38 +145,40 @@ TrainIssuePlan BuildTrainIssuePlan(const NnModel& model,
   return plan;
 }
 
-std::vector<TimeNs> TrainIterationEndTimes(
-    const Gpu& gpu, const std::vector<KernelId>& item_kernel,
-    const std::vector<int>& iter_last_item) {
-  const int iterations = static_cast<int>(iter_last_item.size());
-  std::vector<TimeNs> iter_end(iterations, 0);
-  int t = 0;
-  for (size_t index = 0; index < item_kernel.size(); ++index) {
+namespace {
+
+// Iteration t ends when the last of items (iter_last_item[t-1],
+// iter_last_item[t]] completes; `done_time(index)` gives each item's
+// completion time.
+template <typename DoneTime>
+std::vector<TimeNs> IterationEnds(size_t items,
+                                  const std::vector<int>& iter_last_item,
+                                  DoneTime done_time) {
+  std::vector<TimeNs> iter_end(iter_last_item.size(), 0);
+  size_t t = 0;
+  for (size_t index = 0; index < items; ++index) {
     while (static_cast<int>(index) > iter_last_item[t]) {
       ++t;
     }
-    iter_end[t] = std::max(iter_end[t], gpu.CompletionTime(item_kernel[index]));
+    iter_end[t] = std::max(iter_end[t], done_time(index));
   }
   return iter_end;
+}
+
+}  // namespace
+
+std::vector<TimeNs> TrainIterationEndTimes(
+    const Gpu& gpu, const std::vector<KernelId>& item_kernel,
+    const std::vector<int>& iter_last_item) {
+  return IterationEnds(item_kernel.size(), iter_last_item, [&](size_t index) {
+    return gpu.CompletionTime(item_kernel[index]);
+  });
 }
 
 SingleGpuEngine::SingleGpuEngine(SingleGpuConfig config)
     : config_(std::move(config)) {
   OOBP_CHECK_GT(config_.measured_iterations, 0);
 }
-
-namespace {
-
-// Outcome of one event simulation of `iterations` training iterations.
-// `item_start` / `item_done` / `increments` are filled only for recorded
-// (replay-candidate) runs; item index = iteration * ops_per_iter + position.
-struct TrainSimOutcome {
-  std::vector<TimeNs> iter_end;
-  double busy_integral = 0.0;
-  std::vector<TimeNs> item_start;
-  std::vector<TimeNs> item_done;
-  std::vector<BusyIncrement> increments;
-};
 
 TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
                                  const CostModel& cost, const NnModel& model,
@@ -217,8 +221,374 @@ TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
       out.item_done.push_back(gpu.CompletionTime(id));
     }
   }
+  out.events = engine.processed_events();
   return out;
 }
+
+namespace {
+
+// The single-GPU model, executed without the event machinery. Each of the
+// two streams (main = priority 0, sub = priority 1) holds at most one
+// dispatched-or-running kernel, so at most four events are ever pending:
+// the graph launch or next issue, one begin per stream, and one fluid wake.
+// They live in fixed slots and run in the event path's (time, seq) order,
+// with seq drawn wherever the event path calls ScheduleAt. Every step below
+// mirrors one in CpuLauncher, Gpu or FluidProcessor, in the same order and
+// with the same floating-point operations, which is what makes the outcome
+// bit-identical (tests/steady_replay_test.cc compares the two).
+class TwoStreamExecutor {
+ public:
+  TwoStreamExecutor(const SingleGpuConfig& config, const TrainIssuePlan& plan,
+                    bool record)
+      : items_(plan.items),
+        n_(plan.items.size()),
+        per_op_(!config.precompiled_issue),
+        queue_depth_(config.profile.issue_queue_depth),
+        exec_overhead_(config.gpu.kernel_exec_overhead),
+        capacity_(static_cast<double>(config.gpu.slot_capacity())),
+        graph_launch_latency_(config.profile.graph_launch_latency),
+        record_(record),
+        pending_(n_, 0),
+        start_(n_, -1),
+        done_(n_, -1),
+        next_on_stream_(n_, -1),
+        dependents_begin_(n_ + 1, 0) {
+    OOBP_CHECK_GT(config.gpu.slot_capacity(), 0);
+    OOBP_CHECK_GE(queue_depth_, 0);
+    // Dependents of each item in enqueue order, repeats kept: the Gpu's
+    // per-kernel dependent lists, less the entries a dependent would only
+    // add after its dependency finished (see Finish()).
+    for (size_t i = 0; i < n_; ++i) {
+      const IssueItem& item = items_[i];
+      OOBP_CHECK(item.stream == 0 || item.stream == 1)
+          << "item " << i << " on stream " << item.stream;
+      OOBP_CHECK_GE(item.solo_duration, 0);
+      OOBP_CHECK_GT(item.thread_blocks, 0.0);
+      for (int d = 0; d < item.num_deps; ++d) {
+        OOBP_CHECK_LT(item.dep_items[d], i)
+            << "dependency must precede dependent in issue order";
+        ++dependents_begin_[item.dep_items[d] + 1];
+      }
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      dependents_begin_[i + 1] += dependents_begin_[i];
+    }
+    dependents_.resize(dependents_begin_[n_]);
+    std::vector<int> cursor(dependents_begin_.begin(),
+                            dependents_begin_.end() - 1);
+    int next[2] = {-1, -1};
+    for (size_t i = 0; i < n_; ++i) {
+      const IssueItem& item = items_[i];
+      for (int d = 0; d < item.num_deps; ++d) {
+        dependents_[cursor[item.dep_items[d]]++] = static_cast<int>(i);
+      }
+      const size_t back = n_ - 1 - i;
+      next_on_stream_[back] = next[items_[back].stream];
+      next[items_[back].stream] = static_cast<int>(back);
+    }
+    if (record_) {
+      increments_.reserve(4 * n_);
+    }
+  }
+
+  TrainSimOutcome Run(const std::vector<int>& iter_last_item) {
+    if (per_op_) {
+      IssueNext();
+    } else {
+      Schedule(kIssue, graph_launch_latency_);
+    }
+    while (true) {
+      int e = -1;
+      for (int slot = 0; slot < kSlots; ++slot) {
+        if (events_[slot].seq != 0 &&
+            (e < 0 || events_[slot].time < events_[e].time ||
+             (events_[slot].time == events_[e].time &&
+              events_[slot].seq < events_[e].seq))) {
+          e = slot;
+        }
+      }
+      if (e < 0) {
+        break;
+      }
+      now_ = events_[e].time;
+      events_[e].seq = 0;
+      ++processed_;
+      switch (e) {
+        case kIssue:
+          if (per_op_) {
+            Enqueue(issuing_);
+            IssueNext();
+          } else {
+            for (size_t i = 0; i < n_; ++i) {
+              Enqueue(i);
+            }
+          }
+          break;
+        case kBegin0:
+        case kBegin1:
+          Begin(e - kBegin0);
+          break;
+        case kWake:
+          Advance();
+          Reallocate();
+          break;
+      }
+    }
+    OOBP_CHECK_EQ(completed_, n_) << "executor stalled before every item ran";
+
+    TrainSimOutcome out;
+    out.iter_end = IterationEnds(n_, iter_last_item,
+                                 [this](size_t i) { return done_[i]; });
+    out.busy_integral = busy_integral_;
+    if (record_) {
+      out.item_start = std::move(start_);
+      out.item_done = std::move(done_);
+      out.increments = std::move(increments_);
+    }
+    out.events = processed_;
+    return out;
+  }
+
+ private:
+  enum Slot { kIssue, kBegin0, kBegin1, kWake, kSlots };
+  struct Event {
+    TimeNs time = 0;
+    uint64_t seq = 0;  // 0 = slot empty
+  };
+  // One FluidProcessor job; jobs_[s] is stream s's running kernel, so the
+  // priority-greedy order is the stream order.
+  struct Job {
+    bool active = false;
+    double remaining = 0.0;
+    double max_rate = 0.0;
+    double rate = 0.0;
+    uint64_t seq = 0;
+    int item = -1;
+  };
+
+  // SimEngine::ScheduleAt.
+  void Schedule(Slot slot, TimeNs t) {
+    OOBP_CHECK_GE(t, now_) << "event scheduled in the past";
+    events_[slot] = Event{t, next_seq_++};
+  }
+
+  // CpuLauncher::IssueNext (per-op mode).
+  void IssueNext() {
+    if (next_index_ >= n_) {
+      return;
+    }
+    if (queue_depth_ > 0 && in_flight_ >= queue_depth_) {
+      blocked_ = true;  // resumed from Finish()
+      return;
+    }
+    issuing_ = next_index_++;
+    Schedule(kIssue, now_ + items_[issuing_].issue_latency);
+  }
+
+  // CpuLauncher::EnqueueItem + Gpu::Enqueue.
+  void Enqueue(size_t i) {
+    const IssueItem& item = items_[i];
+    int pending = 0;
+    for (int d = 0; d < item.num_deps; ++d) {
+      if (done_[item.dep_items[d]] < 0) {
+        ++pending;
+      }
+    }
+    pending_[i] = pending;
+    ++enqueued_;
+    const int s = item.stream;
+    if (queued_[s]++ == 0) {
+      head_[s] = static_cast<int>(i);
+    }
+    MaybeDispatch(s);
+    ++in_flight_;
+  }
+
+  // Gpu::MaybeDispatch: the head begins after the SM setup gap.
+  void MaybeDispatch(int s) {
+    if (dispatched_[s] || queued_[s] == 0 || pending_[head_[s]] > 0) {
+      return;
+    }
+    dispatched_[s] = true;
+    Schedule(static_cast<Slot>(kBegin0 + s), now_ + exec_overhead_);
+  }
+
+  // Gpu::BeginExecution + FluidProcessor::Add.
+  void Begin(int s) {
+    const int i = head_[s];
+    start_[i] = now_;
+    const double max_rate =
+        EffectiveOccupancy(items_[i].thread_blocks, capacity_);
+    const double work =
+        static_cast<double>(items_[i].solo_duration) * max_rate;
+    OOBP_CHECK_GE(work, 0.0);
+    OOBP_CHECK_GT(max_rate, 0.0);
+    Advance();
+    Job& job = jobs_[s];
+    OOBP_CHECK(!job.active);
+    job = Job{true, work, max_rate, 0.0, next_job_seq_++, i};
+    Reallocate();
+  }
+
+  // FluidProcessor::Advance: contributions fold in job-seq order, and
+  // drained jobs complete in job-seq order after both leave the table.
+  void Advance() {
+    OOBP_CHECK_GE(now_, last_update_);
+    const double dt = static_cast<double>(now_ - last_update_);
+    last_update_ = now_;
+    const bool sub_first =
+        jobs_[1].active && (!jobs_[0].active || jobs_[1].seq < jobs_[0].seq);
+    const int seq_order[2] = {sub_first ? 1 : 0, sub_first ? 0 : 1};
+    if (dt > 0.0) {
+      double contrib[2] = {0.0, 0.0};
+      for (int s = 0; s < 2; ++s) {
+        Job& job = jobs_[s];
+        if (job.active) {
+          contrib[s] = std::min(job.rate * dt, job.remaining);
+          job.remaining = std::max(0.0, job.remaining - job.rate * dt);
+        }
+      }
+      for (const int s : seq_order) {
+        if (jobs_[s].active) {
+          busy_integral_ += contrib[s];
+          if (record_ && contrib[s] != 0.0) {
+            increments_.push_back({now_, contrib[s]});
+          }
+        }
+      }
+    }
+    int finished[2];
+    int num_finished = 0;
+    for (const int s : seq_order) {
+      Job& job = jobs_[s];
+      if (job.active && job.remaining <= FluidProcessor::kWorkEpsilon) {
+        job.active = false;
+        finished[num_finished++] = job.item;
+      }
+    }
+    for (int k = 0; k < num_finished; ++k) {
+      Finish(finished[k]);
+    }
+  }
+
+  // FluidProcessor::Reallocate: retract the pending wake, hand out rates
+  // priority-greedily, and wake at the earliest completion.
+  void Reallocate() {
+    events_[kWake].seq = 0;
+    double free = capacity_;
+    double min_tta = -1.0;
+    for (Job& job : jobs_) {
+      if (!job.active) {
+        continue;
+      }
+      job.rate = std::min(job.max_rate, free);
+      free -= job.rate;
+      if (job.rate > 0.0) {
+        const double tta = job.remaining / job.rate;
+        if (min_tta < 0.0 || tta < min_tta) {
+          min_tta = tta;
+        }
+      }
+    }
+    if (min_tta < 0.0) {
+      return;  // no active job (a non-empty table always has a fed job)
+    }
+    Schedule(kWake, now_ + FluidProcessor::WakeDelay(min_tta, now_));
+  }
+
+  // Gpu::FinishKernel: woken dependents dispatch first, then the launcher's
+  // done listener resumes a blocked issue, then the stream's next head.
+  void Finish(int i) {
+    done_[i] = now_;
+    ++completed_;
+    const int s = items_[i].stream;
+    OOBP_CHECK(queued_[s] > 0 && head_[s] == i);
+    if (--queued_[s] > 0) {
+      head_[s] = next_on_stream_[i];
+    }
+    dispatched_[s] = false;
+    // Only dependents enqueued so far registered with this item; later
+    // ones saw it done. Enqueue order is index order.
+    for (int k = dependents_begin_[i]; k < dependents_begin_[i + 1]; ++k) {
+      const int j = dependents_[k];
+      if (static_cast<size_t>(j) >= enqueued_) {
+        break;
+      }
+      OOBP_CHECK_GT(pending_[j], 0);
+      if (--pending_[j] == 0) {
+        MaybeDispatch(items_[j].stream);
+      }
+    }
+    if (in_flight_ > 0) {
+      --in_flight_;
+    }
+    if (blocked_ && in_flight_ < queue_depth_) {
+      blocked_ = false;
+      IssueNext();
+    }
+    MaybeDispatch(s);
+  }
+
+  const std::vector<IssueItem>& items_;
+  const size_t n_;
+  const bool per_op_;
+  const int queue_depth_;
+  const TimeNs exec_overhead_;
+  const double capacity_;
+  const TimeNs graph_launch_latency_;
+  const bool record_;
+
+  // Event slots.
+  Event events_[kSlots];
+  TimeNs now_ = 0;
+  uint64_t next_seq_ = 1;
+  uint64_t processed_ = 0;
+
+  // Launcher.
+  size_t next_index_ = 0;
+  size_t issuing_ = 0;
+  int in_flight_ = 0;
+  bool blocked_ = false;
+
+  // Streams: queued_[s] issued-but-unfinished items, head_[s] the oldest.
+  int queued_[2] = {0, 0};
+  int head_[2] = {-1, -1};
+  bool dispatched_[2] = {false, false};
+
+  // Kernels.
+  std::vector<int> pending_;
+  std::vector<TimeNs> start_;
+  std::vector<TimeNs> done_;  // -1 until the item completes
+  std::vector<int> next_on_stream_;
+  std::vector<int> dependents_begin_;
+  std::vector<int> dependents_;
+  size_t enqueued_ = 0;
+  size_t completed_ = 0;
+
+  // Fluid processor.
+  Job jobs_[2];
+  uint64_t next_job_seq_ = 1;
+  TimeNs last_update_ = 0;
+  double busy_integral_ = 0.0;
+  std::vector<BusyIncrement> increments_;
+};
+
+}  // namespace
+
+TrainSimOutcome ExecuteTraining(const SingleGpuConfig& config,
+                                const CostModel& cost, const NnModel& model,
+                                const IterationSchedule& schedule,
+                                int iterations, bool record) {
+  const TrainIssuePlan plan =
+      BuildTrainIssuePlan(model, schedule, cost, iterations, /*main_stream=*/0,
+                          /*sub_stream=*/1, /*label_items=*/false);
+  TrainSimOutcome out =
+      TwoStreamExecutor(config, plan, record).Run(plan.iter_last_item);
+  SimEngine::AddProcessedEvents(out.events);
+  return out;
+}
+
+namespace {
 
 // Truncated-window length: warm-up (iteration 0) + the detection window
 // (iterations 1..3) + a guard tail. The guard covers end effects that make
@@ -318,11 +688,23 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
   const CostModel cost(config_.gpu, config_.profile);
   const int iterations = 1 + config_.measured_iterations;  // 1 warm-up
   const size_t ops = schedule.ops.size();
+  OOBP_CHECK_GT(ops, 0u) << "SingleGpuEngine: empty schedule for model '"
+                         << model.name << "'";
 
   ReplayStats local_stats;
   ReplayStats& stats = replay_stats != nullptr ? *replay_stats : local_stats;
   stats = ReplayStats();
   stats.total_iterations = iterations;
+
+  // The executor reproduces the event path bit for bit; only the event
+  // path emits trace events and feeds the SimValidator's device observers.
+  stats.executor = trace == nullptr && ActiveHwValidationHooks() == nullptr;
+  auto simulate = [&](int iters, bool record) {
+    return stats.executor
+               ? ExecuteTraining(config_, cost, model, schedule, iters, record)
+               : SimulateTraining(config_, cost, model, schedule, iters, trace,
+                                  record);
+  };
 
   TrainSimOutcome out;
   TimeNs first_end = 0;
@@ -334,8 +716,6 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
     stats.fallback_reason = "disabled";
   } else if (trace != nullptr) {
     stats.fallback_reason = "traced";
-  } else if (ops == 0) {
-    stats.fallback_reason = "empty-schedule";
   } else {
     const int window_iters =
         ReplayWindowIterations(config_.profile.issue_queue_depth, ops);
@@ -343,8 +723,7 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
       stats.fallback_reason = "short-run";
     } else {
       stats.attempted = true;
-      out = SimulateTraining(config_, cost, model, schedule, window_iters,
-                             /*trace=*/nullptr, /*record=*/true);
+      out = simulate(window_iters, /*record=*/true);
       TimeNs period = 0;
       if (DetectSteadyPeriod(out, ops, &period)) {
         const int64_t extra = iterations - window_iters;
@@ -361,8 +740,7 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
     }
   }
   if (!extrapolated) {
-    out = SimulateTraining(config_, cost, model, schedule, iterations, trace,
-                           /*record=*/false);
+    out = simulate(iterations, /*record=*/false);
     stats.simulated_iterations = iterations;
     first_end = out.iter_end.front();
     final_end = out.iter_end.back();

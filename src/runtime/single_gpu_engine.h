@@ -82,7 +82,10 @@ class SingleGpuEngine {
   // returns steady-state metrics. `trace` (optional) receives kernel/issue
   // events: track 0 = main stream, 1 = sub stream, 100 = CPU issue thread;
   // tracing disables steady-state replay (the trace must hold every event).
-  // `replay_stats` (optional) reports whether the run was extrapolated.
+  // `replay_stats` (optional) reports whether the run was extrapolated and
+  // whether it ran on the exact two-stream executor, which untraced runs
+  // outside a ValidationScope do (same metrics, bit for bit; DESIGN.md
+  // §6.3). An empty schedule is a check failure.
   TrainMetrics Run(const NnModel& model, const IterationSchedule& schedule,
                    TraceRecorder* trace = nullptr,
                    ReplayStats* replay_stats = nullptr) const;

@@ -20,6 +20,10 @@ uint64_t SimEngine::TotalProcessedEvents() {
   return g_total_processed.load(std::memory_order_relaxed);
 }
 
+void SimEngine::AddProcessedEvents(uint64_t events) {
+  g_total_processed.fetch_add(events, std::memory_order_relaxed);
+}
+
 uint32_t SimEngine::AcquireSlot() {
   if (free_head_ != kNone) {
     const uint32_t slot = free_head_;

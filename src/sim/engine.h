@@ -100,6 +100,11 @@ class SimEngine {
   // of this around scenario runs; simulation results never depend on it.
   static uint64_t TotalProcessedEvents();
 
+  // Adds `events` to that tally on behalf of a simulation that processes
+  // its events without an engine (the single-GPU executor, DESIGN.md §6.3),
+  // so event counts do not depend on which producer ran.
+  static void AddProcessedEvents(uint64_t events);
+
   // Schedules `cb` at absolute time `t`; `t` must not be in the past. The
   // returned handle may be ignored, or kept to Cancel() the event later.
   TimerHandle ScheduleAt(TimeNs t, Callback cb);

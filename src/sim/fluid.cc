@@ -1,17 +1,11 @@
 #include "src/sim/fluid.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 namespace oobp {
 
 namespace {
-// Work below this many rate*ns counts as drained; absorbs the rounding that
-// integer-nanosecond completion times introduce.
-constexpr double kWorkEpsilon = 1e-6;
-
 // Insertion sort ascending by .first; the inputs are concatenations of a few
 // already-ascending runs (jobs are stored in (priority, seq) order), so this
 // is near-linear and allocation-free for the tiny active sets we see.
@@ -184,17 +178,7 @@ void FluidProcessor::Reallocate() {
   if (min_tta < 0.0) {
     return;  // every active job is starved; a future Add/Cancel re-triggers
   }
-  // A starved-then-fed job with a tiny rate can make min_tta exceed the
-  // TimeNs range; the float->int conversion would be undefined. Clamp the
-  // wake-up to the end of simulated time (the job cannot finish anyway).
-  const TimeNs max_delay =
-      std::numeric_limits<TimeNs>::max() - engine_->now();
-  TimeNs delay;
-  if (min_tta >= static_cast<double>(max_delay)) {
-    delay = max_delay;
-  } else {
-    delay = std::max<TimeNs>(1, static_cast<TimeNs>(std::ceil(min_tta)));
-  }
+  const TimeNs delay = WakeDelay(min_tta, engine_->now());
   wake_ = engine_->ScheduleAt(engine_->now() + delay, [this] {
     wake_ = SimEngine::TimerHandle();  // consumed; nothing left to cancel
     Advance();

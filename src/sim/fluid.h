@@ -26,7 +26,10 @@
 #ifndef OOBP_SRC_SIM_FLUID_H_
 #define OOBP_SRC_SIM_FLUID_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/check.h"
@@ -50,6 +53,23 @@ struct BusyIncrement {
 
 class FluidProcessor {
  public:
+  // Work below this many rate*ns counts as drained; absorbs the rounding
+  // that integer-nanosecond completion times introduce.
+  static constexpr double kWorkEpsilon = 1e-6;
+
+  // Delay from `now` to the wake-up for the earliest completion, `min_tta`
+  // ns away: ceil(min_tta), at least 1 ns. A starved-then-fed job with a
+  // tiny rate can make min_tta exceed the TimeNs range, where the
+  // float->int conversion would be undefined; the wake-up then clamps to
+  // the end of simulated time (the job cannot finish anyway).
+  static TimeNs WakeDelay(double min_tta, TimeNs now) {
+    const TimeNs max_delay = std::numeric_limits<TimeNs>::max() - now;
+    if (min_tta >= static_cast<double>(max_delay)) {
+      return max_delay;
+    }
+    return std::max<TimeNs>(1, static_cast<TimeNs>(std::ceil(min_tta)));
+  }
+
   // `capacity` is the total rate the processor can hand out; must be > 0.
   FluidProcessor(SimEngine* engine, double capacity);
   FluidProcessor(const FluidProcessor&) = delete;

@@ -893,20 +893,30 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
 
     if (on("train")) {
       // Differential execution: conventional vs ooo, both end to end under
-      // the invariant validator.
+      // the invariant validator, at a short length and at one long enough
+      // to replay. The validator forces the event path; the same runs
+      // outside it take the exact executor and must report the same
+      // metrics, bit for bit, and the same replay outcome.
+      SingleGpuConfig cfg;
+      cfg.gpu = gpu;
+      cfg.profile = profile;
+      cfg.precompiled_issue = rng.NextBelow(2) == 0;
+      const IterationSchedule* schedules[2] = {&conventional, &ooo.schedule};
+      const char* names[2] = {"conventional", "ooo"};
+      const int lengths[2] = {2, 24};
+      TrainMetrics validated[2][2];
+      ReplayStats validated_stats[2][2];
       SimValidator validator;
-      TrainMetrics conv_metrics;
-      TrainMetrics ooo_metrics;
       {
         ValidationScope scope(&validator);
-        SingleGpuConfig cfg;
-        cfg.gpu = gpu;
-        cfg.profile = profile;
-        cfg.precompiled_issue = rng.NextBelow(2) == 0;
-        cfg.measured_iterations = 2;
-        const SingleGpuEngine engine(cfg);
-        conv_metrics = engine.Run(model, conventional);
-        ooo_metrics = engine.Run(model, ooo.schedule);
+        for (int l = 0; l < 2; ++l) {
+          cfg.measured_iterations = lengths[l];
+          const SingleGpuEngine engine(cfg);
+          for (int k = 0; k < 2; ++k) {
+            validated[l][k] = engine.Run(model, *schedules[k], nullptr,
+                                         &validated_stats[l][k]);
+          }
+        }
       }
       if (!validator.ok()) {
         fail("train run: " + validator.Summary());
@@ -914,12 +924,56 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
       if (validator.kernels_finished() == 0) {
         fail("train run: validator observed no kernel completions");
       }
-      if (conv_metrics.iteration_time <= 0 ||
-          ooo_metrics.iteration_time <= 0) {
+      if (validated[0][0].iteration_time <= 0 ||
+          validated[0][1].iteration_time <= 0) {
         fail(StrFormat("non-positive iteration time (conventional %lld, ooo "
                        "%lld)",
-                       static_cast<long long>(conv_metrics.iteration_time),
-                       static_cast<long long>(ooo_metrics.iteration_time)));
+                       static_cast<long long>(validated[0][0].iteration_time),
+                       static_cast<long long>(validated[0][1].iteration_time)));
+      }
+      for (int l = 0; l < 2; ++l) {
+        cfg.measured_iterations = lengths[l];
+        const SingleGpuEngine engine(cfg);
+        for (int k = 0; k < 2; ++k) {
+          ReplayStats stats;
+          const TrainMetrics m =
+              engine.Run(model, *schedules[k], nullptr, &stats);
+          const TrainMetrics& v = validated[l][k];
+          const ReplayStats& vs = validated_stats[l][k];
+          const std::string what =
+              StrFormat("train %s, %d measured: ", names[k], lengths[l]);
+          if (!stats.executor || vs.executor) {
+            fail(what + "wrong producer (executor outside the validator, "
+                        "event path inside)");
+          }
+          if (m.iteration_time != v.iteration_time ||
+              std::memcmp(&m.throughput, &v.throughput, sizeof(double)) != 0 ||
+              std::memcmp(&m.gpu_utilization, &v.gpu_utilization,
+                          sizeof(double)) != 0 ||
+              std::memcmp(&m.comm_comp_ratio, &v.comm_comp_ratio,
+                          sizeof(double)) != 0 ||
+              m.peak_memory_bytes != v.peak_memory_bytes || m.oom != v.oom) {
+            fail(what + StrFormat("executor metrics differ from the event "
+                                  "path (iteration %lld vs %lld, utilization "
+                                  "%.17g vs %.17g)",
+                                  static_cast<long long>(m.iteration_time),
+                                  static_cast<long long>(v.iteration_time),
+                                  m.gpu_utilization, v.gpu_utilization));
+          }
+          if (stats.attempted != vs.attempted ||
+              stats.replayed != vs.replayed ||
+              stats.simulated_iterations != vs.simulated_iterations ||
+              stats.total_iterations != vs.total_iterations ||
+              stats.fallback_reason != vs.fallback_reason) {
+            fail(what + StrFormat("replay outcome differs (replayed %d vs %d, "
+                                  "simulated %d vs %d, reason '%s' vs '%s')",
+                                  stats.replayed, vs.replayed,
+                                  stats.simulated_iterations,
+                                  vs.simulated_iterations,
+                                  stats.fallback_reason.c_str(),
+                                  vs.fallback_reason.c_str()));
+          }
+        }
       }
     }
   }

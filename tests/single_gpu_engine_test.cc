@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "src/core/corun_profiler.h"
 #include "src/core/joint_scheduler.h"
 #include "src/core/region.h"
 #include "src/nn/model_zoo.h"
 #include "src/runtime/single_gpu_engine.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -121,6 +125,77 @@ TEST(SingleGpuEngineTest, TraceCoversBothStreams) {
   SingleGpuEngine(XlaConfig(true)).Run(m, ooo.schedule, &trace);
   EXPECT_FALSE(trace.TrackEvents(0).empty());  // main stream
   EXPECT_FALSE(trace.TrackEvents(1).empty());  // sub stream
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+void ExpectBitwiseEqual(const TrainMetrics& a, const TrainMetrics& b) {
+  EXPECT_EQ(a.iteration_time, b.iteration_time);
+  EXPECT_EQ(Bits(a.throughput), Bits(b.throughput));
+  EXPECT_EQ(Bits(a.gpu_utilization), Bits(b.gpu_utilization));
+  EXPECT_EQ(Bits(a.comm_comp_ratio), Bits(b.comm_comp_ratio));
+  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
+  EXPECT_EQ(a.oom, b.oom);
+}
+
+// Untraced runs take the exact executor; traced runs and runs under the
+// SimValidator take the event path. All three report the same metrics, bit
+// for bit, both for a short run and for a replayed one.
+TEST(SingleGpuEngineTest, ExecutorRunsOnlyWhenNothingObservesTheDevices) {
+  const NnModel m = DenseNet(121, 24, 32, 32);
+  const TrainGraph g(&m);
+  const JointScheduleResult ooo =
+      MakeOooSchedule(g, GpuSpec::V100(), SystemProfile::TensorFlowXla());
+  for (const bool precompiled : {false, true}) {
+    for (const int measured : {3, 24}) {
+      SingleGpuConfig config = XlaConfig(precompiled);
+      config.measured_iterations = measured;
+      const SingleGpuEngine engine(config);
+
+      ReplayStats plain_stats;
+      const TrainMetrics plain =
+          engine.Run(m, ooo.schedule, nullptr, &plain_stats);
+      EXPECT_TRUE(plain_stats.executor);
+      EXPECT_EQ(plain_stats.replayed, measured == 24);
+
+      ReplayStats traced_stats;
+      TraceRecorder trace;
+      const TrainMetrics traced =
+          engine.Run(m, ooo.schedule, &trace, &traced_stats);
+      EXPECT_FALSE(traced_stats.executor);
+      EXPECT_FALSE(trace.TrackEvents(0).empty());
+
+      ReplayStats validated_stats;
+      SimValidator validator;
+      TrainMetrics validated;
+      {
+        ValidationScope scope(&validator);
+        validated = engine.Run(m, ooo.schedule, nullptr, &validated_stats);
+      }
+      EXPECT_FALSE(validated_stats.executor);
+      EXPECT_EQ(validated_stats.replayed, plain_stats.replayed);
+      EXPECT_EQ(validated_stats.simulated_iterations,
+                plain_stats.simulated_iterations);
+      EXPECT_TRUE(validator.ok()) << validator.Summary();
+      EXPECT_EQ(validator.kernels_finished(),
+                static_cast<int64_t>(ooo.schedule.ops.size()) *
+                    validated_stats.simulated_iterations);
+
+      ExpectBitwiseEqual(plain, traced);
+      ExpectBitwiseEqual(plain, validated);
+    }
+  }
+}
+
+TEST(SingleGpuEngineDeathTest, EmptyScheduleFailsClosedNamingTheModel) {
+  const NnModel m = ResNet(50, 32);
+  const SingleGpuEngine engine(XlaConfig(true));
+  EXPECT_DEATH(engine.Run(m, IterationSchedule{}),
+               "empty schedule for model 'ResNet-50'");
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Differential tests for steady-state iteration replay (DESIGN.md §9).
+// Differential tests for steady-state iteration replay (DESIGN.md §9) and
+// for the two producers replay consumes (DESIGN.md §6.3).
 //
 // The replay fast path truncates a multi-iteration training run to a short
 // steady-state window and extrapolates the remaining iterations. Its
@@ -7,9 +8,15 @@
 // sequence of double additions — must be bitwise identical to the full
 // event-driven simulation. These tests run both paths over fixed and
 // randomized models and compare with EXPECT_EQ (no tolerance anywhere).
+//
+// The single-GPU outcome itself has two producers: the event simulation
+// and the exact two-stream executor. The differential battery below runs
+// both over 2,688 configurations and compares every outcome field bitwise.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,6 +29,8 @@
 #include "src/nn/train_graph.h"
 #include "src/runtime/pipeline_engine.h"
 #include "src/runtime/single_gpu_engine.h"
+#include "src/runtime/train_sim.h"
+#include "src/sim/engine.h"
 #include "src/trace/trace.h"
 
 namespace oobp {
@@ -145,6 +154,138 @@ TEST(SteadyReplayTest, SingleGpuFallbacks) {
       .Run(model, schedule, &trace, &trace_stats);
   EXPECT_FALSE(trace_stats.attempted);
   EXPECT_EQ(trace_stats.fallback_reason, "traced");
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// The first field in which two outcomes differ, or "" if none does. Every
+// comparison is exact: times as integers, doubles by their bits.
+std::string OutcomeDiff(const TrainSimOutcome& a, const TrainSimOutcome& b) {
+  if (a.iter_end != b.iter_end) {
+    return "iter_end";
+  }
+  if (Bits(a.busy_integral) != Bits(b.busy_integral)) {
+    return StrFormat("busy_integral %.17g vs %.17g", a.busy_integral,
+                     b.busy_integral);
+  }
+  if (a.item_start != b.item_start) {
+    return "item_start";
+  }
+  if (a.item_done != b.item_done) {
+    return "item_done";
+  }
+  if (a.increments.size() != b.increments.size()) {
+    return StrFormat("%zu vs %zu increments", a.increments.size(),
+                     b.increments.size());
+  }
+  for (size_t k = 0; k < a.increments.size(); ++k) {
+    if (a.increments[k].time != b.increments[k].time ||
+        Bits(a.increments[k].value) != Bits(b.increments[k].value)) {
+      return StrFormat("increment %zu", k);
+    }
+  }
+  if (a.events != b.events) {
+    return StrFormat("%llu vs %llu events",
+                     static_cast<unsigned long long>(a.events),
+                     static_cast<unsigned long long>(b.events));
+  }
+  return "";
+}
+
+// Compares outcomes, not metrics: a metric can hide a reordered event. Two
+// deliberately wrong executors show it. One that begins same-instant
+// kernels in stream order instead of dispatch order leaves every iteration
+// end and busy integral here unchanged, yet moves item starts or increments
+// in 588 of these configurations. One that folds busy contributions in
+// priority order instead of job-seq order moves the busy integral in 100
+// and the increments in 1,252. Both fail here.
+TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
+  std::vector<NnModel> models = {
+      DenseNet(121, 24, 32, 32), DenseNet(169, 32, 32, 32),
+      MobileNetV3Large(0.75, 32, 224), ResNet(50, 32, 224),
+      ResNet(101, 32, 224), Bert(12, 8)};
+  Rng rng(1717);
+  for (int r = 0; r < 8; ++r) {
+    models.push_back(RandomModel(rng));
+  }
+  // Zero setup gap: a dispatched kernel begins at its dispatch instant,
+  // alongside the completion that dispatched it.
+  GpuSpec no_gap = GpuSpec::V100();
+  no_gap.kernel_exec_overhead = 0;
+  const std::vector<GpuSpec> gpus = {GpuSpec::V100(), GpuSpec::P100(),
+                                     GpuSpec::TitanXp(), no_gap};
+  // Queue depth 0: per-op issue never blocks.
+  SystemProfile unbounded = SystemProfile::TensorFlow();
+  unbounded.issue_queue_depth = 0;
+  const std::vector<SystemProfile> profiles = {
+      SystemProfile::TensorFlowXla(), SystemProfile::PyTorchNimble(),
+      SystemProfile::TensorFlow(), unbounded};
+
+  int configs = 0;
+  int mismatches = 0;
+  for (const NnModel& model : models) {
+    const TrainGraph graph(&model);
+    const IterationSchedule conv = ConventionalIteration(graph);
+    const IterationSchedule naive = NaiveSubStreamIteration(graph);
+    for (size_t g = 0; g < gpus.size(); ++g) {
+      for (size_t p = 0; p < profiles.size(); ++p) {
+        const CostModel cost(gpus[g], profiles[p]);
+        const IterationSchedule ooo =
+            MakeOooSchedule(graph, gpus[g], profiles[p]).schedule;
+        const IterationSchedule* schedules[] = {&conv, &ooo, &naive};
+        for (int k = 0; k < 3; ++k) {
+          for (bool precompiled : {false, true}) {
+            for (int iterations : {4, 7}) {
+              SingleGpuConfig cfg;
+              cfg.gpu = gpus[g];
+              cfg.profile = profiles[p];
+              cfg.precompiled_issue = precompiled;
+              const TrainSimOutcome event =
+                  SimulateTraining(cfg, cost, model, *schedules[k], iterations,
+                                   /*trace=*/nullptr, /*record=*/true);
+              const TrainSimOutcome exec = ExecuteTraining(
+                  cfg, cost, model, *schedules[k], iterations, true);
+              ++configs;
+              const std::string diff = OutcomeDiff(event, exec);
+              if (!diff.empty() && ++mismatches <= 5) {
+                ADD_FAILURE() << model.name << " gpu " << g << " profile "
+                              << p << " schedule " << k << " precompiled "
+                              << precompiled << " iterations " << iterations
+                              << ": " << diff;
+              }
+            }
+          }
+        }
+        // Unrecorded runs fill only the iteration ends, the busy integral
+        // and the event count.
+        const TrainSimOutcome event = SimulateTraining(
+            SingleGpuCfg(3, false), cost, model, ooo, 4, nullptr, false);
+        const TrainSimOutcome exec = ExecuteTraining(
+            SingleGpuCfg(3, false), cost, model, ooo, 4, false);
+        EXPECT_TRUE(exec.item_start.empty() && exec.increments.empty());
+        EXPECT_EQ(OutcomeDiff(event, exec), "") << model.name;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << configs << " configurations";
+  EXPECT_EQ(configs, 2688);
+}
+
+TEST(SteadyReplayTest, ExecutorCountsEventsIntoTheProcessWideTally) {
+  const NnModel model = ResNet(50, 32);
+  const TrainGraph graph(&model);
+  const IterationSchedule schedule = ConventionalIteration(graph);
+  const SingleGpuConfig cfg = SingleGpuCfg(3, false);
+  const CostModel cost(cfg.gpu, cfg.profile);
+  const uint64_t before = SimEngine::TotalProcessedEvents();
+  const TrainSimOutcome exec =
+      ExecuteTraining(cfg, cost, model, schedule, 4, false);
+  EXPECT_GT(exec.events, 0u);
+  EXPECT_EQ(SimEngine::TotalProcessedEvents() - before, exec.events);
 }
 
 PipelineConfig PipeCfg(int measured, bool replay) {

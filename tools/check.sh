@@ -26,7 +26,11 @@
 #      another 200 ASan seeds restricted to the fleet fuzz family (random
 #      fleets, metamorphic add-a-replica check; every second seed runs —
 #      each surviving seed also re-runs its fleet sharded (sim_threads 2)
-#      and diffs every serving metric against the single-threaded result).
+#      and diffs every serving metric against the single-threaded result),
+#      and 2000 ASan seeds of the train family (each seed's conventional
+#      and ooo runs, short and replayed, under the validator on the event
+#      path, then again on the exact single-GPU executor: metrics must
+#      match bit for bit, replay outcomes exactly; see DESIGN.md §6.3).
 #   7. Sharded sim under ThreadSanitizer (-DOOBP_SANITIZE_THREAD=ON):
 #      sharded-labeled ctest tier (worker-pool/Chandy–Misra units plus the
 #      --sim-threads byte-identity battery with perturbed scheduling) and a
@@ -114,6 +118,8 @@ ctest --test-dir "${BUILD_DIR}" -L validate --output-on-failure
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \
     --checks=fleet
+
+"${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 --checks=train
 
 # --- Tier 7: sharded sim: TSan build + sharded goldens at --sim-threads 8 -
 cmake -S "${REPO_ROOT}" -B "${TSAN_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
