@@ -30,9 +30,6 @@ ScenarioResult RunClusterPs(const ScenarioParams& params, bool ooo) {
   cfg.ooo = ooo;
   cfg.straggler_spread = params.GetDouble("straggler_spread", 0.15);
   cfg.reverse_k = params.GetInt("reverse_k", -1);
-  cfg.sim_threads = params.GetInt("sim_threads", 1);
-  cfg.sim_perturb_seed =
-      static_cast<uint64_t>(params.GetInt("sim_perturb_seed", 0));
 
   const std::shared_ptr<const NnModel> model =
       CachedModel("resnet:L50:B32", [] { return ResNet(50, 32, 224); });

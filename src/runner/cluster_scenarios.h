@@ -9,10 +9,6 @@
 //   cluster_ps_ooo_16 — same cluster, reverse-first weight gradients with
 //       layer-index priorities on the preemptive links: low-layer updates
 //       return while the remaining backward pass still computes.
-//
-// These are also the Chandy–Misra demonstration for the sharded simulator:
-// each worker GPU and the server is a logical process, and Link::latency is
-// the cross-LP lookahead (`--sim-threads N`, byte-identical for all N).
 
 #ifndef OOBP_SRC_RUNNER_CLUSTER_SCENARIOS_H_
 #define OOBP_SRC_RUNNER_CLUSTER_SCENARIOS_H_

@@ -49,12 +49,10 @@ struct PerfOptions {
   // Default perf suite: the single-GPU figure-7 scenarios plus the
   // data-parallel, pipeline-scaling, serving, steady-state, fleet and
   // cluster families — every simulation path whose throughput the repo
-  // tracks. The fleet/cluster scenarios honour --sim-threads, so the same
-  // suite measures the sharded coordinator at any worker count against the
-  // same event-count baseline (counts are thread-invariant by design).
-  // search_eval_perf tracks the analytic schedule evaluator (src/search):
-  // its throughput is measured in analytic evaluations/sec rather than
-  // simulator events/sec and gated by the baseline's floor entry.
+  // tracks. search_eval_perf tracks the analytic schedule evaluator
+  // (src/search): its throughput is measured in analytic evaluations/sec
+  // rather than simulator events/sec and gated by the baseline's floor
+  // entry.
   std::string filter =
       "fig07_*,fig10_*,fig13_*,serve_*,steady_*,fleet_rr_64,"
       "fleet_corun_ooo_64,cluster_ps_*,search_eval_perf";

@@ -244,10 +244,6 @@ int BenchUsage() {
                "  --golden[=DIR] compare against the golden files in DIR,\n"
                "                 which must exist (default bench/golden)\n"
                "  --param k=v    forward a parameter to every scenario\n"
-               "  --sim-threads=N  worker threads INSIDE one simulation for\n"
-               "                 scenarios with sharded engines (fleet_*,\n"
-               "                 cluster_*); results are byte-identical to\n"
-               "                 N=1 (shorthand for --param sim_threads=N)\n"
                "  --perf         wall-clock harness: warm-up + timed repeats,\n"
                "                 emits BENCH_sim_perf.json (see src/runner/"
                "perf.h)\n"
@@ -340,14 +336,6 @@ int BenchMain(int argc, char** argv) {
     } else if (arg == "golden") {
       const std::string dir = next_value();
       opts.golden_dir = dir.empty() ? "bench/golden" : dir;
-    } else if (arg == "sim-threads") {
-      // Sugar for --param sim_threads=N: intra-scenario parallelism for
-      // engines that support sharded simulation (fleet_*, cluster_*).
-      int threads = 0;
-      if (!int_value(1, &threads)) {
-        return BenchUsage();
-      }
-      opts.params.Set("sim_threads", std::to_string(threads));
     } else if (arg == "param") {
       const std::string kv = next_value();
       const size_t split = kv.find('=');

@@ -35,17 +35,15 @@ struct GapConfig {
   GpuSpec gpu;
 };
 
-// Search knobs shared by the search_* scenarios. `--sim-threads N` (or
-// --param threads=N) parallelizes the trajectory portfolio; results are
-// byte-identical at any value, so the thread count never appears in notes
-// or metrics.
+// Search knobs shared by the search_* scenarios. `--param threads=N`
+// parallelizes the trajectory portfolio; results are byte-identical at any
+// value, so the thread count never appears in notes or metrics.
 SearchOptions BaseOptions(const ScenarioParams& params) {
   SearchOptions options;
   options.beam = params.GetInt("beam", 4);
   options.seed = static_cast<uint64_t>(params.GetInt("seed", 1));
   options.budget = params.GetInt("budget", 400);
-  options.threads =
-      std::max(1, params.GetInt("threads", params.GetInt("sim_threads", 1)));
+  options.threads = std::max(1, params.GetInt("threads", 1));
   return options;
 }
 

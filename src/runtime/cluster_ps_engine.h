@@ -1,8 +1,6 @@
-// Cluster-scale data-parallel training through a parameter server, built on
-// the sharded simulator: every worker GPU is its own logical process, the
-// parameter server is one more, and gradients/updates cross LP boundaries
-// over CommChannels whose Link latency provides the Chandy–Misra lookahead
-// (src/sim/sharded.h discipline 2).
+// Cluster-scale data-parallel training through a parameter server: every
+// worker GPU, the server, and one Link per direction per worker run on a
+// single SimEngine.
 //
 // Model: W workers each run `iterations` of forward + backward over the
 // same network. When a worker finishes the weight-gradient of layer l it
@@ -27,10 +25,6 @@
 // kernel durations, so the scenarios also measure how each ordering absorbs
 // heterogeneity: the server's all-arrived barrier propagates the slowest
 // worker's schedule to everyone.
-//
-// Determinism: the conservative coordinator's round structure is a function
-// of simulation state only, so results are byte-identical for any
-// sim_threads (the byte-identity battery and the TSan tier check this).
 
 #ifndef OOBP_SRC_RUNTIME_CLUSTER_PS_ENGINE_H_
 #define OOBP_SRC_RUNTIME_CLUSTER_PS_ENGINE_H_
@@ -68,12 +62,6 @@ struct ClusterPsConfig {
   // aggregated layer (all W contributions).
   double server_agg_gbps = 50.0;
   TimeNs server_agg_fixed = Us(2);
-
-  int sim_threads = 1;  // logical-process worker pool; 1 = inline reference
-
-  // Test-only: nonzero perturbs worker-pool thread scheduling with seeded
-  // sleeps; results must not change (see ShardedSim::SetPerturbSeed).
-  uint64_t sim_perturb_seed = 0;
 };
 
 struct ClusterPsMetrics {
@@ -92,8 +80,7 @@ struct ClusterPsMetrics {
   int64_t bytes_pushed = 0;       // total gradient bytes over all uplinks
   double uplink_busy_frac = 0.0;  // mean uplink busy time / makespan
   double slowest_factor = 1.0;    // max straggler factor in the fleet
-  uint64_t processed_events = 0;  // sum over every LP engine (thread-
-                                  // invariant; gated by the perf baseline)
+  uint64_t processed_events = 0;  // gated by the perf baseline
 };
 
 class ClusterPsEngine {

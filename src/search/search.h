@@ -56,8 +56,7 @@
 // Parallelism. The `threads` option runs the independent trajectories on a
 // WorkerPool (src/sim/worker_pool.h). Each trajectory owns its evaluators,
 // cache, and Rng; outcomes are merged in trajectory index order after the
-// pool quiesces, so results are byte-identical at any thread count (the
-// same guarantee — and the same pool — as the sharded simulator).
+// pool quiesces, so results are byte-identical at any thread count.
 //
 // Verification. Every returned schedule is checked against
 // TrainGraph::ValidateBackpropOrder here, and callers (scenarios, CLI,

@@ -97,10 +97,7 @@ void SimEngine::RemoveHeapEntry(size_t pos) {
 SimEngine::TimerHandle SimEngine::ScheduleAt(TimeNs t, Callback cb) {
   OOBP_CHECK_GE(t, now_);
   const uint32_t slot = AcquireSlot();
-  const uint64_t seq =
-      seq_source_ != nullptr
-          ? seq_source_->fetch_add(1, std::memory_order_relaxed)
-          : next_seq_++;
+  const uint64_t seq = next_seq_++;
   EventSlot& s = slots_[slot];
   s.cb = std::move(cb);
   s.seq = seq;
@@ -151,21 +148,6 @@ uint64_t SimEngine::Run(TimeNs limit) {
   // Finite-limit runs leave the clock at exactly `limit` (see header).
   if (limit != std::numeric_limits<TimeNs>::max() && now_ < limit) {
     now_ = limit;
-  }
-  return count;
-}
-
-uint64_t SimEngine::RunUntil(TimeNs t, uint64_t tie_seq_bound) {
-  OOBP_CHECK_GE(t, now_);
-  uint64_t count = 0;
-  while (!heap_.empty() &&
-         (heap_[0].time < t ||
-          (heap_[0].time == t && heap_[0].seq < tie_seq_bound))) {
-    Step();
-    ++count;
-  }
-  if (now_ < t) {
-    now_ = t;
   }
   return count;
 }

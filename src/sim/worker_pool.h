@@ -1,9 +1,5 @@
-// Persistent worker pool shared by the parallel simulation paths.
-//
-// Extracted from ShardedSim (PR 7) so other deterministic fan-outs — the
-// sharded coordinator's LP advances, the search module's portfolio
-// trajectories — run on one battle-tested protocol instead of growing their
-// own. The contract is deliberately tiny:
+// Persistent worker pool for deterministic fan-outs: the search module runs
+// its portfolio trajectories on it. The contract is deliberately tiny:
 //
 //   WorkerPool pool(n);                 // spawns n threads iff n > 1
 //   pool.Run(count, [&](size_t i, int worker) { ... });
@@ -14,14 +10,14 @@
 // writes on return). When the pool has no workers or count <= 1 the calls
 // run inline on the caller's thread in index order with worker == -1 — the
 // reference path the byte-identity batteries compare against. Tasks are
-// claimed from a shared cursor under one mutex; tasks are coarse (an LP
-// window advance, a whole search trajectory), so contention is nil and the
-// protocol is trivially race-free (see DESIGN.md §11).
+// claimed from a shared cursor under one mutex; tasks are coarse (a whole
+// search trajectory), so contention is nil and the protocol is trivially
+// race-free (tools/check.sh runs it under ThreadSanitizer).
 //
 // Determinism note: callers must not let results depend on which worker ran
-// a task or in what order tasks finished. Both in-tree users satisfy this
-// structurally — tasks share no mutable state and results are merged in
-// task-index order after Run() returns.
+// a task or in what order tasks finished. The search portfolio satisfies
+// this structurally — trajectories share no mutable state and results are
+// merged in task-index order after Run() returns.
 
 #ifndef OOBP_SRC_SIM_WORKER_POOL_H_
 #define OOBP_SRC_SIM_WORKER_POOL_H_

@@ -594,7 +594,6 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   cfg.autoscaler.evaluate_every = Us(rng.Uniform(200.0, 1000.0));
   cfg.autoscaler.cooldown = Us(rng.Uniform(0.0, 2000.0));
   cfg.autoscaler.warmup = Us(rng.Uniform(0.0, 2000.0));
-  const FleetConfig sharded_cfg = cfg;  // reused by the differential below
   SimValidator v_scaled;
   FleetMetrics scaled;
   {
@@ -615,57 +614,6 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   if (scaled.scale_ups < scaled.max_routable - 1) {
     fail(StrFormat("peak %d routable with only %d scale-ups",
                    scaled.max_routable, scaled.scale_ups));
-  }
-
-  // Sharded-simulation differential: the same autoscaled fleet at
-  // sim_threads 2 must reproduce the single-engine reference *exactly* —
-  // every metric, per-replica counter and timeline event. Both runs go
-  // without a validator (validation hooks are thread-local, and a fleet
-  // with hooks attached takes the reference path regardless of
-  // sim_threads), so the reference is re-run rather than reusing `scaled`.
-  const auto run_threads = [&sharded_cfg](int threads) {
-    FleetConfig c = sharded_cfg;
-    c.sim_threads = threads;
-    return FleetEngine(std::move(c)).RunServeOnly();
-  };
-  const FleetMetrics ref = run_threads(1);
-  const FleetMetrics sh = run_threads(2);
-  const auto serve_equal = [](const ServeMetrics& a, const ServeMetrics& b) {
-    return a.num_requests == b.num_requests &&
-           a.num_completed == b.num_completed &&
-           a.num_batches == b.num_batches && a.goodput_rps == b.goodput_rps &&
-           a.slo_attainment == b.slo_attainment &&
-           a.p50_latency == b.p50_latency && a.p95_latency == b.p95_latency &&
-           a.p99_latency == b.p99_latency && a.max_latency == b.max_latency &&
-           a.mean_latency_ms == b.mean_latency_ms &&
-           a.mean_queue_delay_ms == b.mean_queue_delay_ms &&
-           a.mean_exec_ms == b.mean_exec_ms &&
-           a.mean_batch_size == b.mean_batch_size;
-  };
-  bool identical = serve_equal(ref.serve, sh.serve) &&
-                   ref.imbalance == sh.imbalance &&
-                   ref.router_decisions == sh.router_decisions &&
-                   ref.scale_ups == sh.scale_ups &&
-                   ref.scale_downs == sh.scale_downs &&
-                   ref.min_routable == sh.min_routable &&
-                   ref.max_routable == sh.max_routable &&
-                   ref.mean_routable == sh.mean_routable &&
-                   ref.replica_completed == sh.replica_completed &&
-                   ref.replica_timeline == sh.replica_timeline &&
-                   ref.per_replica.size() == sh.per_replica.size();
-  for (size_t r = 0; identical && r < ref.per_replica.size(); ++r) {
-    identical = serve_equal(ref.per_replica[r], sh.per_replica[r]);
-  }
-  if (!identical) {
-    fail(StrFormat("sharded run (sim_threads=2) diverged from the "
-                   "single-engine reference: completed %lld vs %lld, "
-                   "p99 %lld vs %lld, router decisions %lld vs %lld",
-                   static_cast<long long>(ref.serve.num_completed),
-                   static_cast<long long>(sh.serve.num_completed),
-                   static_cast<long long>(ref.serve.p99_latency),
-                   static_cast<long long>(sh.serve.p99_latency),
-                   static_cast<long long>(ref.router_decisions),
-                   static_cast<long long>(sh.router_decisions)));
   }
 }
 

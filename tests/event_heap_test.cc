@@ -1,15 +1,17 @@
 // Micro-tests for the indexed event heap behind SimEngine and for the
 // SmallCallback storage it schedules: ordering under stress, O(log n)
-// cancellation via TimerHandle, move-out-on-pop semantics, and the inline
-// vs heap callback storage split.
+// cancellation via TimerHandle, move-out-on-pop semantics, the process-wide
+// event tally, and the inline vs heap callback storage split.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -237,6 +239,51 @@ TEST(EventHeapTest, TotalProcessedEventsFlushesOnDestruction) {
     // Not flushed yet: the engine is still alive.
   }
   EXPECT_GE(SimEngine::TotalProcessedEvents(), before + 10);
+}
+
+// The process-wide counter is a relaxed atomic; hammer it from concurrent
+// engines while reading it, as the bench and fuzz --jobs pools do.
+// Primarily a ThreadSanitizer target.
+TEST(EventHeapTest, TotalProcessedEventsIsThreadSafe) {
+  const uint64_t before = SimEngine::TotalProcessedEvents();
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)SimEngine::TotalProcessedEvents();
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([] {
+      SimEngine e;
+      for (int i = 0; i < 500; ++i) {
+        e.ScheduleAt(i, [] {});
+      }
+      e.Run();
+    });
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_GE(SimEngine::TotalProcessedEvents(), before + 2000);
+}
+
+TEST(EventHeapTest, ReserveIsBehaviorNeutral) {
+  SimEngine plain;
+  SimEngine reserved;
+  reserved.Reserve(4096);
+  std::vector<TimeNs> log_plain, log_reserved;
+  for (int i = 0; i < 100; ++i) {
+    const TimeNs t = (i * 37) % 101;
+    plain.ScheduleAt(t, [&] { log_plain.push_back(plain.now()); });
+    reserved.ScheduleAt(t, [&] { log_reserved.push_back(reserved.now()); });
+  }
+  plain.Run();
+  reserved.Run();
+  EXPECT_EQ(log_plain, log_reserved);
+  EXPECT_EQ(plain.processed_events(), reserved.processed_events());
 }
 
 // ---- SmallCallback storage semantics ----

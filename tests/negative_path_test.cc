@@ -157,12 +157,15 @@ TEST(RunnerCliNegativeTest, UnknownScenarioNameExitsNonzeroWithMessage) {
 }
 
 TEST(RunnerCliNegativeTest, UnknownFlagExitsNonzeroWithUsage) {
-  testing::internal::CaptureStderr();
-  const int rc = CallBenchMain({"oobp", "bench", "--frobnicate"});
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_EQ(rc, 2);
-  EXPECT_NE(err.find("unknown flag --frobnicate"), std::string::npos) << err;
-  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+  // --sim-threads was removed and must fail like any other unknown flag.
+  for (const std::string flag : {"--frobnicate", "--sim-threads"}) {
+    testing::internal::CaptureStderr();
+    const int rc = CallBenchMain({"oobp", "bench", flag, "4"});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << flag;
+    EXPECT_NE(err.find("unknown flag " + flag), std::string::npos) << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+  }
 }
 
 struct CliRun {
@@ -224,8 +227,8 @@ TEST(RunnerCliNegativeTest, MissingGoldenOrOutputDirIsAUsageError) {
 TEST(RunnerCliNegativeTest, MalformedNumericFlagIsAUsageError) {
   const std::string out = TempDirFor("numeric_flag");
   for (const std::string flag :
-       {"--jobs=abc", "--jobs=-1", "--jobs=4x", "--sim-threads=abc",
-        "--sim-threads=0", "--warmup=x", "--repeats=2.5"}) {
+       {"--jobs=abc", "--jobs=-1", "--jobs=4x", "--warmup=x",
+        "--repeats=2.5"}) {
     const CliRun run = RunFig04({flag, "--out=" + out});
     EXPECT_EQ(run.rc, 2) << flag;
     EXPECT_NE(run.err.find("needs an integer"), std::string::npos)

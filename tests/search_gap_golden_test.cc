@@ -4,7 +4,7 @@
 // Pins the heuristic-vs-search optimality-gap metrics against the
 // checked-in goldens and proves the determinism contract the scenarios
 // advertise: the serialized result JSON is byte-identical across --jobs 1
-// vs --jobs 4 and under --sim-threads 8.
+// vs --jobs 4 and at 8 portfolio threads (--param threads=8).
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ constexpr const char* kFilter = "search_gap_*";
 
 // One pass over the search_gap_* scenarios. Model caches are cleared first
 // so every pass builds its models from scratch.
-RunnerReport RunPass(int jobs, int sim_threads) {
+RunnerReport RunPass(int jobs, int threads) {
   RegisterSearchScenarios();
   ClearModelCaches();
   RunnerOptions opts;
@@ -35,8 +35,8 @@ RunnerReport RunPass(int jobs, int sim_threads) {
   opts.jobs = jobs;
   opts.print = false;
   opts.golden_dir = kGoldenDir;
-  if (sim_threads > 1) {
-    opts.params.Set("sim_threads", std::to_string(sim_threads));
+  if (threads > 1) {
+    opts.params.Set("threads", std::to_string(threads));
   }
   return RunScenarios(opts);
 }
@@ -58,7 +58,7 @@ void ExpectByteIdentical(const RunnerReport& a, const RunnerReport& b) {
 }
 
 TEST(SearchGapGoldenTest, GapMetricsMatchCheckedInGoldens) {
-  const RunnerReport report = RunPass(/*jobs=*/1, /*sim_threads=*/1);
+  const RunnerReport report = RunPass(/*jobs=*/1, /*threads=*/1);
   ASSERT_EQ(report.runs.size(), 3u);
   EXPECT_EQ(report.num_scenario_failures, 0);
   EXPECT_EQ(report.num_golden_failures, 0);
@@ -69,15 +69,15 @@ TEST(SearchGapGoldenTest, GapMetricsMatchCheckedInGoldens) {
 }
 
 TEST(SearchGapGoldenTest, ByteIdenticalAcrossJobs) {
-  const RunnerReport serial = RunPass(/*jobs=*/1, /*sim_threads=*/1);
-  const RunnerReport parallel = RunPass(/*jobs=*/4, /*sim_threads=*/1);
+  const RunnerReport serial = RunPass(/*jobs=*/1, /*threads=*/1);
+  const RunnerReport parallel = RunPass(/*jobs=*/4, /*threads=*/1);
   ExpectByteIdentical(serial, parallel);
 }
 
 TEST(SearchGapGoldenTest, ByteIdenticalUnderSimThreads8) {
-  const RunnerReport reference = RunPass(/*jobs=*/1, /*sim_threads=*/1);
-  const RunnerReport sharded = RunPass(/*jobs=*/1, /*sim_threads=*/8);
-  ExpectByteIdentical(reference, sharded);
+  const RunnerReport reference = RunPass(/*jobs=*/1, /*threads=*/1);
+  const RunnerReport parallel = RunPass(/*jobs=*/1, /*threads=*/8);
+  ExpectByteIdentical(reference, parallel);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Byte-identity battery for the parallel search-trajectory portfolio
-// (ctest labels: search, sharded, golden, integration): the serialized
+// (ctest labels: search, golden, integration): the serialized
 // result JSON of the two-tier search scenarios must be byte-identical at
 // --param threads 1, 4, and 8, and must still satisfy the pinned golden
 // files when parallel. Trajectories are pure functions of their index with

@@ -1,7 +1,8 @@
 // Replays every registered golden scenario — the 12 paper-figure training
 // scenarios, the 6 inference-serving scenarios, the 6 scaling/analysis
-// sweeps, and the 3 steady-state replay scenarios — with the SimValidator
-// installed, asserting zero invariant violations (ctest label: validate).
+// sweeps, the 3 steady-state replay scenarios, and the 2 parameter-server
+// cluster scenarios — with the SimValidator installed, asserting zero
+// invariant violations (ctest label: validate).
 // The 11 fleet scenarios are counted here but replayed under the validator
 // in fleet_golden_test.cc (which also pins their --jobs byte-identity), so
 // the suite does not pay for the multi-replica simulations twice.
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/runner/cluster_scenarios.h"
 #include "src/runner/fleet_scenarios.h"
 #include "src/runner/paper_scenarios.h"
 #include "src/runner/registry.h"
@@ -31,9 +33,11 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
   RegisterServeScenarios();
   RegisterSweepScenarios();
   RegisterFleetScenarios();
+  RegisterClusterScenarios();
   const ScenarioRegistry& reg = ScenarioRegistry::Global();
 
-  int train = 0, serve = 0, sweep = 0, steady = 0, fleet = 0, other = 0;
+  int train = 0, serve = 0, sweep = 0, steady = 0, cluster = 0, fleet = 0;
+  int other = 0;
   int64_t total_gpus = 0, total_links = 0;
   int64_t total_kernels = 0, total_transfers = 0;
   for (const Scenario& scenario : reg.scenarios()) {
@@ -45,6 +49,8 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
       ++sweep;
     } else if (scenario.label == "steady") {
       ++steady;
+    } else if (scenario.label == "cluster") {
+      ++cluster;
     } else if (scenario.label == "fleet") {
       // Counted so the registry totals stay honest, but replayed under the
       // validator in fleet_golden_test.cc instead of a second time here.
@@ -81,13 +87,14 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
   }
 
   // The registry must hold the full golden suite (12 train + 6 serve +
-  // 6 sweep + 3 steady + 11 fleet); a silently missing scenario would
-  // hollow out this test, and an unknown label would dodge the per-group
-  // counts.
+  // 6 sweep + 3 steady + 2 cluster + 11 fleet); a silently missing scenario
+  // would hollow out this test, and an unknown label would dodge the
+  // per-group counts.
   EXPECT_EQ(train, 12);
   EXPECT_EQ(serve, 6);
   EXPECT_EQ(sweep, 6);
   EXPECT_EQ(steady, 3);
+  EXPECT_EQ(cluster, 2);
   EXPECT_EQ(fleet, 11);
   EXPECT_EQ(other, 0);
   // The suite exercises the communication path too (data-parallel and

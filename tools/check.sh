@@ -24,22 +24,16 @@
 #      run, so failures still reproduce with
 #      `oobp fuzz --seeds 1 --base-seed <seed>`; see DESIGN.md §8-9), and
 #      another 200 ASan seeds restricted to the fleet fuzz family (random
-#      fleets, metamorphic add-a-replica check; every second seed runs —
-#      each surviving seed also re-runs its fleet sharded (sim_threads 2)
-#      and diffs every serving metric against the single-threaded result),
+#      fleets, metamorphic add-a-replica check; every second seed runs),
 #      and 2000 ASan seeds of the train family (each seed's conventional
 #      and ooo runs, short and replayed, under the validator on the event
 #      path, then again on the exact single-GPU executor: metrics must
 #      match bit for bit, replay outcomes exactly; see DESIGN.md §6.3).
-#   7. Sharded sim under ThreadSanitizer (-DOOBP_SANITIZE_THREAD=ON):
-#      sharded-labeled ctest tier (worker-pool/Chandy–Misra units plus the
-#      --sim-threads byte-identity battery with perturbed scheduling) and a
-#      fleet fuzz smoke, all on the TSan build — the worker pool, the
-#      shared seq counter, and the channel drains must be TSan-clean. The
-#      Release build then re-runs the fleet + cluster goldens and the perf
-#      gate at --sim-threads 8: sharded results must match the goldens and
-#      the event-count baseline byte-for-byte (counts are thread-invariant;
-#      wall-clock bands stay informational, see DESIGN.md §11).
+#   7. ThreadSanitizer build (-DOOBP_SANITIZE_THREAD=ON) of what still
+#      starts threads: search_threads_identity_test (the search portfolio's
+#      worker pool at threads 1/4/8), event_heap_test (the process-wide
+#      event tally hammered from concurrent engines), and a 20-seed fleet
+#      fuzz smoke on the fuzzer's --jobs pool.
 #   8. Search baseline + two-tier evaluation pipeline: search-labeled ctest
 #      tier (the 200-seed searched-schedule property battery, the
 #      search_gap_* golden/byte-identity tests, the analytic-evaluator
@@ -65,7 +59,7 @@
 # Tier matrix (tier x build):
 #   tier 1, 3, 4, 5 -> Release build    (speed; golden gates are exact)
 #   tier 2, 6       -> ASan+UBSan build (memory-safety of slab/fluid/fuzz paths)
-#   tier 7          -> TSan build       (data races in the sharded coordinator)
+#   tier 7          -> TSan build       (data races in the worker pools)
 #   tier 8          -> Release (search goldens) + TSan (parallel portfolio)
 #                      + ASan (search fuzz smoke)
 #   tier 9          -> hostbench's own Release build
@@ -121,24 +115,16 @@ ctest --test-dir "${BUILD_DIR}" -L validate --output-on-failure
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 --checks=train
 
-# --- Tier 7: sharded sim: TSan build + sharded goldens at --sim-threads 8 -
+# --- Tier 7: TSan build: worker pools and the event tally ----------------
 cmake -S "${REPO_ROOT}" -B "${TSAN_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DOOBP_SANITIZE_THREAD=ON
 cmake --build "${TSAN_DIR}" -j"$(nproc)"
 
-ctest --test-dir "${TSAN_DIR}" -L sharded --output-on-failure
+ctest --test-dir "${TSAN_DIR}" \
+    -R '^(search_threads_identity_test|event_heap_test)$' --output-on-failure
 
 "${TSAN_DIR}/tools/oobp" fuzz --seeds 20 --base-seed 1 --jobs 0 \
     --checks=fleet
-
-"${BUILD_DIR}/tools/oobp" bench --filter 'fleet_*,cluster_*' --jobs 0 \
-    --sim-threads 8 \
-    --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
-
-"${BUILD_DIR}/tools/oobp" bench --perf --warmup 0 --repeats 1 --jobs 0 \
-    --sim-threads 8 \
-    --check="${REPO_ROOT}/bench/perf_baseline.json" \
-    --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
 # --- Tier 8: search baseline: goldens + fuzz smoke ------------------------
 ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure

@@ -15,7 +15,7 @@
 //   oobp_sim search   --model=densenet121 --batch=32 [--gpu=v100|p100|titanxp]
 //                     [--beam=N] [--seed=N] [--budget=N]
 //                     [--eval=exact|two-tier] [--audit-interval=N]
-//                     [--threads=N | --sim-threads=N]
+//                     [--threads=N]
 //                     [--export-schedule=<file>]
 //                     (search-based scheduler baseline, see src/search;
 //                     prints the heuristic-vs-searched optimality gap and
@@ -24,7 +24,7 @@
 //                     candidates with the incremental analytic evaluator
 //                     and defaults the budget to 4000; --threads runs the
 //                     trajectory portfolio on a worker pool, byte-identical
-//                     for any N)
+//                     for any N; any other flag is an error)
 //   oobp_sim bench    [--list] [--filter=<glob>] [--jobs=N] [--out=<dir>]
 //                     [--golden[=<dir>]] [--perf] [--check[=<baseline>]]
 //                     [--param k=v]  (see src/runner; --check gates perf
@@ -38,11 +38,14 @@
 // `single --system=ooo --export-schedule=<file>` saves the computed
 // schedule in the artifact text format for later replay.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/core/corun_profiler.h"
 #include "src/core/joint_scheduler.h"
@@ -88,6 +91,16 @@ class Flags {
   int GetInt(const std::string& key, int def) const {
     auto it = values_.find(key);
     return it == values_.end() ? def : std::atoi(it->second.c_str());
+  }
+  // First given flag not in `known`, or "" when every flag is known.
+  std::string FirstUnknown(std::initializer_list<std::string_view> known)
+      const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return key;
+      }
+    }
+    return "";
   }
 
  private:
@@ -360,6 +373,13 @@ int RunHybrid(const Flags& flags) {
 }
 
 int RunSearch(const Flags& flags) {
+  const std::string unknown = flags.FirstUnknown(
+      {"model", "batch", "image", "gpu", "beam", "seed", "budget", "threads",
+       "eval", "audit-interval", "export-schedule"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
+    return 2;
+  }
   const NnModel model = MakeModel(flags.Get("model", "densenet121"),
                                   flags.GetInt("batch", 32),
                                   flags.GetInt("image", 224));
@@ -371,10 +391,9 @@ int RunSearch(const Flags& flags) {
   options.beam = flags.GetInt("beam", 4);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   options.budget = flags.GetInt("budget", 400);
-  // --threads (alias --sim-threads, matching the bench runner) parallelizes
-  // the trajectory portfolio; results are byte-identical for any value.
-  options.threads =
-      std::max(1, flags.GetInt("threads", flags.GetInt("sim-threads", 1)));
+  // --threads parallelizes the trajectory portfolio; results are
+  // byte-identical for any value.
+  options.threads = std::max(1, flags.GetInt("threads", 1));
   const std::string eval_mode = flags.Get("eval", "exact");
   if (eval_mode == "two-tier") {
     options.eval_mode = SearchEvalMode::kTwoTier;
