@@ -38,22 +38,26 @@ struct GapConfig {
 // Search knobs shared by the search_* scenarios. `--param threads=N`
 // parallelizes the trajectory portfolio; results are byte-identical at any
 // value, so the thread count never appears in notes or metrics.
-SearchOptions BaseOptions(const ScenarioParams& params) {
+SearchOptions BaseOptions(const ScenarioParams& params, int default_budget) {
   SearchOptions options;
   options.beam = params.GetInt("beam", 4);
   options.seed = static_cast<uint64_t>(params.GetInt("seed", 1));
-  options.budget = params.GetInt("budget", 400);
+  options.budget = params.GetInt("budget", default_budget);
   options.threads = std::max(1, params.GetInt("threads", 1));
   return options;
 }
 
 // Runs the three schedulers — in-order, MakeOooSchedule, SearchSchedule —
-// on every config and reports simulated iteration times plus the
-// heuristic-vs-searched gap. All three are scored by the same
-// ScheduleEvaluator (evaluation counts are never reported).
+// on every config and reports simulated iteration times, the
+// heuristic-vs-searched gap and the search pipeline's counters. Both the
+// heuristic's and the searched schedule must pass CheckIterationSchedule.
+// All three times come from one ScheduleEvaluator, and the searched one
+// must equal the search's own best_time to the bit: best_time is a Tier-B
+// simulator score, never an analytic one.
 ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
-                            const ScenarioParams& params) {
-  const SearchOptions options = BaseOptions(params);
+                            const ScenarioParams& params,
+                            int default_budget) {
+  const SearchOptions options = BaseOptions(params, default_budget);
   const SystemProfile profile = SystemProfile::TensorFlowXla();
 
   ScenarioResult result;
@@ -63,6 +67,10 @@ ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
                            static_cast<int>(options.seed)));
   double max_gap = 0.0;
   double sum_gap = 0.0;
+  double total_analytic = 0.0;
+  double total_sim = 0.0;
+  double total_hits = 0.0;
+  double total_misses = 0.0;
   for (const GapConfig& config : configs) {
     const TrainGraph graph(config.model.get());
     ScheduleEvaluator eval(config.model.get(), config.gpu, profile);
@@ -84,6 +92,8 @@ ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
     OOBP_CHECK(search_check.ok())
         << config.name << " searched schedule: " << search_check.ToString();
     const TimeNs search_time = eval.IterationTime(searched.schedule);
+    OOBP_CHECK(search_time == searched.best_time)
+        << config.name << ": best_time is not a simulator score";
 
     // The heuristic's optimality gap: how far MakeOooSchedule sits above
     // the searched best (negative when the budgeted search never caught
@@ -92,80 +102,12 @@ ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
     const double gap = 100.0 *
                        (static_cast<double>(ooo_time) - search_time) /
                        static_cast<double>(search_time);
+    const SearchStats& stats = searched.stats;
     result.Set(config.name + ".conventional_ms", ToMs(conventional_time));
     result.Set(config.name + ".ooo_ms", ToMs(ooo_time));
     result.Set(config.name + ".search_ms", ToMs(search_time));
     result.Set(config.name + ".speedup_ooo_over_conv",
                static_cast<double>(conventional_time) / ooo_time);
-    result.Set(config.name + ".speedup_search_over_conv",
-               static_cast<double>(conventional_time) / search_time);
-    result.Set(config.name + ".gap_pct", gap);
-    max_gap = std::max(max_gap, gap);
-    sum_gap += gap;
-  }
-  result.Set("max_gap_pct", max_gap);
-  result.Set("mean_gap_pct", sum_gap / static_cast<double>(configs.size()));
-  return result;
-}
-
-// The deep-budget sweep: the two-tier pipeline (analytic Tier A, simulator
-// Tier B) spends an order of magnitude more candidate evaluations inside
-// the wall-clock envelope of the exact-mode scenarios, tightening the
-// reported optimality gap. best_time is Tier-B simulator-scored inside the
-// search; re-scoring through this scenario's own evaluator must reproduce
-// it bit-for-bit, which the OOBP_CHECK pins on every run.
-ScenarioResult RunSearchDeep(const std::vector<GapConfig>& configs,
-                             const ScenarioParams& params) {
-  SearchOptions options = BaseOptions(params);
-  options.budget = params.GetInt("budget", 4000);
-  options.eval_mode = SearchEvalMode::kTwoTier;
-  options.audit_interval = params.GetInt("audit_interval", 256);
-  const SystemProfile profile = SystemProfile::TensorFlowXla();
-
-  ScenarioResult result;
-  result.AddNote(StrFormat("two-tier search: beam=%d budget=%d seed=%d "
-                           "audit=1/%d (analytic Tier A + simulator Tier B, "
-                           "DESIGN.md section 14)",
-                           options.beam, options.budget,
-                           static_cast<int>(options.seed),
-                           options.audit_interval));
-  double max_gap = 0.0;
-  double sum_gap = 0.0;
-  double total_analytic = 0.0;
-  double total_sim = 0.0;
-  double total_hits = 0.0;
-  double total_misses = 0.0;
-  double total_audits = 0.0;
-  double audit_max = 0.0;
-  for (const GapConfig& config : configs) {
-    const TrainGraph graph(config.model.get());
-    ScheduleEvaluator eval(config.model.get(), config.gpu, profile);
-    const TimeNs conventional_time =
-        eval.IterationTime(ConventionalIteration(graph));
-
-    const JointScheduleResult ooo =
-        MakeOooSchedule(graph, config.gpu, profile);
-    const TimeNs ooo_time = eval.IterationTime(ooo.schedule);
-
-    const SearchResult searched =
-        SearchSchedule(graph, config.gpu, profile, options);
-    const ScheduleCheckReport check =
-        CheckIterationSchedule(graph, searched.schedule);
-    OOBP_CHECK(check.ok())
-        << config.name << " searched schedule: " << check.ToString();
-    const TimeNs search_time = eval.IterationTime(searched.schedule);
-    // Tier-B contract: the search already scored its winner with the exact
-    // simulator, so an independent evaluator must agree to the bit.
-    OOBP_CHECK(search_time == searched.best_time)
-        << config.name << ": two-tier best_time is not a simulator score";
-
-    const double gap = 100.0 *
-                       (static_cast<double>(ooo_time) - search_time) /
-                       static_cast<double>(search_time);
-    const SearchStats& stats = searched.stats;
-    result.Set(config.name + ".conventional_ms", ToMs(conventional_time));
-    result.Set(config.name + ".ooo_ms", ToMs(ooo_time));
-    result.Set(config.name + ".search_ms", ToMs(search_time));
     result.Set(config.name + ".speedup_search_over_conv",
                static_cast<double>(conventional_time) / search_time);
     result.Set(config.name + ".gap_pct", gap);
@@ -175,15 +117,12 @@ ScenarioResult RunSearchDeep(const std::vector<GapConfig>& configs,
                static_cast<double>(stats.sim_evals));
     result.Set(config.name + ".cache_hits",
                static_cast<double>(stats.cache_hits));
-    result.Set(config.name + ".audit_max_rel_err", stats.audit_max_rel_err);
     max_gap = std::max(max_gap, gap);
     sum_gap += gap;
     total_analytic += static_cast<double>(stats.analytic_evals);
     total_sim += static_cast<double>(stats.sim_evals);
     total_hits += static_cast<double>(stats.cache_hits);
     total_misses += static_cast<double>(stats.cache_misses);
-    total_audits += static_cast<double>(stats.audit_samples);
-    audit_max = std::max(audit_max, stats.audit_max_rel_err);
   }
   result.Set("max_gap_pct", max_gap);
   result.Set("mean_gap_pct", sum_gap / static_cast<double>(configs.size()));
@@ -194,8 +133,6 @@ ScenarioResult RunSearchDeep(const std::vector<GapConfig>& configs,
              total_hits + total_misses > 0.0
                  ? total_hits / (total_hits + total_misses)
                  : 0.0);
-  result.Set("audit_samples", total_audits);
-  result.Set("audit_max_rel_err", audit_max);
   return result;
 }
 
@@ -368,19 +305,20 @@ std::vector<GapConfig> Fig13Configs() {
 }
 
 ScenarioResult SearchGapFig07(const ScenarioParams& params) {
-  return RunSearchGap(Fig07Configs(), params);
+  return RunSearchGap(Fig07Configs(), params, 400);
 }
 
 ScenarioResult SearchGapFig10(const ScenarioParams& params) {
-  return RunSearchGap(Fig10Configs(), params);
+  return RunSearchGap(Fig10Configs(), params, 400);
 }
 
 ScenarioResult SearchGapFig13(const ScenarioParams& params) {
-  return RunSearchGap(Fig13Configs(), params);
+  return RunSearchGap(Fig13Configs(), params, 400);
 }
 
+// The same sweep as search_gap_fig07 at a ten times larger budget.
 ScenarioResult SearchDeepFig07(const ScenarioParams& params) {
-  return RunSearchDeep(Fig07Configs(), params);
+  return RunSearchGap(Fig07Configs(), params, 4000);
 }
 
 ScenarioResult SearchEvalFidelity(const ScenarioParams& params) {
@@ -398,11 +336,8 @@ ScenarioResult SearchEvalFidelity(const ScenarioParams& params) {
 // against the analytic-evals count and evals/sec floor in
 // bench/perf_baseline.json.
 ScenarioResult SearchEvalPerf(const ScenarioParams& params) {
-  SearchOptions options = BaseOptions(params);
+  SearchOptions options = BaseOptions(params, 2000);
   options.beam = params.GetInt("beam", 2);
-  options.budget = params.GetInt("budget", 2000);
-  options.eval_mode = SearchEvalMode::kTwoTier;
-  options.audit_interval = params.GetInt("audit_interval", 0);
   const SystemProfile profile = SystemProfile::TensorFlowXla();
   const std::shared_ptr<const NnModel> model =
       CachedModel("densenet:L121:k24:B32:I32",

@@ -2,25 +2,19 @@
 //
 // The local-search trajectories revisit genotypes constantly — greedy sweeps
 // re-try the same moves every pass, and random walks frequently undo a step
-// — so the two-tier evaluation pipeline memoizes Tier-A results per
-// genotype. The key is the full genotype content (layer, slot, stream per
-// gene); a 64-bit mix of that content buckets the entries and an exact
-// genotype comparison guards against collisions, so a hit is guaranteed to
-// return the bit-identical score the cold evaluation produced. Rejections
-// (memory cap) are cached too, as ScheduleEvaluator-style sentinel times, so
-// a revisited infeasible candidate costs one lookup instead of a memory
-// walk.
+// — so the search pipeline memoizes Tier-A results per genotype. The key
+// is the full genotype content (layer, slot, stream per gene); a 64-bit mix
+// of that content buckets the entries and an exact genotype comparison
+// guards against collisions, so a hit is guaranteed to return the
+// bit-identical score the cold evaluation produced. Rejections (memory cap)
+// are cached too, as sentinel times, so a revisited infeasible candidate
+// costs one lookup instead of a memory walk.
 //
 // The cache never evicts: a search trajectory touches at most
 // budget + O(genes * sweeps) genotypes, each entry is a few dozen bytes, and
 // determinism is simpler to argue when a score, once computed, is the score
 // forever. Each trajectory owns a private cache (no sharing across threads),
 // which keeps the parallel portfolio byte-identical at any thread count.
-//
-// Only the two-tier (analytic) mode uses this cache. Exact mode must not:
-// caching simulator scores would change how many budgeted evaluations a
-// trajectory consumes and thereby its candidate sequence, breaking the
-// pinned search_gap_* goldens.
 
 #ifndef OOBP_SRC_SEARCH_CANDIDATE_CACHE_H_
 #define OOBP_SRC_SEARCH_CANDIDATE_CACHE_H_

@@ -1,7 +1,6 @@
 #include "src/search/search.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -73,32 +72,30 @@ void DecodeGenotypeInto(const TrainGraph& graph, const Genotype& genotype,
   }
 }
 
-// Per-trajectory evaluation pipeline: mode dispatch, memory cap, budget, and
-// audit bookkeeping. Exact mode reproduces the original candidate accounting
-// bit-for-bit (the memory check is closed-form and free; every scored
-// candidate is one simulator run). Two-tier mode scores candidates with the
-// incremental analytic evaluator behind the content-addressed cache and
-// budgets analytic evaluations; the simulator is touched only for the
-// deterministic audit sample here and the trajectory best in RunTrajectory.
-// Both modes take the memory cap from the incremental liveness walk, which
-// is bit-identical to ScheduleEvaluator::PeakMemory (pinned by
-// fast_eval_test) but resumes from the last common schedule prefix instead
-// of recomputing from scratch per candidate.
+// Per-trajectory evaluation pipeline: memory cap, cache, and budget.
+// Candidates are scored by the incremental analytic evaluator behind the
+// content-addressed cache, and only analytic evaluations are budgeted; the
+// simulator scores the trajectory best once, in RunTrajectory. The memory
+// cap comes from the incremental liveness walk, which is bit-identical to
+// ScheduleEvaluator::PeakMemory (pinned by fast_eval_test) but resumes from
+// the last common schedule prefix instead of recomputing from scratch per
+// candidate.
 struct SearchContext {
-  const TrainGraph* graph = nullptr;
-  ScheduleEvaluator* sim = nullptr;       // exact scorer (Tier B)
-  FastScheduleEvaluator* fast = nullptr;  // memory walk + Tier A
-  CandidateCache* cache = nullptr;        // two-tier mode only
-  int64_t memory_cap = 0;
-  int evals_left = 0;
-  int audit_interval = 0;  // two-tier mode only; <= 0 disables audits
-  bool two_tier = false;
+  SearchContext(const TrainGraph* graph_in, FastScheduleEvaluator* fast_in,
+                CandidateCache* cache_in, int64_t memory_cap_in,
+                int evals_left_in)
+      : graph(graph_in),
+        fast(fast_in),
+        cache(cache_in),
+        memory_cap(memory_cap_in),
+        evals_left(evals_left_in) {}
 
-  // Stats the wrappers can't recover from the evaluators afterwards.
+  const TrainGraph* graph;
+  FastScheduleEvaluator* fast;  // memory walk + Tier A
+  CandidateCache* cache;
+  int64_t memory_cap;
+  int evals_left;
   int64_t memory_rejections = 0;
-  int64_t audit_samples = 0;
-  double audit_err_sum = 0.0;
-  double audit_err_max = 0.0;
 
   // Decode buffers, reused across candidates (the context is
   // single-threaded; only the evaluators read `schedule` and they keep
@@ -107,15 +104,6 @@ struct SearchContext {
   IterationSchedule schedule;
 
   TimeNs Evaluate(const Genotype& genotype) {
-    if (!two_tier) {
-      DecodeGenotypeInto(*graph, genotype, &decode_scratch, &schedule);
-      if (fast->PeakMemory(schedule) > memory_cap) {
-        ++memory_rejections;
-        return kRejected;
-      }
-      --evals_left;
-      return sim->IterationTime(schedule);
-    }
     const uint64_t hash = CandidateCache::Hash(genotype);
     if (const CandidateCache::Score* hit = cache->Lookup(genotype, hash)) {
       return hit->time;
@@ -130,22 +118,6 @@ struct SearchContext {
     --evals_left;
     const TimeNs t = fast->IterationTime(schedule);
     cache->Insert(genotype, {t, peak}, hash);
-    // Deterministic 1-in-K audit: the K-th, 2K-th, ... analytic evaluation
-    // of this trajectory is re-scored by the simulator (outside the budget)
-    // and the relative error recorded. The cache guarantees the counter
-    // advances once per distinct candidate, so the sample is reproducible
-    // at any thread count.
-    if (audit_interval > 0 && fast->evaluations() % audit_interval == 0) {
-      const TimeNs exact = sim->IterationTime(schedule);
-      ++audit_samples;
-      const double err =
-          exact > 0 ? std::abs(static_cast<double>(t) -
-                               static_cast<double>(exact)) /
-                          static_cast<double>(exact)
-                    : (t == exact ? 0.0 : 1.0);
-      audit_err_sum += err;
-      audit_err_max = std::max(audit_err_max, err);
-    }
     return t;
   }
 };
@@ -195,7 +167,7 @@ void SweepToFixpoint(SearchContext& ctx, Genotype& cur, TimeNs& cur_time,
 }
 
 // Trajectory 0: pure greedy coordinate descent from the conventional
-// genotype. No randomness — this is what `beam=1` and GreedySchedule run.
+// genotype. No randomness — this is all that `beam=1` runs.
 void GreedyTrajectory(SearchContext& ctx, Genotype& cur, TimeNs& cur_time) {
   SweepToFixpoint(ctx, cur, cur_time, [&](const WgradGene& gene) {
     return GreedyMoves(*ctx.graph, gene);
@@ -273,55 +245,36 @@ Genotype DeriveGenotype(const TrainGraph& graph,
   return genotype;
 }
 
-// Everything a finished trajectory hands back to the coordinator. In
-// two-tier mode `time` is a simulator score of `genotype` (Tier B) — no
-// analytic number crosses this boundary, so every value that can become the
-// reported best_time is exact.
+// Everything a finished trajectory hands back to the coordinator. `time` is
+// a simulator score of `genotype` (Tier B): no analytic number crosses this
+// boundary, so every value that can become the reported best_time is exact.
 struct TrajectoryOutcome {
   Genotype genotype;
   TimeNs time = kRejected;
-  int64_t sim_evals = 0;
   int64_t analytic_evals = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   int64_t memory_rejections = 0;
-  int64_t audit_samples = 0;
-  double audit_err_sum = 0.0;
-  double audit_err_max = 0.0;
 };
 
 // One trajectory of the portfolio, self-contained: private evaluators,
 // cache, and Rng, so trajectories are pure functions of their index and may
-// run on any worker thread in any order.
+// run on any worker thread in any order. The trajectory's internal currency
+// is analytic time, so its starting point is scored analytically too (one
+// budgeted evaluation).
 TrajectoryOutcome RunTrajectory(const TrainGraph& graph, const GpuSpec& gpu,
                                 const SystemProfile& profile,
                                 const SearchOptions& options, int j,
                                 const Genotype& conventional_genotype,
-                                TimeNs conventional_time, int64_t cap,
-                                const Genotype* ooo_genotype) {
-  const bool two_tier = options.eval_mode == SearchEvalMode::kTwoTier;
-  ScheduleEvaluator sim(&graph.model(), gpu, profile);
+                                int64_t cap, const Genotype* ooo_genotype) {
   FastScheduleEvaluator fast(&graph.model(), gpu, profile);
   CandidateCache cache;
-  SearchContext ctx{&graph,
-                    &sim,
-                    &fast,
-                    two_tier ? &cache : nullptr,
-                    cap,
-                    options.budget,
-                    two_tier ? options.audit_interval : 0,
-                    two_tier};
+  SearchContext ctx(&graph, &fast, &cache, cap, options.budget);
   Genotype cur;
   TimeNs cur_time = kRejected;
   if (j == 0) {
     cur = conventional_genotype;
-    if (two_tier) {
-      // The trajectory's internal currency is analytic time, so the greedy
-      // baseline must be analytic too (one budgeted evaluation).
-      if (ctx.evals_left > 0) cur_time = ctx.Evaluate(cur);
-    } else {
-      cur_time = conventional_time;  // scored once by the coordinator
-    }
+    if (ctx.evals_left > 0) cur_time = ctx.Evaluate(cur);
     GreedyTrajectory(ctx, cur, cur_time);
   } else {
     Rng rng(options.seed * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(j));
@@ -331,36 +284,26 @@ TrajectoryOutcome RunTrajectory(const TrainGraph& graph, const GpuSpec& gpu,
       // Over the memory cap after re-decoding (or zero budget): restart
       // from the always-admissible conventional point.
       cur = conventional_genotype;
-      if (two_tier) {
-        if (ctx.evals_left > 0) cur_time = ctx.Evaluate(cur);
-      } else {
-        cur_time = conventional_time;
-      }
+      if (ctx.evals_left > 0) cur_time = ctx.Evaluate(cur);
     }
     RandomTrajectory(ctx, rng, cur, cur_time);
   }
 
+  // Tier B: the only number that escapes a trajectory is a simulator score
+  // of its final point.
   TrajectoryOutcome out;
-  if (two_tier) {
-    // Tier B: the only number that escapes a two-tier trajectory is a
-    // simulator score of its final point.
-    out.time = sim.IterationTime(DecodeGenotype(graph, cur));
-  } else {
-    out.time = cur_time;
-  }
+  out.time = ScheduleEvaluator(&graph.model(), gpu, profile)
+                 .IterationTime(DecodeGenotype(graph, cur));
   out.genotype = std::move(cur);
-  out.sim_evals = sim.evaluations();
   out.analytic_evals = fast.evaluations();
   out.cache_hits = cache.hits();
   out.cache_misses = cache.misses();
   out.memory_rejections = ctx.memory_rejections;
-  out.audit_samples = ctx.audit_samples;
-  out.audit_err_sum = ctx.audit_err_sum;
-  out.audit_err_max = ctx.audit_err_max;
   return out;
 }
 
-SearchResult AssembleResult(const TrainGraph& graph, ScheduleEvaluator& eval,
+SearchResult AssembleResult(const TrainGraph& graph,
+                            const ScheduleEvaluator& eval,
                             Genotype best, TimeNs best_time,
                             TimeNs conventional_time,
                             const SearchStats& stats) {
@@ -426,15 +369,6 @@ IterationSchedule DecodeGenotype(const TrainGraph& graph,
   return schedule;
 }
 
-SearchResult GreedySchedule(const TrainGraph& graph, const GpuSpec& gpu,
-                            const SystemProfile& profile,
-                            const SearchOptions& options) {
-  // Trajectory 0 only: the portfolio at beam=1 (`seed` is unused there).
-  SearchOptions greedy = options;
-  greedy.beam = 1;
-  return SearchSchedule(graph, gpu, profile, greedy);
-}
-
 SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
                             const SystemProfile& profile,
                             const SearchOptions& options) {
@@ -442,7 +376,7 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
   OOBP_CHECK_GE(options.budget, 0);
   OOBP_CHECK_GE(options.memory_cap_factor, 1.0);
   OOBP_CHECK_GE(options.threads, 1);
-  ScheduleEvaluator eval(&graph.model(), gpu, profile);
+  const ScheduleEvaluator eval(&graph.model(), gpu, profile);
   const IterationSchedule conventional = ConventionalIteration(graph);
   const TimeNs conventional_time = eval.IterationTime(conventional);
   const int64_t cap = static_cast<int64_t>(options.memory_cap_factor *
@@ -467,8 +401,7 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
   pool.Run(static_cast<size_t>(options.beam), [&](size_t j, int) {
     outcomes[j] = RunTrajectory(graph, gpu, profile, options,
                                 static_cast<int>(j), conventional_genotype,
-                                conventional_time, cap,
-                                options.beam > 1 ? &ooo_genotype : nullptr);
+                                cap, options.beam > 1 ? &ooo_genotype : nullptr);
   });
 
   // Global best starts at the in-order baseline, so the search can never
@@ -478,26 +411,17 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
   Genotype best = conventional_genotype;
   TimeNs best_time = conventional_time;
   SearchStats stats;
-  stats.sim_evals = eval.evaluations();
-  double audit_err_sum = 0.0;
+  // The conventional baseline plus one Tier-B score per trajectory.
+  stats.sim_evals = 1 + options.beam;
   for (TrajectoryOutcome& o : outcomes) {
     if (o.time < best_time) {
       best = std::move(o.genotype);
       best_time = o.time;
     }
-    stats.sim_evals += o.sim_evals;
     stats.analytic_evals += o.analytic_evals;
     stats.cache_hits += o.cache_hits;
     stats.cache_misses += o.cache_misses;
     stats.memory_rejections += o.memory_rejections;
-    stats.audit_samples += o.audit_samples;
-    audit_err_sum += o.audit_err_sum;
-    stats.audit_max_rel_err = std::max(stats.audit_max_rel_err,
-                                       o.audit_err_max);
-  }
-  if (stats.audit_samples > 0) {
-    stats.audit_mean_rel_err =
-        audit_err_sum / static_cast<double>(stats.audit_samples);
   }
   return AssembleResult(graph, eval, std::move(best), best_time,
                         conventional_time, stats);

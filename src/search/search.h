@@ -29,8 +29,9 @@
 // The result is the best of the conventional baseline and all trajectories.
 // By construction the search is (a) never worse than the in-order baseline,
 // (b) monotone in `beam` (beam B+1 evaluates a superset of candidates),
-// (c) equal to pure greedy at beam=1, and (d) bit-deterministic for a fixed
-// (model, gpu, profile, beam, seed, budget) — no wall-clock, no global rng.
+// (c) pure greedy, and so independent of `seed`, at beam=1, and (d)
+// bit-deterministic for a fixed (model, gpu, profile, beam, seed, budget)
+// — no wall-clock, no global rng.
 //
 // Memory. Candidates whose activation peak exceeds memory_cap_factor x the
 // conventional schedule's peak are rejected without consuming evaluation
@@ -40,18 +41,14 @@
 // resumed from the last common schedule prefix instead of recomputed from
 // scratch per candidate.
 //
-// Evaluation modes (DESIGN.md §14). kExact is the PR-9 pipeline: every
-// candidate is scored by the event-driven simulator and budget counts
-// simulator runs — goldens pin this mode bit-for-bit. kTwoTier scores
-// candidates with the incremental analytic evaluator (Tier A; budget counts
-// analytic evaluations), memoized in a per-trajectory content-addressed
-// CandidateCache, and invokes the exact simulator (Tier B) only for (a)
-// each trajectory's final best — the only number allowed to escape a
-// trajectory — and (b) a deterministic 1-in-audit_interval sample of
-// analytic scores, whose relative error feeds SearchStats. Since the
-// analytic recurrence replays the simulator's floating-point arithmetic
-// exactly, the audit error is 0 unless the two implementations drift — the
-// fidelity tests and pinned scenario stats exist to catch exactly that.
+// Evaluation (DESIGN.md §14). Candidates are scored by the incremental
+// analytic evaluator (Tier A; the budget counts analytic evaluations),
+// memoized in a per-trajectory content-addressed CandidateCache. The
+// simulator (Tier B, ScheduleEvaluator) scores only the conventional
+// baseline and each trajectory's final best, so every time that can become
+// best_time is a simulator score. Tier A replays the simulator's
+// floating-point arithmetic exactly, so the two agree to the bit; the
+// fidelity scenario and the search fuzz family check that they still do.
 //
 // Parallelism. The `threads` option runs the independent trajectories on a
 // WorkerPool (src/sim/worker_pool.h). Each trajectory owns its evaluators,
@@ -77,45 +74,32 @@
 
 namespace oobp {
 
-enum class SearchEvalMode {
-  kExact,    // every candidate simulator-scored (the golden-pinned mode)
-  kTwoTier,  // analytic Tier A + simulator Tier B (trajectory bests, audits)
-};
+// The scoring pipeline has one mode. Nothing reads the enum or
+// SearchOptions::eval_mode; they remain so that callers which still set
+// them (hostbench/schedule_search.cc) compile.
+enum class SearchEvalMode { kTwoTier };
 
 struct SearchOptions {
   int beam = 4;         // independent trajectories (>= 1)
   uint64_t seed = 1;    // base seed for trajectories >= 1
-  int budget = 200;     // scored evaluations per trajectory (>= 0)
+  int budget = 200;     // analytic evaluations per trajectory (>= 0)
   // Peak activation-memory cap as a multiple of the conventional schedule's
   // peak; the paper's schedulers use 1.1x. Must be >= 1.0 so the
   // conventional fallback is always admissible.
   double memory_cap_factor = 1.1;
-  // Candidate scoring pipeline; see the header comment. kExact keeps the
-  // PR-9 behavior bit-for-bit and is what the search_gap_* goldens pin.
-  SearchEvalMode eval_mode = SearchEvalMode::kExact;
+  SearchEvalMode eval_mode = SearchEvalMode::kTwoTier;
   // Worker threads for the trajectory portfolio (>= 1; capped at `beam`).
   // Results are byte-identical for every value.
   int threads = 1;
-  // kTwoTier only: every audit_interval-th analytic evaluation (per
-  // trajectory) is re-scored by the simulator and the relative error is
-  // accumulated into SearchStats. <= 0 disables auditing. The audit is a
-  // safety net, not a correction — Tier A is bit-exact against the
-  // simulator and the analytic score is always the one used and cached —
-  // so a sparse sample suffices and keeps Tier-B time off the search's
-  // critical path.
-  int audit_interval = 256;
 };
 
 // Bookkeeping of one search run, aggregated across trajectories.
 struct SearchStats {
-  int64_t sim_evals = 0;        // simulator scores (== budget spend in kExact)
-  int64_t analytic_evals = 0;   // Tier-A scores (== budget spend in kTwoTier)
-  uint64_t cache_hits = 0;      // candidate-cache hits (kTwoTier)
-  uint64_t cache_misses = 0;    // candidate-cache misses (kTwoTier)
+  int64_t sim_evals = 0;        // Tier-B simulator scores (1 + beam)
+  int64_t analytic_evals = 0;   // Tier-A scores (== budget spend)
+  uint64_t cache_hits = 0;      // candidate-cache hits
+  uint64_t cache_misses = 0;    // candidate-cache misses
   int64_t memory_rejections = 0;  // candidates over the cap (never budgeted)
-  int64_t audit_samples = 0;    // Tier-B audits of analytic scores
-  double audit_mean_rel_err = 0.0;  // mean |analytic - sim| / sim over audits
-  double audit_max_rel_err = 0.0;   // worst audited relative error
 };
 
 // One (slot, stream) placement of a parameterized layer's dW+U pair.
@@ -150,16 +134,9 @@ struct SearchResult {
   TimeNs best_time = 0;          // simulated iteration time of `schedule`
   TimeNs conventional_time = 0;  // simulated time of the in-order baseline
   int64_t peak_memory = 0;       // activation peak of `schedule`
-  int64_t evaluations = 0;       // total simulator evaluations spent
+  int64_t evaluations = 0;       // simulator evaluations (stats.sim_evals)
   SearchStats stats;             // per-run evaluation pipeline bookkeeping
 };
-
-// Pure greedy coordinate descent (trajectory 0 only; `options.beam` and
-// `options.seed` are ignored). SearchSchedule with beam=1 returns the same
-// schedule byte-for-byte.
-SearchResult GreedySchedule(const TrainGraph& graph, const GpuSpec& gpu,
-                            const SystemProfile& profile,
-                            const SearchOptions& options = {});
 
 // The full portfolio search (see header comment).
 SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,

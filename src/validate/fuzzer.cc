@@ -29,6 +29,7 @@
 #include "src/serve/fleet_engine.h"
 #include "src/serve/serve_engine.h"
 #include "src/search/evaluator.h"
+#include "src/search/fast_eval.h"
 #include "src/search/search.h"
 #include "src/sim/engine.h"
 #include "src/validate/schedule_checker.h"
@@ -619,8 +620,9 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
 
 // ---------------------------------------------------------------------------
 // Search-based scheduler baseline (src/search): machine-verified schedules,
-// never-worse-than-in-order, determinism, beam monotonicity, and a
-// differential searched-vs-MakeOooSchedule run under the SimValidator.
+// never-worse-than-in-order, Tier-B scores, determinism, thread-count and
+// beam monotonicity, Tier A against the simulator along a mutation walk, and
+// a differential searched-vs-MakeOooSchedule run under the SimValidator.
 
 void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   auto fail = [errors, seed](std::string msg) {
@@ -655,11 +657,36 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
                    static_cast<long long>(searched.conventional_time)));
   }
 
-  // Determinism: identical options => byte-identical schedule and score.
-  const SearchResult again = SearchSchedule(graph, gpu, profile, options);
-  if (again.schedule.ToString() != searched.schedule.ToString() ||
-      again.best_time != searched.best_time) {
-    fail("identical seed+budget produced a different schedule");
+  // Only Tier-B simulator scores escape a trajectory: a fresh simulator
+  // evaluator must reproduce best_time bit for bit.
+  ScheduleEvaluator sim(&model, gpu, profile);
+  const TimeNs rescored = sim.IterationTime(searched.schedule);
+  if (rescored != searched.best_time) {
+    fail(StrFormat("best_time %lld is not the simulator score %lld of its "
+                   "schedule",
+                   static_cast<long long>(searched.best_time),
+                   static_cast<long long>(rescored)));
+  }
+
+  // Determinism: identical options reproduce the schedule, the score and
+  // every pipeline counter, and so does a run on three worker threads.
+  auto same_run = [&](const SearchResult& other) {
+    const SearchStats& a = other.stats;
+    const SearchStats& b = searched.stats;
+    return other.schedule.ToString() == searched.schedule.ToString() &&
+           other.best_time == searched.best_time &&
+           a.sim_evals == b.sim_evals &&
+           a.analytic_evals == b.analytic_evals &&
+           a.cache_hits == b.cache_hits && a.cache_misses == b.cache_misses &&
+           a.memory_rejections == b.memory_rejections;
+  };
+  if (!same_run(SearchSchedule(graph, gpu, profile, options))) {
+    fail("rerun diverged (schedule, score, or pipeline stats)");
+  }
+  SearchOptions threaded = options;
+  threaded.threads = 3;
+  if (!same_run(SearchSchedule(graph, gpu, profile, threaded))) {
+    fail("run at threads=3 diverged from threads=1");
   }
 
   // Metamorphic: enlarging the beam never worsens the best score (the
@@ -673,59 +700,38 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
                    options.beam, static_cast<long long>(searched.best_time)));
   }
 
-  // Two-tier evaluation pipeline (analytic Tier A + candidate cache +
-  // simulator Tier B): schedules must pass the checker gate, never lose to
-  // the starting point, audit cleanly (Tier A is bit-exact, so every audit
-  // error is exactly zero), reproduce run-to-run byte-for-byte including
-  // the pipeline accounting, and be invariant to the worker-thread count.
-  SearchOptions tt = options;
-  tt.eval_mode = SearchEvalMode::kTwoTier;
-  tt.audit_interval = 4;  // dense audits: small budgets need the coverage
-  tt.threads = 1;
-  const SearchResult fast = SearchSchedule(graph, gpu, profile, tt);
-  const ScheduleCheckReport fast_check =
-      CheckIterationSchedule(graph, fast.schedule);
-  if (!fast_check.ok()) {
-    fail("two-tier searched schedule: " + fast_check.ToString());
-  }
-  if (fast.best_time > fast.conventional_time) {
-    fail(StrFormat("two-tier time %lld worse than conventional %lld",
-                   static_cast<long long>(fast.best_time),
-                   static_cast<long long>(fast.conventional_time)));
-  }
-  // Only Tier-B simulator scores escape a two-tier trajectory: a fresh
-  // exact evaluator must reproduce best_time bit-for-bit.
-  ScheduleEvaluator rescore(&model, gpu, profile);
-  if (rescore.IterationTime(fast.schedule) != fast.best_time) {
-    fail(StrFormat("two-tier best_time %lld is not the exact score %lld of "
-                   "its schedule",
-                   static_cast<long long>(fast.best_time),
-                   static_cast<long long>(
-                       rescore.IterationTime(fast.schedule))));
-  }
-  if (fast.stats.audit_max_rel_err != 0.0) {
-    fail(StrFormat("analytic evaluator drifted from the simulator: audit "
-                   "max rel err %g over %lld samples",
-                   fast.stats.audit_max_rel_err,
-                   static_cast<long long>(fast.stats.audit_samples)));
-  }
-  auto same_run = [&](const SearchResult& other) {
-    return other.schedule.ToString() == fast.schedule.ToString() &&
-           other.best_time == fast.best_time &&
-           other.stats.analytic_evals == fast.stats.analytic_evals &&
-           other.stats.sim_evals == fast.stats.sim_evals &&
-           other.stats.cache_hits == fast.stats.cache_hits &&
-           other.stats.cache_misses == fast.stats.cache_misses &&
-           other.stats.memory_rejections == fast.stats.memory_rejections &&
-           other.stats.audit_samples == fast.stats.audit_samples;
-  };
-  if (!same_run(SearchSchedule(graph, gpu, profile, tt))) {
-    fail("two-tier rerun diverged (schedule, score, or pipeline stats)");
-  }
-  SearchOptions tt_mt = tt;
-  tt_mt.threads = 3;
-  if (!same_run(SearchSchedule(graph, gpu, profile, tt_mt))) {
-    fail("two-tier run at threads=3 diverged from threads=1");
+  // Tier A against the simulator: a warm analytic evaluator walks through
+  // single-gene mutations of the searched genotype, resuming from its
+  // prefix checkpoints as the search does, and must match the simulator's
+  // time and memory peak to the bit at every step. The walk draws from its
+  // own Rng so the draws above stay put.
+  Rng walk_rng(seed * 0x9E3779B97F4A7C15ULL + 0x7A1C);
+  FastScheduleEvaluator fast(&model, gpu, profile);
+  Genotype walk = searched.genotype;
+  constexpr int kWalkSteps = 8;
+  for (int step = 0; step <= kWalkSteps && !walk.empty(); ++step) {
+    if (step > 0) {
+      WgradGene& gene = walk[walk_rng.NextBelow(walk.size())];
+      const int lo = MinSlot(graph, gene.layer);
+      gene.slot = lo + static_cast<int>(walk_rng.NextBelow(
+                           static_cast<uint64_t>(MaxSlot(graph, gene.layer) -
+                                                 lo + 1)));
+      gene.stream = walk_rng.NextBelow(2) == 0 ? kMainStream : kSubStream;
+    }
+    const IterationSchedule schedule = DecodeGenotype(graph, walk);
+    const TimeNs analytic = fast.IterationTime(schedule);
+    const TimeNs simulated = sim.IterationTime(schedule);
+    const int64_t analytic_peak = fast.PeakMemory(schedule);
+    const int64_t simulated_peak = sim.PeakMemory(schedule);
+    if (analytic != simulated || analytic_peak != simulated_peak) {
+      fail(StrFormat("walk step %d: analytic %lld ns / %lld B, simulator "
+                     "%lld ns / %lld B",
+                     step, static_cast<long long>(analytic),
+                     static_cast<long long>(analytic_peak),
+                     static_cast<long long>(simulated),
+                     static_cast<long long>(simulated_peak)));
+      break;
+    }
   }
 
   // Differential execution: searched vs MakeOooSchedule end to end under

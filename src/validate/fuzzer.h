@@ -25,10 +25,14 @@
 //   * on a subset of seeds, fuzzes the search-based scheduler baseline
 //     (src/search): every searched schedule must pass the full
 //     schedule_checker gate, never score worse than the in-order baseline,
-//     reproduce byte-identically for identical options, never get worse
-//     when the beam is enlarged (portfolio monotonicity), and run clean in
-//     a differential searched-vs-MakeOooSchedule execution under the
-//     SimValidator.
+//     carry a best_time a fresh simulator evaluator reproduces, reproduce
+//     byte-identically (schedule and pipeline counters) for identical
+//     options and at three worker threads, never get worse when the beam
+//     is enlarged (portfolio monotonicity), and run clean in a
+//     differential searched-vs-MakeOooSchedule execution under the
+//     SimValidator; a warm analytic evaluator walked through single-gene
+//     mutations of the searched genotype must match the simulator's time
+//     and memory peak bit for bit at every step.
 //
 // All randomness flows from the seed through the repo's splitmix64 Rng, so
 // a failure reproduces with `oobp fuzz --seeds 1 --base-seed <seed>`.

@@ -74,7 +74,7 @@ TEST(SearchGapGoldenTest, ByteIdenticalAcrossJobs) {
   ExpectByteIdentical(serial, parallel);
 }
 
-TEST(SearchGapGoldenTest, ByteIdenticalUnderSimThreads8) {
+TEST(SearchGapGoldenTest, ByteIdenticalAtEightPortfolioThreads) {
   const RunnerReport reference = RunPass(/*jobs=*/1, /*threads=*/1);
   const RunnerReport parallel = RunPass(/*jobs=*/1, /*threads=*/8);
   ExpectByteIdentical(reference, parallel);

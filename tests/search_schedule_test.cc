@@ -5,7 +5,8 @@
 //     passes the full CheckIterationSchedule gate (machine-verified);
 //   * the searched iteration time is never worse than the in-order
 //     baseline, and the searched peak stays under the memory cap;
-//   * beam=1 is exactly the deterministic greedy trajectory;
+//   * beam=1 runs only the deterministic greedy trajectory, so the seed is
+//     ignored there;
 //   * identical (seed, beam, budget) produce byte-identical schedules;
 //   * enlarging the beam never worsens the best score (portfolio
 //     monotonicity);
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/core/joint_scheduler.h"
 #include "src/core/schedule.h"
 #include "src/hw/gpu_spec.h"
 #include "src/nn/layer_builder.h"
@@ -26,6 +28,7 @@
 #include "src/search/evaluator.h"
 #include "src/search/search.h"
 #include "src/validate/schedule_checker.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -158,7 +161,9 @@ TEST(SearchScheduleTest, FuzzedSchedulesPassCheckerAndNeverLoseToInOrder) {
   }
 }
 
-TEST(SearchScheduleTest, BeamOneEqualsGreedy) {
+// DESIGN.md §13.4: at beam=1 only the greedy trajectory runs, so the seed
+// is ignored and any two seeds give the same result, counters included.
+TEST(SearchScheduleTest, BeamOneIgnoresSeed) {
   for (uint64_t seed = 3; seed <= 12; seed += 3) {
     Rng rng(seed);
     const NnModel model = RandomModel(rng);
@@ -168,13 +173,22 @@ TEST(SearchScheduleTest, BeamOneEqualsGreedy) {
 
     SearchOptions options;
     options.beam = 1;
-    options.seed = 999;  // must be irrelevant at beam=1
     options.budget = 40;
-    const SearchResult beam1 = SearchSchedule(graph, gpu, profile, options);
-    const SearchResult greedy = GreedySchedule(graph, gpu, profile, options);
-    EXPECT_EQ(beam1.schedule.ToString(), greedy.schedule.ToString());
-    EXPECT_EQ(beam1.best_time, greedy.best_time);
-    EXPECT_EQ(beam1.evaluations, greedy.evaluations);
+    options.seed = 1;
+    const SearchResult a = SearchSchedule(graph, gpu, profile, options);
+    options.seed = 999;
+    const SearchResult b = SearchSchedule(graph, gpu, profile, options);
+    EXPECT_EQ(a.schedule.ToString(), b.schedule.ToString()) << seed;
+    EXPECT_EQ(a.genotype, b.genotype) << seed;
+    EXPECT_EQ(a.best_time, b.best_time) << seed;
+    EXPECT_EQ(a.conventional_time, b.conventional_time) << seed;
+    EXPECT_EQ(a.peak_memory, b.peak_memory) << seed;
+    EXPECT_EQ(a.evaluations, b.evaluations) << seed;
+    EXPECT_EQ(a.stats.sim_evals, b.stats.sim_evals) << seed;
+    EXPECT_EQ(a.stats.analytic_evals, b.stats.analytic_evals) << seed;
+    EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits) << seed;
+    EXPECT_EQ(a.stats.cache_misses, b.stats.cache_misses) << seed;
+    EXPECT_EQ(a.stats.memory_rejections, b.stats.memory_rejections) << seed;
   }
 }
 
@@ -237,6 +251,39 @@ TEST(SearchScheduleTest, ZeroBudgetReturnsConventional) {
   EXPECT_EQ(result.schedule.ToString(),
             ConventionalIteration(graph).ToString());
   EXPECT_EQ(result.best_time, result.conventional_time);
+}
+
+// ScheduleEvaluator runs on SingleGpuEngine's exact executor, and on the
+// event simulation when a validator observes the devices. Both must give
+// the same score, and the validated run must see every kernel of the three
+// simulated iterations finish with no invariant violated.
+TEST(ScheduleEvaluatorTest, SameBitsInsideAndOutsideValidationScope) {
+  const SystemProfile profile = SystemProfile::TensorFlowXla();
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 7919);
+    const NnModel model = RandomModel(rng);
+    const TrainGraph graph(&model);
+    const GpuSpec gpu = RotatingGpu(seed);
+    const IterationSchedule schedules[] = {
+        ConventionalIteration(graph),
+        MakeOooSchedule(graph, gpu, profile).schedule};
+    for (const IterationSchedule& schedule : schedules) {
+      ScheduleEvaluator eval(&model, gpu, profile);
+      const TimeNs outside = eval.IterationTime(schedule);
+      SimValidator validator;
+      TimeNs inside = 0;
+      {
+        ValidationScope scope(&validator);
+        inside = eval.IterationTime(schedule);
+      }
+      EXPECT_EQ(inside, outside) << "seed " << seed;
+      EXPECT_TRUE(validator.ok()) << validator.Summary();
+      EXPECT_EQ(validator.gpus_observed(), 1);
+      EXPECT_EQ(validator.kernels_finished(),
+                static_cast<int64_t>(3 * schedule.ops.size()))
+          << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

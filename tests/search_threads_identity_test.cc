@@ -1,8 +1,8 @@
 // Byte-identity battery for the parallel search-trajectory portfolio
-// (ctest labels: search, golden, integration): the serialized
-// result JSON of the two-tier search scenarios must be byte-identical at
-// --param threads 1, 4, and 8, and must still satisfy the pinned golden
-// files when parallel. Trajectories are pure functions of their index with
+// (ctest labels: search, golden, integration): the serialized result JSON
+// of the deep-budget search scenarios must be byte-identical at --param
+// threads 1, 4, and 8, and must still satisfy the pinned golden files when
+// parallel. Trajectories are pure functions of their index with
 // private evaluators, caches, and Rngs, merged in index order — so the
 // worker count is a pure wall-clock optimization, never a result change
 // (DESIGN.md §14).
@@ -18,9 +18,9 @@
 namespace oobp {
 namespace {
 
-// search_deep_fig07 runs the full two-tier pipeline (analytic Tier A,
-// candidate cache, Tier-B audits) at beam=4 across three models;
-// search_eval_perf covers the beam=2, audit-free configuration.
+// search_deep_fig07 runs the full pipeline (analytic Tier A, candidate
+// cache, Tier-B trajectory bests) at beam=4 and budget 4000 across three
+// models; search_eval_perf covers beam=2 on densenet121.
 const char kBatteryFilter[] = "search_deep_fig07,search_eval_perf";
 constexpr size_t kBatterySize = 2;
 

@@ -11,7 +11,7 @@
 //
 // The single-GPU outcome itself has two producers: the event simulation
 // and the exact two-stream executor. The differential battery below runs
-// both over 2,688 configurations and compares every outcome field bitwise.
+// both over 4,032 configurations and compares every outcome field bitwise.
 
 #include <gtest/gtest.h>
 
@@ -200,9 +200,9 @@ std::string OutcomeDiff(const TrainSimOutcome& a, const TrainSimOutcome& b) {
 // deliberately wrong executors show it. One that begins same-instant
 // kernels in stream order instead of dispatch order leaves every iteration
 // end and busy integral here unchanged, yet moves item starts or increments
-// in 588 of these configurations. One that folds busy contributions in
-// priority order instead of job-seq order moves the busy integral in 100
-// and the increments in 1,252. Both fail here.
+// in 588 of the 2,688 configurations at 4 and 7 iterations. One that folds
+// busy contributions in priority order instead of job-seq order moves the
+// busy integral in 100 and the increments in 1,252 of them. Both fail here.
 TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
   std::vector<NnModel> models = {
       DenseNet(121, 24, 32, 32), DenseNet(169, 32, 32, 32),
@@ -239,7 +239,8 @@ TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
         const IterationSchedule* schedules[] = {&conv, &ooo, &naive};
         for (int k = 0; k < 3; ++k) {
           for (bool precompiled : {false, true}) {
-            for (int iterations : {4, 7}) {
+            // 3 is ScheduleEvaluator's run: one warm-up, two measured.
+            for (int iterations : {3, 4, 7}) {
               SingleGpuConfig cfg;
               cfg.gpu = gpus[g];
               cfg.profile = profiles[p];
@@ -272,7 +273,7 @@ TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
     }
   }
   EXPECT_EQ(mismatches, 0) << "of " << configs << " configurations";
-  EXPECT_EQ(configs, 2688);
+  EXPECT_EQ(configs, 4032);
 }
 
 TEST(SteadyReplayTest, ExecutorCountsEventsIntoTheProcessWideTally) {

@@ -34,20 +34,20 @@
 #      worker pool at threads 1/4/8), event_heap_test (the process-wide
 #      event tally hammered from concurrent engines), and a 20-seed fleet
 #      fuzz smoke on the fuzzer's --jobs pool.
-#   8. Search baseline + two-tier evaluation pipeline: search-labeled ctest
-#      tier (the 200-seed searched-schedule property battery, the
-#      search_gap_* golden/byte-identity tests, the analytic-evaluator
-#      bit-exactness battery, and the parallel-trajectory byte-identity
-#      test at threads 1/4/8), the search_gap_* scenarios and the two-tier
-#      scenarios (search_deep_fig07, search_eval_fidelity,
-#      search_eval_perf) against their goldens, a perf smoke of the
-#      analytic evaluator gated by the perf baseline's analytic-evals count
-#      and evals/sec floor, a TSan run of the parallel trajectory portfolio
-#      (threads > beam-count collapse included), and 200 ASan seeds of the
-#      search fuzz family (differential searched-vs-heuristic under the
-#      SimValidator, beam-monotonicity metamorphic, two-tier bit-identity
-#      incl. threads=3 and zero audit error; every second seed runs — see
-#      DESIGN.md §13-14).
+#   8. Search baseline: search-labeled ctest tier (the 200-seed
+#      searched-schedule property battery, the search_gap_*
+#      golden/byte-identity tests, the analytic-evaluator bit-exactness
+#      battery, and the parallel-trajectory byte-identity test at threads
+#      1/4/8), every search_* scenario against its golden (the gap sweeps,
+#      the deep-budget search_deep_fig07, search_eval_fidelity and
+#      search_eval_perf), a perf smoke of the analytic evaluator gated by
+#      the perf baseline's analytic-evals count and evals/sec floor, a TSan
+#      run of the parallel trajectory portfolio (threads > beam-count
+#      collapse included), and 200 ASan seeds of the search fuzz family
+#      (checker gate, Tier-B rescoring, rerun and threads=3 identity, beam
+#      monotonicity, an analytic-vs-simulator mutation walk, and a
+#      differential searched-vs-heuristic run under the SimValidator;
+#      every second seed runs — see DESIGN.md §13-14).
 #   9. Benchmark self-test: `hostbench/run.py --selftest` builds the
 #      host-time benchmark (its own Release CMake project over src/, in
 #      build-dir/hostbench) and checks its helpers, that a seed's digest
@@ -129,14 +129,10 @@ ctest --test-dir "${TSAN_DIR}" \
 # --- Tier 8: search baseline: goldens + fuzz smoke ------------------------
 ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
 
-"${BUILD_DIR}/tools/oobp" bench --filter 'search_gap_*' --jobs 0 \
+# Every search golden: the gap sweeps (budget 400 and the deep 4000),
+# analytic-vs-simulator fidelity, and the eval-perf counters.
+"${BUILD_DIR}/tools/oobp" bench --filter 'search_*' --jobs 0 \
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
-
-# Two-tier pipeline goldens: deep-budget gap refresh, analytic-vs-simulator
-# fidelity (rank corr >= 0.95, rel err <= 5%), and the eval-perf counters.
-"${BUILD_DIR}/tools/oobp" bench \
-    --filter 'search_deep_fig07,search_eval_fidelity,search_eval_perf' \
-    --jobs 0 --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
 # Analytic-evaluator perf smoke: the deterministic eval count must match
 # the baseline exactly and Release throughput must clear the evals/sec
@@ -149,7 +145,7 @@ ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
 # Parallel trajectory portfolio under TSan: more workers than trajectories
 # exercises the pool's cap; the run only has to be race-free (scores are
 # byte-identity-checked by search_threads_identity_test in the ctest tier).
-"${TSAN_DIR}/tools/oobp" search --model=densenet121 --eval=two-tier \
+"${TSAN_DIR}/tools/oobp" search --model=densenet121 \
     --beam=4 --budget=150 --seed=7 --threads=8
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \

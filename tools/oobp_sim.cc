@@ -13,18 +13,14 @@
 //   oobp_sim hybrid   --model=bert24 --gpus=8 --replicas=2 [--k=0]
 //   oobp_sim replay   --model=densenet121 --schedule=<file>
 //   oobp_sim search   --model=densenet121 --batch=32 [--gpu=v100|p100|titanxp]
-//                     [--beam=N] [--seed=N] [--budget=N]
-//                     [--eval=exact|two-tier] [--audit-interval=N]
-//                     [--threads=N]
+//                     [--beam=N] [--seed=N] [--budget=N (400)] [--threads=N]
 //                     [--export-schedule=<file>]
 //                     (search-based scheduler baseline, see src/search;
 //                     prints the heuristic-vs-searched optimality gap and
 //                     machine-verifies every schedule with
-//                     CheckIterationSchedule. --eval=two-tier scores
-//                     candidates with the incremental analytic evaluator
-//                     and defaults the budget to 4000; --threads runs the
-//                     trajectory portfolio on a worker pool, byte-identical
-//                     for any N; any other flag is an error)
+//                     CheckIterationSchedule. --threads runs the trajectory
+//                     portfolio on a worker pool, byte-identical for any N;
+//                     any other flag is an error)
 //   oobp_sim bench    [--list] [--filter=<glob>] [--jobs=N] [--out=<dir>]
 //                     [--golden[=<dir>]] [--perf] [--check[=<baseline>]]
 //                     [--param k=v]  (see src/runner; --check gates perf
@@ -36,7 +32,8 @@
 //
 // Common flags: --trace=<path.json> exports the execution timeline;
 // `single --system=ooo --export-schedule=<file>` saves the computed
-// schedule in the artifact text format for later replay.
+// schedule in the artifact text format for later replay. An integer flag
+// whose value is not one whole integer is a usage error (exit 2).
 
 #include <algorithm>
 #include <cstdio>
@@ -54,6 +51,7 @@
 #include "src/core/reverse_k.h"
 #include "src/core/schedule_io.h"
 #include "src/nn/model_zoo.h"
+#include "src/runner/registry.h"
 #include "src/runner/runner.h"
 #include "src/runtime/data_parallel_engine.h"
 #include "src/runtime/hybrid_engine.h"
@@ -88,9 +86,19 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
   }
+  // Exits 2, naming the flag, unless the value is one whole integer.
   int GetInt(const std::string& key, int def) const {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::atoi(it->second.c_str());
+    if (it == values_.end()) {
+      return def;
+    }
+    int value = 0;
+    if (!ParseInt(it->second, &value)) {
+      std::fprintf(stderr, "--%s needs an integer, got '%s'\n", key.c_str(),
+                   it->second.c_str());
+      std::exit(2);
+    }
+    return value;
   }
   // First given flag not in `known`, or "" when every flag is known.
   std::string FirstUnknown(std::initializer_list<std::string_view> known)
@@ -375,7 +383,7 @@ int RunHybrid(const Flags& flags) {
 int RunSearch(const Flags& flags) {
   const std::string unknown = flags.FirstUnknown(
       {"model", "batch", "image", "gpu", "beam", "seed", "budget", "threads",
-       "eval", "audit-interval", "export-schedule"});
+       "export-schedule"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
     return 2;
@@ -394,16 +402,6 @@ int RunSearch(const Flags& flags) {
   // --threads parallelizes the trajectory portfolio; results are
   // byte-identical for any value.
   options.threads = std::max(1, flags.GetInt("threads", 1));
-  const std::string eval_mode = flags.Get("eval", "exact");
-  if (eval_mode == "two-tier") {
-    options.eval_mode = SearchEvalMode::kTwoTier;
-    options.budget = flags.GetInt("budget", 4000);
-  } else if (eval_mode != "exact") {
-    std::fprintf(stderr, "search: unknown --eval=%s (exact|two-tier)\n",
-                 eval_mode.c_str());
-    return 2;
-  }
-  options.audit_interval = flags.GetInt("audit-interval", 256);
 
   ScheduleEvaluator eval(&model, gpu, profile);
   const TimeNs conventional_time =
@@ -425,11 +423,9 @@ int RunSearch(const Flags& flags) {
     }
   }
 
-  std::printf("schedule search: %s on %s (beam=%d seed=%d budget=%d "
-              "eval=%s)\n",
+  std::printf("schedule search: %s on %s (beam=%d seed=%d budget=%d)\n",
               model.name.c_str(), gpu.name.c_str(), options.beam,
-              static_cast<int>(options.seed), options.budget,
-              eval_mode.c_str());
+              static_cast<int>(options.seed), options.budget);
   std::printf("conventional:  %.3f ms/iter\n", ToMs(conventional_time));
   std::printf("ooo heuristic: %.3f ms/iter  (%.3fx)\n", ToMs(ooo_time),
               static_cast<double>(conventional_time) / ooo_time);
