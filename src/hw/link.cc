@@ -38,14 +38,24 @@ Link::~Link() {
   }
 }
 
-TimeNs Link::SerializationTime(int64_t bytes) const {
+TimeNs SerializationTime(const LinkSpec& spec, int64_t bytes) {
   OOBP_CHECK_GE(bytes, 0);
   if (bytes == 0) {
     return 0;
   }
   // bandwidth_gbps is GB/s == bytes/ns.
-  const double ns = static_cast<double>(bytes) / spec_.bandwidth_gbps;
+  const double ns = static_cast<double>(bytes) / spec.bandwidth_gbps;
   return std::max<TimeNs>(1, static_cast<TimeNs>(std::ceil(ns)));
+}
+
+ChunkTiming::ChunkTiming(const LinkSpec& spec, int64_t chunk_bytes,
+                         int64_t bytes) {
+  OOBP_CHECK_GT(bytes, 0);
+  OOBP_CHECK_GT(chunk_bytes, 0);
+  chunks = (bytes + chunk_bytes - 1) / chunk_bytes;
+  latency = spec.latency;
+  full = SerializationTime(spec, chunk_bytes);
+  last = SerializationTime(spec, bytes - (chunks - 1) * chunk_bytes);
 }
 
 Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,

@@ -39,6 +39,31 @@ struct LinkSpec {
   static LinkSpec Eth25G();   // 3.125 GB/s
 };
 
+// Nanoseconds to move `bytes` at `spec`'s bandwidth, excluding latency:
+// ceil(bytes / bandwidth), and at least 1 for a non-empty transfer.
+TimeNs SerializationTime(const LinkSpec& spec, int64_t bytes);
+
+// The chunk schedule Link gives a message that holds the link from its first
+// chunk to its last (nothing outranks it): the latency once, with the first
+// chunk, then SerializationTime per chunk, every chunk full but the last.
+// Engines that step a message once, at its completion, time it with this.
+struct ChunkTiming {
+  ChunkTiming(const LinkSpec& spec, int64_t chunk_bytes, int64_t bytes);
+
+  // Offset from the message's start to the end of chunk j, 1 <= j <= chunks.
+  TimeNs ChunkEnd(int64_t j) const {
+    return j < chunks ? latency + j * full
+                      : latency + (chunks - 1) * full + last;
+  }
+  // Offset of the completion; also the link busy time the message adds.
+  TimeNs End() const { return ChunkEnd(chunks); }
+
+  int64_t chunks = 0;
+  TimeNs latency = 0;
+  TimeNs full = 0;  // one full chunk
+  TimeNs last = 0;  // the last (possibly short) chunk
+};
+
 class Link;
 
 // Passive per-transfer observer, attached by the validation layer (see
@@ -97,7 +122,9 @@ class Link {
   void SetObserver(LinkObserver* observer) { observer_ = observer; }
 
   // Nanoseconds to move `bytes` at link bandwidth (excluding latency).
-  TimeNs SerializationTime(int64_t bytes) const;
+  TimeNs SerializationTime(int64_t bytes) const {
+    return oobp::SerializationTime(spec_, bytes);
+  }
 
  private:
   struct Message {

@@ -1,26 +1,12 @@
 #include "src/runner/registry.h"
 
-#include <charconv>
 #include <stdexcept>
-#include <system_error>
 
 #include "src/common/check.h"
+#include "src/common/str_util.h"
 #include "src/runner/glob.h"
 
 namespace oobp {
-
-namespace {
-
-template <typename T>
-bool ParseWhole(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-}  // namespace
-
-bool ParseInt(std::string_view text, int* out) { return ParseWhole(text, out); }
 
 std::string ScenarioParams::GetString(const std::string& key,
                                       const std::string& def) const {
@@ -34,7 +20,7 @@ int ScenarioParams::GetInt(const std::string& key, int def) const {
     return def;
   }
   int value = 0;
-  if (!ParseInt(it->second, &value)) {
+  if (!ParseWhole(it->second, &value)) {
     throw std::invalid_argument("param '" + key + "': '" + it->second +
                                 "' is not an integer");
   }

@@ -300,7 +300,7 @@ int BenchMain(int argc, char** argv) {
     // is a usage error, never a silent 0.
     auto int_value = [&](int min, int* out) {
       const std::string v = next_value();
-      if (ParseInt(v, out) && *out >= min) {
+      if (ParseWhole(v, out) && *out >= min) {
         return true;
       }
       std::fprintf(stderr, "--%s needs an integer >= %d, got '%s'\n",

@@ -33,9 +33,10 @@ struct ReplayStats {
   // (pipeline flush strategies complete in one simulated iteration —
   // nothing to extrapolate), or "aperiodic" (detection failed; full rerun).
   std::string fallback_reason;
-  // Single-GPU only: the run went through the exact two-stream executor
-  // rather than the event simulation (DESIGN.md §6.3). False for traced
-  // runs and under the SimValidator, which need the event path.
+  // The run went through the engine's exact executor (single-GPU: the
+  // two-stream executor; pipeline: the message-level executor) rather than
+  // the event simulation (DESIGN.md §6.3). False for traced runs and under
+  // the SimValidator, which need the event path.
   bool executor = false;
 };
 

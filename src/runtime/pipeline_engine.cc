@@ -1,14 +1,18 @@
 #include "src/runtime/pipeline_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
 #include "src/hw/link.h"
+#include "src/hw/validation_hooks.h"
 #include "src/sim/engine.h"
 
 namespace oobp {
@@ -71,16 +75,55 @@ namespace {
 
 enum class PipeOpKind { kFwd = 0, kDgrad = 1, kWgrad = 2 };
 
-constexpr int64_t kNoOp = -1;
+// Pipeline links send every transfer in chunks of this many bytes.
+constexpr int64_t kChunkBytes = 256 << 10;
+
+// What a pipeline event does when it fires. `slot` is the op index for
+// kOpDone, the iteration for kIterEnd, and for an arrival the
+// (iteration, micro-batch, layer) slot of the tensor: the producing layer's
+// activation, or the gradient flowing into that layer.
+struct PipeEvent {
+  enum Kind : int32_t { kOpDone, kIterEnd, kActivation, kGradient };
+  Kind kind;
+  int32_t slot;
+};
+
+class PipeSim;
+
+// The clock, event queue and links a PipeSim runs on. EventBackend is the
+// reference: a SimEngine and one Link per GPU pair, one event per chunk.
+// PipeExecutor steps each message once and runs the same events in the same
+// order (DESIGN.md §6.3).
+class PipeBackend {
+ public:
+  virtual ~PipeBackend() = default;
+  // Starts `sim` and runs until no event is pending.
+  virtual void Run(PipeSim* sim) = 0;
+  virtual TimeNs now() const = 0;
+  // Fires `event` `delay` after now.
+  virtual void Schedule(TimeNs delay, PipeEvent event) = 0;
+  // Sends `bytes` from GPU `src` to GPU `dst` at priority 0 and fires
+  // `arrival` when the last chunk lands. `name` labels the trace event.
+  virtual void Send(int src, int dst, int64_t bytes, std::string name,
+                    PipeEvent arrival) = 0;
+  // Busy time summed over the links: every chunk that started before the
+  // event being processed.
+  virtual TimeNs comm_busy() const = 0;
+};
+
+LinkSpec LinkSpecFor(const PipelineConfig& config, int src, int dst) {
+  return config.use_link_override ? config.link_override
+                                  : config.cluster.LinkBetween(src, dst);
+}
 
 // Per-GPU list-scheduling simulator over the pipeline op graph.
 class PipeSim {
  public:
-  PipeSim(SimEngine* engine, const PipelineConfig& config,
+  PipeSim(PipeBackend* backend, const PipelineConfig& config,
           const NnModel& model, const TrainGraph& graph, const CostModel& cost,
           const LayerAssignment& assignment, PipelineStrategy strategy,
           int iterations, TraceRecorder* trace)
-      : engine_(engine),
+      : backend_(backend),
         config_(config),
         model_(model),
         graph_(graph),
@@ -114,15 +157,26 @@ class PipeSim {
     }
   }
 
+  void Fire(PipeEvent event) {
+    switch (event.kind) {
+      case PipeEvent::kOpDone:
+        OnOpDone(event.slot);
+        break;
+      case PipeEvent::kIterEnd:
+        OnIterEnd(event.slot);
+        break;
+      case PipeEvent::kActivation:
+        OnActivation(event.slot);
+        break;
+      case PipeEvent::kGradient:
+        OnGradient(event.slot);
+        break;
+    }
+  }
+
   TimeNs IterEnd(int t) const { return iter_end_[t]; }
   TimeNs compute_busy() const { return compute_busy_; }
-  TimeNs comm_busy() const {
-    TimeNs total = 0;
-    for (const auto& [key, link] : links_) {
-      total += link->busy_time();
-    }
-    return total;
-  }
+  TimeNs comm_busy() const { return backend_->comm_busy(); }
   const std::vector<int64_t>& peak_memory() const { return peak_mem_; }
   const std::vector<TimeNs>& fwd_start() const { return fwd_start_; }
   const std::vector<TimeNs>& wgrad_done() const { return wgrad_done_; }
@@ -254,10 +308,33 @@ class PipeSim {
       peak_mem_[g] = live_mem_[g];
     }
 
+    // Which ops exist and how long they take depend only on (layer, kind).
+    // Unit-time mode follows the paper's figures: layer 0 computes no input
+    // gradient, and every op takes exactly `unit_time`.
+    std::vector<std::array<TimeNs, 3>> duration(L_, {-1, -1, -1});
+    for (int l = 0; l < L_; ++l) {
+      const Layer& layer = model_.layers[l];
+      for (PipeOpKind kind :
+           {PipeOpKind::kFwd, PipeOpKind::kDgrad, PipeOpKind::kWgrad}) {
+        if ((kind == PipeOpKind::kWgrad && !graph_.HasWgrad(l)) ||
+            (kind == PipeOpKind::kDgrad && l == 0 && config_.unit_time > 0)) {
+          continue;
+        }
+        const TrainOpType ot = kind == PipeOpKind::kFwd
+                                   ? TrainOpType::kForward
+                                   : (kind == PipeOpKind::kDgrad
+                                          ? TrainOpType::kOutputGrad
+                                          : TrainOpType::kWeightGrad);
+        duration[l][static_cast<int>(kind)] =
+            config_.unit_time > 0 ? config_.unit_time
+                                  : cost_.Cost(layer, ot).duration +
+                                        cost_.gpu().kernel_exec_overhead;
+      }
+    }
+
     for (int t = 0; t < iterations_; ++t) {
       for (int m = 0; m < M_; ++m) {
         for (int l = 0; l < L_; ++l) {
-          const Layer& layer = model_.layers[l];
           for (PipeOpKind kind :
                {PipeOpKind::kFwd, PipeOpKind::kDgrad, PipeOpKind::kWgrad}) {
             Op& op = ops_[OpIndex(t, m, l, kind)];
@@ -267,28 +344,12 @@ class PipeSim {
             op.layer = l;
             op.gpu = assignment_[l];
             op.priority = PriorityOf(t, m, l, kind);
-            if (kind == PipeOpKind::kWgrad && !graph_.HasWgrad(l)) {
+            op.duration = duration[l][static_cast<int>(kind)];
+            if (op.duration < 0) {
               op.exists = false;
               op.done = true;
               continue;
             }
-            if (kind == PipeOpKind::kDgrad && l == 0 &&
-                config_.unit_time > 0) {
-              // Unit-time mode follows the paper's figures: layer 0 computes
-              // no input gradient.
-              op.exists = false;
-              op.done = true;
-              continue;
-            }
-            const TrainOpType ot = kind == PipeOpKind::kFwd
-                                       ? TrainOpType::kForward
-                                       : (kind == PipeOpKind::kDgrad
-                                              ? TrainOpType::kOutputGrad
-                                              : TrainOpType::kWeightGrad);
-            op.duration = config_.unit_time > 0
-                              ? config_.unit_time
-                              : cost_.Cost(layer, ot).duration +
-                                    cost_.gpu().kernel_exec_overhead;
             // Dependencies: F needs its input activation (except layer 0,
             // which reads the micro-batch); dO/dW need the incoming
             // gradient. Iteration barriers for flush strategies are added
@@ -401,52 +462,16 @@ class PipeSim {
     }
     Op& op = ops_[chosen];
     gs.busy = true;
+    const TimeNs now = backend_->now();
     if (op.kind == PipeOpKind::kFwd) {
       ++gs.fwd_started;
       if (op.iter == 0 &&
-          (fwd_start_[op.layer] < 0 || engine_->now() < fwd_start_[op.layer])) {
-        fwd_start_[op.layer] = engine_->now();
+          (fwd_start_[op.layer] < 0 || now < fwd_start_[op.layer])) {
+        fwd_start_[op.layer] = now;
       }
     }
     compute_busy_ += op.duration;
-    const TimeNs start = engine_->now();
-    engine_->ScheduleAfter(op.duration, [this, chosen, start] {
-      if (trace_ != nullptr) {
-        const Op& done_op = ops_[chosen];
-        TraceEvent ev;
-        const char* kind_name = done_op.kind == PipeOpKind::kFwd
-                                    ? "F"
-                                    : (done_op.kind == PipeOpKind::kDgrad
-                                           ? "dO"
-                                           : "dW");
-        ev.name = StrFormat("%s[%d]%c#%d", kind_name, done_op.layer,
-                            'A' + done_op.micro % 26, done_op.iter);
-        ev.category = done_op.kind == PipeOpKind::kFwd ? "fwd"
-                      : done_op.kind == PipeOpKind::kDgrad ? "dO" : "dW";
-        ev.track = done_op.gpu;
-        ev.start = start;
-        ev.duration = engine_->now() - start;
-        trace_->Add(ev);
-      }
-      OnOpDone(chosen);
-    });
-  }
-
-  Link* LinkFor(int src, int dst) {
-    const auto key = std::make_pair(src, dst);
-    auto it = links_.find(key);
-    if (it != links_.end()) {
-      return it->second.get();
-    }
-    LinkSpec spec = config_.use_link_override
-                        ? config_.link_override
-                        : config_.cluster.LinkBetween(src, dst);
-    auto link = std::make_unique<Link>(engine_, spec, /*chunk_bytes=*/256 << 10,
-                                       trace_,
-                                       /*track=*/100 + src * 64 + dst);
-    Link* raw = link.get();
-    links_.emplace(key, std::move(link));
-    return raw;
+    backend_->Schedule(op.duration, {PipeEvent::kOpDone, chosen});
   }
 
   void AddMem(int g, int64_t bytes) {
@@ -462,49 +487,58 @@ class PipeSim {
     // The activation is retained until layer l+1's backward no longer needs
     // it: dW(l+1) when it exists, dO(l+1) otherwise (one consumer either
     // way; the forward read does not release it).
-    act_consumers_[OpIndex(t, m, l, PipeOpKind::kFwd) / 3] = 1;
+    const int slot = OpIndex(t, m, l, PipeOpKind::kFwd) / 3;
+    act_consumers_[slot] = 1;
     if (src == dst) {
       AddMem(dst, bytes);
       SatisfyDep(OpIndex(t, m, l + 1, PipeOpKind::kFwd));
       return;
     }
     AddMem(src, bytes);  // send buffer
-    LinkFor(src, dst)->Transfer(
-        bytes, /*priority=*/0,
-        trace_ != nullptr ? StrFormat("act[%d]%c#%d", l, 'A' + m % 26, t)
-                          : std::string(),
-        [this, t, m, l, src, dst, bytes] {
-          AddMem(src, -bytes);
-          AddMem(dst, bytes);
-          SatisfyDep(OpIndex(t, m, l + 1, PipeOpKind::kFwd));
-        });
+    backend_->Send(src, dst, bytes,
+                  trace_ != nullptr
+                      ? StrFormat("act[%d]%c#%d", l, 'A' + m % 26, t)
+                      : std::string(),
+                  {PipeEvent::kActivation, slot});
+  }
+
+  void OnActivation(int slot) {
+    const int l = slot % L_;
+    const int tm = slot / L_;
+    const int64_t bytes = model_.layers[l].output_bytes;
+    AddMem(assignment_[l], -bytes);
+    AddMem(assignment_[l + 1], bytes);
+    SatisfyDep(OpIndex(tm / M_, tm % M_, l + 1, PipeOpKind::kFwd));
   }
 
   // Delivers the gradient flowing into layer l for (t, m) to l's owner.
   void DeliverGradient(int t, int m, int l, int src) {
     const int dst = assignment_[l];
-    const int64_t bytes = model_.layers[l].output_bytes;
     const bool has_dgrad = ops_[OpIndex(t, m, l, PipeOpKind::kDgrad)].exists;
-    grad_consumers_[OpIndex(t, m, l, PipeOpKind::kFwd) / 3] =
+    const int slot = OpIndex(t, m, l, PipeOpKind::kFwd) / 3;
+    grad_consumers_[slot] =
         (has_dgrad ? 1 : 0) + (graph_.HasWgrad(l) ? 1 : 0);
-    auto arrive = [this, t, m, l, dst, bytes, has_dgrad] {
-      AddMem(dst, bytes);
-      if (has_dgrad) {
-        SatisfyDep(OpIndex(t, m, l, PipeOpKind::kDgrad));
-      }
-      if (graph_.HasWgrad(l)) {
-        SatisfyDep(OpIndex(t, m, l, PipeOpKind::kWgrad));
-      }
-    };
     if (src == dst) {
-      arrive();
+      OnGradient(slot);
       return;
     }
-    LinkFor(src, dst)->Transfer(
-        bytes, /*priority=*/0,
-        trace_ != nullptr ? StrFormat("grad[%d]%c#%d", l, 'A' + m % 26, t)
-                          : std::string(),
-        std::move(arrive));
+    backend_->Send(src, dst, model_.layers[l].output_bytes,
+                  trace_ != nullptr
+                      ? StrFormat("grad[%d]%c#%d", l, 'A' + m % 26, t)
+                      : std::string(),
+                  {PipeEvent::kGradient, slot});
+  }
+
+  void OnGradient(int slot) {
+    const int l = slot % L_;
+    AddMem(assignment_[l], model_.layers[l].output_bytes);
+    const Op& dgrad = ops_[slot * 3 + static_cast<int>(PipeOpKind::kDgrad)];
+    if (dgrad.exists) {
+      SatisfyDep(slot * 3 + static_cast<int>(PipeOpKind::kDgrad));
+    }
+    if (graph_.HasWgrad(l)) {
+      SatisfyDep(slot * 3 + static_cast<int>(PipeOpKind::kWgrad));
+    }
   }
 
   void ConsumeActivation(int t, int m, int producer_layer) {
@@ -526,8 +560,25 @@ class PipeSim {
 
   void OnOpDone(int idx) {
     Op& op = ops_[idx];
+    const TimeNs now = backend_->now();
+    if (trace_ != nullptr) {
+      TraceEvent ev;
+      const char* kind_name = op.kind == PipeOpKind::kFwd
+                                  ? "F"
+                                  : (op.kind == PipeOpKind::kDgrad ? "dO"
+                                                                   : "dW");
+      ev.name = StrFormat("%s[%d]%c#%d", kind_name, op.layer,
+                          'A' + op.micro % 26, op.iter);
+      ev.category = op.kind == PipeOpKind::kFwd     ? "fwd"
+                    : op.kind == PipeOpKind::kDgrad ? "dO"
+                                                    : "dW";
+      ev.track = op.gpu;
+      ev.start = now - op.duration;
+      ev.duration = op.duration;
+      trace_->Add(ev);
+    }
     op.done = true;
-    op.done_time = engine_->now();
+    op.done_time = now;
     GpuState& gs = gpus_[op.gpu];
     gs.busy = false;
 
@@ -563,7 +614,7 @@ class PipeSim {
         break;
       case PipeOpKind::kWgrad:
         if (t == 0) {
-          wgrad_done_[l] = std::max(wgrad_done_[l], engine_->now());
+          wgrad_done_[l] = std::max(wgrad_done_[l], now);
         }
         if (!fast_forward_ && l > 0 &&
             ops_[OpIndex(t, m, l, PipeOpKind::kDgrad)].done) {
@@ -579,25 +630,26 @@ class PipeSim {
     if (--iter_ops_left_[t] == 0) {
       // Iteration complete; apply weight updates (barriered for flush
       // strategies) and release the next iteration.
-      const int done_iter = t;
-      engine_->ScheduleAfter(flush_ ? update_time_ : 0, [this, done_iter] {
-        iter_end_[done_iter] = engine_->now();
-        // Iteration-boundary snapshots of every cumulative counter the
-        // result reads; replay detection compares consecutive deltas and
-        // extrapolation adds the steady delta once per skipped iteration.
-        cb_at_iter_[done_iter] = compute_busy_;
-        comm_at_iter_[done_iter] = comm_busy();
-        live_at_iter_[done_iter] = live_mem_;
-        peak_at_iter_[done_iter] = peak_mem_;
-        if (flush_) {
-          ReleaseIteration(done_iter + 1);
-        }
-      });
+      backend_->Schedule(flush_ ? update_time_ : 0, {PipeEvent::kIterEnd, t});
     }
     TryRun(op.gpu);
   }
 
-  SimEngine* engine_;
+  void OnIterEnd(int t) {
+    iter_end_[t] = backend_->now();
+    // Iteration-boundary snapshots of every cumulative counter the result
+    // reads; replay detection compares consecutive deltas and extrapolation
+    // adds the steady delta once per skipped iteration.
+    cb_at_iter_[t] = compute_busy_;
+    comm_at_iter_[t] = comm_busy();
+    live_at_iter_[t] = live_mem_;
+    peak_at_iter_[t] = peak_mem_;
+    if (flush_) {
+      ReleaseIteration(t + 1);
+    }
+  }
+
+  PipeBackend* backend_;
   const PipelineConfig& config_;
   const NnModel& model_;
   const TrainGraph& graph_;
@@ -624,7 +676,6 @@ class PipeSim {
   std::vector<TimeNs> comm_at_iter_; // comm_busy() at each iteration end
   std::vector<std::vector<int64_t>> live_at_iter_;
   std::vector<std::vector<int64_t>> peak_at_iter_;
-  std::map<std::pair<int, int>, std::unique_ptr<Link>> links_;
   std::vector<int> act_consumers_;   // keyed by (t, m, producer layer)
   std::vector<int> grad_consumers_;  // keyed by (t, m, target layer)
   std::vector<int64_t> live_mem_;
@@ -632,6 +683,286 @@ class PipeSim {
   std::vector<int64_t> peak_mem_;
   std::vector<TimeNs> fwd_start_;
   std::vector<TimeNs> wgrad_done_;
+};
+
+// The reference producer: every op completion, iteration end and link chunk
+// is a SimEngine event. Traced runs and runs under a ValidationScope take it
+// (only it emits trace events and builds observable Links).
+class EventBackend final : public PipeBackend {
+ public:
+  EventBackend(const PipelineConfig& config, TraceRecorder* trace)
+      : config_(config), trace_(trace) {}
+
+  void Run(PipeSim* sim) override {
+    sim_ = sim;
+    sim->Start();
+    engine_.Run();
+  }
+  TimeNs now() const override { return engine_.now(); }
+  void Schedule(TimeNs delay, PipeEvent event) override {
+    engine_.ScheduleAfter(delay, [this, event] { sim_->Fire(event); });
+  }
+  void Send(int src, int dst, int64_t bytes, std::string name,
+            PipeEvent arrival) override {
+    LinkFor(src, dst)->Transfer(bytes, /*priority=*/0, std::move(name),
+                                [this, arrival] { sim_->Fire(arrival); });
+  }
+  TimeNs comm_busy() const override {
+    TimeNs total = 0;
+    for (const auto& [key, link] : links_) {
+      total += link->busy_time();
+    }
+    return total;
+  }
+
+ private:
+  Link* LinkFor(int src, int dst) {
+    const auto key = std::make_pair(src, dst);
+    auto it = links_.find(key);
+    if (it != links_.end()) {
+      return it->second.get();
+    }
+    auto link = std::make_unique<Link>(&engine_, LinkSpecFor(config_, src, dst),
+                                       kChunkBytes, trace_,
+                                       /*track=*/100 + src * 64 + dst);
+    Link* raw = link.get();
+    links_.emplace(key, std::move(link));
+    return raw;
+  }
+
+  const PipelineConfig& config_;
+  TraceRecorder* trace_;
+  PipeSim* sim_ = nullptr;
+  SimEngine engine_;
+  std::map<std::pair<int, int>, std::unique_ptr<Link>> links_;
+};
+
+// Exact message-level executor for untraced, unvalidated runs. Pipeline
+// links carry priority-0 transfers with no commit window, so a message holds
+// its link from its first chunk to its last and its chunk boundaries change
+// nothing but event order. The executor steps op completions and iteration
+// ends as EventBackend does, but steps each message once, at the completion
+// time ChunkTiming gives, and runs every event at its place in the event
+// path's (time, seq) order:
+//   * every event the executor steps gets a sequence number when it is
+//     drawn, in the event path's draw order (the shared PipeSim makes the
+//     same calls in the same order), and so does each message's first
+//     chunk;
+//   * a completion of a message of several chunks is drawn by its last
+//     chunk's start, a skipped event whose own draw chain runs back, one
+//     chunk at a time, to the first chunk;
+//   * Before() orders two events as SimEngine would: by time, then by
+//     sequence number, which follows the order in which the drawing events
+//     ran, so it walks both draw chains back until times or sequence
+//     numbers differ.
+// The executor adds the event path's event count, skipped chunks included,
+// to SimEngine's tally.
+class PipeExecutor final : public PipeBackend {
+ public:
+  explicit PipeExecutor(const PipelineConfig& config)
+      : config_(config),
+        links_(static_cast<size_t>(config.num_gpus) * config.num_gpus) {}
+
+  void Run(PipeSim* sim) override {
+    sim->Start();
+    uint64_t steps = 0;
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{this});
+      current_ = heap_.back();
+      heap_.pop_back();
+      const Event event = events_[current_];
+      now_ = event.node.time;
+      ++steps;
+      if (event.message < 0) {
+        sim->Fire(event.what);
+        continue;
+      }
+      // Link::StartNextChunk's completion: the message leaves the link, the
+      // arrival runs, then the next waiting message starts.
+      LinkState& link = links_[messages_[event.message].link];
+      const ChunkTiming& timing = messages_[event.message].timing;
+      busy_ += timing.End() - timing.ChunkEnd(1);
+      link.busy = false;
+      link.head = messages_[event.message].next;
+      if (link.head < 0) {
+        link.tail = -1;
+      }
+      sim->Fire(event.what);
+      StartHead(link);
+    }
+    SimEngine::AddProcessedEvents(steps + skipped_chunks_);
+  }
+
+  TimeNs now() const override { return now_; }
+
+  void Schedule(TimeNs delay, PipeEvent event) override {
+    Push(Event{{now_ + delay, next_seq_++, {current_, 0}}, event, -1});
+  }
+
+  void Send(int src, int dst, int64_t bytes, std::string /*name*/,
+            PipeEvent arrival) override {
+    const size_t index = static_cast<size_t>(src) * config_.num_gpus + dst;
+    LinkState& link = links_[index];
+    if (!link.spec.has_value()) {
+      link.spec = LinkSpecFor(config_, src, dst);
+    }
+    const int32_t m = static_cast<int32_t>(messages_.size());
+    messages_.push_back(Message{ChunkTiming(*link.spec, kChunkBytes, bytes),
+                                arrival, static_cast<int32_t>(index)});
+    if (link.tail >= 0) {
+      messages_[link.tail].next = m;
+    } else {
+      link.head = m;
+    }
+    link.tail = m;
+    StartHead(link);
+  }
+
+  // Link::busy_time() adds each chunk's time when the chunk starts. Chunk
+  // j + 1 of a message starts at the (skipped) end of chunk j, so a sending
+  // message counts the chunk ends that ran before the current event.
+  TimeNs comm_busy() const override {
+    TimeNs total = busy_;
+    for (const LinkState& link : links_) {
+      if (!link.busy) {
+        continue;
+      }
+      const Message& msg = messages_[link.head];
+      const ChunkTiming& timing = msg.timing;
+      const TimeNs since = now_ - msg.start - timing.latency;
+      if (timing.chunks == 1 || since < timing.full) {
+        continue;
+      }
+      int64_t ended = std::min<int64_t>(since / timing.full, timing.chunks - 1);
+      if (ended * timing.full == since &&
+          !Before({link.head, static_cast<int32_t>(ended)}, {current_, 0})) {
+        --ended;  // that chunk end shares the current event's nanosecond
+      }
+      total += timing.ChunkEnd(ended + 1) - timing.ChunkEnd(1);
+    }
+    return total;
+  }
+
+ private:
+  // Names an event of the event path. chunk == 0: events_[index], or the
+  // run's start (index -1), which precedes every event. chunk j > 0: the end
+  // of chunk j of messages_[index], 1 <= j < chunks, which the executor
+  // skips.
+  struct NodeRef {
+    int32_t index;
+    int32_t chunk;
+    bool operator==(const NodeRef&) const = default;
+  };
+  // An event's time and how it was drawn: `seq` is its executor sequence
+  // number, or 0 when a skipped chunk end drew it; `parent` is the event
+  // that drew it.
+  struct Node {
+    TimeNs time;
+    uint64_t seq;
+    NodeRef parent;
+  };
+  struct Event {
+    Node node;
+    PipeEvent what;
+    int32_t message;  // >= 0: this event completes messages_[message]
+  };
+  struct Message {
+    ChunkTiming timing;
+    PipeEvent arrival;
+    int32_t link;
+    int32_t next = -1;  // next message on the same link, FIFO
+    TimeNs start = -1;
+    uint64_t seq = 0;       // the first chunk's sequence number
+    int32_t drawer = -1;    // the event that started the message
+  };
+  // One direction of a GPU pair: a FIFO of messages from head to tail; the
+  // head is on the wire while `busy`.
+  struct LinkState {
+    std::optional<LinkSpec> spec;
+    int32_t head = -1;
+    int32_t tail = -1;
+    bool busy = false;
+  };
+
+  Node Resolve(NodeRef ref) const {
+    if (ref.chunk == 0) {
+      return ref.index < 0 ? Node{-1, 0, ref} : events_[ref.index].node;
+    }
+    const Message& msg = messages_[ref.index];
+    const TimeNs time = msg.start + msg.timing.ChunkEnd(ref.chunk);
+    return ref.chunk == 1 ? Node{time, msg.seq, {msg.drawer, 0}}
+                          : Node{time, 0, {ref.index, ref.chunk - 1}};
+  }
+
+  // Whether the event path runs `a` before `b`: SimEngine's (time, seq)
+  // order. A sequence number is drawn while its drawer runs, so two events
+  // at one time run in their drawers' order; only executor-drawn numbers
+  // compare directly.
+  bool Before(NodeRef a, NodeRef b) const {
+    while (!(a == b)) {
+      const Node x = Resolve(a);
+      const Node y = Resolve(b);
+      if (x.time != y.time) {
+        return x.time < y.time;
+      }
+      if (x.seq != 0 && y.seq != 0) {
+        return x.seq < y.seq;
+      }
+      a = x.parent;
+      b = y.parent;
+    }
+    return false;
+  }
+
+  // Heap order over events_ indices: the event the event path runs first
+  // is on top.
+  struct Later {
+    const PipeExecutor* exec;
+    bool operator()(int32_t a, int32_t b) const {
+      return exec->Before({b, 0}, {a, 0});
+    }
+  };
+
+  void Push(const Event& event) {
+    events_.push_back(event);
+    heap_.push_back(static_cast<int32_t>(events_.size() - 1));
+    std::push_heap(heap_.begin(), heap_.end(), Later{this});
+  }
+
+  // Link::RefillAndStart: an idle link starts its oldest waiting message.
+  // The first chunk's event is drawn now; the completion is stepped at
+  // ChunkTiming::End(), drawn by the last chunk's start.
+  void StartHead(LinkState& link) {
+    if (link.busy || link.head < 0) {
+      return;
+    }
+    link.busy = true;
+    Message& msg = messages_[link.head];
+    msg.start = now_;
+    msg.seq = next_seq_++;
+    msg.drawer = current_;
+    busy_ += msg.timing.ChunkEnd(1);
+    skipped_chunks_ += static_cast<uint64_t>(msg.timing.chunks - 1);
+    const TimeNs done = now_ + msg.timing.End();
+    Push(msg.timing.chunks == 1
+             ? Event{{done, msg.seq, {current_, 0}}, msg.arrival, link.head}
+             : Event{{done, 0,
+                      {link.head, static_cast<int32_t>(msg.timing.chunks - 1)}},
+                     msg.arrival, link.head});
+  }
+
+  const PipelineConfig& config_;
+  TimeNs now_ = 0;
+  int32_t current_ = -1;  // the event being stepped; -1 before the first
+  uint64_t next_seq_ = 1;
+  uint64_t skipped_chunks_ = 0;
+  // Link time of every started message's first chunk and of every
+  // completed message's other chunks.
+  TimeNs busy_ = 0;
+  std::vector<Event> events_;
+  std::vector<int32_t> heap_;  // pending events_, earliest on top
+  std::vector<Message> messages_;
+  std::vector<LinkState> links_;  // indexed src * num_gpus + dst
 };
 
 }  // namespace
@@ -653,6 +984,9 @@ PipelineResult PipelineEngine::Run(const NnModel& micro_model,
   ReplayStats& stats = replay_stats != nullptr ? *replay_stats : local_stats;
   stats = ReplayStats();
   stats.total_iterations = iterations;
+  // The executor reproduces the event path bit for bit; only the event
+  // path emits trace events and builds Links the SimValidator can observe.
+  stats.executor = trace == nullptr && ActiveHwValidationHooks() == nullptr;
 
   // Replay window: pipeline-fill warm-up + 3 detection iterations + guard
   // tail. The pipe takes about num_gpus iterations to fill, and the
@@ -705,11 +1039,15 @@ PipelineResult PipelineEngine::Run(const NnModel& micro_model,
   // extrapolated totals are exact). fwd_start/wgrad_done describe iteration
   // 0, which a truncated run reproduces exactly.
   const auto run_once = [&](int iters, bool extrapolate) {
-    SimEngine engine;
-    PipeSim sim(&engine, config_, micro_model, graph, cost, assignment,
+    std::unique_ptr<PipeBackend> backend;
+    if (stats.executor) {
+      backend = std::make_unique<PipeExecutor>(config_);
+    } else {
+      backend = std::make_unique<EventBackend>(config_, trace);
+    }
+    PipeSim sim(backend.get(), config_, micro_model, graph, cost, assignment,
                 strategy, iters, trace);
-    sim.Start();
-    engine.Run();
+    backend->Run(&sim);
     TimeNs period = 0;
     TimeNs compute_delta = 0;
     TimeNs comm_delta = 0;

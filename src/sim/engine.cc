@@ -9,12 +9,11 @@ namespace oobp {
 namespace {
 // Flushed (not incremented per event) so the hot path stays atomic-free.
 std::atomic<uint64_t> g_total_processed{0};
+thread_local uint64_t t_processed = 0;
 constexpr size_t kAry = 4;  // heap fan-out; shallow trees, cache-dense sifts
 }  // namespace
 
-SimEngine::~SimEngine() {
-  g_total_processed.fetch_add(processed_, std::memory_order_relaxed);
-}
+SimEngine::~SimEngine() { AddProcessedEvents(processed_); }
 
 uint64_t SimEngine::TotalProcessedEvents() {
   return g_total_processed.load(std::memory_order_relaxed);
@@ -22,7 +21,10 @@ uint64_t SimEngine::TotalProcessedEvents() {
 
 void SimEngine::AddProcessedEvents(uint64_t events) {
   g_total_processed.fetch_add(events, std::memory_order_relaxed);
+  t_processed += events;
 }
+
+uint64_t SimEngine::ThreadProcessedEvents() { return t_processed; }
 
 uint32_t SimEngine::AcquireSlot() {
   if (free_head_ != kNone) {

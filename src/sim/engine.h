@@ -70,15 +70,20 @@ class SimEngine {
 
   // Process-wide count of events processed by engines that have been
   // destroyed (each engine flushes its tally in its destructor). The tally
-  // is an atomic: engines may be destroyed concurrently on sharded-sim
-  // worker threads or the bench/fuzz pools. The perf harness reads deltas
-  // of this around scenario runs; simulation results never depend on it.
+  // is an atomic: engines may be destroyed concurrently on the bench, fuzz
+  // and search worker pools. The perf harness reads deltas of this around
+  // scenario runs; simulation results never depend on it.
   static uint64_t TotalProcessedEvents();
 
   // Adds `events` to that tally on behalf of a simulation that processes
-  // its events without an engine (the single-GPU executor, DESIGN.md §6.3),
-  // so event counts do not depend on which producer ran.
+  // its events without an engine (the single-GPU and pipeline executors,
+  // DESIGN.md §6.3), so event counts do not depend on which producer ran.
   static void AddProcessedEvents(uint64_t events);
+
+  // The calling thread's share of that tally. A simulation runs on one
+  // thread, so deltas of this count one run exactly even while other
+  // threads' engines flush theirs (the fuzzer's --jobs pool).
+  static uint64_t ThreadProcessedEvents();
 
   // Schedules `cb` at absolute time `t`; `t` must not be in the past. The
   // returned handle may be ignored, or kept to Cancel() the event later.

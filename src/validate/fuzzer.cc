@@ -23,8 +23,10 @@
 #include "src/hw/gpu_spec.h"
 #include "src/hw/link.h"
 #include "src/nn/layer_builder.h"
+#include "src/nn/model_zoo.h"
 #include "src/nn/train_graph.h"
 #include "src/runner/glob.h"
+#include "src/runtime/pipeline_engine.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/serve/fleet_engine.h"
 #include "src/serve/serve_engine.h"
@@ -762,6 +764,181 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Pipeline executor vs event path: one random pipeline config per seed, run
+// inside a ValidationScope (SimEngine + Link events; the validator must stay
+// clean) and outside it (the exact message-level executor). Every result
+// field, the replay outcome and the event count must agree bit for bit.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
+  // Its own stream, so the other families' draws do not move. The seed is
+  // mixed first: Rng(s + 1) would replay Rng(s)'s draws shifted by one.
+  Rng rng(Rng(seed ^ 0x919E).NextU64());
+  constexpr PipelineStrategy kStrategies[] = {
+      PipelineStrategy::kGPipe,     PipelineStrategy::kDapple,
+      PipelineStrategy::kPipeDream, PipelineStrategy::kMegatron,
+      PipelineStrategy::kMegatronFF, PipelineStrategy::kOooPipe1,
+      PipelineStrategy::kOooPipe2};
+  const PipelineStrategy strategy = kStrategies[rng.NextBelow(7)];
+
+  NnModel model;
+  const int batch = 2 << rng.NextBelow(6);  // 2..64
+  switch (rng.NextBelow(4)) {
+    case 0:
+      model = Ffnn(4 + static_cast<int>(rng.NextBelow(13)), batch,
+                   512 << rng.NextBelow(4));
+      break;
+    case 1:
+      model = Bert(rng.NextBelow(2) == 0 ? 12 : 24, batch);
+      break;
+    case 2:
+      model = RnnModel(4 + static_cast<int>(rng.NextBelow(9)), batch);
+      break;
+    default:
+      model = RandomModel(rng);
+      break;
+  }
+
+  PipelineConfig config;
+  config.cluster = rng.NextBelow(2) == 0 ? ClusterSpec::PubB(1)
+                                         : ClusterSpec::PubA(2);
+  config.num_gpus = 1 + static_cast<int>(rng.NextBelow(8));
+  config.num_micro_batches = 1 + static_cast<int>(rng.NextBelow(8));
+  config.reverse_first_k =
+      static_cast<int>(rng.NextBelow(static_cast<uint64_t>(
+          model.num_layers() + 1)));
+  // Unit-time mode drops layer 0's dO, which stalls PipeDream's in-flight
+  // cap, so only flush strategies draw it.
+  if (rng.NextBelow(4) == 0 && strategy != PipelineStrategy::kPipeDream) {
+    config.unit_time = Us(1 + static_cast<int64_t>(rng.NextBelow(1000)));
+  }
+  switch (rng.NextBelow(5)) {
+    case 0:
+      break;  // the cluster's own links
+    case 1:
+      config.use_link_override = true;
+      config.link_override = LinkSpec::Eth10G();
+      break;
+    case 2:
+      // Ideal: every 256 KiB chunk takes 1 ns.
+      config.use_link_override = true;
+      config.link_override = {"ideal-1ns-chunk", 1e6, 0};
+      break;
+    case 3:
+      config.use_link_override = true;
+      config.link_override = {"slow", rng.Uniform(0.02, 0.5),
+                              Us(100 + static_cast<int64_t>(
+                                           rng.NextBelow(2000)))};
+      break;
+    default:
+      config.use_link_override = true;
+      config.link_override = {"random", rng.Uniform(0.5, 100.0),
+                              static_cast<TimeNs>(rng.NextBelow(30001))};
+      break;
+  }
+  config.measured_iterations =
+      rng.NextBelow(2) == 0 ? 1 + static_cast<int>(rng.NextBelow(3))
+                            : 16 + static_cast<int>(rng.NextBelow(15));
+  // At most one GPU per layer, and fewer until the strategy's assignment
+  // gives each GPU a layer.
+  config.num_gpus = std::min(config.num_gpus, model.num_layers());
+  while (config.num_gpus > 1 &&
+         !AssignmentCoversAllGpus(
+             PipelineEngine(config).AssignmentFor(model, strategy),
+             config.num_gpus)) {
+    --config.num_gpus;
+  }
+
+  const std::string what = StrFormat(
+      "seed %llu: pipeline %s, %s (%d layers), %d GPUs, M=%d, link %s, "
+      "unit %lld, k=%d, %d measured: ",
+      static_cast<unsigned long long>(seed), PipelineStrategyName(strategy),
+      model.name.c_str(), model.num_layers(), config.num_gpus,
+      config.num_micro_batches,
+      config.use_link_override ? config.link_override.name.c_str()
+                               : config.cluster.name.c_str(),
+      static_cast<long long>(config.unit_time), config.reverse_first_k,
+      config.measured_iterations);
+  auto fail = [errors, &what](const std::string& msg) {
+    errors->push_back(what + msg);
+  };
+
+  const PipelineEngine engine(config);
+  struct Run {
+    PipelineResult result;
+    ReplayStats stats;
+    uint64_t events = 0;
+  };
+  auto run = [&engine, &model, strategy] {
+    Run r;
+    const uint64_t before = SimEngine::ThreadProcessedEvents();
+    r.result = engine.Run(model, strategy, nullptr, &r.stats);
+    r.events = SimEngine::ThreadProcessedEvents() - before;
+    return r;
+  };
+  SimValidator validator;
+  Run event;
+  {
+    ValidationScope scope(&validator);
+    event = run();
+  }
+  if (!validator.ok()) {
+    fail("event path: " + validator.Summary());
+  }
+  const Run exec = run();
+  if (event.stats.executor || !exec.stats.executor) {
+    fail("wrong producer (executor outside the validator, event path "
+         "inside)");
+  }
+
+  const TrainMetrics& a = exec.result.metrics;
+  const TrainMetrics& b = event.result.metrics;
+  if (a.iteration_time != b.iteration_time ||
+      !SameBits(a.throughput, b.throughput) ||
+      !SameBits(a.gpu_utilization, b.gpu_utilization) ||
+      !SameBits(a.comm_comp_ratio, b.comm_comp_ratio) ||
+      a.peak_memory_bytes != b.peak_memory_bytes || a.oom != b.oom) {
+    fail(StrFormat("executor metrics differ from the event path (iteration "
+                   "%lld vs %lld, utilization %.17g vs %.17g, comm/comp "
+                   "%.17g vs %.17g)",
+                   static_cast<long long>(a.iteration_time),
+                   static_cast<long long>(b.iteration_time),
+                   a.gpu_utilization, b.gpu_utilization, a.comm_comp_ratio,
+                   b.comm_comp_ratio));
+  }
+  if (exec.result.assignment != event.result.assignment ||
+      exec.result.weight_versions != event.result.weight_versions ||
+      exec.result.per_gpu_peak_memory != event.result.per_gpu_peak_memory ||
+      !SameBits(exec.result.comm_comp_ratio, event.result.comm_comp_ratio) ||
+      exec.result.fwd_start != event.result.fwd_start ||
+      exec.result.wgrad_done != event.result.wgrad_done) {
+    fail("executor result fields (assignment, versions, per-GPU peaks, "
+         "fwd_start, wgrad_done) differ from the event path");
+  }
+  if (exec.stats.attempted != event.stats.attempted ||
+      exec.stats.replayed != event.stats.replayed ||
+      exec.stats.simulated_iterations != event.stats.simulated_iterations ||
+      exec.stats.total_iterations != event.stats.total_iterations ||
+      exec.stats.fallback_reason != event.stats.fallback_reason) {
+    fail(StrFormat("replay outcome differs (replayed %d vs %d, simulated %d "
+                   "vs %d, reason '%s' vs '%s')",
+                   exec.stats.replayed, event.stats.replayed,
+                   exec.stats.simulated_iterations,
+                   event.stats.simulated_iterations,
+                   exec.stats.fallback_reason.c_str(),
+                   event.stats.fallback_reason.c_str()));
+  }
+  if (exec.events != event.events) {
+    fail(StrFormat("executor counted %llu events, the event path %llu",
+                   static_cast<unsigned long long>(exec.events),
+                   static_cast<unsigned long long>(event.events)));
+  }
+}
+
 }  // namespace
 
 void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
@@ -947,6 +1124,9 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
   if (on("search") && seed % 2 == 1) {
     SearchFuzz(rng, seed, errors);
   }
+  if (on("pipeline")) {
+    PipelineFuzz(seed, errors);
+  }
 }
 
 void FuzzOneSeed(uint64_t seed, bool include_serve,
@@ -1031,20 +1211,34 @@ int FuzzMain(int argc, char** argv) {
       const size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    // A numeric flag's value, as --flag=V or --flag V, must parse whole;
+    // anything else exits 2 naming the flag. Returns false when `arg` is
+    // not `flag`.
+    bool bad_number = false;
+    auto number = [&](const char* flag, auto* out) {
+      const std::string eq = std::string(flag) + "=";
+      const char* v = value_of(eq.c_str());
+      if (v == nullptr && arg == flag && i + 1 < argc) {
+        v = argv[++i];
+      }
+      if (v == nullptr) {
+        return false;
+      }
+      if (!ParseWhole(v, out)) {
+        std::fprintf(stderr, "fuzz: %s needs an integer, got '%s'\n", flag,
+                     v);
+        bad_number = true;
+      }
+      return true;
+    };
     if (arg == "fuzz") {
       continue;  // subcommand token forwarded by the oobp driver
-    } else if (const char* v = value_of("--seeds=")) {
-      opts.num_seeds = std::atoi(v);
-    } else if (arg == "--seeds" && i + 1 < argc) {
-      opts.num_seeds = std::atoi(argv[++i]);
-    } else if (const char* v2 = value_of("--base-seed=")) {
-      opts.base_seed = static_cast<uint64_t>(std::atoll(v2));
-    } else if (arg == "--base-seed" && i + 1 < argc) {
-      opts.base_seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (const char* v3 = value_of("--jobs=")) {
-      opts.jobs = std::atoi(v3);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      opts.jobs = std::atoi(argv[++i]);
+    } else if (number("--seeds", &opts.num_seeds) ||
+               number("--base-seed", &opts.base_seed) ||
+               number("--jobs", &opts.jobs)) {
+      if (bad_number) {
+        return 2;
+      }
     } else if (const char* v4 = value_of("--checks=")) {
       opts.checks = v4;
     } else if (arg == "--checks" && i + 1 < argc) {
@@ -1061,7 +1255,7 @@ int FuzzMain(int argc, char** argv) {
                    "  --jobs=N       seeds per thread pool; 0 = all cores\n"
                    "  --checks=GLOBS comma-separated globs over families\n"
                    "                 schedule,memory,train,dag,link,serve,"
-                   "fleet,search\n");
+                   "fleet,search,pipeline\n");
       return 2;
     }
   }

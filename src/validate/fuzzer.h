@@ -32,7 +32,15 @@
 //     differential searched-vs-MakeOooSchedule execution under the
 //     SimValidator; a warm analytic evaluator walked through single-gene
 //     mutations of the searched genotype must match the simulator's time
-//     and memory peak bit for bit at every step.
+//     and memory peak bit for bit at every step;
+//   * fuzzes the pipeline engine's two producers (DESIGN.md §6.3): a random
+//     strategy, GPU count, micro-batch count, zoo or random model,
+//     unit-time mode, link (an ideal link with 1-ns chunks and a slow,
+//     high-latency one among them), reverse-first-k and run length, run
+//     under the SimValidator on the event path and again on the exact
+//     message-level executor; every result field, the replay outcome and
+//     the event count must match bit for bit. The family draws from its own
+//     Rng, so selecting it moves no other family's draws.
 //
 // All randomness flows from the seed through the repo's splitmix64 Rng, so
 // a failure reproduces with `oobp fuzz --seeds 1 --base-seed <seed>`.
@@ -56,10 +64,10 @@ struct FuzzOptions {
   // and the merged report is byte-identical for any jobs value.
   int jobs = 1;
   // Comma-separated glob list over check families: "schedule", "memory",
-  // "train", "dag", "link", "serve", "fleet", "search". A skipped family
-  // also skips
-  // its random draws, so repros must pass the same --checks value as the
-  // failing run.
+  // "train", "dag", "link", "serve", "fleet", "search", "pipeline". A
+  // skipped family also skips its random draws, so repros must pass the
+  // same --checks value as the failing run ("pipeline" draws from its own
+  // stream and repeats under any --checks).
   std::string checks = "*";
 };
 
@@ -84,7 +92,8 @@ void FuzzOneSeed(uint64_t seed, bool include_serve,
 
 // `oobp fuzz` entry point: parses --seeds=N, --base-seed=N, --jobs=N,
 // --checks=GLOBS, --no-serve, --verbose. Returns 0 on a clean run, 1 on
-// check failures, 2 on bad usage.
+// check failures, 2 on bad usage, including a number that does not parse
+// whole (ParseWhole in src/common/str_util.h).
 int FuzzMain(int argc, char** argv);
 
 }  // namespace oobp

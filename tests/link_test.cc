@@ -224,5 +224,31 @@ TEST(LinkTest, ManyConcurrentTransfersAllComplete) {
   EXPECT_EQ(completed, 100);
 }
 
+// ChunkTiming is the schedule Link gives a message nothing outranks: every
+// chunk end, the completion, the busy time and the event count (one per
+// chunk) agree with a real run, for short, exact-multiple and ragged sizes.
+TEST(ChunkTimingTest, MatchesALoneMessageOnALink) {
+  const LinkSpec spec = TestSpec(/*gbps=*/3.0, /*latency=*/70);
+  for (const int64_t bytes : {1, 99, 100, 101, 250, 1000, 1234}) {
+    SimEngine engine;
+    Link link(&engine, spec, /*chunk_bytes=*/100);
+    TimeNs done = -1;
+    link.Transfer(bytes, 0, "m", [&] { done = engine.now(); });
+    std::vector<TimeNs> chunk_ends;
+    while (engine.Step()) {
+      chunk_ends.push_back(engine.now());
+    }
+    const ChunkTiming timing(spec, 100, bytes);
+    ASSERT_EQ(static_cast<int64_t>(chunk_ends.size()), timing.chunks)
+        << bytes;
+    for (int64_t j = 1; j <= timing.chunks; ++j) {
+      EXPECT_EQ(chunk_ends[static_cast<size_t>(j - 1)], timing.ChunkEnd(j))
+          << bytes << " bytes, chunk " << j;
+    }
+    EXPECT_EQ(done, timing.End()) << bytes;
+    EXPECT_EQ(link.busy_time(), timing.End()) << bytes;
+  }
+}
+
 }  // namespace
 }  // namespace oobp

@@ -50,6 +50,28 @@ TEST(OobpCliTest, MalformedIntegerFlagIsAUsageErrorNamingTheFlag) {
   }
 }
 
+TEST(OobpCliTest, FuzzRejectsMalformedNumbersNamingTheFlag) {
+  for (const std::string flag :
+       {"--seeds=2x", "--jobs=abc", "--base-seed=-", "--base-seed=1e3",
+        "--seeds 2x", "--jobs ''"}) {
+    const CliRun run = RunOobp("fuzz --checks=link " + flag);
+    EXPECT_EQ(run.exit_code, 2) << flag << ":\n" << run.output;
+    const std::string name = flag.substr(0, flag.find_first_of("= "));
+    EXPECT_NE(run.output.find(name), std::string::npos) << run.output;
+  }
+}
+
+TEST(OobpCliTest, FuzzTakesWholeNumbersInBothForms) {
+  const CliRun run =
+      RunOobp("fuzz --seeds 2 --base-seed=18446744073709551615 --jobs=1 "
+              "--checks=link");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("2 seed(s), 0 failed (base seed "
+                            "18446744073709551615)"),
+            std::string::npos)
+      << run.output;
+}
+
 // Search has one scoring pipeline, so the flag that chose one is gone.
 TEST(OobpCliTest, RemovedEvalFlagIsUnknown) {
   const CliRun run = RunOobp("search --model=ffnn --eval=two-tier");

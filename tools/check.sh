@@ -28,7 +28,11 @@
 #      and 2000 ASan seeds of the train family (each seed's conventional
 #      and ooo runs, short and replayed, under the validator on the event
 #      path, then again on the exact single-GPU executor: metrics must
-#      match bit for bit, replay outcomes exactly; see DESIGN.md §6.3).
+#      match bit for bit, replay outcomes exactly; see DESIGN.md §6.3),
+#      and 2000 ASan seeds of the pipeline family (a random pipeline
+#      config under the validator on the event path, then on the exact
+#      message-level executor: every result field, the replay outcome and
+#      the event count must match bit for bit).
 #   7. ThreadSanitizer build (-DOOBP_SANITIZE_THREAD=ON) of what still
 #      starts threads: search_threads_identity_test (the search portfolio's
 #      worker pool at threads 1/4/8), event_heap_test (the process-wide
@@ -105,7 +109,7 @@ ctest --test-dir "${BUILD_DIR}" -L fleet --output-on-failure
 "${BUILD_DIR}/tools/oobp" bench --filter 'fleet_*,cluster_*' --jobs 0 \
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
-# --- Tier 6: fuzz smoke: validator replay + 200 seeds under ASan ----------
+# --- Tier 6: fuzz smoke: validator replay + ASan fuzz seeds ---------------
 ctest --test-dir "${BUILD_DIR}" -L validate --output-on-failure
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0
@@ -114,6 +118,9 @@ ctest --test-dir "${BUILD_DIR}" -L validate --output-on-failure
     --checks=fleet
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 --checks=train
+
+"${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 \
+    --checks=pipeline
 
 # --- Tier 7: TSan build: worker pools and the event tally ----------------
 cmake -S "${REPO_ROOT}" -B "${TSAN_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -44,6 +44,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/str_util.h"
 #include "src/core/corun_profiler.h"
 #include "src/core/joint_scheduler.h"
 #include "src/core/k_search.h"
@@ -51,7 +52,6 @@
 #include "src/core/reverse_k.h"
 #include "src/core/schedule_io.h"
 #include "src/nn/model_zoo.h"
-#include "src/runner/registry.h"
 #include "src/runner/runner.h"
 #include "src/runtime/data_parallel_engine.h"
 #include "src/runtime/hybrid_engine.h"
@@ -93,7 +93,7 @@ class Flags {
       return def;
     }
     int value = 0;
-    if (!ParseInt(it->second, &value)) {
+    if (!ParseWhole(it->second, &value)) {
       std::fprintf(stderr, "--%s needs an integer, got '%s'\n", key.c_str(),
                    it->second.c_str());
       std::exit(2);
@@ -469,7 +469,8 @@ int Usage() {
       "            cluster; golden comparison and the perf harness\n"
       "            (`bench --help` lists its flags)\n"
       "  fuzz      seeded differential fuzzer over schedules, memory,\n"
-      "            training, DAG, link, serving, and fleet checkers\n"
+      "            training, DAG, link, serving, fleet, search and\n"
+      "            pipeline checkers\n"
       "            (`fuzz --help` lists its flags)\n"
       "\n"
       "see the header comment of tools/oobp_sim.cc for per-mode flags\n");
