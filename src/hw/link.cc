@@ -18,15 +18,10 @@ LinkSpec LinkSpec::Eth25G() { return {"25GbE", 3.125, Us(25)}; }
 Link::Link(SimEngine* engine, LinkSpec spec, int64_t chunk_bytes,
            TraceRecorder* trace, int track, int64_t commit_window_bytes)
     : engine_(engine),
-      spec_(std::move(spec)),
-      chunk_bytes_(chunk_bytes),
+      queue_(spec, chunk_bytes, commit_window_bytes),
       trace_(trace),
-      track_(track),
-      commit_window_bytes_(commit_window_bytes) {
+      track_(track) {
   OOBP_CHECK(engine != nullptr);
-  OOBP_CHECK_GT(spec_.bandwidth_gbps, 0.0);
-  OOBP_CHECK_GT(chunk_bytes, 0);
-  OOBP_CHECK_GE(commit_window_bytes, 0);
   if (HwValidationHooks* hooks = ActiveHwValidationHooks()) {
     hooks->OnLinkCreated(this);
   }
@@ -58,8 +53,17 @@ ChunkTiming::ChunkTiming(const LinkSpec& spec, int64_t chunk_bytes,
   last = SerializationTime(spec, bytes - (chunks - 1) * chunk_bytes);
 }
 
-Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,
-                                std::function<void()> on_complete) {
+LinkQueue::LinkQueue(const LinkSpec& spec, int64_t chunk_bytes,
+                     int64_t commit_window_bytes)
+    : spec_(spec),
+      chunk_bytes_(chunk_bytes),
+      commit_window_bytes_(commit_window_bytes) {
+  OOBP_CHECK_GT(spec_.bandwidth_gbps, 0.0);
+  OOBP_CHECK_GT(chunk_bytes, 0);
+  OOBP_CHECK_GE(commit_window_bytes, 0);
+}
+
+LinkQueue::TransferId LinkQueue::Submit(int64_t bytes, int priority) {
   OOBP_CHECK_GT(bytes, 0);
   const TransferId id = next_id_++;
   Message msg;
@@ -67,10 +71,74 @@ Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,
   msg.total = bytes;
   msg.priority = priority;
   msg.seq = id;
-  msg.name = std::move(name);
-  msg.on_complete = std::move(on_complete);
-  pending_.emplace(std::make_pair(priority, id), std::move(msg));
-  done_.push_back(false);
+  pending_.emplace(std::make_pair(priority, id), msg);
+  return id;
+}
+
+TimeNs LinkQueue::RefillAndStart(TimeNs now) {
+  // Draw the highest-priority pending messages into the committed FIFO. With
+  // no window configured, commit one message at a time so each chunk
+  // boundary re-consults the priority queue (full preemptibility).
+  if (commit_window_bytes_ == 0) {
+    if (committed_.empty() && !pending_.empty()) {
+      committed_.push_back(pending_.begin()->second);
+      committed_bytes_ += committed_.back().remaining;
+      pending_.erase(pending_.begin());
+    }
+  } else {
+    while (!pending_.empty() && committed_bytes_ < commit_window_bytes_) {
+      committed_.push_back(pending_.begin()->second);
+      committed_bytes_ += committed_.back().remaining;
+      pending_.erase(pending_.begin());
+    }
+  }
+  if (busy_ || committed_.empty()) {
+    return -1;
+  }
+  busy_ = true;
+  Message& msg = committed_.front();
+  chunk_on_wire_ = std::min<int64_t>(chunk_bytes_, msg.remaining);
+  TimeNs duration = SerializationTime(spec_, chunk_on_wire_);
+  if (!msg.latency_paid) {
+    duration += spec_.latency;
+    msg.latency_paid = true;
+    msg.first_start = now;
+  }
+  busy_time_ += duration;
+  return duration;
+}
+
+bool LinkQueue::EndChunk(Completion* done) {
+  OOBP_CHECK(busy_);
+  OOBP_CHECK(!committed_.empty());
+  busy_ = false;
+  Message& m = committed_.front();
+  m.remaining -= chunk_on_wire_;
+  committed_bytes_ -= chunk_on_wire_;
+  if (m.remaining <= 0) {
+    *done = Completion{m.seq, m.total, m.first_start};
+    committed_.pop_front();
+    return true;
+  }
+  if (commit_window_bytes_ == 0 && !pending_.empty() &&
+      pending_.begin()->first < std::make_pair(m.priority, m.seq)) {
+    // Fully preemptible mode: a pending transfer outranks the partially
+    // sent message, so return the message to the priority queue and let
+    // the refill cut the newcomer in at the chunk boundary. When nothing
+    // outranks it, the refill would pick the message straight back; it
+    // stays at the head instead, and its next chunk starts from the same
+    // refill either way.
+    committed_bytes_ -= m.remaining;
+    pending_.emplace(std::make_pair(m.priority, m.seq), m);
+    committed_.pop_front();
+  }
+  return false;
+}
+
+Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,
+                                std::function<void()> on_complete) {
+  const TransferId id = queue_.Submit(bytes, priority);
+  records_.push_back(Record{std::move(name), std::move(on_complete), false});
   if (observer_ != nullptr) {
     observer_->OnTransferSubmitted(*this, id, bytes, priority);
   }
@@ -79,89 +147,43 @@ Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,
 }
 
 bool Link::Done(TransferId id) const {
-  OOBP_CHECK(id >= 1 && id < next_id_) << "unknown transfer id " << id;
-  return done_[static_cast<size_t>(id - 1)];
+  OOBP_CHECK(id >= 1 && id <= static_cast<TransferId>(records_.size()))
+      << "unknown transfer id " << id;
+  return records_[static_cast<size_t>(id - 1)].done;
 }
 
 void Link::RefillAndStart() {
-  // Draw the highest-priority pending messages into the committed FIFO. With
-  // no window configured, commit one message at a time so each chunk
-  // boundary re-consults the priority queue (full preemptibility).
-  if (commit_window_bytes_ == 0) {
-    if (committed_.empty() && !pending_.empty()) {
-      committed_.push_back(std::move(pending_.begin()->second));
-      committed_bytes_ += committed_.back().remaining;
-      pending_.erase(pending_.begin());
-    }
-  } else {
-    while (!pending_.empty() && committed_bytes_ < commit_window_bytes_) {
-      committed_.push_back(std::move(pending_.begin()->second));
-      committed_bytes_ += committed_.back().remaining;
-      pending_.erase(pending_.begin());
-    }
+  const TimeNs duration = queue_.RefillAndStart(engine_->now());
+  if (duration >= 0) {
+    engine_->ScheduleAfter(duration, [this] { OnChunkEnd(); });
   }
-  StartNextChunk();
 }
 
-void Link::StartNextChunk() {
-  if (busy_ || committed_.empty()) {
-    return;
-  }
-  busy_ = true;
-  Message& msg = committed_.front();
-
-  const int64_t chunk = std::min<int64_t>(chunk_bytes_, msg.remaining);
-  TimeNs duration = SerializationTime(chunk);
-  if (!msg.latency_paid) {
-    duration += spec_.latency;
-    msg.latency_paid = true;
-    msg.first_start = engine_->now();
-  }
-  busy_time_ += duration;
-
-  engine_->ScheduleAfter(duration, [this, chunk] {
-    busy_ = false;
-    OOBP_CHECK(!committed_.empty());
-    Message& m = committed_.front();
-    m.remaining -= chunk;
-    committed_bytes_ -= chunk;
-    if (m.remaining <= 0) {
-      if (trace_ != nullptr) {
-        TraceEvent ev;
-        ev.name = m.name;
-        ev.category = "comm";
-        ev.track = track_;
-        ev.start = m.first_start;
-        ev.duration = engine_->now() - m.first_start;
-        ev.args["bytes"] = std::to_string(m.total);
-        trace_->Add(ev);
-      }
-      done_[static_cast<size_t>(m.seq - 1)] = true;
-      ++completed_count_;
-      if (observer_ != nullptr) {
-        observer_->OnTransferCompleted(*this, m.seq);
-      }
-      auto cb = std::move(m.on_complete);
-      committed_.pop_front();
-      if (cb) {
-        cb();
-      }
-    } else if (commit_window_bytes_ == 0 && !pending_.empty() &&
-               pending_.begin()->first < std::make_pair(m.priority, m.seq)) {
-      // Fully preemptible mode: a pending transfer outranks the partially
-      // sent message, so return the message to the priority queue and let
-      // the refill below cut the newcomer in at the chunk boundary. When
-      // nothing outranks it, the refill would pick the message straight
-      // back; it stays at the head instead, and the next chunk is scheduled
-      // by the same ScheduleAfter call either way.
-      Message back = std::move(committed_.front());
-      committed_.pop_front();
-      committed_bytes_ -= back.remaining;
-      pending_.emplace(std::make_pair(back.priority, back.seq),
-                       std::move(back));
+void Link::OnChunkEnd() {
+  LinkQueue::Completion done;
+  if (queue_.EndChunk(&done)) {
+    Record& record = records_[static_cast<size_t>(done.id - 1)];
+    if (trace_ != nullptr) {
+      TraceEvent ev;
+      ev.name = record.name;
+      ev.category = "comm";
+      ev.track = track_;
+      ev.start = done.first_start;
+      ev.duration = engine_->now() - done.first_start;
+      ev.args["bytes"] = std::to_string(done.bytes);
+      trace_->Add(ev);
     }
-    RefillAndStart();
-  });
+    record.done = true;
+    if (observer_ != nullptr) {
+      observer_->OnTransferCompleted(*this, done.id);
+    }
+    // The callback may submit transfers, which can grow records_.
+    const std::function<void()> cb = std::move(record.on_complete);
+    if (cb) {
+      cb();
+    }
+  }
+  RefillAndStart();
 }
 
 }  // namespace oobp

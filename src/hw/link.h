@@ -64,6 +64,72 @@ struct ChunkTiming {
   TimeNs last = 0;  // the last (possibly short) chunk
 };
 
+// Link's transmission policy without a clock: the priority backlog, the
+// committed FIFO bounded by the commit window (see Link's constructor), the
+// chunk boundary's in-place rule and the busy-time accounting. Link drives it
+// from SimEngine events; the data-parallel executor drives it from one event
+// slot (DESIGN.md §6.3). Each call is one step of Link's, so a driver that
+// makes the same calls at the same times reproduces Link exactly.
+class LinkQueue {
+ public:
+  using TransferId = int64_t;
+
+  LinkQueue(const LinkSpec& spec, int64_t chunk_bytes,
+            int64_t commit_window_bytes);
+
+  // Queues a transfer of `bytes` (> 0); lower `priority` values transmit
+  // first, ties in submission order. Ids are dense from 1.
+  TransferId Submit(int64_t bytes, int priority);
+
+  // Moves backlog messages into the committed FIFO while the window has
+  // room, then, if the wire is idle, puts the committed head's next chunk on
+  // it. Returns that chunk's duration (the latency included for a message's
+  // first chunk, which `now` stamps), or -1 when no chunk starts.
+  TimeNs RefillAndStart(TimeNs now);
+
+  // A message whose last chunk has left the wire.
+  struct Completion {
+    TransferId id = 0;
+    int64_t bytes = 0;
+    TimeNs first_start = 0;  // when its first chunk started
+  };
+  // Ends the chunk on the wire. Returns true and fills `done` when it was
+  // its message's last chunk; otherwise, with no commit window, returns the
+  // message to the backlog if a pending message outranks it. The caller
+  // then calls RefillAndStart.
+  bool EndChunk(Completion* done);
+
+  bool busy() const { return busy_; }
+  size_t pending() const { return pending_.size(); }
+  // Time of every chunk started so far, counted when the chunk starts.
+  TimeNs busy_time() const { return busy_time_; }
+  const LinkSpec& spec() const { return spec_; }
+
+ private:
+  struct Message {
+    int64_t remaining = 0;
+    int64_t total = 0;
+    int priority = 0;
+    TransferId seq = 0;
+    TimeNs first_start = -1;
+    bool latency_paid = false;
+  };
+
+  LinkSpec spec_;
+  int64_t chunk_bytes_;
+  int64_t commit_window_bytes_;
+
+  bool busy_ = false;
+  int64_t chunk_on_wire_ = 0;
+  TimeNs busy_time_ = 0;
+  TransferId next_id_ = 1;
+  // Priority-ordered backlog, keyed by (priority, seq).
+  std::map<std::pair<int, TransferId>, Message> pending_;
+  // Non-preemptible committed region (FIFO), bounded by the commit window.
+  std::deque<Message> committed_;
+  int64_t committed_bytes_ = 0;
+};
+
 class Link;
 
 // Passive per-transfer observer, attached by the validation layer (see
@@ -111,10 +177,10 @@ class Link {
                       std::function<void()> on_complete);
 
   bool Done(TransferId id) const;
-  bool idle() const { return !busy_; }
-  size_t pending() const { return pending_.size(); }
-  TimeNs busy_time() const { return busy_time_; }
-  const LinkSpec& spec() const { return spec_; }
+  bool idle() const { return !queue_.busy(); }
+  size_t pending() const { return queue_.pending(); }
+  TimeNs busy_time() const { return queue_.busy_time(); }
+  const LinkSpec& spec() const { return queue_.spec(); }
   const SimEngine& engine() const { return *engine_; }
 
   // At most one observer; pass nullptr to detach. Normally installed through
@@ -123,44 +189,26 @@ class Link {
 
   // Nanoseconds to move `bytes` at link bandwidth (excluding latency).
   TimeNs SerializationTime(int64_t bytes) const {
-    return oobp::SerializationTime(spec_, bytes);
+    return oobp::SerializationTime(spec(), bytes);
   }
 
  private:
-  struct Message {
-    int64_t remaining = 0;
-    int64_t total = 0;
-    int priority = 0;
-    TransferId seq = 0;
+  // What Link keeps per transfer beside the queue, indexed by id - 1.
+  struct Record {
     std::string name;
-    TimeNs first_start = -1;
-    bool latency_paid = false;
     std::function<void()> on_complete;
+    bool done = false;
   };
 
-  // Moves messages from the priority queue into the committed FIFO while the
-  // window has room, then transmits the committed head.
+  // Starts the next chunk if the queue has one for an idle wire.
   void RefillAndStart();
-  void StartNextChunk();
+  void OnChunkEnd();
 
   SimEngine* engine_;
-  LinkSpec spec_;
-  int64_t chunk_bytes_;
+  LinkQueue queue_;
   TraceRecorder* trace_;
   int track_;
-  int64_t commit_window_bytes_;
-
-  bool busy_ = false;
-  TimeNs busy_time_ = 0;
-  TransferId next_id_ = 1;
-  // Priority-ordered backlog, keyed by (priority, seq).
-  std::map<std::pair<int, TransferId>, Message> pending_;
-  // Non-preemptible committed region (FIFO), bounded by the commit window.
-  std::deque<Message> committed_;
-  int64_t committed_bytes_ = 0;
-  int64_t completed_count_ = 0;
-  // done_[id - 1]: ids are dense from 1.
-  std::vector<bool> done_;
+  std::vector<Record> records_;
   LinkObserver* observer_ = nullptr;
 };
 

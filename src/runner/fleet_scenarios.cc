@@ -233,14 +233,14 @@ void RegisterFleetScenarios() {
                   [](const ScenarioParams& params) {
                     return RunFleetCorun(params, /*ooo=*/false);
                   },
-                  "fleet"});
+                  "fleet", /*cost_hint=*/0.2});
     reg.Register({"fleet_corun_ooo_64", "Fleet",
                   "64-replica fleet: ResNet-50 serving + ooo-backprop "
                   "training, load doubling",
                   [](const ScenarioParams& params) {
                     return RunFleetCorun(params, /*ooo=*/true);
                   },
-                  "fleet"});
+                  "fleet", /*cost_hint=*/0.25});
   });
 }
 

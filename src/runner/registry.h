@@ -50,6 +50,10 @@ struct Scenario {
   // subsystem. --list prints scenarios grouped by label. Declared after
   // `run` so the existing positional aggregate initializers keep working.
   std::string label = "train";
+  // Rough serial run time in seconds. The runner starts scenarios in
+  // descending hint order, registration order among equal hints, so a long
+  // scenario does not start last and run alone on an idle pool. 0 = unhinted.
+  double cost_hint = 0.0;
 };
 
 class ScenarioRegistry {

@@ -7,6 +7,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <thread>
 
 #include "src/common/str_util.h"
@@ -117,23 +118,31 @@ RunnerReport RunScenarios(const RunnerOptions& opts) {
     report.runs[i].scenario = matched[i];
   }
 
+  // Longest first: results land in their registration-order slots, so the
+  // dispatch order changes no output byte.
+  std::vector<size_t> order(matched.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&matched](size_t a, size_t b) {
+    return matched[a]->cost_hint > matched[b]->cost_hint;
+  });
+
   const int jobs = ResolveJobs(opts.jobs, matched.size());
   if (jobs <= 1) {
-    for (ScenarioRun& run : report.runs) {
-      RunOne(*run.scenario, opts.params, &run);
+    for (const size_t i : order) {
+      RunOne(*report.runs[i].scenario, opts.params, &report.runs[i]);
     }
   } else {
     std::atomic<size_t> next{0};
     std::vector<std::thread> pool;
     pool.reserve(static_cast<size_t>(jobs));
     for (int t = 0; t < jobs; ++t) {
-      pool.emplace_back([&report, &opts, &next] {
+      pool.emplace_back([&report, &opts, &next, &order] {
         while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= report.runs.size()) {
+          const size_t k = next.fetch_add(1);
+          if (k >= order.size()) {
             return;
           }
-          ScenarioRun& run = report.runs[i];
+          ScenarioRun& run = report.runs[order[k]];
           RunOne(*run.scenario, opts.params, &run);
         }
       });

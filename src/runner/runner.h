@@ -62,7 +62,8 @@ struct RunnerReport {
 // Serializes one scenario's result (stable field and key order).
 std::string ScenarioJson(const Scenario& scenario, const ScenarioResult& result);
 
-// Runs all scenarios matching opts.filter on a thread pool of opts.jobs.
+// Runs all scenarios matching opts.filter on a thread pool of opts.jobs,
+// starting them in descending Scenario::cost_hint order.
 RunnerReport RunScenarios(const RunnerOptions& opts);
 
 // `oobp bench` entry point; parses flags (any leading non-flag tokens such

@@ -368,12 +368,12 @@ void RegisterSearchScenarios() {
         {"search_gap_fig07", "Figure 7",
          "scheduler-optimality gap: search vs MakeOooSchedule on the fig07 "
          "single-GPU models (V100)",
-         SearchGapFig07, "search"});
+         SearchGapFig07, "search", /*cost_hint=*/0.2});
     registry.Register(
         {"search_gap_fig10", "Figure 10",
          "scheduler-optimality gap on the fig10 cluster GPUs (Titan XP, "
          "P100)",
-         SearchGapFig10, "search"});
+         SearchGapFig10, "search", /*cost_hint=*/0.15});
     registry.Register(
         {"search_gap_fig13", "Figure 13",
          "scheduler-optimality gap on the fig13 pre-training models "
@@ -383,7 +383,7 @@ void RegisterSearchScenarios() {
         {"search_deep_fig07", "Figure 7",
          "deep-budget two-tier search (analytic Tier A + simulator Tier B) "
          "on the fig07 models: tightened optimality gap + pipeline stats",
-         SearchDeepFig07, "search"});
+         SearchDeepFig07, "search", /*cost_hint=*/1.8});
     registry.Register(
         {"search_eval_fidelity", "Figure 7",
          "analytic-vs-simulator fidelity over the gap zoo: rank correlation "
@@ -393,7 +393,7 @@ void RegisterSearchScenarios() {
         {"search_eval_perf", "Figure 7",
          "analytic-evaluator perf smoke: deep two-tier search on "
          "densenet121, gated by the perf baseline's evals/sec floor",
-         SearchEvalPerf, "search"});
+         SearchEvalPerf, "search", /*cost_hint=*/0.25});
   });
 }
 

@@ -1,10 +1,8 @@
 #include "src/runtime/data_parallel_engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
-#include <functional>
-#include <map>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -12,6 +10,8 @@
 #include "src/core/memory_model.h"
 #include "src/hw/gpu.h"
 #include "src/hw/link.h"
+#include "src/hw/validation_hooks.h"
+#include "src/runtime/slot_executor.h"
 #include "src/sim/engine.h"
 
 namespace oobp {
@@ -20,12 +20,25 @@ namespace {
 // Nominal per-layer synchronization volume in unit-time mode; the channel
 // bandwidth is derived from it, so its absolute value cancels out.
 constexpr int64_t kUnitSyncVolumeBytes = 1 << 20;
+// The channel sends every transfer in chunks of this many bytes.
+constexpr int64_t kChannelChunkBytes = 1 << 20;
+// Every fused Horovod transfer takes this one priority level, so the channel
+// sends them in submission order (Link breaks priority ties by arrival).
+constexpr int kFusionPriority = 1 << 20;
 }  // namespace
 
 DataParallelEngine::DataParallelEngine(DataParallelConfig config)
     : config_(std::move(config)) {
   OOBP_CHECK_GE(config_.num_gpus, 1);
   OOBP_CHECK_LE(config_.num_gpus, config_.cluster.total_gpus());
+  OOBP_CHECK_GE(config_.measured_iterations, 1)
+      << "DataParallelConfig: measured_iterations must be positive";
+  OOBP_CHECK_GE(config_.partition_bytes, 1)
+      << "DataParallelConfig: partition_bytes must be positive";
+  OOBP_CHECK_GE(config_.unit_time, 0);
+  OOBP_CHECK_GT(config_.unit_sync_units, 0.0)
+      << "DataParallelConfig: unit_sync_units must be positive";
+  OOBP_CHECK_GE(config_.fusion_cycle, 0);
 }
 
 int64_t DataParallelEngine::SyncVolume(const NnModel& model, int layer) const {
@@ -93,120 +106,158 @@ TimeNs DataParallelEngine::IdealSyncTime(const NnModel& model, int layer) const 
 
 namespace {
 
-// Sequential executor-thread driver with per-layer synchronization gates.
+class Driver;
+
+// The clock, GPU and channel a Driver runs on. DpEventBackend is the
+// reference: a SimEngine driving a Gpu with one stream and a Link.
+// DpExecutor steps the same events in the same order in five fixed slots
+// (DESIGN.md §6.3).
+class DpBackend {
+ public:
+  virtual ~DpBackend() = default;
+  // Starts `driver` and runs until no event is pending.
+  virtual void Run(Driver* driver) = 0;
+  virtual TimeNs now() const = 0;
+  // Runs Driver::OnIssue `delay` after now.
+  virtual void ScheduleIssue(TimeNs delay) = 0;
+  // Enqueues the kernel of `op` in iteration `iter` on the GPU's one
+  // stream. Kernels are numbered from 0 in enqueue order; kernel k's
+  // completion runs Driver::OnKernelDone(k).
+  virtual void Enqueue(const TrainOp& op, int iter, const KernelCost& cost) = 0;
+  // Sends `bytes` on the channel at `priority` (lower first); the
+  // completion runs Driver::OnTransferDone(token). `name` labels the trace
+  // event.
+  virtual void Transfer(int64_t bytes, int priority, std::string name,
+                        int token) = 0;
+  // Runs Driver::OnFusionTimer `delay` after now.
+  virtual void ScheduleFusionTimer(TimeNs delay) = 0;
+  // Link::busy_time of the channel.
+  virtual TimeNs channel_busy() const = 0;
+};
+
+// One worker's training loop: the op sequence, the per-layer forward gates,
+// BytePS partitioning and Horovod fusion. Transfer completions come back as
+// integer tokens: a BytePS partition carries its (iteration, layer) sync
+// slot, a fused Horovod transfer its flush index.
 class Driver {
  public:
-  Driver(SimEngine* engine, Gpu* gpu, Link* channel, const NnModel& model,
-         const CostModel& cost, const DataParallelEngine& parent,
-         const DataParallelConfig& config,
+  Driver(DpBackend* backend, const NnModel& model, const CostModel& cost,
+         const DataParallelEngine& parent, const DataParallelConfig& config,
          const std::vector<TrainOp>& backprop, int iterations, bool tracing)
-      : engine_(engine),
-        gpu_(gpu),
-        channel_(channel),
-        model_(model),
-        cost_(cost),
-        parent_(parent),
+      : backend_(backend),
         config_(config),
+        L_(model.num_layers()),
         iterations_(iterations),
         tracing_(tracing) {
-    const int L = model.num_layers();
     // Per-iteration op sequence: backprop (with updates folded into the
     // synchronization completion), then the next forward pass.
-    for (const TrainOp& op : backprop) {
-      sequence_.push_back(op);
-    }
-    for (int i = 0; i < L; ++i) {
+    sequence_ = backprop;
+    for (int i = 0; i < L_; ++i) {
       sequence_.push_back({TrainOpType::kForward, i});
     }
     // The kernel cost of a sequence position is iteration-invariant; price
     // each position once instead of on every issue.
     seq_cost_.reserve(sequence_.size());
     for (const TrainOp& op : sequence_) {
-      KernelCost kc = cost_.Cost(model_.layers[op.layer], op.type);
+      KernelCost kc = cost.Cost(model.layers[op.layer], op.type);
       if (config_.unit_time > 0) {
         kc.duration = config_.unit_time;
         kc.issue_latency = 0;
       }
       seq_cost_.push_back(kc);
     }
-    sync_done_.assign(iterations, std::vector<bool>(L, false));
-    iter_end_.assign(iterations, 0);
+    sync_volume_.resize(L_);
+    for (int i = 0; i < L_; ++i) {
+      sync_volume_[i] = parent.SyncVolume(model, i);
+    }
     // Layers without weights never synchronize.
+    sync_done_.assign(static_cast<size_t>(iterations) * L_, 0);
     for (int t = 0; t < iterations; ++t) {
-      for (int i = 0; i < L; ++i) {
+      for (int i = 0; i < L_; ++i) {
         if (!model.layers[i].has_params()) {
-          sync_done_[t][i] = true;
+          sync_done_[SyncSlot(t, i)] = 1;
         }
       }
     }
-    gpu_->AddKernelDoneListener([this](KernelId id) { OnKernelDone(id); });
-    stream_ = gpu_->CreateStream(0);
+    if (config_.scheme == CommScheme::kBytePS) {
+      parts_left_.assign(sync_done_.size(), 0);
+    }
+    iter_end_.assign(iterations, 0);
   }
 
   void Start() { IssueNext(); }
+
+  // The issue event: the op at the sequence cursor enters the stream.
+  void OnIssue() {
+    const KernelCost& kc = seq_cost_[pos_];
+    backend_->Enqueue(sequence_[pos_], iter_, kc);
+    compute_busy_ += kc.duration;
+    if (++pos_ == sequence_.size()) {
+      pos_ = 0;
+      ++iter_;
+    }
+    IssueNext();
+  }
+
+  // Kernels run in issue order, so kernel k is sequence position k % S of
+  // iteration k / S.
+  void OnKernelDone(int64_t kernel) {
+    const int64_t S = static_cast<int64_t>(sequence_.size());
+    const int t = static_cast<int>(kernel / S);
+    const TrainOp op = sequence_[kernel % S];
+    if (op.type == TrainOpType::kWeightGrad && config_.num_gpus > 1) {
+      StartSync(t, op.layer);
+    }
+    if (op.type == TrainOpType::kForward && op.layer == L_ - 1) {
+      iter_end_[t] = backend_->now();
+    }
+  }
+
+  void OnTransferDone(int token) {
+    if (config_.scheme == CommScheme::kBytePS) {
+      if (--parts_left_[token] == 0) {
+        OnSyncDone(token);
+      }
+      return;
+    }
+    const size_t begin = token == 0 ? 0 : flush_end_[token - 1];
+    for (size_t i = begin; i < flush_end_[token]; ++i) {
+      OnSyncDone(fused_[i]);
+    }
+  }
+
+  void OnFusionTimer() {
+    fusion_timer_armed_ = false;
+    FlushFusion();
+  }
 
   TimeNs IterEnd(int t) const { return iter_end_[t]; }
   TimeNs compute_busy() const { return compute_busy_; }
 
  private:
+  int SyncSlot(int t, int layer) const { return t * L_ + layer; }
+
   void IssueNext() {
     if (iter_ >= iterations_) {
       return;
     }
-    const TrainOp op = sequence_[pos_];
+    const TrainOp& op = sequence_[pos_];
     // Gate: F_i requires layer i's parameters for this iteration.
     if (op.type == TrainOpType::kForward && config_.num_gpus > 1 &&
-        !sync_done_[iter_][op.layer]) {
-      waiting_layer_ = op.layer;
+        !sync_done_[SyncSlot(iter_, op.layer)]) {
+      waiting_slot_ = SyncSlot(iter_, op.layer);
       return;  // resumed by OnSyncDone
     }
-    waiting_layer_ = -1;
-
-    const KernelCost& kc = seq_cost_[pos_];
-    const TimeNs latency = config_.precompiled_issue ? 0 : kc.issue_latency;
-    engine_->ScheduleAfter(latency, [this, op, kc] {
-      KernelDesc desc;
-      if (tracing_) {
-        // Labels only feed trace events; untraced runs skip the formatting.
-        desc.name = StrFormat("%s[%d]#%d", TrainOpTypeName(op.type), op.layer,
-                              iter_);
-        desc.category = TrainOpTypeName(op.type);
-      }
-      desc.solo_duration = kc.duration;
-      desc.thread_blocks = kc.thread_blocks;
-      const KernelId id = gpu_->Enqueue(stream_, std::move(desc));
-      OOBP_CHECK_EQ(static_cast<size_t>(id), kernel_info_.size());
-      kernel_info_.push_back({iter_, op});
-      compute_busy_ += kc.duration;
-      Advance();
-      IssueNext();
-    });
-  }
-
-  void Advance() {
-    ++pos_;
-    if (pos_ == sequence_.size()) {
-      pos_ = 0;
-      ++iter_;
-    }
-  }
-
-  void OnKernelDone(KernelId id) {
-    OOBP_CHECK_LT(static_cast<size_t>(id), kernel_info_.size());
-    const auto [t, op] = kernel_info_[id];
-    if (op.type == TrainOpType::kWeightGrad && config_.num_gpus > 1) {
-      StartSync(t, op.layer);
-    }
-    if (op.type == TrainOpType::kForward &&
-        op.layer == model_.num_layers() - 1) {
-      iter_end_[t] = engine_->now();
-    }
+    waiting_slot_ = -1;
+    backend_->ScheduleIssue(
+        config_.precompiled_issue ? 0 : seq_cost_[pos_].issue_latency);
   }
 
   void StartSync(int t, int layer) {
-    const int64_t volume = parent_.SyncVolume(model_, layer);
+    const int64_t volume = sync_volume_[layer];
+    const int slot = SyncSlot(t, layer);
     if (volume <= 0) {
-      OnSyncDone(t, layer);
+      OnSyncDone(slot);
       return;
     }
     if (config_.scheme == CommScheme::kBytePS) {
@@ -216,113 +267,277 @@ class Driver {
       // committed window.
       const int64_t part = config_.partition_bytes;
       const int parts = static_cast<int>((volume + part - 1) / part);
-      auto remaining = std::make_shared<int>(parts);
+      parts_left_[slot] = parts;
       for (int p = 0; p < parts; ++p) {
         const int64_t bytes = std::min<int64_t>(part, volume - p * part);
-        channel_->Transfer(bytes, layer,
-                           tracing_
-                               ? StrFormat("sync[%d].%d#%d", layer, p, t)
-                               : std::string(),
-                           [this, t, layer, remaining] {
-                             if (--*remaining == 0) {
-                               OnSyncDone(t, layer);
-                             }
-                           });
+        backend_->Transfer(
+            bytes, layer,
+            tracing_ ? StrFormat("sync[%d].%d#%d", layer, p, t) : std::string(),
+            slot);
       }
       return;
     }
     // Horovod: accumulate into the fusion buffer; flush on size or timer.
-    fusion_pending_.push_back({t, layer, volume});
+    fused_.push_back(slot);
     fusion_bytes_ += volume;
     if (fusion_bytes_ >= config_.fusion_buffer_bytes) {
       FlushFusion();
     } else if (!fusion_timer_armed_) {
       fusion_timer_armed_ = true;
-      engine_->ScheduleAfter(config_.fusion_cycle, [this] {
-        fusion_timer_armed_ = false;
-        FlushFusion();
-      });
+      backend_->ScheduleFusionTimer(config_.fusion_cycle);
     }
   }
 
+  // Sends the buffered tensors as one transfer; flush k covers
+  // fused_[flush_end_[k - 1], flush_end_[k]).
   void FlushFusion() {
-    if (fusion_pending_.empty()) {
+    const size_t begin = flush_end_.empty() ? 0 : flush_end_.back();
+    if (begin == fused_.size()) {
       return;
     }
-    auto batch = std::move(fusion_pending_);
-    fusion_pending_.clear();
+    const int token = static_cast<int>(flush_end_.size());
+    flush_end_.push_back(fused_.size());
     const int64_t bytes = fusion_bytes_;
     fusion_bytes_ = 0;
-    // FIFO: all fused transfers share one priority level, ordered by
-    // submission sequence (Link breaks priority ties by arrival).
-    channel_->Transfer(bytes, /*priority=*/1 << 20,
-                       tracing_
-                           ? StrFormat("fusion(%zu tensors)", batch.size())
-                           : std::string(),
-                       [this, batch = std::move(batch)] {
-                         for (const auto& item : batch) {
-                           OnSyncDone(item.iter, item.layer);
-                         }
-                       });
+    backend_->Transfer(
+        bytes, kFusionPriority,
+        tracing_ ? StrFormat("fusion(%zu tensors)", fused_.size() - begin)
+                 : std::string(),
+        token);
   }
 
-  void OnSyncDone(int t, int layer) {
-    sync_done_[t][layer] = true;
-    if (waiting_layer_ == layer && iter_ == t) {
+  void OnSyncDone(int slot) {
+    sync_done_[slot] = 1;
+    if (waiting_slot_ == slot) {
       IssueNext();
     }
   }
 
-  struct FusionItem {
-    int iter;
-    int layer;
-    int64_t bytes;
-  };
-
-  SimEngine* engine_;
-  Gpu* gpu_;
-  Link* channel_;
-  const NnModel& model_;
-  const CostModel& cost_;
-  const DataParallelEngine& parent_;
+  DpBackend* backend_;
   const DataParallelConfig& config_;
-  int iterations_;
-  bool tracing_;
+  const int L_;
+  const int iterations_;
+  const bool tracing_;
 
-  StreamId stream_ = 0;
   std::vector<TrainOp> sequence_;
   std::vector<KernelCost> seq_cost_;  // cost of sequence_[i], unit-adjusted
+  std::vector<int64_t> sync_volume_;  // per layer
   size_t pos_ = 0;
   int iter_ = 0;
-  int waiting_layer_ = -1;
+  int waiting_slot_ = -1;  // the sync slot a gated forward waits on
   TimeNs compute_busy_ = 0;
-  std::vector<std::vector<bool>> sync_done_;
+  std::vector<char> sync_done_;  // by sync slot t * L + layer
   std::vector<TimeNs> iter_end_;
-  // Indexed by KernelId: the Driver is this Gpu's only client, so ids are
-  // the dense enqueue sequence.
-  std::vector<std::pair<int, TrainOp>> kernel_info_;
 
-  std::vector<FusionItem> fusion_pending_;
+  std::vector<int> parts_left_;  // BytePS partitions in flight, by slot
+  std::vector<int> fused_;       // Horovod: every slot fused, in order
+  std::vector<size_t> flush_end_;
   int64_t fusion_bytes_ = 0;
   bool fusion_timer_armed_ = false;
+};
+
+// The reference producer: every issue, kernel begin, fluid wake, channel
+// chunk and fusion timer is a SimEngine event. Traced runs and runs under a
+// ValidationScope take it (only it emits trace events and builds the Gpu
+// and Link the SimValidator observes).
+class DpEventBackend final : public DpBackend {
+ public:
+  DpEventBackend(const GpuSpec& gpu, const LinkSpec& channel,
+                 int64_t commit_window_bytes, TraceRecorder* trace)
+      : trace_(trace),
+        gpu_(&engine_, gpu, trace, /*trace_track_base=*/0),
+        channel_(&engine_, channel, kChannelChunkBytes, trace, /*track=*/200,
+                 commit_window_bytes),
+        stream_(gpu_.CreateStream(0)) {}
+
+  void Run(Driver* driver) override {
+    driver_ = driver;
+    gpu_.AddKernelDoneListener(
+        [this](KernelId id) { driver_->OnKernelDone(id); });
+    driver->Start();
+    engine_.Run();
+  }
+  TimeNs now() const override { return engine_.now(); }
+  void ScheduleIssue(TimeNs delay) override {
+    engine_.ScheduleAfter(delay, [this] { driver_->OnIssue(); });
+  }
+  void Enqueue(const TrainOp& op, int iter, const KernelCost& cost) override {
+    KernelDesc desc;
+    if (trace_ != nullptr) {
+      // Labels only feed trace events; untraced runs skip the formatting.
+      desc.name =
+          StrFormat("%s[%d]#%d", TrainOpTypeName(op.type), op.layer, iter);
+      desc.category = TrainOpTypeName(op.type);
+    }
+    desc.solo_duration = cost.duration;
+    desc.thread_blocks = cost.thread_blocks;
+    gpu_.Enqueue(stream_, std::move(desc));
+  }
+  void Transfer(int64_t bytes, int priority, std::string name,
+                int token) override {
+    channel_.Transfer(bytes, priority, std::move(name),
+                      [this, token] { driver_->OnTransferDone(token); });
+  }
+  void ScheduleFusionTimer(TimeNs delay) override {
+    engine_.ScheduleAfter(delay, [this] { driver_->OnFusionTimer(); });
+  }
+  TimeNs channel_busy() const override { return channel_.busy_time(); }
+
+ private:
+  TraceRecorder* trace_;
+  SimEngine engine_;
+  Gpu gpu_;
+  Link channel_;
+  StreamId stream_;
+  Driver* driver_ = nullptr;
+};
+
+// Exact executor for untraced, unvalidated runs. The worker's GPU runs one
+// in-order stream with one running kernel, the channel one chunk at a
+// time, the driver one pending issue and at most one armed fusion timer,
+// so each of the event path's five event kinds has at most one pending
+// event: they live in five slots and run in SimEngine's (time, seq) order.
+// Kernels step through the fluid model the single-GPU executor uses
+// (StreamFluid) and the channel through Link's own LinkQueue, so the
+// executor steps every event the event path processes, in its order, and
+// adds that count to SimEngine's tally.
+class DpExecutor final : public DpBackend {
+ public:
+  DpExecutor(const GpuSpec& gpu, const LinkSpec& channel,
+             int64_t commit_window_bytes)
+      : exec_overhead_(gpu.kernel_exec_overhead),
+        fluid_(static_cast<double>(gpu.slot_capacity()), nullptr),
+        channel_(channel, kChannelChunkBytes, commit_window_bytes) {}
+
+  void Run(Driver* driver) override {
+    driver_ = driver;
+    driver->Start();
+    const auto finish = [this](int kernel) { Finish(kernel); };
+    for (int e = slots_.Next(); e >= 0; e = slots_.Next()) {
+      switch (e) {
+        case kIssue:
+          driver_->OnIssue();
+          break;
+        case kBegin: {
+          // Gpu::BeginExecution of the stream's head.
+          const QueuedKernel& k = queue_[head_];
+          slots_.Reschedule(kWake,
+                            fluid_.Begin(0, begun_++, k.solo_duration,
+                                         k.thread_blocks, now(), finish));
+          break;
+        }
+        case kWake:
+          slots_.Reschedule(kWake, fluid_.Wake(now(), finish));
+          break;
+        case kChunk: {
+          // Link's chunk end: a finished message completes, then the next
+          // chunk starts.
+          LinkQueue::Completion done;
+          if (channel_.EndChunk(&done)) {
+            driver_->OnTransferDone(tokens_[done.id - 1]);
+          }
+          StartChunk();
+          break;
+        }
+        case kTimer:
+          driver_->OnFusionTimer();
+          break;
+      }
+    }
+    SimEngine::AddProcessedEvents(slots_.processed());
+  }
+
+  TimeNs now() const override { return slots_.now(); }
+  void ScheduleIssue(TimeNs delay) override {
+    slots_.Schedule(kIssue, now() + delay);
+  }
+  // Gpu::Enqueue.
+  void Enqueue(const TrainOp& /*op*/, int /*iter*/,
+               const KernelCost& cost) override {
+    OOBP_CHECK_GE(cost.duration, 0);
+    OOBP_CHECK_GT(cost.thread_blocks, 0.0);
+    queue_.push_back({cost.duration, cost.thread_blocks});
+    MaybeDispatch();
+  }
+  // Link::Transfer.
+  void Transfer(int64_t bytes, int priority, std::string /*name*/,
+                int token) override {
+    const LinkQueue::TransferId id = channel_.Submit(bytes, priority);
+    OOBP_CHECK_EQ(id, static_cast<LinkQueue::TransferId>(tokens_.size()) + 1);
+    tokens_.push_back(token);
+    StartChunk();
+  }
+  void ScheduleFusionTimer(TimeNs delay) override {
+    slots_.Schedule(kTimer, now() + delay);
+  }
+  TimeNs channel_busy() const override { return channel_.busy_time(); }
+
+ private:
+  enum Slot { kIssue, kBegin, kWake, kChunk, kTimer, kSlots };
+  struct QueuedKernel {
+    TimeNs solo_duration;
+    double thread_blocks;
+  };
+
+  // Gpu::MaybeDispatch: the head begins after the SM setup gap.
+  void MaybeDispatch() {
+    if (dispatched_ || head_ == queue_.size()) {
+      return;
+    }
+    dispatched_ = true;
+    slots_.Schedule(kBegin, now() + exec_overhead_);
+  }
+
+  // Gpu::FinishKernel: the stream drops its head, the driver's done
+  // listener runs, then the next head dispatches.
+  void Finish(int kernel) {
+    if (++head_ == queue_.size()) {
+      queue_.clear();
+      head_ = 0;
+    }
+    dispatched_ = false;
+    driver_->OnKernelDone(kernel);
+    MaybeDispatch();
+  }
+
+  // Link::RefillAndStart.
+  void StartChunk() {
+    const TimeNs duration = channel_.RefillAndStart(now());
+    if (duration >= 0) {
+      slots_.Schedule(kChunk, now() + duration);
+    }
+  }
+
+  const TimeNs exec_overhead_;
+  EventSlots<kSlots> slots_;
+  StreamFluid<1> fluid_;
+  LinkQueue channel_;
+  Driver* driver_ = nullptr;
+
+  // The stream: queue_[head_] is the oldest unfinished kernel.
+  std::vector<QueuedKernel> queue_;
+  size_t head_ = 0;
+  bool dispatched_ = false;
+  int begun_ = 0;  // kernels that left their setup gap; the head's number
+
+  std::vector<int> tokens_;  // by channel transfer id - 1
 };
 
 }  // namespace
 
 TrainMetrics DataParallelEngine::Run(const NnModel& model,
                                      const std::vector<TrainOp>& backprop,
-                                     TraceRecorder* trace) const {
+                                     TraceRecorder* trace,
+                                     bool* executor) const {
   const TrainGraph graph(&model);
   OOBP_CHECK(graph.ValidateBackpropOrder(backprop));
   const CostModel cost(config_.cluster.gpu, config_.profile);
   const int iterations = 1 + config_.measured_iterations;
 
-  SimEngine engine;
   GpuSpec gpu_spec = config_.cluster.gpu;
   if (config_.unit_time > 0) {
     gpu_spec.kernel_exec_overhead = 0;  // ops cost exactly one unit
   }
-  Gpu gpu(&engine, gpu_spec, trace, /*trace_track_base=*/0);
 
   // Channel: the worker's share of the cluster interconnect. Horovod's flat
   // ring also pays per-step coordination latency proportional to the ring
@@ -340,16 +555,29 @@ TrainMetrics DataParallelEngine::Run(const NnModel& model,
   if (config_.unit_time > 0) {
     channel_spec.latency = 0;  // unit schedules count serialization only
   }
-  Link channel(&engine, channel_spec, /*chunk_bytes=*/1 << 20, trace,
-               /*track=*/200,
-               config_.scheme == CommScheme::kBytePS
-                   ? config_.commit_window_bytes
-                   : 0);
+  const int64_t commit_window = config_.scheme == CommScheme::kBytePS
+                                    ? config_.commit_window_bytes
+                                    : 0;
 
-  Driver driver(&engine, &gpu, &channel, model, cost, *this, config_,
-                backprop, iterations, /*tracing=*/trace != nullptr);
-  driver.Start();
-  engine.Run();
+  // The executor reproduces the event path bit for bit; only the event
+  // path emits trace events and builds the Gpu and Link the SimValidator
+  // observes.
+  const bool use_executor =
+      trace == nullptr && ActiveHwValidationHooks() == nullptr;
+  if (executor != nullptr) {
+    *executor = use_executor;
+  }
+  std::unique_ptr<DpBackend> backend;
+  if (use_executor) {
+    backend =
+        std::make_unique<DpExecutor>(gpu_spec, channel_spec, commit_window);
+  } else {
+    backend = std::make_unique<DpEventBackend>(gpu_spec, channel_spec,
+                                               commit_window, trace);
+  }
+  Driver driver(backend.get(), model, cost, *this, config_, backprop,
+                iterations, /*tracing=*/trace != nullptr);
+  backend->Run(&driver);
 
   TrainMetrics metrics;
   const TimeNs t0 = driver.IterEnd(0);
@@ -361,7 +589,7 @@ TrainMetrics DataParallelEngine::Run(const NnModel& model,
   metrics.gpu_utilization =
       static_cast<double>(driver.compute_busy()) / static_cast<double>(t1);
   if (driver.compute_busy() > 0) {
-    metrics.comm_comp_ratio = static_cast<double>(channel.busy_time()) /
+    metrics.comm_comp_ratio = static_cast<double>(backend->channel_busy()) /
                               static_cast<double>(driver.compute_busy());
   }
   const MemoryTimeline mem = EstimateBackpropMemory(model, backprop);

@@ -67,9 +67,13 @@ class DataParallelEngine {
 
   // Runs warm-up + measured iterations with the given backprop order (must
   // validate against the model's TrainGraph). Throughput is global
-  // (samples/s across all workers).
+  // (samples/s across all workers). Untraced runs outside a ValidationScope
+  // take an exact executor, the others the event simulation; both give the
+  // same result bit for bit (DESIGN.md §6.3). `executor`, when not null,
+  // reports which one ran.
   TrainMetrics Run(const NnModel& model, const std::vector<TrainOp>& backprop,
-                   TraceRecorder* trace = nullptr) const;
+                   TraceRecorder* trace = nullptr,
+                   bool* executor = nullptr) const;
 
   // Bytes layer i contributes to the channel per iteration (gradient size
   // times the collective volume factor).

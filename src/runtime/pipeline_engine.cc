@@ -430,7 +430,11 @@ class PipeSim {
   }
 
   // PipeDream bounds in-flight micro-batches per stage to the number of
-  // stashed weight versions.
+  // stashed weight versions. It compares forwards started with backward
+  // completions, one of each per owned (micro-batch, layer): the layer's dO
+  // completes its backward; a layer without one (unit-time mode drops layer
+  // 0's) completes it with its dW, and a layer with neither when its
+  // gradient arrives.
   bool AdmitForward(const GpuState& gs) const {
     if (flush_) {
       return true;
@@ -531,9 +535,15 @@ class PipeSim {
 
   void OnGradient(int slot) {
     const int l = slot % L_;
+    if (grad_consumers_[slot] == 0) {
+      // A layer with neither dO nor dW: its backward completes on arrival,
+      // and nothing holds the gradient.
+      ++gpus_[assignment_[l]].bwd_done;
+      TryRun(assignment_[l]);
+      return;
+    }
     AddMem(assignment_[l], model_.layers[l].output_bytes);
-    const Op& dgrad = ops_[slot * 3 + static_cast<int>(PipeOpKind::kDgrad)];
-    if (dgrad.exists) {
+    if (ops_[slot * 3 + static_cast<int>(PipeOpKind::kDgrad)].exists) {
       SatisfyDep(slot * 3 + static_cast<int>(PipeOpKind::kDgrad));
     }
     if (graph_.HasWgrad(l)) {
@@ -613,6 +623,9 @@ class PipeSim {
         ConsumeGradient(t, m, l);
         break;
       case PipeOpKind::kWgrad:
+        if (!ops_[OpIndex(t, m, l, PipeOpKind::kDgrad)].exists) {
+          ++gs.bwd_done;
+        }
         if (t == 0) {
           wgrad_done_[l] = std::max(wgrad_done_[l], now);
         }

@@ -10,6 +10,7 @@
 #include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
 #include "src/hw/validation_hooks.h"
+#include "src/runtime/slot_executor.h"
 #include "src/runtime/train_sim.h"
 #include "src/sim/engine.h"
 
@@ -231,11 +232,10 @@ namespace {
 // two streams (main = priority 0, sub = priority 1) holds at most one
 // dispatched-or-running kernel, so at most four events are ever pending:
 // the graph launch or next issue, one begin per stream, and one fluid wake.
-// They live in fixed slots and run in the event path's (time, seq) order,
-// with seq drawn wherever the event path calls ScheduleAt. Every step below
-// mirrors one in CpuLauncher, Gpu or FluidProcessor, in the same order and
-// with the same floating-point operations, which is what makes the outcome
-// bit-identical (tests/steady_replay_test.cc compares the two).
+// They live in fixed slots (EventSlots) and step the shared fluid model
+// (StreamFluid). Every step below mirrors one in CpuLauncher or Gpu, in the
+// same order, which is what makes the outcome bit-identical
+// (tests/steady_replay_test.cc compares the two).
 class TwoStreamExecutor {
  public:
   TwoStreamExecutor(const SingleGpuConfig& config, const TrainIssuePlan& plan,
@@ -245,15 +245,15 @@ class TwoStreamExecutor {
         per_op_(!config.precompiled_issue),
         queue_depth_(config.profile.issue_queue_depth),
         exec_overhead_(config.gpu.kernel_exec_overhead),
-        capacity_(static_cast<double>(config.gpu.slot_capacity())),
         graph_launch_latency_(config.profile.graph_launch_latency),
         record_(record),
+        fluid_(static_cast<double>(config.gpu.slot_capacity()),
+               record ? &increments_ : nullptr),
         pending_(n_, 0),
         start_(n_, -1),
         done_(n_, -1),
         next_on_stream_(n_, -1),
         dependents_begin_(n_ + 1, 0) {
-    OOBP_CHECK_GT(config.gpu.slot_capacity(), 0);
     OOBP_CHECK_GE(queue_depth_, 0);
     // Dependents of each item in enqueue order, repeats kept: the Gpu's
     // per-kernel dependent lists, less the entries a dependent would only
@@ -295,24 +295,10 @@ class TwoStreamExecutor {
     if (per_op_) {
       IssueNext();
     } else {
-      Schedule(kIssue, graph_launch_latency_);
+      slots_.Schedule(kIssue, graph_launch_latency_);
     }
-    while (true) {
-      int e = -1;
-      for (int slot = 0; slot < kSlots; ++slot) {
-        if (events_[slot].seq != 0 &&
-            (e < 0 || events_[slot].time < events_[e].time ||
-             (events_[slot].time == events_[e].time &&
-              events_[slot].seq < events_[e].seq))) {
-          e = slot;
-        }
-      }
-      if (e < 0) {
-        break;
-      }
-      now_ = events_[e].time;
-      events_[e].seq = 0;
-      ++processed_;
+    const auto finish = [this](int item) { Finish(item); };
+    for (int e = slots_.Next(); e >= 0; e = slots_.Next()) {
       switch (e) {
         case kIssue:
           if (per_op_) {
@@ -325,12 +311,19 @@ class TwoStreamExecutor {
           }
           break;
         case kBegin0:
-        case kBegin1:
-          Begin(e - kBegin0);
+        case kBegin1: {
+          // Gpu::BeginExecution.
+          const int s = e - kBegin0;
+          const int i = head_[s];
+          start_[i] = slots_.now();
+          slots_.Reschedule(
+              kWake, fluid_.Begin(s, i, items_[i].solo_duration,
+                                  items_[i].thread_blocks, slots_.now(),
+                                  finish));
           break;
+        }
         case kWake:
-          Advance();
-          Reallocate();
+          slots_.Reschedule(kWake, fluid_.Wake(slots_.now(), finish));
           break;
       }
     }
@@ -339,38 +332,18 @@ class TwoStreamExecutor {
     TrainSimOutcome out;
     out.iter_end = IterationEnds(n_, iter_last_item,
                                  [this](size_t i) { return done_[i]; });
-    out.busy_integral = busy_integral_;
+    out.busy_integral = fluid_.busy_integral();
     if (record_) {
       out.item_start = std::move(start_);
       out.item_done = std::move(done_);
       out.increments = std::move(increments_);
     }
-    out.events = processed_;
+    out.events = slots_.processed();
     return out;
   }
 
  private:
   enum Slot { kIssue, kBegin0, kBegin1, kWake, kSlots };
-  struct Event {
-    TimeNs time = 0;
-    uint64_t seq = 0;  // 0 = slot empty
-  };
-  // One FluidProcessor job; jobs_[s] is stream s's running kernel, so the
-  // priority-greedy order is the stream order.
-  struct Job {
-    bool active = false;
-    double remaining = 0.0;
-    double max_rate = 0.0;
-    double rate = 0.0;
-    uint64_t seq = 0;
-    int item = -1;
-  };
-
-  // SimEngine::ScheduleAt.
-  void Schedule(Slot slot, TimeNs t) {
-    OOBP_CHECK_GE(t, now_) << "event scheduled in the past";
-    events_[slot] = Event{t, next_seq_++};
-  }
 
   // CpuLauncher::IssueNext (per-op mode).
   void IssueNext() {
@@ -382,7 +355,7 @@ class TwoStreamExecutor {
       return;
     }
     issuing_ = next_index_++;
-    Schedule(kIssue, now_ + items_[issuing_].issue_latency);
+    slots_.Schedule(kIssue, slots_.now() + items_[issuing_].issue_latency);
   }
 
   // CpuLauncher::EnqueueItem + Gpu::Enqueue.
@@ -410,96 +383,13 @@ class TwoStreamExecutor {
       return;
     }
     dispatched_[s] = true;
-    Schedule(static_cast<Slot>(kBegin0 + s), now_ + exec_overhead_);
-  }
-
-  // Gpu::BeginExecution + FluidProcessor::Add.
-  void Begin(int s) {
-    const int i = head_[s];
-    start_[i] = now_;
-    const double max_rate =
-        EffectiveOccupancy(items_[i].thread_blocks, capacity_);
-    const double work =
-        static_cast<double>(items_[i].solo_duration) * max_rate;
-    OOBP_CHECK_GE(work, 0.0);
-    OOBP_CHECK_GT(max_rate, 0.0);
-    Advance();
-    Job& job = jobs_[s];
-    OOBP_CHECK(!job.active);
-    job = Job{true, work, max_rate, 0.0, next_job_seq_++, i};
-    Reallocate();
-  }
-
-  // FluidProcessor::Advance: contributions fold in job-seq order, and
-  // drained jobs complete in job-seq order after both leave the table.
-  void Advance() {
-    OOBP_CHECK_GE(now_, last_update_);
-    const double dt = static_cast<double>(now_ - last_update_);
-    last_update_ = now_;
-    const bool sub_first =
-        jobs_[1].active && (!jobs_[0].active || jobs_[1].seq < jobs_[0].seq);
-    const int seq_order[2] = {sub_first ? 1 : 0, sub_first ? 0 : 1};
-    if (dt > 0.0) {
-      double contrib[2] = {0.0, 0.0};
-      for (int s = 0; s < 2; ++s) {
-        Job& job = jobs_[s];
-        if (job.active) {
-          contrib[s] = std::min(job.rate * dt, job.remaining);
-          job.remaining = std::max(0.0, job.remaining - job.rate * dt);
-        }
-      }
-      for (const int s : seq_order) {
-        if (jobs_[s].active) {
-          busy_integral_ += contrib[s];
-          if (record_ && contrib[s] != 0.0) {
-            increments_.push_back({now_, contrib[s]});
-          }
-        }
-      }
-    }
-    int finished[2];
-    int num_finished = 0;
-    for (const int s : seq_order) {
-      Job& job = jobs_[s];
-      if (job.active && job.remaining <= FluidProcessor::kWorkEpsilon) {
-        job.active = false;
-        finished[num_finished++] = job.item;
-      }
-    }
-    for (int k = 0; k < num_finished; ++k) {
-      Finish(finished[k]);
-    }
-  }
-
-  // FluidProcessor::Reallocate: retract the pending wake, hand out rates
-  // priority-greedily, and wake at the earliest completion.
-  void Reallocate() {
-    events_[kWake].seq = 0;
-    double free = capacity_;
-    double min_tta = -1.0;
-    for (Job& job : jobs_) {
-      if (!job.active) {
-        continue;
-      }
-      job.rate = std::min(job.max_rate, free);
-      free -= job.rate;
-      if (job.rate > 0.0) {
-        const double tta = job.remaining / job.rate;
-        if (min_tta < 0.0 || tta < min_tta) {
-          min_tta = tta;
-        }
-      }
-    }
-    if (min_tta < 0.0) {
-      return;  // no active job (a non-empty table always has a fed job)
-    }
-    Schedule(kWake, now_ + FluidProcessor::WakeDelay(min_tta, now_));
+    slots_.Schedule(kBegin0 + s, slots_.now() + exec_overhead_);
   }
 
   // Gpu::FinishKernel: woken dependents dispatch first, then the launcher's
   // done listener resumes a blocked issue, then the stream's next head.
   void Finish(int i) {
-    done_[i] = now_;
+    done_[i] = slots_.now();
     ++completed_;
     const int s = items_[i].stream;
     OOBP_CHECK(queued_[s] > 0 && head_[s] == i);
@@ -534,15 +424,12 @@ class TwoStreamExecutor {
   const bool per_op_;
   const int queue_depth_;
   const TimeNs exec_overhead_;
-  const double capacity_;
   const TimeNs graph_launch_latency_;
   const bool record_;
 
-  // Event slots.
-  Event events_[kSlots];
-  TimeNs now_ = 0;
-  uint64_t next_seq_ = 1;
-  uint64_t processed_ = 0;
+  EventSlots<kSlots> slots_;
+  std::vector<BusyIncrement> increments_;
+  StreamFluid<2> fluid_;
 
   // Launcher.
   size_t next_index_ = 0;
@@ -564,13 +451,6 @@ class TwoStreamExecutor {
   std::vector<int> dependents_;
   size_t enqueued_ = 0;
   size_t completed_ = 0;
-
-  // Fluid processor.
-  Job jobs_[2];
-  uint64_t next_job_seq_ = 1;
-  TimeNs last_update_ = 0;
-  double busy_integral_ = 0.0;
-  std::vector<BusyIncrement> increments_;
 };
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "src/core/joint_scheduler.h"
 #include "src/core/memory_model.h"
 #include "src/core/region.h"
+#include "src/core/reverse_k.h"
 #include "src/core/schedule.h"
 #include "src/hw/gpu.h"
 #include "src/hw/gpu_spec.h"
@@ -26,6 +27,7 @@
 #include "src/nn/model_zoo.h"
 #include "src/nn/train_graph.h"
 #include "src/runner/glob.h"
+#include "src/runtime/data_parallel_engine.h"
 #include "src/runtime/pipeline_engine.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/serve/fleet_engine.h"
@@ -774,6 +776,24 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// Empty when an executor's metrics `a` equal the event path's `b` bit for
+// bit; otherwise what differs.
+std::string MetricsMismatch(const TrainMetrics& a, const TrainMetrics& b) {
+  if (a.iteration_time == b.iteration_time &&
+      SameBits(a.throughput, b.throughput) &&
+      SameBits(a.gpu_utilization, b.gpu_utilization) &&
+      SameBits(a.comm_comp_ratio, b.comm_comp_ratio) &&
+      a.peak_memory_bytes == b.peak_memory_bytes && a.oom == b.oom) {
+    return "";
+  }
+  return StrFormat(
+      "executor metrics differ from the event path (iteration %lld vs %lld, "
+      "utilization %.17g vs %.17g, comm/comp %.17g vs %.17g)",
+      static_cast<long long>(a.iteration_time),
+      static_cast<long long>(b.iteration_time), a.gpu_utilization,
+      b.gpu_utilization, a.comm_comp_ratio, b.comm_comp_ratio);
+}
+
 void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
   // Its own stream, so the other families' draws do not move. The seed is
   // mixed first: Rng(s + 1) would replay Rng(s)'s draws shifted by one.
@@ -811,9 +831,7 @@ void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
   config.reverse_first_k =
       static_cast<int>(rng.NextBelow(static_cast<uint64_t>(
           model.num_layers() + 1)));
-  // Unit-time mode drops layer 0's dO, which stalls PipeDream's in-flight
-  // cap, so only flush strategies draw it.
-  if (rng.NextBelow(4) == 0 && strategy != PipelineStrategy::kPipeDream) {
+  if (rng.NextBelow(4) == 0) {
     config.unit_time = Us(1 + static_cast<int64_t>(rng.NextBelow(1000)));
   }
   switch (rng.NextBelow(5)) {
@@ -895,20 +913,10 @@ void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
          "inside)");
   }
 
-  const TrainMetrics& a = exec.result.metrics;
-  const TrainMetrics& b = event.result.metrics;
-  if (a.iteration_time != b.iteration_time ||
-      !SameBits(a.throughput, b.throughput) ||
-      !SameBits(a.gpu_utilization, b.gpu_utilization) ||
-      !SameBits(a.comm_comp_ratio, b.comm_comp_ratio) ||
-      a.peak_memory_bytes != b.peak_memory_bytes || a.oom != b.oom) {
-    fail(StrFormat("executor metrics differ from the event path (iteration "
-                   "%lld vs %lld, utilization %.17g vs %.17g, comm/comp "
-                   "%.17g vs %.17g)",
-                   static_cast<long long>(a.iteration_time),
-                   static_cast<long long>(b.iteration_time),
-                   a.gpu_utilization, b.gpu_utilization, a.comm_comp_ratio,
-                   b.comm_comp_ratio));
+  if (const std::string m =
+          MetricsMismatch(exec.result.metrics, event.result.metrics);
+      !m.empty()) {
+    fail(m);
   }
   if (exec.result.assignment != event.result.assignment ||
       exec.result.weight_versions != event.result.weight_versions ||
@@ -931,6 +939,174 @@ void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
                    event.stats.simulated_iterations,
                    exec.stats.fallback_reason.c_str(),
                    event.stats.fallback_reason.c_str()));
+  }
+  if (exec.events != event.events) {
+    fail(StrFormat("executor counted %llu events, the event path %llu",
+                   static_cast<unsigned long long>(exec.events),
+                   static_cast<unsigned long long>(event.events)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Data-parallel executor vs event path: one random data-parallel config per
+// seed, run inside a ValidationScope (SimEngine + Gpu + Link; the validator
+// must stay clean) and outside it (the five-slot executor). Every metric and
+// the event count must agree bit for bit.
+
+void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
+  // Its own stream, like the pipeline family's.
+  Rng rng(Rng(seed ^ 0xD9A7).NextU64());
+  NnModel model;
+  const int batch = 8 << rng.NextBelow(4);  // 8..64
+  switch (rng.NextBelow(4)) {
+    case 0:
+      model = ResNet(rng.NextBelow(4) == 0 ? 101 : 50, batch);
+      break;
+    case 1:
+      model = Ffnn(2 + static_cast<int>(rng.NextBelow(15)), batch,
+                   512 << rng.NextBelow(4));
+      break;
+    default:
+      model = RandomModel(rng);
+      break;
+  }
+  const TrainGraph graph(&model);
+
+  DataParallelConfig config;
+  switch (rng.NextBelow(4)) {
+    case 0:
+      config.cluster = ClusterSpec::PrivA();
+      break;
+    case 1:
+      config.cluster = ClusterSpec::PrivB();
+      break;
+    case 2:
+      config.cluster = ClusterSpec::PubA();
+      break;
+    default:
+      config.cluster = ClusterSpec::PubB();
+      break;
+  }
+  config.num_gpus = 1 + static_cast<int>(rng.NextBelow(
+                            static_cast<uint64_t>(
+                                config.cluster.total_gpus())));
+  config.scheme =
+      rng.NextBelow(2) == 0 ? CommScheme::kBytePS : CommScheme::kHorovod;
+  switch (rng.NextBelow(3)) {
+    case 0:
+      config.profile = SystemProfile::TensorFlow();
+      break;
+    case 1:
+      config.profile = SystemProfile::TensorFlowXla();
+      break;
+    default:
+      config.profile = SystemProfile::PyTorchNimble();
+      break;
+  }
+  config.precompiled_issue = rng.NextBelow(2) == 0;
+  config.measured_iterations = 1 + static_cast<int>(rng.NextBelow(4));
+  // Unit-time mode with fractional sync units; 2^k-ns units give exact
+  // chunk times, whose ends tie with kernel ends.
+  if (rng.NextBelow(3) == 0) {
+    config.unit_time =
+        rng.NextBelow(2) == 0
+            ? TimeNs{1} << (10 + rng.NextBelow(11))
+            : Us(1 + static_cast<int64_t>(rng.NextBelow(1000)));
+    config.unit_sync_units =
+        0.25 * static_cast<double>(1 + rng.NextBelow(16));  // 0.25..4
+  }
+  config.partition_bytes = rng.NextBelow(2) == 0
+                               ? config.partition_bytes
+                               : (64 << 10) << rng.NextBelow(9);  // ..16 MiB
+  switch (rng.NextBelow(4)) {
+    case 0:
+      config.commit_window_bytes = 0;
+      break;
+    case 1:  // less than one partition
+      config.commit_window_bytes = 1 + static_cast<int64_t>(rng.NextBelow(
+                                           static_cast<uint64_t>(
+                                               config.partition_bytes)));
+      break;
+    case 2:
+      break;  // the default window
+    default:
+      config.commit_window_bytes = (1 << 20) << rng.NextBelow(8);
+      break;
+  }
+  switch (rng.NextBelow(4)) {
+    case 0:
+      config.fusion_buffer_bytes = 1;
+      break;
+    case 1:
+      break;  // the default buffer
+    default:
+      config.fusion_buffer_bytes = (1 << 20) << rng.NextBelow(7);
+      break;
+  }
+  switch (rng.NextBelow(3)) {
+    case 0:
+      config.fusion_cycle = 0;
+      break;
+    case 1:
+      break;  // the default cycle
+    default:
+      config.fusion_cycle = Us(static_cast<int64_t>(rng.NextBelow(20001)));
+      break;
+  }
+  const int k = rng.NextBelow(2) == 0
+                    ? 0
+                    : static_cast<int>(rng.NextBelow(static_cast<uint64_t>(
+                          model.num_layers() + 1)));
+  const std::vector<TrainOp> order = ReverseFirstK(graph, k).order;
+
+  const std::string what = StrFormat(
+      "seed %llu: dp %s, %s (%d layers), %s, %d GPUs, k=%d, %s issue, unit "
+      "%lld x %g, partition %lld, window %lld, fusion %lld B / %lld ns, %d "
+      "measured: ",
+      static_cast<unsigned long long>(seed),
+      config.scheme == CommScheme::kBytePS ? "BytePS" : "Horovod",
+      model.name.c_str(), model.num_layers(), config.cluster.name.c_str(),
+      config.num_gpus, k, config.precompiled_issue ? "precompiled" : "per-op",
+      static_cast<long long>(config.unit_time), config.unit_sync_units,
+      static_cast<long long>(config.partition_bytes),
+      static_cast<long long>(config.commit_window_bytes),
+      static_cast<long long>(config.fusion_buffer_bytes),
+      static_cast<long long>(config.fusion_cycle),
+      config.measured_iterations);
+  auto fail = [errors, &what](const std::string& msg) {
+    errors->push_back(what + msg);
+  };
+
+  const DataParallelEngine engine(config);
+  struct Run {
+    TrainMetrics metrics;
+    bool executor = false;
+    uint64_t events = 0;
+  };
+  auto run = [&engine, &model, &order] {
+    Run r;
+    const uint64_t before = SimEngine::ThreadProcessedEvents();
+    r.metrics = engine.Run(model, order, nullptr, &r.executor);
+    r.events = SimEngine::ThreadProcessedEvents() - before;
+    return r;
+  };
+  SimValidator validator;
+  Run event;
+  {
+    ValidationScope scope(&validator);
+    event = run();
+  }
+  if (!validator.ok()) {
+    fail("event path: " + validator.Summary());
+  }
+  const Run exec = run();
+  if (event.executor || !exec.executor) {
+    fail("wrong producer (executor outside the validator, event path "
+         "inside)");
+  }
+  if (const std::string m = MetricsMismatch(exec.metrics, event.metrics);
+      !m.empty()) {
+    fail(m);
   }
   if (exec.events != event.events) {
     fail(StrFormat("executor counted %llu events, the event path %llu",
@@ -1077,19 +1253,8 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
             fail(what + "wrong producer (executor outside the validator, "
                         "event path inside)");
           }
-          if (m.iteration_time != v.iteration_time ||
-              std::memcmp(&m.throughput, &v.throughput, sizeof(double)) != 0 ||
-              std::memcmp(&m.gpu_utilization, &v.gpu_utilization,
-                          sizeof(double)) != 0 ||
-              std::memcmp(&m.comm_comp_ratio, &v.comm_comp_ratio,
-                          sizeof(double)) != 0 ||
-              m.peak_memory_bytes != v.peak_memory_bytes || m.oom != v.oom) {
-            fail(what + StrFormat("executor metrics differ from the event "
-                                  "path (iteration %lld vs %lld, utilization "
-                                  "%.17g vs %.17g)",
-                                  static_cast<long long>(m.iteration_time),
-                                  static_cast<long long>(v.iteration_time),
-                                  m.gpu_utilization, v.gpu_utilization));
+          if (const std::string d = MetricsMismatch(m, v); !d.empty()) {
+            fail(what + d);
           }
           if (stats.attempted != vs.attempted ||
               stats.replayed != vs.replayed ||
@@ -1126,6 +1291,9 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
   }
   if (on("pipeline")) {
     PipelineFuzz(seed, errors);
+  }
+  if (on("dp")) {
+    DataParallelFuzz(seed, errors);
   }
 }
 
@@ -1255,7 +1423,7 @@ int FuzzMain(int argc, char** argv) {
                    "  --jobs=N       seeds per thread pool; 0 = all cores\n"
                    "  --checks=GLOBS comma-separated globs over families\n"
                    "                 schedule,memory,train,dag,link,serve,"
-                   "fleet,search,pipeline\n");
+                   "fleet,search,pipeline,dp\n");
       return 2;
     }
   }

@@ -40,7 +40,15 @@
 //     under the SimValidator on the event path and again on the exact
 //     message-level executor; every result field, the replay outcome and
 //     the event count must match bit for bit. The family draws from its own
-//     Rng, so selecting it moves no other family's draws.
+//     Rng, so selecting it moves no other family's draws;
+//   * fuzzes the data-parallel engine's two producers the same way (the
+//     "dp" family, its own Rng too): a random zoo or random model, BytePS or
+//     Horovod, cluster, GPU count, reverse-first-k order, issue mode and
+//     profile, unit-time runs with fractional sync units, and the edge
+//     values commit window 0 (or less than one partition), a 1-byte fusion
+//     buffer and a zero fusion cycle. The event path runs under the
+//     SimValidator, then the five-slot executor; every metric and the event
+//     count must match bit for bit.
 //
 // All randomness flows from the seed through the repo's splitmix64 Rng, so
 // a failure reproduces with `oobp fuzz --seeds 1 --base-seed <seed>`.
@@ -64,10 +72,10 @@ struct FuzzOptions {
   // and the merged report is byte-identical for any jobs value.
   int jobs = 1;
   // Comma-separated glob list over check families: "schedule", "memory",
-  // "train", "dag", "link", "serve", "fleet", "search", "pipeline". A
+  // "train", "dag", "link", "serve", "fleet", "search", "pipeline", "dp". A
   // skipped family also skips its random draws, so repros must pass the
-  // same --checks value as the failing run ("pipeline" draws from its own
-  // stream and repeats under any --checks).
+  // same --checks value as the failing run ("pipeline" and "dp" draw from
+  // their own streams and repeat under any --checks).
   std::string checks = "*";
 };
 

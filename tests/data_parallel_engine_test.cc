@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "src/common/str_util.h"
 #include "src/core/reverse_k.h"
+#include "src/nn/layer_builder.h"
 #include "src/nn/model_zoo.h"
 #include "src/runtime/data_parallel_engine.h"
+#include "src/sim/engine.h"
+#include "src/trace/trace.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -114,6 +123,222 @@ TEST(DataParallelEngineTest, IdealSyncTimeConsistentWithVolume) {
     EXPECT_NEAR(static_cast<double>(engine.IdealSyncTime(m, l)), expected,
                 expected * 0.01 + 2.0);
   }
+}
+
+TEST(DataParallelEngineTest, RejectsConfigsThatCannotRun) {
+  DataParallelConfig config = Config(4, CommScheme::kBytePS);
+  config.measured_iterations = 0;
+  EXPECT_DEATH(DataParallelEngine{config}, "measured_iterations");
+  config = Config(4, CommScheme::kBytePS);
+  config.partition_bytes = 0;
+  EXPECT_DEATH(DataParallelEngine{config}, "partition_bytes");
+  config = Config(4, CommScheme::kBytePS);
+  config.unit_time = Us(1);
+  config.unit_sync_units = 0.0;
+  EXPECT_DEATH(DataParallelEngine{config}, "unit_sync_units");
+}
+
+// ---------------------------------------------------------------------------
+// Executor vs event path (DESIGN.md §6.3). Untraced runs outside a
+// ValidationScope take the exact five-slot executor; inside one they take
+// SimEngine + Gpu + Link. Every metric and the event tally must match bit
+// for bit.
+
+// Pool, conv, pool, dense, pool, dense: parameter-free layers, layer 0
+// among them.
+NnModel ParamFreeModel(int batch) {
+  NnModel m;
+  m.name = "param-free-mix";
+  m.batch = batch;
+  m.layers.push_back(MakePool("pool0", "b0", batch, 16, 32, 32));
+  m.layers.push_back(MakeConv2d("conv1", "b0", batch, 16, 32, 32, 32, 3, 1));
+  m.layers.push_back(MakePool("pool2", "b1", batch, 32, 16, 16));
+  m.layers.push_back(MakeDense("fc3", "b1", batch, 1, 8192, 1024));
+  m.layers.push_back(MakePool("pool4", "b2", batch, 1024, 1, 1));
+  m.layers.push_back(MakeDense("fc5", "b2", batch, 1, 1024, 1000));
+  return m;
+}
+
+struct DpRun {
+  TrainMetrics metrics;
+  bool executor = false;
+  uint64_t events = 0;  // SimEngine tally delta
+};
+
+DpRun RunDp(const DataParallelConfig& config, const NnModel& model,
+            const std::vector<TrainOp>& order) {
+  DpRun run;
+  const uint64_t before = SimEngine::ThreadProcessedEvents();
+  run.metrics =
+      DataParallelEngine(config).Run(model, order, nullptr, &run.executor);
+  run.events = SimEngine::ThreadProcessedEvents() - before;
+  return run;
+}
+
+void ExpectExecutorMatchesEventPath(const DataParallelConfig& config,
+                                    const NnModel& model,
+                                    const std::vector<TrainOp>& order,
+                                    const std::string& what) {
+  SimValidator validator;
+  DpRun event;
+  {
+    ValidationScope scope(&validator);
+    event = RunDp(config, model, order);
+  }
+  EXPECT_TRUE(validator.ok()) << what << ": " << validator.Summary();
+  const DpRun exec = RunDp(config, model, order);
+  EXPECT_FALSE(event.executor) << what;
+  EXPECT_TRUE(exec.executor) << what;
+  const TrainMetrics& a = exec.metrics;
+  const TrainMetrics& b = event.metrics;
+  EXPECT_EQ(a.iteration_time, b.iteration_time) << what;
+  EXPECT_EQ(a.throughput, b.throughput) << what;
+  EXPECT_EQ(a.gpu_utilization, b.gpu_utilization) << what;
+  EXPECT_EQ(a.comm_comp_ratio, b.comm_comp_ratio) << what;
+  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes) << what;
+  EXPECT_EQ(a.oom, b.oom) << what;
+  EXPECT_EQ(exec.events, event.events) << what;
+}
+
+struct CommCase {
+  const char* name;
+  CommScheme scheme;
+  int64_t commit_window_bytes;
+  int64_t fusion_buffer_bytes;
+  TimeNs fusion_cycle;
+};
+
+TEST(DataParallelExecutorTest, MatchesEventPathOverTheGrid) {
+  struct ClusterCase {
+    ClusterSpec cluster;
+    int gpus[3];  // one GPU, intra-node where the cluster has it, cross-node
+  };
+  const ClusterCase clusters[] = {{ClusterSpec::PrivA(), {1, 2, 8}},
+                                  {ClusterSpec::PrivB(), {1, 3, 16}},
+                                  {ClusterSpec::PubA(), {1, 4, 16}}};
+  const NnModel models[] = {ResNet(50, 32), ResNet(101, 32),
+                            ParamFreeModel(32)};
+  const CommCase comms[] = {
+      {"byteps", CommScheme::kBytePS, 256LL << 20, 0, 0},
+      {"byteps-window0", CommScheme::kBytePS, 0, 0, 0},
+      // Less than one 4 MiB partition.
+      {"byteps-window1MiB", CommScheme::kBytePS, 1 << 20, 0, 0},
+      {"horovod", CommScheme::kHorovod, 0, 64LL << 20, Ms(5)},
+  };
+  // Unit time off, the fig04 toy's 1 ms units with 3-unit syncs (the 5 ms
+  // fusion cycle lands on kernel ends), and 2^15-ns units with 2.5-unit
+  // syncs (exact chunk times, so chunk ends tie with kernel ends).
+  struct UnitCase {
+    TimeNs unit_time;
+    double sync_units;
+  };
+  const UnitCase units[] = {{0, 2.0}, {Ms(1), 3.0}, {32768, 2.5}};
+  int runs = 0;
+  for (const ClusterCase& cc : clusters) {
+    for (const int gpus : cc.gpus) {
+      for (const NnModel& model : models) {
+        const TrainGraph graph(&model);
+        const std::vector<TrainOp> orders[] = {
+            graph.ConventionalBackprop(),
+            ReverseFirstK(graph, model.num_layers() / 2).order};
+        for (const CommCase& comm : comms) {
+          for (const bool precompiled : {true, false}) {
+            for (const UnitCase& unit : units) {
+              for (size_t o = 0; o < 2; ++o) {
+                DataParallelConfig config;
+                config.cluster = cc.cluster;
+                config.num_gpus = gpus;
+                config.scheme = comm.scheme;
+                config.precompiled_issue = precompiled;
+                config.measured_iterations = 2;
+                config.commit_window_bytes = comm.commit_window_bytes;
+                if (comm.scheme == CommScheme::kHorovod) {
+                  config.fusion_buffer_bytes = comm.fusion_buffer_bytes;
+                  config.fusion_cycle = comm.fusion_cycle;
+                }
+                config.unit_time = unit.unit_time;
+                config.unit_sync_units = unit.sync_units;
+                ExpectExecutorMatchesEventPath(
+                    config, model, orders[o],
+                    StrFormat("%s, %d GPUs, %s, %s, %s, %s, unit %lld x %g",
+                              cc.cluster.name.c_str(), gpus,
+                              model.name.c_str(), comm.name,
+                              o == 0 ? "conventional" : "reverse-first-k",
+                              precompiled ? "precompiled" : "per-op",
+                              static_cast<long long>(unit.unit_time),
+                              unit.sync_units));
+                ++runs;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 3 * 3 * 3 * 4 * 2 * 3 * 2);
+}
+
+// Horovod's edge values: a 1-byte fusion buffer flushes every tensor at
+// once, and a zero cycle fires the timer in the nanosecond that armed it.
+TEST(DataParallelExecutorTest, MatchesEventPathOnFusionEdgeValues) {
+  const NnModel model = ResNet(50, 32);
+  const TrainGraph graph(&model);
+  const CommCase comms[] = {
+      {"1-byte buffer", CommScheme::kHorovod, 0, 1, Ms(5)},
+      {"zero cycle", CommScheme::kHorovod, 0, 64LL << 20, 0},
+      {"1-byte buffer, zero cycle", CommScheme::kHorovod, 0, 1, 0},
+  };
+  for (const CommCase& comm : comms) {
+    for (const TimeNs unit : {TimeNs{0}, Us(40)}) {
+      for (const int gpus : {4, 16}) {
+        DataParallelConfig config;
+        config.cluster = ClusterSpec::PubA();
+        config.num_gpus = gpus;
+        config.scheme = comm.scheme;
+        config.measured_iterations = 2;
+        config.fusion_buffer_bytes = comm.fusion_buffer_bytes;
+        config.fusion_cycle = comm.fusion_cycle;
+        config.unit_time = unit;
+        ExpectExecutorMatchesEventPath(
+            config, model, graph.ConventionalBackprop(),
+            StrFormat("%s, %d GPUs, unit %lld", comm.name, gpus,
+                      static_cast<long long>(unit)));
+      }
+    }
+  }
+}
+
+// A fusion buffer of a few layers' volume and a cycle far longer than an
+// iteration: the first tensor arms the timer, and the buffer then fills
+// and flushes by size while the timer is still armed.
+TEST(DataParallelExecutorTest, MatchesEventPathWhenSizeFlushesAnArmedTimer) {
+  const NnModel model = ResNet(50, 32);
+  const TrainGraph graph(&model);
+  DataParallelConfig config;
+  config.cluster = ClusterSpec::PubA();
+  config.num_gpus = 16;
+  config.scheme = CommScheme::kHorovod;
+  config.measured_iterations = 2;
+  config.fusion_cycle = Ms(500);
+  const DataParallelEngine engine(config);
+  int64_t largest = 0;
+  for (int l = 0; l < model.num_layers(); ++l) {
+    largest = std::max(largest, engine.SyncVolume(model, l));
+  }
+  config.fusion_buffer_bytes = 3 * largest;
+
+  // Flushes that started before the first timer could fire came from size.
+  TraceRecorder trace;
+  DataParallelEngine(config).Run(model, graph.ConventionalBackprop(), &trace);
+  int size_flushes = 0;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.category == "comm" && ev.start < config.fusion_cycle) {
+      ++size_flushes;
+    }
+  }
+  EXPECT_GT(size_flushes, 1);
+  ExpectExecutorMatchesEventPath(config, model, graph.ConventionalBackprop(),
+                                 "size flush under an armed timer");
 }
 
 }  // namespace

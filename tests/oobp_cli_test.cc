@@ -88,5 +88,41 @@ TEST(OobpCliTest, SearchRunsAndVerifiesItsSchedules) {
       << run.output;
 }
 
+// A name flag whose value names nothing exits 2, naming the flag and the
+// values it accepts, instead of running a default.
+TEST(OobpCliTest, UnknownNameFlagIsAUsageErrorListingTheChoices) {
+  struct Case {
+    const char* args;
+    const char* flag;
+    const char* accepted;
+  };
+  const Case cases[] = {
+      {"dp --model=ffnn --scheme=bogus", "--scheme", "byteps|horovod"},
+      {"dp --model=ffnn --cluster=privA", "--cluster", "priva"},
+      {"single --model=ffnn --gpu=a100", "--gpu", "v100|p100|titanxp"},
+      {"single --model=ffnn --system=oooo", "--system", "xla|ooo|nimble"},
+      {"pipeline --model=ffnn --strategy=gpipee", "--strategy", "gpipe|"},
+      {"dp --model=resnet5", "--model", "resnet50"},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = RunOobp(c.args);
+    EXPECT_EQ(run.exit_code, 2) << c.args << ":\n" << run.output;
+    EXPECT_NE(run.output.find(c.flag), std::string::npos) << run.output;
+    EXPECT_NE(run.output.find(c.accepted), std::string::npos) << run.output;
+  }
+}
+
+TEST(OobpCliTest, DataParallelPrintsItsScheme) {
+  for (const std::string scheme : {"byteps", "horovod"}) {
+    const CliRun run =
+        RunOobp("dp --model=ffnn --gpus=4 --k=0 --scheme=" + scheme);
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_NE(run.output.find(scheme == "byteps" ? "(Pub-A), BytePS, k=0"
+                                                 : "(Pub-A), Horovod, k=0"),
+              std::string::npos)
+        << run.output;
+  }
+}
+
 }  // namespace
 }  // namespace oobp

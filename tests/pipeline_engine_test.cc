@@ -7,6 +7,7 @@
 
 #include "src/common/str_util.h"
 #include "src/hw/link.h"
+#include "src/nn/layer_builder.h"
 #include "src/nn/model_zoo.h"
 #include "src/runtime/pipeline_engine.h"
 #include "src/sim/engine.h"
@@ -268,11 +269,6 @@ TEST(PipelineExecutorTest, MatchesEventPathOverTheGrid) {
         config.measured_iterations = 16;  // PipeDream replays
         const NnModel& model = gpus == 8 ? bert : ffnn;
         for (const PipelineStrategy s : kAllStrategies) {
-          if (link.unit_time > 0 && s == PipelineStrategy::kPipeDream) {
-            // Unit-time mode drops layer 0's dO, so PipeDream's in-flight
-            // cap never releases and the stream stalls (ROADMAP).
-            continue;
-          }
           ExpectExecutorMatchesEventPath(
               config, model, s,
               StrFormat("%s, %d GPUs, M=%d, %s", link.name, gpus, micro,
@@ -282,7 +278,7 @@ TEST(PipelineExecutorTest, MatchesEventPathOverTheGrid) {
       }
     }
   }
-  EXPECT_EQ(runs, 4 * 4 * 3 * 7 - 4 * 3);
+  EXPECT_EQ(runs, 4 * 4 * 3 * 7);
 }
 
 // PipeDream's three run shapes: replayed, too short to replay, and a
@@ -312,6 +308,44 @@ TEST(PipelineExecutorTest, MatchesEventPathOnEveryPipeDreamRunShape) {
                                            "aperiodic")
                 .stats.fallback_reason,
             "aperiodic");
+}
+
+// Unit-time mode drops layer 0's dO. PipeDream's in-flight cap must then
+// count layer 0's backward by its dW, or, for a parameter-free layer 0, by
+// its gradient's arrival; counting dO completions alone let the cap close
+// on the GPU owning layer 0 and the run stalled.
+TEST(PipelineEngineTest, UnitTimePipeDreamCountsLayer0Backward) {
+  PipelineConfig config;
+  config.cluster = ClusterSpec::PubB(1);
+  config.num_gpus = 1;
+  config.num_micro_batches = 1;
+  config.unit_time = Us(1);
+  config.measured_iterations = 16;
+  // 8 forwards, 7 dO and 8 dW per iteration, back to back on one GPU.
+  const PipelineResult r =
+      ExpectExecutorMatchesEventPath(config, Ffnn(8, 64),
+                                     PipelineStrategy::kPipeDream,
+                                     "unit-time PipeDream")
+          .result;
+  EXPECT_EQ(r.metrics.iteration_time, Us(23));
+
+  // Layer 0 without parameters has no backward op at all: 8 forwards and
+  // 7 dO and 7 dW per iteration.
+  NnModel pool_first = Ffnn(8, 64);
+  pool_first.layers[0] = MakePool("pool0", "b0", 64, 4096, 1, 1);
+  for (const int gpus : {1, 2}) {
+    config.num_gpus = gpus;
+    const PipelineResult p =
+        ExpectExecutorMatchesEventPath(
+            config, pool_first, PipelineStrategy::kPipeDream,
+            StrFormat("unit-time PipeDream, parameter-free layer 0, %d GPUs",
+                      gpus))
+            .result;
+    EXPECT_GT(p.metrics.iteration_time, 0);
+    if (gpus == 1) {
+      EXPECT_EQ(p.metrics.iteration_time, Us(22));
+    }
+  }
 }
 
 // Same-nanosecond events in a traced run of the event path. A transfer's

@@ -73,6 +73,39 @@ TEST_F(RunnerTest, RegistryFindAndRegistrationOrder) {
   EXPECT_EQ(all[2]->name, "gamma");
 }
 
+// Scenarios start longest first by cost hint, registration order among
+// equal hints; the report and the written files stay in registration order.
+TEST_F(RunnerTest, DispatchesHighestCostHintFirst) {
+  static std::vector<std::string> started;
+  started.clear();
+  auto add = [](const std::string& name, double hint) {
+    ScenarioRegistry::Global().Register(
+        {name, "Test", "records its start",
+         [name](const ScenarioParams&) {
+           started.push_back(name);
+           ScenarioResult r;
+           r.Set("one", 1.0);
+           return r;
+         },
+         "train", hint});
+  };
+  add("a", 0.0);
+  add("b", 1.0);
+  add("c", 0.0);
+  add("d", 5.0);
+  add("e", 1.0);
+  RunnerOptions opts;
+  opts.jobs = 1;
+  opts.print = false;
+  const RunnerReport report = RunScenarios(opts);
+  EXPECT_EQ(started, (std::vector<std::string>{"d", "b", "e", "a", "c"}));
+  ASSERT_EQ(report.runs.size(), 5u);
+  const char* registered[] = {"a", "b", "c", "d", "e"};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(report.runs[i].scenario->name, registered[i]);
+  }
+}
+
 TEST_F(RunnerTest, DuplicateRegistrationAborts) {
   AddSynthetic("dup", 1.0);
   EXPECT_DEATH(AddSynthetic("dup", 2.0), "duplicate scenario");

@@ -7,9 +7,10 @@
 //                     [--system=xla|ooo|nimble] [--gpu=v100|p100|titanxp]
 //   oobp_sim dp       --model=resnet50 --batch=128 --gpus=16
 //                     [--scheme=byteps|horovod] [--k=-1 (search)|0..L]
-//                     [--cluster=puba|priva|privb]
+//                     [--cluster=puba|pubb|priva|privb]
 //   oobp_sim pipeline --model=bert24 --batch=96 --gpus=4 --micro=4
-//                     [--strategy=gpipe|dapple|pipedream|megatron|ooo1|ooo2]
+//                     [--strategy=gpipe|dapple|pipedream|megatron|
+//                                 megatron-ff|ooo1|ooo2]
 //   oobp_sim hybrid   --model=bert24 --gpus=8 --replicas=2 [--k=0]
 //   oobp_sim replay   --model=densenet121 --schedule=<file>
 //   oobp_sim search   --model=densenet121 --batch=32 [--gpu=v100|p100|titanxp]
@@ -33,7 +34,9 @@
 // Common flags: --trace=<path.json> exports the execution timeline;
 // `single --system=ooo --export-schedule=<file>` saves the computed
 // schedule in the artifact text format for later replay. An integer flag
-// whose value is not one whole integer is a usage error (exit 2).
+// whose value is not one whole integer, and a name flag (--model, --gpu,
+// --cluster, --system, --scheme, --strategy) whose value is not one of its
+// accepted names, is a usage error (exit 2).
 
 #include <algorithm>
 #include <cstdio>
@@ -43,6 +46,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/common/str_util.h"
 #include "src/core/corun_profiler.h"
@@ -115,74 +119,64 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-NnModel MakeModel(const std::string& name, int batch, int image) {
-  if (name == "resnet50") {
-    return ResNet(50, batch, image);
+// Returns the choice named `value`; exits 2, naming the flag and the
+// accepted values, when `value` names none of them.
+template <typename T>
+T Choose(const char* flag, const std::string& value,
+         std::initializer_list<std::pair<const char*, T>> choices) {
+  std::string accepted;
+  for (const auto& [name, choice] : choices) {
+    if (value == name) {
+      return choice;
+    }
+    if (!accepted.empty()) {
+      accepted += '|';
+    }
+    accepted += name;
   }
-  if (name == "resnet101") {
-    return ResNet(101, batch, image);
-  }
-  if (name == "resnet152") {
-    return ResNet(152, batch, image);
-  }
-  if (name == "densenet121") {
-    return DenseNet(121, 32, batch, image);
-  }
-  if (name == "densenet121-k12") {
-    return DenseNet(121, 12, batch, image);
-  }
-  if (name == "densenet169") {
-    return DenseNet(169, 32, batch, image);
-  }
-  if (name == "mobilenet") {
-    return MobileNetV3Large(1.0, batch, image);
-  }
-  if (name == "mobilenet-a025") {
-    return MobileNetV3Large(0.25, batch, image);
-  }
-  if (name == "bert12") {
-    return Bert(12, batch);
-  }
-  if (name == "bert24") {
-    return Bert(24, batch);
-  }
-  if (name == "bert48") {
-    return Bert(48, batch);
-  }
-  if (name == "gpt3") {
-    return Gpt3Medium(batch);
-  }
-  if (name == "rnn") {
-    return RnnModel(16, batch);
-  }
-  if (name == "ffnn") {
-    return Ffnn(16, batch);
-  }
-  std::fprintf(stderr, "unknown model '%s'\n", name.c_str());
+  std::fprintf(stderr, "--%s: unknown value '%s' (accepted: %s)\n", flag,
+               value.c_str(), accepted.c_str());
   std::exit(2);
 }
 
+using ModelBuilder = NnModel (*)(int batch, int image);
+
+NnModel MakeModel(const std::string& name, int batch, int image) {
+  const ModelBuilder build = Choose<ModelBuilder>(
+      "model", name,
+      {{"resnet50", [](int b, int i) { return ResNet(50, b, i); }},
+       {"resnet101", [](int b, int i) { return ResNet(101, b, i); }},
+       {"resnet152", [](int b, int i) { return ResNet(152, b, i); }},
+       {"densenet121", [](int b, int i) { return DenseNet(121, 32, b, i); }},
+       {"densenet121-k12",
+        [](int b, int i) { return DenseNet(121, 12, b, i); }},
+       {"densenet169", [](int b, int i) { return DenseNet(169, 32, b, i); }},
+       {"mobilenet",
+        [](int b, int i) { return MobileNetV3Large(1.0, b, i); }},
+       {"mobilenet-a025",
+        [](int b, int i) { return MobileNetV3Large(0.25, b, i); }},
+       {"bert12", [](int b, int) { return Bert(12, b); }},
+       {"bert24", [](int b, int) { return Bert(24, b); }},
+       {"bert48", [](int b, int) { return Bert(48, b); }},
+       {"gpt3", [](int b, int) { return Gpt3Medium(b); }},
+       {"rnn", [](int b, int) { return RnnModel(16, b); }},
+       {"ffnn", [](int b, int) { return Ffnn(16, b); }}});
+  return build(batch, image);
+}
+
 GpuSpec MakeGpu(const std::string& name) {
-  if (name == "p100") {
-    return GpuSpec::P100();
-  }
-  if (name == "titanxp") {
-    return GpuSpec::TitanXp();
-  }
-  return GpuSpec::V100();
+  return Choose<GpuSpec>("gpu", name,
+                         {{"v100", GpuSpec::V100()},
+                          {"p100", GpuSpec::P100()},
+                          {"titanxp", GpuSpec::TitanXp()}});
 }
 
 ClusterSpec MakeCluster(const std::string& name) {
-  if (name == "priva") {
-    return ClusterSpec::PrivA();
-  }
-  if (name == "privb") {
-    return ClusterSpec::PrivB();
-  }
-  if (name == "pubb") {
-    return ClusterSpec::PubB();
-  }
-  return ClusterSpec::PubA();
+  return Choose<ClusterSpec>("cluster", name,
+                             {{"puba", ClusterSpec::PubA()},
+                              {"pubb", ClusterSpec::PubB()},
+                              {"priva", ClusterSpec::PrivA()},
+                              {"privb", ClusterSpec::PrivB()}});
 }
 
 void PrintMetrics(const TrainMetrics& m) {
@@ -220,16 +214,22 @@ int RunSingle(const Flags& flags) {
   const TrainGraph graph(&model);
   const GpuSpec gpu = MakeGpu(flags.Get("gpu", "v100"));
   const std::string system = flags.Get("system", "ooo");
+  enum class System { kXla, kOoo, kNimble };
+  const System kind = Choose<System>(
+      "system", system,
+      {{"xla", System::kXla},
+       {"ooo", System::kOoo},
+       {"nimble", System::kNimble}});
 
   SingleGpuConfig config;
   config.gpu = gpu;
-  config.profile = system == "nimble" ? SystemProfile::PyTorchNimble()
-                                      : SystemProfile::TensorFlowXla();
-  config.precompiled_issue = system != "xla";
+  config.profile = kind == System::kNimble ? SystemProfile::PyTorchNimble()
+                                           : SystemProfile::TensorFlowXla();
+  config.precompiled_issue = kind != System::kXla;
 
   TraceRecorder trace;
   TrainMetrics metrics;
-  if (system == "ooo") {
+  if (kind == System::kOoo) {
     const JointScheduleResult sched = MakeOooSchedule(graph, gpu, config.profile);
     const std::string export_path = flags.Get("export-schedule", "");
     if (!export_path.empty() &&
@@ -280,9 +280,9 @@ int RunDataParallel(const Flags& flags) {
   DataParallelConfig config;
   config.cluster = MakeCluster(flags.Get("cluster", "puba"));
   config.num_gpus = flags.GetInt("gpus", 16);
-  config.scheme = flags.Get("scheme", "byteps") == "horovod"
-                      ? CommScheme::kHorovod
-                      : CommScheme::kBytePS;
+  config.scheme = Choose<CommScheme>(
+      "scheme", flags.Get("scheme", "byteps"),
+      {{"byteps", CommScheme::kBytePS}, {"horovod", CommScheme::kHorovod}});
   const DataParallelEngine engine(config);
 
   int k = flags.GetInt("k", -1);
@@ -297,34 +297,25 @@ int RunDataParallel(const Flags& flags) {
   TraceRecorder trace;
   const TrainMetrics metrics =
       engine.Run(model, ReverseFirstK(graph, k).order, &trace);
-  std::printf("data-parallel %s on %d x %s (%s), k=%d\n", model.name.c_str(),
-              config.num_gpus, config.cluster.gpu.name.c_str(),
-              config.cluster.name.c_str(), k);
+  std::printf("data-parallel %s on %d x %s (%s), %s, k=%d\n",
+              model.name.c_str(), config.num_gpus,
+              config.cluster.gpu.name.c_str(), config.cluster.name.c_str(),
+              config.scheme == CommScheme::kBytePS ? "BytePS" : "Horovod", k);
   PrintMetrics(metrics);
   MaybeWriteTrace(trace, flags);
   return 0;
 }
 
 PipelineStrategy ParseStrategy(const std::string& s) {
-  if (s == "gpipe") {
-    return PipelineStrategy::kGPipe;
-  }
-  if (s == "dapple") {
-    return PipelineStrategy::kDapple;
-  }
-  if (s == "pipedream") {
-    return PipelineStrategy::kPipeDream;
-  }
-  if (s == "megatron") {
-    return PipelineStrategy::kMegatron;
-  }
-  if (s == "megatron-ff") {
-    return PipelineStrategy::kMegatronFF;
-  }
-  if (s == "ooo1") {
-    return PipelineStrategy::kOooPipe1;
-  }
-  return PipelineStrategy::kOooPipe2;
+  return Choose<PipelineStrategy>(
+      "strategy", s,
+      {{"gpipe", PipelineStrategy::kGPipe},
+       {"dapple", PipelineStrategy::kDapple},
+       {"pipedream", PipelineStrategy::kPipeDream},
+       {"megatron", PipelineStrategy::kMegatron},
+       {"megatron-ff", PipelineStrategy::kMegatronFF},
+       {"ooo1", PipelineStrategy::kOooPipe1},
+       {"ooo2", PipelineStrategy::kOooPipe2}});
 }
 
 int RunPipeline(const Flags& flags) {
@@ -469,8 +460,8 @@ int Usage() {
       "            cluster; golden comparison and the perf harness\n"
       "            (`bench --help` lists its flags)\n"
       "  fuzz      seeded differential fuzzer over schedules, memory,\n"
-      "            training, DAG, link, serving, fleet, search and\n"
-      "            pipeline checkers\n"
+      "            training, DAG, link, serving, fleet, search, pipeline\n"
+      "            and data-parallel checkers\n"
       "            (`fuzz --help` lists its flags)\n"
       "\n"
       "see the header comment of tools/oobp_sim.cc for per-mode flags\n");
