@@ -1,9 +1,8 @@
-// Registration of the paper's figure experiments as runner scenarios.
-//
-// The former standalone bench binaries for Figures 4, 5, 6, 7 and 10 are
-// thin wrappers over these registrations; `oobp bench` runs any subset of
-// them. Heavyweight figures are split into several scenarios (Figure 7 per
-// model, Figure 10 per cluster) so the thread pool can spread them.
+// Registration of the paper's figure experiments (Figures 1, 2, 4-12) as
+// runner scenarios; `oobp bench --filter=<name> --golden` runs any of them
+// against its golden file. Heavyweight figures are split into several
+// scenarios (Figure 7 per model, Figure 10 per cluster) so the thread pool
+// can spread them.
 
 #ifndef OOBP_SRC_RUNNER_PAPER_SCENARIOS_H_
 #define OOBP_SRC_RUNNER_PAPER_SCENARIOS_H_

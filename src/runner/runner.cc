@@ -240,13 +240,14 @@ int BenchUsage() {
                "                  [--perf] [--warmup=N] [--repeats=N]\n"
                "  --list         print scenarios grouped by label\n"
                "                 (train = paper figures, serve = inference\n"
-               "                 serving, sweep = scaling/analysis sweeps,\n"
-               "                 steady = long-horizon replay scenarios,\n"
+               "                 serving, sweep = scaling sweeps, analyses\n"
+               "                 and ablations, steady = long-horizon\n"
+               "                 replay scenarios,\n"
                "                 fleet = multi-replica serving fleets,\n"
-               "                 cluster = parameter-server training)\n"
+               "                 cluster = parameter-server training,\n"
+               "                 search = schedule-search baselines)\n"
                "  --filter=GLOB  run scenarios matching GLOB (default '*';\n"
-               "                 with --perf: "
-               "'fig07_*,fig10_*,fig13_*,serve_*,steady_*')\n"
+               "                 with --perf: '%s')\n"
                "  --jobs=N       thread-pool size; 0 = all cores (default 1)\n"
                "  --out=DIR      write BENCH_<scenario>.json files into DIR,\n"
                "                 which must exist (default .)\n"
@@ -262,7 +263,8 @@ int BenchUsage() {
                "                 committed baseline (default "
                "bench/perf_baseline.json);\n"
                "                 inflation fails, wall-clock bands are\n"
-               "                 informational (Release builds only)\n");
+               "                 informational (Release builds only)\n",
+               PerfOptions{}.filter.c_str());
   return 2;
 }
 
@@ -282,10 +284,14 @@ int BenchMain(int argc, char** argv) {
   bool perf = false;
   bool filter_given = false;
   PerfOptions perf_opts;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      continue;  // binary name / "bench" subcommand / stray positionals
+      std::fprintf(stderr,
+                   "unexpected argument '%s' (select scenarios with "
+                   "--filter=GLOB)\n",
+                   arg.c_str());
+      return BenchUsage();
     }
     arg = arg.substr(2);
     std::string value;
@@ -383,24 +389,6 @@ int BenchMain(int argc, char** argv) {
   if (report.runs.empty()) {
     std::fprintf(stderr, "no scenario matches filter '%s'\n",
                  opts.filter.c_str());
-    return 2;
-  }
-  return report.ok() ? 0 : 1;
-}
-
-int RunStandaloneBench(const std::string& filter) {
-  RegisterPaperScenarios();
-  RegisterServeScenarios();
-  RegisterSweepScenarios();
-  RegisterFleetScenarios();
-  RegisterClusterScenarios();
-  RegisterSearchScenarios();
-  RunnerOptions opts;
-  opts.filter = filter;
-  opts.jobs = 1;
-  const RunnerReport report = RunScenarios(opts);
-  if (report.runs.empty()) {
-    std::fprintf(stderr, "no scenario matches filter '%s'\n", filter.c_str());
     return 2;
   }
   return report.ok() ? 0 : 1;

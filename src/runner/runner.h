@@ -5,7 +5,7 @@
 // is embarrassingly parallel; results are collected into registration-order
 // slots, which makes the emitted JSON byte-identical whatever --jobs is.
 //
-// CLI (wired as `oobp bench`, also behind the thin bench/ wrappers):
+// CLI (wired as `oobp bench`):
 //
 //   oobp bench --list
 //   oobp bench --filter='fig0[456]*' --jobs=8
@@ -66,14 +66,10 @@ std::string ScenarioJson(const Scenario& scenario, const ScenarioResult& result)
 // starting them in descending Scenario::cost_hint order.
 RunnerReport RunScenarios(const RunnerOptions& opts);
 
-// `oobp bench` entry point; parses flags (any leading non-flag tokens such
-// as the binary name and the "bench" subcommand are skipped), registers the
-// paper scenarios, and returns a process exit code.
+// `oobp bench` entry point: argv[0] is the binary and argv[1] the "bench"
+// subcommand. Parses the flags that follow (a positional argument is a usage
+// error), registers every scenario, and returns a process exit code.
 int BenchMain(int argc, char** argv);
-
-// Serial convenience used by the thin bench/ figure wrappers: registers the
-// paper scenarios, runs `filter`, prints, writes no files. Returns exit code.
-int RunStandaloneBench(const std::string& filter);
 
 }  // namespace oobp
 

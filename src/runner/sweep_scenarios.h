@@ -1,12 +1,12 @@
-// Registration of the scaling sweeps and analysis experiments as runner
-// scenarios (label "sweep"), plus the long-horizon steady-state training
-// scenarios (label "steady") that exercise the iteration-replay fast path.
+// Registration of the scaling sweeps, the Section 6/8 analyses (ana_*) and
+// the ablations (abl_*) as runner scenarios (label "sweep"), plus the
+// long-horizon steady-state training scenarios (label "steady") that
+// exercise the iteration-replay fast path.
 //
-// The former standalone bench binaries for Figure 13 and the Section 8
-// analyses are thin wrappers over these registrations; hosting the sweep
-// loops here lets `oobp bench --jobs N` spread the scaling points over the
-// thread pool, puts them under the golden gate and the validator replay,
-// and shares model/cost-model construction through src/nn/model_cache.h.
+// Hosting the sweep loops here lets `oobp bench --jobs N` spread them over
+// the thread pool, puts them under the golden gate and the validator
+// replay, and shares model/cost-model construction through
+// src/nn/model_cache.h.
 
 #ifndef OOBP_SRC_RUNNER_SWEEP_SCENARIOS_H_
 #define OOBP_SRC_RUNNER_SWEEP_SCENARIOS_H_

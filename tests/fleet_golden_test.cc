@@ -6,10 +6,12 @@
 //     the headline pair: the ooo co-run fleet holds p99 flat (<= 10%
 //     growth) as load doubles while the in-order baseline degrades.
 // It also hosts the full golden sweep: every registered scenario run at
-// --jobs 4 against every file in bench/golden.
+// --jobs 4 against its file in bench/golden, and every file there naming a
+// registered scenario.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -28,7 +30,6 @@ namespace oobp {
 namespace {
 
 constexpr size_t kFleetScenarios = 11;  // 3 policies x 3 sizes + corun pair
-constexpr int kGoldenFiles = 46;        // files in bench/golden
 
 RunnerOptions FleetOpts(int jobs) {
   RunnerOptions opts;
@@ -115,7 +116,10 @@ TEST(FleetGoldenTest, ResultsMatchPinnedGoldensAndHeadlineHolds) {
 }
 
 // The one gate over all of bench/golden, and the only one for the ana_*
-// sweeps: every golden file is compared and none mismatches.
+// and abl_* sweeps. It runs both ways, so no scenario lands ungated and no
+// golden file outlives its scenario: every registered scenario is compared
+// against its golden file and none mismatches, and every golden file names
+// a registered scenario.
 TEST(FleetGoldenTest, FullGoldenSweepMatchesEveryGolden) {
   RegisterPaperScenarios();
   RegisterServeScenarios();
@@ -123,21 +127,29 @@ TEST(FleetGoldenTest, FullGoldenSweepMatchesEveryGolden) {
   RegisterFleetScenarios();
   RegisterClusterScenarios();
   RegisterSearchScenarios();
+  const std::string golden_dir = OOBP_REPO_ROOT "/bench/golden";
   RunnerOptions opts;
   opts.jobs = 4;
   opts.print = false;
-  opts.golden_dir = OOBP_REPO_ROOT "/bench/golden";
+  opts.golden_dir = golden_dir;
   const RunnerReport report = RunScenarios(opts);
-  int compared = 0;
+  EXPECT_EQ(report.runs.size(), ScenarioRegistry::Global().size());
   for (const ScenarioRun& run : report.runs) {
     EXPECT_TRUE(run.ok) << run.scenario->name << ": " << run.error;
+    EXPECT_TRUE(run.golden_compared)
+        << run.scenario->name << " has no file in bench/golden";
     for (const std::string& failure : run.golden_failures) {
       ADD_FAILURE() << run.scenario->name << ": " << failure;
     }
-    compared += run.golden_compared ? 1 : 0;
   }
-  EXPECT_EQ(compared, kGoldenFiles);
   EXPECT_EQ(report.num_golden_failures, 0);
+
+  for (const auto& entry : std::filesystem::directory_iterator(golden_dir)) {
+    EXPECT_EQ(entry.path().extension(), ".json") << entry.path();
+    EXPECT_NE(ScenarioRegistry::Global().Find(entry.path().stem().string()),
+              nullptr)
+        << entry.path() << " names no registered scenario";
+  }
 }
 
 }  // namespace

@@ -112,6 +112,75 @@ TEST(OobpCliTest, UnknownNameFlagIsAUsageErrorListingTheChoices) {
   }
 }
 
+// Every mode takes flags only. A positional argument exits 2, naming it,
+// instead of running a default model or every scenario.
+TEST(OobpCliTest, PositionalArgumentIsAUsageErrorNamingIt) {
+  struct Case {
+    const char* args;
+    const char* positional;
+  };
+  const Case cases[] = {
+      {"bench fig05_mp_unit", "fig05_mp_unit"},
+      {"single resnet50", "resnet50"},
+      {"pipeline bert12 --gpus=2", "bert12"},
+      {"search ffnn --budget=5", "ffnn"},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = RunOobp(c.args);
+    EXPECT_EQ(run.exit_code, 2) << c.args << ":\n" << run.output;
+    EXPECT_NE(run.output.find(std::string("unexpected argument '") +
+                              c.positional + "'"),
+              std::string::npos)
+        << run.output;
+  }
+}
+
+// A flag the mode does not take exits 2 and names it in every mode, so a
+// typo never runs the default in its place.
+TEST(OobpCliTest, UnknownFlagIsAUsageErrorInEveryMode) {
+  struct Case {
+    const char* args;
+    const char* flag;
+  };
+  const Case cases[] = {
+      {"single --modle=resnet50", "--modle"},
+      {"dp --model=ffnn --gpu=v100", "--gpu"},
+      {"pipeline --model=ffnn --replicas=2", "--replicas"},
+      {"hybrid --gpus=8 --replica=4", "--replica"},
+      {"replay --model=ffnn --shedule=x", "--shedule"},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = RunOobp(c.args);
+    EXPECT_EQ(run.exit_code, 2) << c.args << ":\n" << run.output;
+    EXPECT_NE(run.output.find(std::string("unknown flag ") + c.flag),
+              std::string::npos)
+        << run.output;
+  }
+}
+
+// The other side of the two cases above: each mode still runs with every
+// flag it takes.
+TEST(OobpCliTest, EveryModeTakesAllItsFlags) {
+  const std::string schedule = ::testing::TempDir() + "oobp_cli_schedule.txt";
+  const std::string runs[] = {
+      "single --model=ffnn --batch=8 --image=224 --gpu=v100 --system=ooo "
+      "--trace=/dev/null --export-schedule=" + schedule,
+      "replay --model=ffnn --batch=8 --image=224 --gpu=v100 --trace=/dev/null "
+      "--schedule=" + schedule,
+      "dp --model=ffnn --batch=8 --image=224 --cluster=puba --gpus=2 "
+      "--scheme=byteps --k=0 --trace=/dev/null",
+      "pipeline --model=ffnn --batch=8 --image=224 --micro=2 --cluster=pubb "
+      "--gpus=2 --group=1 --k=0 --strategy=ooo2 --trace=/dev/null",
+      "hybrid --model=ffnn --batch=8 --image=224 --cluster=pubb --gpus=2 "
+      "--micro=2 --k=0 --replicas=2 --strategy=ooo2",
+  };
+  for (const std::string& args : runs) {
+    const CliRun run = RunOobp(args);
+    EXPECT_EQ(run.exit_code, 0) << args << ":\n" << run.output;
+  }
+  std::remove(schedule.c_str());
+}
+
 TEST(OobpCliTest, DataParallelPrintsItsScheme) {
   for (const std::string scheme : {"byteps", "horovod"}) {
     const CliRun run =

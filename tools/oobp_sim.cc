@@ -20,8 +20,7 @@
 //                     prints the heuristic-vs-searched optimality gap and
 //                     machine-verifies every schedule with
 //                     CheckIterationSchedule. --threads runs the trajectory
-//                     portfolio on a worker pool, byte-identical for any N;
-//                     any other flag is an error)
+//                     portfolio on a worker pool, byte-identical for any N)
 //   oobp_sim bench    [--list] [--filter=<glob>] [--jobs=N] [--out=<dir>]
 //                     [--golden[=<dir>]] [--perf] [--check[=<baseline>]]
 //                     [--param k=v]  (see src/runner; --check gates perf
@@ -31,12 +30,13 @@
 //                     (seeded differential fuzzer, see src/validate; --jobs=0
 //                     uses all cores, report is byte-identical to --jobs=1)
 //
-// Common flags: --trace=<path.json> exports the execution timeline;
-// `single --system=ooo --export-schedule=<file>` saves the computed
-// schedule in the artifact text format for later replay. An integer flag
-// whose value is not one whole integer, and a name flag (--model, --gpu,
-// --cluster, --system, --scheme, --strategy) whose value is not one of its
-// accepted names, is a usage error (exit 2).
+// Common flags: --trace=<path.json> exports the execution timeline
+// (single, dp, pipeline, replay); `single --system=ooo
+// --export-schedule=<file>` saves the computed schedule in the artifact
+// text format for later replay. A positional argument, a flag the mode does
+// not take, an integer flag whose value is not one whole integer, and a name
+// flag (--model, --gpu, --cluster, --system, --scheme, --strategy) whose
+// value is not one of its accepted names are usage errors (exit 2).
 
 #include <algorithm>
 #include <cstdio>
@@ -69,14 +69,19 @@
 namespace oobp {
 namespace {
 
-// Minimal --key=value flag parser.
+// Minimal --key=value flag parser. Every argument after the mode must be a
+// flag: a positional argument exits 2, naming it.
 class Flags {
  public:
   Flags(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
-        continue;
+        std::fprintf(stderr,
+                     "unexpected argument '%s' (flags take the form "
+                     "--name=value)\n",
+                     arg.c_str());
+        std::exit(2);
       }
       const size_t eq = arg.find('=');
       if (eq == std::string::npos) {
@@ -104,15 +109,14 @@ class Flags {
     }
     return value;
   }
-  // First given flag not in `known`, or "" when every flag is known.
-  std::string FirstUnknown(std::initializer_list<std::string_view> known)
-      const {
+  // Exits 2, naming the flag, when a given flag is not in `known`.
+  void RejectUnknown(std::initializer_list<std::string_view> known) const {
     for (const auto& [key, value] : values_) {
       if (std::find(known.begin(), known.end(), key) == known.end()) {
-        return key;
+        std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+        std::exit(2);
       }
     }
-    return "";
   }
 
  private:
@@ -208,6 +212,8 @@ void MaybeWriteTrace(const TraceRecorder& trace, const Flags& flags) {
 }
 
 int RunSingle(const Flags& flags) {
+  flags.RejectUnknown({"model", "batch", "image", "gpu", "system",
+                       "export-schedule", "trace"});
   const NnModel model = MakeModel(flags.Get("model", "densenet121"),
                                   flags.GetInt("batch", 32),
                                   flags.GetInt("image", 224));
@@ -250,6 +256,8 @@ int RunSingle(const Flags& flags) {
 }
 
 int RunReplay(const Flags& flags) {
+  flags.RejectUnknown(
+      {"model", "batch", "image", "schedule", "gpu", "trace"});
   const NnModel model = MakeModel(flags.Get("model", "densenet121"),
                                   flags.GetInt("batch", 32),
                                   flags.GetInt("image", 224));
@@ -272,6 +280,8 @@ int RunReplay(const Flags& flags) {
 }
 
 int RunDataParallel(const Flags& flags) {
+  flags.RejectUnknown({"model", "batch", "image", "cluster", "gpus", "scheme",
+                       "k", "trace"});
   const NnModel model = MakeModel(flags.Get("model", "resnet50"),
                                   flags.GetInt("batch", 128),
                                   flags.GetInt("image", 224));
@@ -319,6 +329,8 @@ PipelineStrategy ParseStrategy(const std::string& s) {
 }
 
 int RunPipeline(const Flags& flags) {
+  flags.RejectUnknown({"model", "batch", "image", "micro", "cluster", "gpus",
+                       "group", "k", "strategy", "trace"});
   const int micro_batches = flags.GetInt("micro", 4);
   const int batch = flags.GetInt("batch", 96);
   const NnModel micro = MakeModel(flags.Get("model", "bert24"),
@@ -348,6 +360,8 @@ int RunPipeline(const Flags& flags) {
 }
 
 int RunHybrid(const Flags& flags) {
+  flags.RejectUnknown({"model", "batch", "image", "cluster", "gpus", "micro",
+                       "k", "replicas", "strategy"});
   const NnModel micro =
       MakeModel(flags.Get("model", "bert24"), flags.GetInt("batch", 16),
                 flags.GetInt("image", 224));
@@ -372,13 +386,8 @@ int RunHybrid(const Flags& flags) {
 }
 
 int RunSearch(const Flags& flags) {
-  const std::string unknown = flags.FirstUnknown(
-      {"model", "batch", "image", "gpu", "beam", "seed", "budget", "threads",
-       "export-schedule"});
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
-    return 2;
-  }
+  flags.RejectUnknown({"model", "batch", "image", "gpu", "beam", "seed",
+                       "budget", "threads", "export-schedule"});
   const NnModel model = MakeModel(flags.Get("model", "densenet121"),
                                   flags.GetInt("batch", 32),
                                   flags.GetInt("image", 224));
@@ -476,30 +485,22 @@ int main(int argc, char** argv) {
     return oobp::Usage();
   }
   const std::string mode = argv[1];
-  const oobp::Flags flags(argc, argv);
-  if (mode == "single") {
-    return oobp::RunSingle(flags);
-  }
-  if (mode == "dp") {
-    return oobp::RunDataParallel(flags);
-  }
-  if (mode == "pipeline") {
-    return oobp::RunPipeline(flags);
-  }
-  if (mode == "hybrid") {
-    return oobp::RunHybrid(flags);
-  }
-  if (mode == "replay") {
-    return oobp::RunReplay(flags);
-  }
-  if (mode == "search") {
-    return oobp::RunSearch(flags);
-  }
+  // bench and fuzz parse their own flags, `--flag value` forms included.
   if (mode == "bench") {
     return oobp::BenchMain(argc, argv);
   }
   if (mode == "fuzz") {
     return oobp::FuzzMain(argc, argv);
+  }
+  using Mode = int (*)(const oobp::Flags&);
+  const std::pair<const char*, Mode> modes[] = {
+      {"single", oobp::RunSingle},     {"dp", oobp::RunDataParallel},
+      {"pipeline", oobp::RunPipeline}, {"hybrid", oobp::RunHybrid},
+      {"replay", oobp::RunReplay},     {"search", oobp::RunSearch}};
+  for (const auto& [name, run] : modes) {
+    if (mode == name) {
+      return run(oobp::Flags(argc, argv));
+    }
   }
   return oobp::Usage();
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Wall-clock perf harness for the simulator core: Release build, then
-# `oobp bench --perf` over the default perf set — fig07/fig10 training,
-# serve_*, the fig13/ana_* sweeps, and the steady_* replay scenarios
-# (override with --filter). Emits <build-dir>/BENCH_sim_perf.json; the
-# report's "host" object records hardware_concurrency, compiler, and build
-# type so numbers from different machines aren't compared blindly. See
+# `oobp bench --perf` over the default perf set (PerfOptions::filter in
+# src/runner/perf.h) — fig07/fig10 training, the fig13 sweeps, serve_*,
+# the steady_* replay scenarios, fleet_rr_64, fleet_corun_ooo_64,
+# cluster_ps_* and search_eval_perf (override with --filter). Emits
+# <build-dir>/BENCH_sim_perf.json; the report's "host" object records
+# hardware_concurrency, compiler, and build type so numbers from
+# different machines aren't compared blindly. See
 # src/runner/perf.h for the schema and DESIGN.md §6/§9 for how to read the
 # numbers. Pass --check to gate event counts against bench/perf_baseline.json.
 #
