@@ -33,6 +33,11 @@ struct ScenarioResult {
   double Get(const std::string& key, double def = 0.0) const;
 };
 
+// Empty when `a` and `b` hold the same keys in the same order with
+// bit-identical values; otherwise the first difference. Tests use it to pin
+// two producers of one scenario against each other.
+std::string ValuesMismatch(const ScenarioResult& a, const ScenarioResult& b);
+
 }  // namespace oobp
 
 #endif  // OOBP_SRC_RUNNER_RESULT_H_

@@ -249,43 +249,11 @@ class TwoStreamExecutor {
         record_(record),
         fluid_(static_cast<double>(config.gpu.slot_capacity()),
                record ? &increments_ : nullptr),
+        graph_(plan.items, /*num_streams=*/2),
         pending_(n_, 0),
         start_(n_, -1),
-        done_(n_, -1),
-        next_on_stream_(n_, -1),
-        dependents_begin_(n_ + 1, 0) {
+        done_(n_, -1) {
     OOBP_CHECK_GE(queue_depth_, 0);
-    // Dependents of each item in enqueue order, repeats kept: the Gpu's
-    // per-kernel dependent lists, less the entries a dependent would only
-    // add after its dependency finished (see Finish()).
-    for (size_t i = 0; i < n_; ++i) {
-      const IssueItem& item = items_[i];
-      OOBP_CHECK(item.stream == 0 || item.stream == 1)
-          << "item " << i << " on stream " << item.stream;
-      OOBP_CHECK_GE(item.solo_duration, 0);
-      OOBP_CHECK_GT(item.thread_blocks, 0.0);
-      for (int d = 0; d < item.num_deps; ++d) {
-        OOBP_CHECK_LT(item.dep_items[d], i)
-            << "dependency must precede dependent in issue order";
-        ++dependents_begin_[item.dep_items[d] + 1];
-      }
-    }
-    for (size_t i = 0; i < n_; ++i) {
-      dependents_begin_[i + 1] += dependents_begin_[i];
-    }
-    dependents_.resize(dependents_begin_[n_]);
-    std::vector<int> cursor(dependents_begin_.begin(),
-                            dependents_begin_.end() - 1);
-    int next[2] = {-1, -1};
-    for (size_t i = 0; i < n_; ++i) {
-      const IssueItem& item = items_[i];
-      for (int d = 0; d < item.num_deps; ++d) {
-        dependents_[cursor[item.dep_items[d]]++] = static_cast<int>(i);
-      }
-      const size_t back = n_ - 1 - i;
-      next_on_stream_[back] = next[items_[back].stream];
-      next[items_[back].stream] = static_cast<int>(back);
-    }
     if (record_) {
       increments_.reserve(4 * n_);
     }
@@ -394,13 +362,14 @@ class TwoStreamExecutor {
     const int s = items_[i].stream;
     OOBP_CHECK(queued_[s] > 0 && head_[s] == i);
     if (--queued_[s] > 0) {
-      head_[s] = next_on_stream_[i];
+      head_[s] = graph_.next_on_stream[i];
     }
     dispatched_[s] = false;
     // Only dependents enqueued so far registered with this item; later
     // ones saw it done. Enqueue order is index order.
-    for (int k = dependents_begin_[i]; k < dependents_begin_[i + 1]; ++k) {
-      const int j = dependents_[k];
+    for (int k = graph_.dependents_begin[i]; k < graph_.dependents_begin[i + 1];
+         ++k) {
+      const int j = graph_.dependents[k];
       if (static_cast<size_t>(j) >= enqueued_) {
         break;
       }
@@ -443,12 +412,10 @@ class TwoStreamExecutor {
   bool dispatched_[2] = {false, false};
 
   // Kernels.
+  const IssueGraph graph_;
   std::vector<int> pending_;
   std::vector<TimeNs> start_;
   std::vector<TimeNs> done_;  // -1 until the item completes
-  std::vector<int> next_on_stream_;
-  std::vector<int> dependents_begin_;
-  std::vector<int> dependents_;
   size_t enqueued_ = 0;
   size_t completed_ = 0;
 };

@@ -7,11 +7,17 @@
 
 namespace oobp {
 
-Autoscaler::Autoscaler(SimEngine* engine, AutoscalerConfig config,
-                       QueuedFn queued)
-    : engine_(engine), config_(config), queued_(std::move(queued)) {
-  OOBP_CHECK(engine_ != nullptr);
-  OOBP_CHECK(queued_ != nullptr);
+namespace {
+
+TimeNs NowOf(const SimEngine* engine) {
+  OOBP_CHECK(engine != nullptr);
+  return engine->now();
+}
+
+}  // namespace
+
+ScalePolicy::ScalePolicy(const AutoscalerConfig& config, TimeNs now)
+    : config_(config) {
   OOBP_CHECK_GE(config_.min_replicas, 1);
   OOBP_CHECK_GE(config_.max_replicas, config_.min_replicas);
   OOBP_CHECK_GT(config_.scale_up_depth, config_.scale_down_depth);
@@ -26,33 +32,21 @@ Autoscaler::Autoscaler(SimEngine* engine, AutoscalerConfig config,
   initial = std::clamp(initial, config_.min_replicas, config_.max_replicas);
 
   state_.assign(static_cast<size_t>(config_.max_replicas), State::kDown);
-  warm_timer_.resize(static_cast<size_t>(config_.max_replicas));
   for (int r = 0; r < initial; ++r) {
     state_[static_cast<size_t>(r)] = State::kUp;
   }
   target_ = initial;
   RebuildRoutable();
-  timeline_.push_back({engine_->now(), num_routable()});
+  timeline_.push_back({now, num_routable()});
 }
 
-void Autoscaler::Start(TimeNs until) {
-  const TimeNs first = engine_->now() + config_.evaluate_every;
-  if (first > until) {
-    return;
-  }
-  engine_->ScheduleAt(first, [this, until] {
-    Evaluate();
-    Start(until);
-  });
-}
-
-void Autoscaler::Evaluate() {
-  const TimeNs now = engine_->now();
+ScalePolicy::Step ScalePolicy::Evaluate(TimeNs now, const QueuedFn& queued) {
+  Step step;
   if (any_action_ && now - last_action_ < config_.cooldown) {
-    return;
+    return step;
   }
-  const int64_t queued = queued_();
-  const double per = static_cast<double>(queued) /
+  const int64_t depth = queued();
+  const double per = static_cast<double>(depth) /
                      static_cast<double>(std::max(1, num_routable()));
 
   if (per > config_.scale_up_depth && target_ < config_.max_replicas) {
@@ -71,12 +65,11 @@ void Autoscaler::Evaluate() {
     any_action_ = true;
     last_action_ = now;
     if (config_.warmup == 0) {
-      BecomeUp(replica);
+      BecomeUp(replica, now);
     } else {
-      warm_timer_[static_cast<size_t>(replica)] = engine_->ScheduleAfter(
-          config_.warmup, [this, replica] { BecomeUp(replica); });
+      step.warm = replica;
     }
-    return;
+    return step;
   }
 
   if (per < config_.scale_down_depth && target_ > config_.min_replicas) {
@@ -89,7 +82,7 @@ void Autoscaler::Evaluate() {
         continue;
       }
       if (s == State::kWarming) {
-        engine_->Cancel(warm_timer_[static_cast<size_t>(r)]);
+        step.cancel = r;
       }
       s = State::kDown;
       --target_;
@@ -101,30 +94,65 @@ void Autoscaler::Evaluate() {
       if (num_routable() != before) {
         timeline_.push_back({now, num_routable()});
       }
-      return;
+      return step;
     }
   }
+  return step;
 }
 
-bool Autoscaler::routable(int replica) const {
+void ScalePolicy::BecomeUp(int replica, TimeNs now) {
+  OOBP_CHECK(state_[static_cast<size_t>(replica)] == State::kWarming);
+  state_[static_cast<size_t>(replica)] = State::kUp;
+  RebuildRoutable();
+  timeline_.push_back({now, num_routable()});
+}
+
+bool ScalePolicy::routable(int replica) const {
   OOBP_CHECK_GE(replica, 0);
   OOBP_CHECK_LT(replica, config_.max_replicas);
   return state_[static_cast<size_t>(replica)] == State::kUp;
 }
 
-void Autoscaler::BecomeUp(int replica) {
-  OOBP_CHECK(state_[static_cast<size_t>(replica)] == State::kWarming);
-  state_[static_cast<size_t>(replica)] = State::kUp;
-  RebuildRoutable();
-  timeline_.push_back({engine_->now(), num_routable()});
-}
-
-void Autoscaler::RebuildRoutable() {
+void ScalePolicy::RebuildRoutable() {
   routable_.clear();
   for (int r = 0; r < config_.max_replicas; ++r) {
     if (state_[static_cast<size_t>(r)] == State::kUp) {
       routable_.push_back(r);
     }
+  }
+}
+
+Autoscaler::Autoscaler(SimEngine* engine, AutoscalerConfig config,
+                       QueuedFn queued)
+    : engine_(engine),
+      queued_(std::move(queued)),
+      policy_(config, NowOf(engine)),
+      warm_timer_(static_cast<size_t>(config.max_replicas)) {
+  OOBP_CHECK(queued_ != nullptr);
+}
+
+void Autoscaler::Start(TimeNs until) {
+  const TimeNs first = policy_.NextTick(engine_->now(), until);
+  if (first < 0) {
+    return;
+  }
+  engine_->ScheduleAt(first, [this, until] {
+    Evaluate();
+    Start(until);
+  });
+}
+
+void Autoscaler::Evaluate() {
+  const ScalePolicy::Step step = policy_.Evaluate(engine_->now(), queued_);
+  if (step.cancel >= 0) {
+    engine_->Cancel(warm_timer_[static_cast<size_t>(step.cancel)]);
+  }
+  if (step.warm >= 0) {
+    const int replica = step.warm;
+    warm_timer_[static_cast<size_t>(replica)] =
+        engine_->ScheduleAfter(policy_.config().warmup, [this, replica] {
+          policy_.BecomeUp(replica, engine_->now());
+        });
   }
 }
 

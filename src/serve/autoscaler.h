@@ -18,8 +18,12 @@
 // simply returns to full-rate ooo training. The routable count never drops
 // below `min_replicas`.
 //
-// Like the router, this is pure control logic over the SimEngine clock, so
-// it unit-tests against scripted and fuzzed depth sequences without a GPU.
+// Like the router, this is pure control logic. The state machine lives in
+// ScalePolicy, which has no clock: Autoscaler drives it from SimEngine
+// ticks and warm-up timers, and the serving executor
+// (src/serve/replica_driver.cc) from its own control-plane slots, so the
+// rules exist once and unit-test against scripted and fuzzed depth
+// sequences without a GPU.
 
 #ifndef OOBP_SRC_SERVE_AUTOSCALER_H_
 #define OOBP_SRC_SERVE_AUTOSCALER_H_
@@ -47,11 +51,72 @@ struct AutoscalerConfig {
   TimeNs warmup = Ms(10);    // spin-up cost before a new replica is routable
 };
 
-class Autoscaler {
+// The autoscaler's replica-state machine without a clock. Each call is one
+// step of Autoscaler's, so a driver that makes the same calls at the same
+// times reproduces it exactly.
+class ScalePolicy {
  public:
   // `queued` returns the total queued-request count across routable
   // replicas at the current simulation time.
   using QueuedFn = std::function<int64_t()>;
+
+  // The initial fleet is up at `now`.
+  ScalePolicy(const AutoscalerConfig& config, TimeNs now);
+
+  // What one control step did to the warm-up timers.
+  struct Step {
+    // Replica that started warming; its timer must call BecomeUp
+    // `config.warmup` later. -1 when none (with a zero warm-up the replica
+    // is already up).
+    int warm = -1;
+    // Warming replica the step took down; its timer must be cancelled.
+    int cancel = -1;
+  };
+
+  // One control step at `now`; `queued` is sampled only outside the
+  // cooldown.
+  Step Evaluate(TimeNs now, const QueuedFn& queued);
+
+  // `replica`'s warm-up ended at `now`.
+  void BecomeUp(int replica, TimeNs now);
+
+  // The first tick of periodic evaluation started at `now`, or the tick
+  // after one at `now`: -1 once it would land past `until`.
+  TimeNs NextTick(TimeNs now, TimeNs until) const {
+    const TimeNs next = now + config_.evaluate_every;
+    return next > until ? -1 : next;
+  }
+
+  bool routable(int replica) const;
+  const std::vector<int>& routable_set() const { return routable_; }
+  int num_routable() const { return static_cast<int>(routable_.size()); }
+  int target() const { return target_; }
+  int scale_ups() const { return scale_ups_; }
+  int scale_downs() const { return scale_downs_; }
+  const std::vector<std::pair<TimeNs, int>>& timeline() const {
+    return timeline_;
+  }
+  const AutoscalerConfig& config() const { return config_; }
+
+ private:
+  enum class State { kDown, kWarming, kUp };
+
+  void RebuildRoutable();
+
+  AutoscalerConfig config_;
+  std::vector<State> state_;
+  std::vector<int> routable_;
+  int target_ = 0;
+  TimeNs last_action_ = 0;
+  bool any_action_ = false;  // cooldown only binds after the first action
+  int scale_ups_ = 0;
+  int scale_downs_ = 0;
+  std::vector<std::pair<TimeNs, int>> timeline_;
+};
+
+class Autoscaler {
+ public:
+  using QueuedFn = ScalePolicy::QueuedFn;
 
   Autoscaler(SimEngine* engine, AutoscalerConfig config, QueuedFn queued);
   Autoscaler(const Autoscaler&) = delete;
@@ -66,42 +131,31 @@ class Autoscaler {
   // script their own evaluation times.
   void Evaluate();
 
-  bool routable(int replica) const;
+  bool routable(int replica) const { return policy_.routable(replica); }
   // Ascending indices of up replicas; never empty (min_replicas >= 1).
-  const std::vector<int>& routable_set() const { return routable_; }
-  int num_routable() const { return static_cast<int>(routable_.size()); }
+  const std::vector<int>& routable_set() const {
+    return policy_.routable_set();
+  }
+  int num_routable() const { return policy_.num_routable(); }
   // Up + warming: replicas whose warm-up cost has been committed.
-  int target() const { return target_; }
+  int target() const { return policy_.target(); }
 
-  int scale_ups() const { return scale_ups_; }
-  int scale_downs() const { return scale_downs_; }
+  int scale_ups() const { return policy_.scale_ups(); }
+  int scale_downs() const { return policy_.scale_downs(); }
   // (time, routable count) on every change; starts with the t = 0 entry for
   // the initial fleet. Times are non-decreasing.
   const std::vector<std::pair<TimeNs, int>>& timeline() const {
-    return timeline_;
+    return policy_.timeline();
   }
 
-  const AutoscalerConfig& config() const { return config_; }
+  const AutoscalerConfig& config() const { return policy_.config(); }
+  const ScalePolicy& policy() const { return policy_; }
 
  private:
-  enum class State { kDown, kWarming, kUp };
-
-  void BecomeUp(int replica);
-  void RebuildRoutable();
-
   SimEngine* engine_;
-  AutoscalerConfig config_;
   QueuedFn queued_;
-
-  std::vector<State> state_;
+  ScalePolicy policy_;
   std::vector<SimEngine::TimerHandle> warm_timer_;
-  std::vector<int> routable_;
-  int target_ = 0;
-  TimeNs last_action_ = 0;
-  bool any_action_ = false;  // cooldown only binds after the first action
-  int scale_ups_ = 0;
-  int scale_downs_ = 0;
-  std::vector<std::pair<TimeNs, int>> timeline_;
 };
 
 }  // namespace oobp

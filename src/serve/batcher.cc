@@ -1,63 +1,46 @@
 #include "src/serve/batcher.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
 
 namespace oobp {
 
-DynamicBatcher::DynamicBatcher(SimEngine* engine, BatcherConfig config,
-                               DispatchFn dispatch)
-    : engine_(engine), config_(config), dispatch_(std::move(dispatch)) {
-  OOBP_CHECK(engine_ != nullptr);
-  OOBP_CHECK(dispatch_ != nullptr);
+BatchQueue::BatchQueue(const BatcherConfig& config) : config_(config) {
   OOBP_CHECK_GT(config_.max_batch, 0);
   OOBP_CHECK_GE(config_.max_queue_delay, 0);
   OOBP_CHECK_GT(config_.max_inflight, 0);
 }
 
+void BatchQueue::Done() {
+  OOBP_CHECK_GT(inflight_, 0);
+  --inflight_;
+}
+
+DynamicBatcher::DynamicBatcher(SimEngine* engine, BatcherConfig config,
+                               DispatchFn dispatch)
+    : engine_(engine), dispatch_(std::move(dispatch)), queue_(config) {
+  OOBP_CHECK(engine_ != nullptr);
+  OOBP_CHECK(dispatch_ != nullptr);
+}
+
 void DynamicBatcher::OnRequest(int64_t request_id) {
-  queue_.push_back({request_id, engine_->now()});
+  queue_.Push(request_id, engine_->now());
   MaybeDispatch();
 }
 
 void DynamicBatcher::OnBatchDone() {
-  OOBP_CHECK_GT(inflight_, 0);
-  --inflight_;
+  queue_.Done();
   MaybeDispatch();
 }
 
 void DynamicBatcher::MaybeDispatch() {
-  while (inflight_ < config_.max_inflight && !queue_.empty()) {
-    const bool full = static_cast<int>(queue_.size()) >= config_.max_batch;
-    const bool expired =
-        engine_->now() - queue_.front().arrival >= config_.max_queue_delay;
-    if (!full && !expired) {
-      break;
-    }
-    const int n = std::min<int>(config_.max_batch,
-                                static_cast<int>(queue_.size()));
-    scratch_batch_.clear();
-    for (int i = 0; i < n; ++i) {
-      scratch_batch_.push_back(queue_.front().id);
-      queue_.pop_front();
-    }
-    ++inflight_;
-    dispatch_(scratch_batch_);
-  }
-  ArmTimer();
-}
-
-void DynamicBatcher::ArmTimer() {
+  const TimeNs deadline = queue_.Release(engine_->now(), dispatch_);
   engine_->Cancel(timer_);
   timer_ = SimEngine::TimerHandle();
-  if (queue_.empty() || inflight_ >= config_.max_inflight) {
-    return;  // nothing waiting, or OnBatchDone will re-evaluate
+  if (deadline >= 0) {
+    timer_ = engine_->ScheduleAt(deadline, [this] { MaybeDispatch(); });
   }
-  const TimeNs deadline =
-      std::max(engine_->now(), queue_.front().arrival + config_.max_queue_delay);
-  timer_ = engine_->ScheduleAt(deadline, [this] { MaybeDispatch(); });
 }
 
 }  // namespace oobp

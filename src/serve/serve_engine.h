@@ -16,6 +16,11 @@
 // Each batch is issued like a captured graph: one graph-launch latency, then
 // all per-layer kernels enqueued on the inference stream (in-stream order
 // serializes them, matching CUDA stream semantics).
+//
+// A ServeEngine run is the one-replica case of the replica driver that also
+// runs FleetEngine (src/serve/replica_driver.h): no router, no autoscaler.
+// Runs under a ValidationScope step SimEngine events; every other run takes
+// the exact slot executor, with the same metrics bit for bit.
 
 #ifndef OOBP_SRC_SERVE_SERVE_ENGINE_H_
 #define OOBP_SRC_SERVE_SERVE_ENGINE_H_
@@ -71,10 +76,6 @@ class ServeEngine {
   const ServeConfig& config() const { return config_; }
 
  private:
-  ServeMetrics RunImpl(const NnModel* train_model,
-                       const IterationSchedule* train_schedule,
-                       int train_iterations, TrainMetrics* train_out) const;
-
   ServeConfig config_;
 };
 

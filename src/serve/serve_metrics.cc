@@ -19,6 +19,7 @@ ServeMetrics ComputeServeMetrics(const std::vector<RequestRecord>& requests,
   std::vector<TimeNs> latencies;
   latencies.reserve(requests.size());
   int64_t within_slo = 0;
+  int largest_batch = 0;
   double sum_latency = 0.0, sum_queue = 0.0, sum_exec = 0.0, sum_batch = 0.0;
   for (const RequestRecord& r : requests) {
     if (!r.completed()) {
@@ -33,7 +34,16 @@ ServeMetrics ComputeServeMetrics(const std::vector<RequestRecord>& requests,
     sum_queue += static_cast<double>(r.exec_start - r.arrival);
     sum_exec += static_cast<double>(r.done - r.exec_start);
     sum_batch += static_cast<double>(r.batch_size);
-    m.batch_sizes.Add(r.batch_size);
+    largest_batch = std::max(largest_batch, r.batch_size);
+  }
+  // Sized to the largest batch recorded, so no batch size is clamped into
+  // another's bucket.
+  m.batch_sizes =
+      IntHistogram(std::max(m.batch_sizes.max_value(), largest_batch));
+  for (const RequestRecord& r : requests) {
+    if (r.completed()) {
+      m.batch_sizes.Add(r.batch_size);
+    }
   }
   m.num_completed = static_cast<int64_t>(latencies.size());
   m.completed_rps = static_cast<double>(m.num_completed) / ToSec(horizon);
@@ -49,13 +59,10 @@ ServeMetrics ComputeServeMetrics(const std::vector<RequestRecord>& requests,
       static_cast<double>(within_slo) / static_cast<double>(m.num_completed);
 
   std::sort(latencies.begin(), latencies.end());
-  const auto pct = [&latencies](double p) {
-    std::vector<double> xs(latencies.begin(), latencies.end());
-    return static_cast<TimeNs>(PercentileSorted(xs, p));
-  };
-  m.p50_latency = pct(50.0);
-  m.p95_latency = pct(95.0);
-  m.p99_latency = pct(99.0);
+  const std::vector<double> sorted(latencies.begin(), latencies.end());
+  m.p50_latency = static_cast<TimeNs>(PercentileSorted(sorted, 50.0));
+  m.p95_latency = static_cast<TimeNs>(PercentileSorted(sorted, 95.0));
+  m.p99_latency = static_cast<TimeNs>(PercentileSorted(sorted, 99.0));
   m.max_latency = latencies.back();
   const double n = static_cast<double>(m.num_completed);
   m.mean_latency_ms = sum_latency / n / static_cast<double>(kNsPerMs);

@@ -55,6 +55,8 @@ struct ServeMetrics {
   double mean_exec_ms = 0.0;
 
   double mean_batch_size = 0.0;
+  // Completed requests by the size of their batch; ComputeServeMetrics
+  // widens it past 32 to the largest batch recorded.
   IntHistogram batch_sizes{32};
 };
 

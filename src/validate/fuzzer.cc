@@ -1115,7 +1115,347 @@ void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Serving executor vs event path: one random serving run per seed — a
+// ServeEngine or a fleet, serve-only or either co-run — inside a
+// ValidationScope (SimEngine + Gpu + CpuLauncher; the validator must stay
+// clean) and outside it (the slot executor). Every metric and the event
+// count must agree bit for bit.
+
+// An inference model per batch size: a zoo model, or random conv/dense
+// layers whose shapes are drawn once and rebuilt at each batch size.
+std::function<NnModel(int)> RandomInferenceModel(Rng& rng, std::string* name) {
+  switch (rng.NextBelow(3)) {
+    case 0: {
+      const int layers = 2 + static_cast<int>(rng.NextBelow(4));
+      const int hidden = 256 << rng.NextBelow(3);
+      *name = StrFormat("ffnn%d/%d", layers, hidden);
+      return [layers, hidden](int batch) {
+        return Ffnn(layers, batch, hidden);
+      };
+    }
+    case 1: {
+      const int image = 32 << rng.NextBelow(2);
+      *name = StrFormat("mobilenet@%d", image);
+      return [image](int batch) {
+        return MobileNetV3Large(1.0, batch, image);
+      };
+    }
+    default:
+      break;
+  }
+  struct Shape {
+    bool conv;
+    int channels, hw, out, kernel;
+  };
+  std::vector<Shape> shapes(1 + rng.NextBelow(6));
+  for (Shape& shape : shapes) {
+    shape.conv = rng.NextBelow(2) == 0;
+    shape.channels = 8 << rng.NextBelow(3);
+    shape.hw = 8 << rng.NextBelow(2);
+    shape.out = 16 << rng.NextBelow(3);
+    shape.kernel = rng.NextBelow(2) == 0 ? 1 : 3;
+  }
+  *name = StrFormat("random(%zu layers)", shapes.size());
+  return [shapes](int batch) {
+    NnModel m;
+    m.name = "fuzz-infer";
+    m.batch = batch;
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      const Shape& s = shapes[i];
+      const std::string layer = StrFormat("l%zu", i);
+      m.layers.push_back(
+          s.conv ? MakeConv2d(layer, "b0", batch, s.channels, s.hw, s.hw,
+                              s.out, s.kernel, 1)
+                 : MakeDense(layer, "b0", batch, 1, s.channels * 8, s.out));
+    }
+    return m;
+  };
+}
+
+void ServingFuzz(uint64_t seed, std::vector<std::string>* errors) {
+  // Its own stream, like the pipeline and dp families'.
+  Rng rng(Rng(seed ^ 0x5E7F).NextU64());
+  FleetConfig config;
+  config.gpu = RandomGpuSpec(rng);
+  config.profile = RandomProfile(rng);
+  const bool zero_gaps = rng.NextBelow(4) == 0;
+  if (zero_gaps) {
+    // Kernel begins and batch launches land on the nanosecond that drew
+    // them, tying with whatever else runs then.
+    config.gpu.kernel_exec_overhead = 0;
+    config.profile.graph_launch_latency = 0;
+  }
+  std::string infer_name;
+  config.make_model = RandomInferenceModel(rng, &infer_name);
+
+  const int replicas = 1 + static_cast<int>(rng.NextBelow(8));
+  const bool serve_engine = replicas == 1 && rng.NextBelow(2) == 0;
+  const uint64_t policy = rng.NextBelow(3);
+  config.router.policy = policy == 0   ? RoutingPolicy::kRoundRobin
+                         : policy == 1 ? RoutingPolicy::kLeastLoaded
+                                       : RoutingPolicy::kPowerOfTwo;
+  config.router.seed = rng.NextU64();
+
+  // Dense arrivals pack a request into every few nanoseconds; sparse ones
+  // leave the replicas mostly idle. Either way a run offers a few hundred
+  // requests at most.
+  const bool dense = rng.NextBelow(2) == 0;
+  config.arrivals.kind =
+      rng.NextBelow(2) == 0 ? ArrivalKind::kPoisson : ArrivalKind::kBursty;
+  config.arrivals.rate_rps =
+      dense ? rng.Uniform(1e6, 5e7) : rng.Uniform(2e3, 3e4) * replicas;
+  config.arrivals.seed = rng.NextU64();
+  const double requests = 10.0 + static_cast<double>(rng.NextBelow(291));
+  config.horizon = std::max<TimeNs>(
+      1000, static_cast<TimeNs>(requests / config.arrivals.rate_rps * 1e9));
+  // One run in four packs its timers onto nanoseconds: 1 ns batching
+  // deadlines, 2 ns autoscaler ticks and scaling thresholds around a queue
+  // depth of one, so a tick's decision turns on whether a deadline on its
+  // nanosecond ran first.
+  const bool ns_timers = rng.NextBelow(4) == 0;
+  if (ns_timers) {
+    config.horizon = std::min(config.horizon, Us(50));
+  }
+  config.slo = std::max<TimeNs>(1, static_cast<TimeNs>(
+                                       static_cast<double>(config.horizon) *
+                                       rng.Uniform(0.1, 4.0)));
+  if (!serve_engine && rng.NextBelow(2) == 0) {
+    config.envelope = MakeDiurnalEnvelope(
+        std::max<TimeNs>(8, config.horizon /
+                                (1 + static_cast<TimeNs>(rng.NextBelow(4)))),
+        rng.Uniform(0.2, 0.9), rng.Uniform(1.1, 2.0),
+        /*steps=*/2 + static_cast<int>(rng.NextBelow(7)));
+  }
+
+  config.batcher.max_batch = 1 + static_cast<int>(rng.NextBelow(8));
+  config.batcher.max_queue_delay =
+      ns_timers || rng.NextBelow(4) == 0
+          ? 1
+          : static_cast<TimeNs>(rng.NextBelow(
+                static_cast<uint64_t>(config.horizon / 4 + 1)));
+  config.batcher.max_inflight = 1 + static_cast<int>(rng.NextBelow(2));
+
+  AutoscalerConfig& scale = config.autoscaler;
+  scale.max_replicas = replicas;
+  scale.min_replicas = replicas;
+  if (ns_timers || rng.NextBelow(2) == 0) {
+    scale.min_replicas = 1 + static_cast<int>(rng.NextBelow(
+                                 static_cast<uint64_t>(replicas)));
+    scale.initial_replicas = static_cast<int>(
+        rng.NextBelow(static_cast<uint64_t>(replicas + 1)));
+    scale.scale_up_depth =
+        ns_timers ? rng.Uniform(0.3, 1.5) : rng.Uniform(0.5, 8.0);
+    scale.scale_down_depth = scale.scale_up_depth * rng.Uniform(0.0, 0.5);
+    scale.cooldown = static_cast<TimeNs>(rng.NextBelow(
+        static_cast<uint64_t>(ns_timers ? 101 : config.horizon / 8 + 1)));
+    scale.warmup =
+        rng.NextBelow(4) == 0
+            ? 0
+            : static_cast<TimeNs>(rng.NextBelow(static_cast<uint64_t>(
+                  ns_timers ? 201 : config.horizon / 4 + 1)));
+  }
+  scale.evaluate_every =
+      ns_timers ? 2
+                : std::max<TimeNs>(
+                      2, config.horizon /
+                             (5 + static_cast<TimeNs>(rng.NextBelow(500))));
+
+  // Serve-only, or co-run with in-order or ooo training.
+  const int mode = static_cast<int>(rng.NextBelow(3));
+  NnModel train_model;
+  if (mode != 0) {
+    train_model = rng.NextBelow(2) == 0
+                      ? RandomModel(rng)
+                      : Ffnn(2 + static_cast<int>(rng.NextBelow(7)),
+                             8 << rng.NextBelow(3), 256 << rng.NextBelow(3));
+  }
+  const int train_iterations = 2 + static_cast<int>(rng.NextBelow(3));
+  IterationSchedule schedule;
+  if (mode != 0) {
+    const TrainGraph graph(&train_model);
+    schedule =
+        mode == 1
+            ? ConventionalIteration(graph)
+            : MakeOooSchedule(graph, config.gpu, config.profile).schedule;
+  }
+
+  const std::string train =
+      mode == 0 ? std::string("serve-only")
+                : StrFormat("%s co-run of %s (%d layers) x%d",
+                            mode == 1 ? "in-order" : "ooo",
+                            train_model.name.c_str(), train_model.num_layers(),
+                            train_iterations);
+  const std::string what = StrFormat(
+      "seed %llu: serving %s, %d replica(s), %s, %s, %s, infer %s, batch %d "
+      "x%d inflight, delay %lld, %s arrivals %.0f rps over %lld ns, scale "
+      "%d..%d every %lld ns: ",
+      static_cast<unsigned long long>(seed),
+      serve_engine ? "ServeEngine" : "FleetEngine", replicas,
+      RoutingPolicyName(config.router.policy), train.c_str(),
+      zero_gaps ? "zero gaps" : "gaps", infer_name.c_str(),
+      config.batcher.max_batch, config.batcher.max_inflight,
+      static_cast<long long>(config.batcher.max_queue_delay),
+      dense ? "dense" : "sparse", config.arrivals.rate_rps,
+      static_cast<long long>(config.horizon), scale.min_replicas,
+      scale.max_replicas, static_cast<long long>(scale.evaluate_every));
+  auto fail = [errors, &what](const std::string& msg) {
+    errors->push_back(what + msg);
+  };
+
+  struct Run {
+    FleetMetrics metrics;
+    uint64_t events = 0;
+  };
+  auto run = [&] {
+    Run r;
+    const uint64_t before = SimEngine::ThreadProcessedEvents();
+    if (serve_engine) {
+      ServeConfig one;
+      one.gpu = config.gpu;
+      one.profile = config.profile;
+      one.arrivals = config.arrivals;
+      one.batcher = config.batcher;
+      one.horizon = config.horizon;
+      one.slo = config.slo;
+      one.make_model = config.make_model;
+      const ServeEngine engine(std::move(one));
+      if (mode == 0) {
+        r.metrics.serve = engine.RunServeOnly();
+      } else {
+        ServeCorunResult out =
+            engine.RunCorun(train_model, schedule, train_iterations);
+        r.metrics.serve = std::move(out.serve);
+        r.metrics.train = out.train;
+      }
+    } else {
+      const FleetEngine engine(config);
+      r.metrics = mode == 0 ? engine.RunServeOnly()
+                            : engine.RunCorun(train_model, schedule,
+                                              train_iterations);
+    }
+    r.events = SimEngine::ThreadProcessedEvents() - before;
+    return r;
+  };
+  SimValidator validator;
+  Run event;
+  {
+    ValidationScope scope(&validator);
+    event = run();
+  }
+  if (!validator.ok()) {
+    fail("event path: " + validator.Summary());
+  }
+  if (validator.gpus_observed() != replicas) {
+    fail(StrFormat("the validator observed %lld GPUs, not %d (the event path "
+                   "did not run)",
+                   static_cast<long long>(validator.gpus_observed()),
+                   replicas));
+  }
+  const Run exec = run();
+  if (const std::string m = ServingMismatch(exec.metrics, event.metrics);
+      !m.empty()) {
+    fail("executor vs event path: " + m);
+  }
+  if (exec.events != event.events) {
+    fail(StrFormat("executor counted %llu events, the event path %llu",
+                   static_cast<unsigned long long>(exec.events),
+                   static_cast<unsigned long long>(event.events)));
+  }
+  if (event.metrics.serve.num_completed != event.metrics.serve.num_requests) {
+    fail(StrFormat("%lld of %lld requests completed",
+                   static_cast<long long>(event.metrics.serve.num_completed),
+                   static_cast<long long>(event.metrics.serve.num_requests)));
+  }
+}
+
 }  // namespace
+
+std::string ServingMismatch(const FleetMetrics& a, const FleetMetrics& b) {
+  std::string diff;
+  const auto integer = [&diff](const std::string& field, int64_t x,
+                               int64_t y) {
+    if (diff.empty() && x != y) {
+      diff = StrFormat("%s: %lld vs %lld", field.c_str(),
+                       static_cast<long long>(x), static_cast<long long>(y));
+    }
+  };
+  const auto real = [&diff](const std::string& field, double x, double y) {
+    if (diff.empty() && !SameBits(x, y)) {
+      diff = StrFormat("%s: %.17g vs %.17g", field.c_str(), x, y);
+    }
+  };
+  const auto serve = [&](const std::string& p, const ServeMetrics& x,
+                         const ServeMetrics& y) {
+    integer(p + "num_requests", x.num_requests, y.num_requests);
+    integer(p + "num_completed", x.num_completed, y.num_completed);
+    integer(p + "num_batches", x.num_batches, y.num_batches);
+    real(p + "offered_rps", x.offered_rps, y.offered_rps);
+    real(p + "completed_rps", x.completed_rps, y.completed_rps);
+    real(p + "goodput_rps", x.goodput_rps, y.goodput_rps);
+    real(p + "slo_attainment", x.slo_attainment, y.slo_attainment);
+    integer(p + "p50_latency", x.p50_latency, y.p50_latency);
+    integer(p + "p95_latency", x.p95_latency, y.p95_latency);
+    integer(p + "p99_latency", x.p99_latency, y.p99_latency);
+    integer(p + "max_latency", x.max_latency, y.max_latency);
+    real(p + "mean_latency_ms", x.mean_latency_ms, y.mean_latency_ms);
+    real(p + "mean_queue_delay_ms", x.mean_queue_delay_ms,
+         y.mean_queue_delay_ms);
+    real(p + "mean_exec_ms", x.mean_exec_ms, y.mean_exec_ms);
+    real(p + "mean_batch_size", x.mean_batch_size, y.mean_batch_size);
+    integer(p + "batch_sizes.max_value", x.batch_sizes.max_value(),
+            y.batch_sizes.max_value());
+    integer(p + "batch_sizes.total", x.batch_sizes.total(),
+            y.batch_sizes.total());
+    real(p + "batch_sizes.mean", x.batch_sizes.mean(), y.batch_sizes.mean());
+    for (int k = 0; diff.empty() && k <= x.batch_sizes.max_value(); ++k) {
+      integer(StrFormat("%sbatch_sizes[%d]", p.c_str(), k),
+              x.batch_sizes.count(k), y.batch_sizes.count(k));
+    }
+  };
+  serve("serve.", a.serve, b.serve);
+  integer("per_replica.size", static_cast<int64_t>(a.per_replica.size()),
+          static_cast<int64_t>(b.per_replica.size()));
+  for (size_t r = 0; diff.empty() && r < a.per_replica.size(); ++r) {
+    serve(StrFormat("replica %zu.", r), a.per_replica[r], b.per_replica[r]);
+  }
+  integer("replica_completed.size",
+          static_cast<int64_t>(a.replica_completed.size()),
+          static_cast<int64_t>(b.replica_completed.size()));
+  for (size_t r = 0; diff.empty() && r < a.replica_completed.size(); ++r) {
+    integer(StrFormat("replica_completed[%zu]", r), a.replica_completed[r],
+            b.replica_completed[r]);
+  }
+  real("imbalance", a.imbalance, b.imbalance);
+  integer("scale_ups", a.scale_ups, b.scale_ups);
+  integer("scale_downs", a.scale_downs, b.scale_downs);
+  integer("min_routable", a.min_routable, b.min_routable);
+  integer("max_routable", a.max_routable, b.max_routable);
+  real("mean_routable", a.mean_routable, b.mean_routable);
+  integer("replica_timeline.size",
+          static_cast<int64_t>(a.replica_timeline.size()),
+          static_cast<int64_t>(b.replica_timeline.size()));
+  for (size_t i = 0; diff.empty() && i < a.replica_timeline.size(); ++i) {
+    integer(StrFormat("replica_timeline[%zu].time", i),
+            a.replica_timeline[i].first, b.replica_timeline[i].first);
+    integer(StrFormat("replica_timeline[%zu].routable", i),
+            a.replica_timeline[i].second, b.replica_timeline[i].second);
+  }
+  integer("router_decisions", a.router_decisions, b.router_decisions);
+  integer("train.iteration_time", a.train.iteration_time,
+          b.train.iteration_time);
+  real("train.throughput", a.train.throughput, b.train.throughput);
+  real("train.gpu_utilization", a.train.gpu_utilization,
+       b.train.gpu_utilization);
+  real("train.comm_comp_ratio", a.train.comm_comp_ratio,
+       b.train.comm_comp_ratio);
+  integer("train.peak_memory_bytes", a.train.peak_memory_bytes,
+          b.train.peak_memory_bytes);
+  integer("train.oom", a.train.oom, b.train.oom);
+  integer("train_iter_min", a.train_iter_min, b.train_iter_min);
+  integer("train_iter_max", a.train_iter_max, b.train_iter_max);
+  return diff;
+}
 
 void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
                  std::vector<std::string>* errors) {
@@ -1295,6 +1635,9 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
   if (on("dp")) {
     DataParallelFuzz(seed, errors);
   }
+  if (on("serving") && include_serve) {
+    ServingFuzz(seed, errors);
+  }
 }
 
 void FuzzOneSeed(uint64_t seed, bool include_serve,
@@ -1423,7 +1766,7 @@ int FuzzMain(int argc, char** argv) {
                    "  --jobs=N       seeds per thread pool; 0 = all cores\n"
                    "  --checks=GLOBS comma-separated globs over families\n"
                    "                 schedule,memory,train,dag,link,serve,"
-                   "fleet,search,pipeline,dp\n");
+                   "fleet,search,pipeline,dp,serving\n");
       return 2;
     }
   }

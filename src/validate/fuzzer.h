@@ -48,7 +48,16 @@
 //     values commit window 0 (or less than one partition), a 1-byte fusion
 //     buffer and a zero fusion cycle. The event path runs under the
 //     SimValidator, then the five-slot executor; every metric and the event
-//     count must match bit for bit.
+//     count must match bit for bit;
+//   * fuzzes the serving engines' two producers (the "serving" family, its
+//     own Rng too): a ServeEngine or a fleet of 1-8 replicas under any
+//     routing policy and random autoscaler knobs, serve-only or co-run with
+//     in-order or ooo training over zoo or random models, a random GPU and
+//     profile (zero setup and launch gaps among them), 1-2 inflight batches,
+//     an optional rate envelope, and dense or sparse arrivals. The event
+//     path runs under the SimValidator, then the slot executor; every
+//     ServeMetrics, FleetMetrics and TrainMetrics field and the event count
+//     must match bit for bit.
 //
 // All randomness flows from the seed through the repo's splitmix64 Rng, so
 // a failure reproduces with `oobp fuzz --seeds 1 --base-seed <seed>`.
@@ -65,17 +74,19 @@ namespace oobp {
 struct FuzzOptions {
   uint64_t base_seed = 1;
   int num_seeds = 20;
-  bool include_serve = true;  // serve-subsystem fuzz on every 4th seed
+  // The serving-subsystem families: serve (every 4th seed), fleet (every
+  // 2nd) and serving (every seed).
+  bool include_serve = true;
   bool verbose = false;       // per-seed progress on stderr
   // Thread-pool size; 0 = one worker per core. Every seed owns its entire
   // simulation stack (SimEngine, Gpu, Link, Rng), so seeds are independent
   // and the merged report is byte-identical for any jobs value.
   int jobs = 1;
   // Comma-separated glob list over check families: "schedule", "memory",
-  // "train", "dag", "link", "serve", "fleet", "search", "pipeline", "dp". A
-  // skipped family also skips its random draws, so repros must pass the
-  // same --checks value as the failing run ("pipeline" and "dp" draw from
-  // their own streams and repeat under any --checks).
+  // "train", "dag", "link", "serve", "fleet", "search", "pipeline", "dp",
+  // "serving". A skipped family also skips its random draws, so repros must
+  // pass the same --checks value as the failing run ("pipeline", "dp" and
+  // "serving" draw from their own streams and repeat under any --checks).
   std::string checks = "*";
 };
 
@@ -88,6 +99,16 @@ struct FuzzResult {
 };
 
 FuzzResult RunFuzz(const FuzzOptions& options);
+
+struct FleetMetrics;
+
+// Empty when two serving runs agree bit for bit in every FleetMetrics field
+// (the aggregate and per-replica ServeMetrics with their batch histograms,
+// the autoscaler timeline, router decisions and the training metrics);
+// otherwise the first field that differs, with both values. The serving
+// fuzz family and the serving executor battery compare the two producers
+// with it.
+std::string ServingMismatch(const FleetMetrics& a, const FleetMetrics& b);
 
 // Runs the check families matching `checks` for one seed, appending failure
 // messages to `errors`. Exposed for tests that pin specific seeds.

@@ -1,7 +1,9 @@
 // Fleet scenario battery (ctest labels: fleet, golden, integration):
 //   * the serialized result JSON of every fleet_* scenario is byte-identical
 //     between --jobs 1 and --jobs 4 (cluster-scale determinism);
-//   * every fleet_* scenario replays clean under the SimValidator;
+//   * every fleet_* scenario replays clean under the SimValidator, and its
+//     validated result (the event path) equals an unvalidated run's (the
+//     slot executor) value by value, bit for bit;
 //   * results satisfy the pinned golden files in bench/golden, including
 //     the headline pair: the ooo co-run fleet holds p99 flat (<= 10%
 //     growth) as load doubles while the in-order baseline degrades.
@@ -75,6 +77,9 @@ TEST(FleetGoldenTest, AllFleetScenariosRunCleanUnderValidator) {
     // Every fleet scenario simulates real replica GPUs to completion.
     EXPECT_GT(validator.gpus_observed(), 0) << scenario->name;
     EXPECT_GT(validator.kernels_finished(), 0) << scenario->name;
+    // The slot executor reproduces the validated event path exactly.
+    EXPECT_EQ(ValuesMismatch(scenario->run(ScenarioParams()), result), "")
+        << scenario->name;
   }
 }
 

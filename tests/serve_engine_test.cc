@@ -3,15 +3,32 @@
 // the headline serving claim of the paper holds — co-running inference under
 // an ooo-backprop schedule tightens the tail (p99) versus the in-order
 // baseline at near-equal training throughput (DESIGN.md §7).
+//
+// ServeExecutorTest is the differential battery of the replica driver's two
+// producers (DESIGN.md §6.3): every ServeEngine and FleetEngine config of a
+// grid runs under a ValidationScope (the event path) and outside it (the
+// slot executor), and every metric field and the event tally must agree bit
+// for bit.
 
 #include "src/serve/serve_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+
+#include "src/common/str_util.h"
 #include "src/core/joint_scheduler.h"
 #include "src/core/schedule.h"
+#include "src/nn/layer_builder.h"
 #include "src/nn/train_graph.h"
 #include "src/nn/model_zoo.h"
+#include "src/serve/fleet_engine.h"
+#include "src/sim/engine.h"
+#include "src/validate/fuzzer.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -96,6 +113,248 @@ TEST(ServeEngineTest, OooCorunTightensTailAtEqualTrainingThroughput) {
             1.02 * static_cast<double>(baseline.train.iteration_time));
   EXPECT_FALSE(baseline.train.oom);
   EXPECT_FALSE(reordered.train.oom);
+}
+
+// An inference model without layers would leave every batch, and so every
+// request, incomplete; the run fails closed instead.
+TEST(ServeEngineTest, InferenceModelWithoutLayersFailsClosed) {
+  ServeConfig config = MobileNetServeConfig(3000.0);
+  config.make_model = [](int batch) {
+    NnModel m;
+    m.name = "empty";
+    m.batch = batch;
+    return m;
+  };
+  EXPECT_DEATH(ServeEngine(config).RunServeOnly(), "has no layers");
+}
+
+// ---------------------------------------------------------------------------
+// Executor vs event path.
+
+NnModel SmallInferenceModel(int batch) {
+  NnModel m;
+  m.name = "small-infer";
+  m.batch = batch;
+  m.layers.push_back(MakeConv2d("c0", "b0", batch, 8, 16, 16, 16, 3, 1));
+  m.layers.push_back(MakeConv2d("c1", "b0", batch, 16, 8, 8, 32, 3, 1));
+  m.layers.push_back(MakeDense("fc", "b1", batch, 1, 128, 64));
+  return m;
+}
+
+NnModel SmallTrainModel() {
+  NnModel m;
+  m.name = "small-train";
+  m.batch = 64;
+  m.layers.push_back(MakeConv2d("c0", "b0", 64, 16, 16, 16, 32, 3, 1));
+  m.layers.push_back(MakeConv2d("c1", "b0", 64, 32, 16, 16, 32, 3, 1));
+  m.layers.push_back(MakePool("p0", "b1", 64, 32, 16, 16));
+  m.layers.push_back(MakeConv2d("c2", "b1", 64, 32, 8, 8, 64, 3, 1));
+  m.layers.push_back(MakeDense("fc", "b2", 64, 1, 1024, 256));
+  return m;
+}
+
+enum class Mode { kServeOnly, kInOrder, kOoo };
+const char* ModeName(Mode mode) {
+  return mode == Mode::kServeOnly ? "serve-only"
+         : mode == Mode::kInOrder ? "in-order co-run"
+                                  : "ooo co-run";
+}
+
+// Ways to make events share a nanosecond. kZeroGaps: kernels begin and
+// batches launch at the instant that scheduled them. kDenseArrivals: 5e7
+// rps, a request every ~20 ns. kNanosecondTimers: 1 ns batching deadlines
+// and 2 ns autoscaler ticks. Only the last two catch the executor's
+// tie-break mutants: arrivals that lose same-nanosecond ties to replica
+// events fail 36 dense-arrival configs, and ticks that lose them fail 54
+// nanosecond-timer configs (DESIGN.md §6.3).
+enum class Ties { kNone, kZeroGaps, kDenseArrivals, kNanosecondTimers };
+const char* TiesName(Ties ties) {
+  switch (ties) {
+    case Ties::kNone:
+      return "no forced ties";
+    case Ties::kZeroGaps:
+      return "zero gaps";
+    case Ties::kDenseArrivals:
+      return "dense arrivals";
+    case Ties::kNanosecondTimers:
+      return "1 ns deadline, 2 ns ticks";
+  }
+  return "?";
+}
+
+struct TrainSide {
+  NnModel model = SmallTrainModel();
+  IterationSchedule in_order;
+  IterationSchedule ooo;
+};
+
+FleetConfig GridConfig(int replicas, Ties ties) {
+  FleetConfig config;
+  config.gpu = GpuSpec::V100();
+  config.profile = SystemProfile::TensorFlowXla();
+  config.arrivals.kind = ArrivalKind::kBursty;
+  config.arrivals.rate_rps = 80000.0 * replicas;
+  config.arrivals.seed = 11;
+  config.horizon = Us(1500);
+  config.slo = Us(800);
+  config.batcher.max_queue_delay = Us(40);
+  config.autoscaler.scale_up_depth = 1.0;
+  config.autoscaler.scale_down_depth = 0.25;
+  config.autoscaler.evaluate_every = Us(30);
+  config.autoscaler.cooldown = Us(60);
+  config.autoscaler.warmup = Us(100);
+  config.make_model = SmallInferenceModel;
+  switch (ties) {
+    case Ties::kNone:
+      break;
+    case Ties::kZeroGaps:
+      config.gpu.kernel_exec_overhead = 0;
+      config.profile.graph_launch_latency = 0;
+      break;
+    case Ties::kDenseArrivals:
+      config.arrivals.kind = ArrivalKind::kPoisson;
+      config.arrivals.rate_rps = 5e7;
+      config.horizon = Us(40);
+      config.autoscaler.evaluate_every = 200;
+      config.autoscaler.cooldown = 400;
+      config.autoscaler.warmup = 300;
+      break;
+    case Ties::kNanosecondTimers:
+      config.arrivals.rate_rps = 2e7;
+      config.horizon = Us(10);
+      config.batcher.max_queue_delay = 1;
+      config.autoscaler.evaluate_every = 2;
+      config.autoscaler.cooldown = 20;
+      config.autoscaler.warmup = 50;
+      // A request waiting out its 1 ns deadline is queued depth one: a tick
+      // on that nanosecond scales up before the dispatch and down after.
+      config.autoscaler.scale_up_depth = 0.5;
+      config.autoscaler.scale_down_depth = 0.1;
+      break;
+  }
+  return config;
+}
+
+struct ServingRun {
+  FleetMetrics metrics;
+  uint64_t events = 0;
+};
+
+// One run of the config through ServeEngine (`serve_engine`) or
+// FleetEngine, inside a ValidationScope when `validator` is set.
+ServingRun RunServing(const FleetConfig& config, bool serve_engine, Mode mode,
+                      const TrainSide& train, SimValidator* validator) {
+  ServingRun run;
+  std::optional<ValidationScope> scope;
+  if (validator != nullptr) {
+    scope.emplace(validator);
+  }
+  const IterationSchedule& schedule =
+      mode == Mode::kOoo ? train.ooo : train.in_order;
+  constexpr int kTrainIterations = 5;  // about the base horizon
+  const uint64_t before = SimEngine::ThreadProcessedEvents();
+  if (serve_engine) {
+    ServeConfig one;
+    one.gpu = config.gpu;
+    one.profile = config.profile;
+    one.arrivals = config.arrivals;
+    one.batcher = config.batcher;
+    one.horizon = config.horizon;
+    one.slo = config.slo;
+    one.make_model = config.make_model;
+    const ServeEngine engine(std::move(one));
+    if (mode == Mode::kServeOnly) {
+      run.metrics.serve = engine.RunServeOnly();
+    } else {
+      ServeCorunResult out =
+          engine.RunCorun(train.model, schedule, kTrainIterations);
+      run.metrics.serve = std::move(out.serve);
+      run.metrics.train = out.train;
+    }
+  } else {
+    const FleetEngine engine(config);
+    run.metrics = mode == Mode::kServeOnly
+                      ? engine.RunServeOnly()
+                      : engine.RunCorun(train.model, schedule,
+                                        kTrainIterations);
+  }
+  run.events = SimEngine::ThreadProcessedEvents() - before;
+  return run;
+}
+
+void ExpectExecutorMatchesEventPath(const FleetConfig& config,
+                                    bool serve_engine, Mode mode,
+                                    const TrainSide& train,
+                                    const std::string& what) {
+  SimValidator validator;
+  const ServingRun event =
+      RunServing(config, serve_engine, mode, train, &validator);
+  EXPECT_TRUE(validator.ok()) << what << ": " << validator.Summary();
+  // The validator saw every replica's Gpu: the event path ran.
+  EXPECT_EQ(validator.gpus_observed(),
+            serve_engine ? 1 : config.autoscaler.max_replicas)
+      << what;
+  const ServingRun exec =
+      RunServing(config, serve_engine, mode, train, nullptr);
+  EXPECT_EQ(ServingMismatch(exec.metrics, event.metrics), "") << what;
+  EXPECT_EQ(exec.events, event.events) << what;
+  EXPECT_GT(event.metrics.serve.num_completed, 0) << what;
+  EXPECT_EQ(event.metrics.serve.num_completed,
+            event.metrics.serve.num_requests)
+      << what;
+}
+
+TEST(ServeExecutorTest, MatchesEventPathOverTheGrid) {
+  TrainSide train;
+  const TrainGraph graph(&train.model);
+  train.in_order = ConventionalIteration(graph);
+  train.ooo = MakeOooSchedule(graph, GpuSpec::V100(),
+                              SystemProfile::TensorFlowXla())
+                  .schedule;
+  const RoutingPolicy policies[] = {RoutingPolicy::kRoundRobin,
+                                    RoutingPolicy::kLeastLoaded,
+                                    RoutingPolicy::kPowerOfTwo};
+  int runs = 0;
+  for (const Ties ties : {Ties::kNone, Ties::kZeroGaps, Ties::kDenseArrivals,
+                          Ties::kNanosecondTimers}) {
+    for (const Mode mode : {Mode::kServeOnly, Mode::kInOrder, Mode::kOoo}) {
+      for (const int inflight : {1, 2}) {
+        for (const int max_batch : {1, 4}) {
+          for (const int replicas : {1, 2, 3, 5}) {
+            FleetConfig config = GridConfig(replicas, ties);
+            config.batcher.max_inflight = inflight;
+            config.batcher.max_batch = max_batch;
+            config.autoscaler.max_replicas = replicas;
+            const std::string shape = StrFormat(
+                "%s, %s, %d inflight, batch %d", TiesName(ties),
+                ModeName(mode), inflight, max_batch);
+            if (replicas == 1) {
+              // ServeEngine: one replica, no router, no autoscaler.
+              ExpectExecutorMatchesEventPath(config, /*serve_engine=*/true,
+                                             mode, train,
+                                             "ServeEngine, " + shape);
+              ++runs;
+            }
+            for (const RoutingPolicy policy : policies) {
+              for (const bool autoscale : {false, true}) {
+                config.router.policy = policy;
+                config.router.seed = 3 + static_cast<uint64_t>(replicas);
+                config.autoscaler.min_replicas = autoscale ? 1 : replicas;
+                ExpectExecutorMatchesEventPath(
+                    config, /*serve_engine=*/false, mode, train,
+                    StrFormat("%d replicas, %s, %s, ", replicas,
+                              RoutingPolicyName(policy),
+                              autoscale ? "autoscaled" : "fixed") +
+                        shape);
+                ++runs;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 4 * 3 * 2 * 2 * (1 + 4 * 3 * 2));
 }
 
 }  // namespace

@@ -125,5 +125,29 @@ TEST(ServeMetricsTest, EmptyWindowReportsSentinelPercentiles) {
   EXPECT_EQ(sentinels, 4);
 }
 
+// Batch sizes past the histogram's default 32 buckets keep their own bucket
+// instead of being clamped into batch_count_32.
+TEST(ServeMetricsTest, BatchesLargerThan32KeepTheirSize) {
+  std::vector<RequestRecord> reqs;
+  for (int i = 0; i < 40; ++i) {
+    reqs.push_back(MakeRequest(0, Ms(1), Ms(2), 40));
+  }
+  const ServeMetrics m = ComputeServeMetrics(reqs, /*num_batches=*/1,
+                                             Ms(100), /*slo=*/Ms(5));
+  EXPECT_EQ(m.batch_sizes.count(40), 40);
+  EXPECT_EQ(m.batch_sizes.count(32), 0);
+  EXPECT_DOUBLE_EQ(m.batch_sizes.mean(), m.mean_batch_size);
+  const std::vector<MetricKv> kv = ServeMetricsToKv(m, "");
+  bool count_40 = false;
+  for (const MetricKv& e : kv) {
+    EXPECT_NE(e.key, "batch_count_32");
+    if (e.key == "batch_count_40") {
+      count_40 = true;
+      EXPECT_EQ(e.value, 40.0);
+    }
+  }
+  EXPECT_TRUE(count_40);
+}
+
 }  // namespace
 }  // namespace oobp

@@ -2,7 +2,9 @@
 // scenarios, the 6 inference-serving scenarios, the 12 scaling, analysis
 // and ablation sweeps, the 3 steady-state replay scenarios, and the 2
 // parameter-server cluster scenarios — with the SimValidator installed,
-// asserting zero invariant violations (ctest label: validate).
+// asserting zero invariant violations (ctest label: validate). Each serving
+// replay (the event path) must also equal an unvalidated run of the same
+// scenario (the slot executor) value by value, bit for bit.
 // The 11 fleet scenarios are counted here but replayed under the validator
 // in fleet_golden_test.cc (which also pins their --jobs byte-identity), so
 // the suite does not pay for the multi-replica simulations twice.
@@ -70,13 +72,20 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
       ++other;
     }
     SimValidator validator;
+    ScenarioResult result;
     {
       ValidationScope scope(&validator);
-      const ScenarioResult result = scenario.run(ScenarioParams());
+      result = scenario.run(ScenarioParams());
       EXPECT_FALSE(result.values.empty()) << scenario.name;
     }
     EXPECT_TRUE(validator.ok())
         << scenario.name << ": " << validator.Summary();
+    if (scenario.label == "serve") {
+      // The serving slot executor reproduces the validated event path
+      // exactly.
+      EXPECT_EQ(ValuesMismatch(scenario.run(ScenarioParams()), result), "")
+          << scenario.name;
+    }
     // A clean validator that saw no devices proves nothing; every scenario
     // but the analytic ones simulates at least one validated device (the
     // pipeline toys model stage compute analytically and only build Links)

@@ -36,7 +36,12 @@
 #      dp family (a random data-parallel config, unit-time and edge-value
 #      commit windows and fusion settings included, under the validator on
 #      the event path, then on the exact five-slot executor: every metric
-#      and the event count must match bit for bit).
+#      and the event count must match bit for bit), and 2000 ASan seeds of
+#      the serving family (a random ServeEngine or fleet run, serve-only or
+#      co-run, with dense arrivals, zero gaps and nanosecond timers among
+#      the draws, under the validator on the event path, then on the slot
+#      executor: every metric field and the event count must match bit for
+#      bit).
 #   7. ThreadSanitizer build (-DOOBP_SANITIZE_THREAD=ON) of what still
 #      starts threads: search_threads_identity_test (the search portfolio's
 #      worker pool at threads 1/4/8), event_heap_test (the process-wide
@@ -127,6 +132,9 @@ ctest --test-dir "${BUILD_DIR}" -L validate --output-on-failure
     --checks=pipeline
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 --checks=dp
+
+"${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 \
+    --checks=serving
 
 # --- Tier 7: TSan build: worker pools and the event tally ----------------
 cmake -S "${REPO_ROOT}" -B "${TSAN_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
