@@ -10,6 +10,8 @@ MemoryTimeline EstimateBackpropMemory(const NnModel& model,
                                       const std::vector<TrainOp>& order) {
   const int L = model.num_layers();
   MemoryTimeline tl;
+  tl.usage_after.reserve(order.size());
+  tl.usage_during.reserve(order.size());
 
   // Schedule-independent base: weights, momentum, gradient buffers.
   for (const Layer& l : model.layers) {

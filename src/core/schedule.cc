@@ -5,33 +5,68 @@
 
 namespace oobp {
 
-void SchedulePrefixState::Reset(int num_layers) {
-  OOBP_CHECK_GE(num_layers, 0);
-  next_pos = 0;
-  fwd_pos.assign(static_cast<size_t>(num_layers), -1);
-  dgrad_pos.assign(static_cast<size_t>(num_layers), -1);
-  wgrad_pos.assign(static_cast<size_t>(num_layers), -1);
-  update_pos.assign(static_cast<size_t>(num_layers), -1);
-}
-
-void SchedulePrefixState::Advance(const ScheduledOp& scheduled) {
-  const size_t i = static_cast<size_t>(scheduled.op.layer);
-  OOBP_CHECK_LT(i, fwd_pos.size());
-  switch (scheduled.op.type) {
-    case TrainOpType::kForward:
-      fwd_pos[i] = next_pos;
-      break;
-    case TrainOpType::kOutputGrad:
-      dgrad_pos[i] = next_pos;
-      break;
-    case TrainOpType::kWeightGrad:
-      wgrad_pos[i] = next_pos;
-      break;
-    case TrainOpType::kWeightUpdate:
-      update_pos[i] = next_pos;
-      break;
+ScheduleDeps IterationDeps(const IterationSchedule& schedule,
+                           int num_layers) {
+  const int L = num_layers;
+  const size_t n = schedule.ops.size();
+  ScheduleDeps out;
+  out.ops.resize(n);
+  // Latest position of each layer's F / dO / dW / U seen so far.
+  std::vector<int> fwd(L, -1), dgrad(L, -1), wgrad(L, -1), update(L, -1);
+  for (size_t p = 0; p < n; ++p) {
+    const ScheduledOp& s = schedule.ops[p];
+    const int i = s.op.layer;
+    OOBP_CHECK_GE(i, 0);
+    OOBP_CHECK_LT(i, L);
+    OpDeps& d = out.ops[p];
+    int num_deps = 0;
+    const auto add_dep = [&](int q) { d.dep[num_deps++] = q; };
+    switch (s.op.type) {
+      case TrainOpType::kForward:
+        if (i > 0 && fwd[i - 1] != -1) {
+          add_dep(fwd[i - 1]);
+        }
+        if (update[i] != -1) {
+          add_dep(update[i]);
+        }
+        fwd[i] = static_cast<int>(p);
+        break;
+      case TrainOpType::kOutputGrad:
+        if (i + 1 < L) {
+          if (dgrad[i + 1] != -1) {
+            add_dep(dgrad[i + 1]);
+          }
+        } else {
+          d.prev_fwd = true;
+        }
+        dgrad[i] = static_cast<int>(p);
+        break;
+      case TrainOpType::kWeightGrad:
+        if (i + 1 < L) {
+          OOBP_CHECK_NE(dgrad[i + 1], -1)
+              << "dW[" << i << "] issued before dO[" << i + 1 << "]";
+          add_dep(dgrad[i + 1]);
+        } else {
+          d.prev_fwd = true;
+        }
+        if (s.wait_for_index >= 0) {
+          OOBP_CHECK_LT(s.wait_for_index, static_cast<int>(p));
+          add_dep(s.wait_for_index);
+        }
+        wgrad[i] = static_cast<int>(p);
+        break;
+      case TrainOpType::kWeightUpdate:
+        OOBP_CHECK_NE(wgrad[i], -1)
+            << "U[" << i << "] issued before dW[" << i << "]";
+        add_dep(wgrad[i]);
+        update[i] = static_cast<int>(p);
+        break;
+    }
   }
-  ++next_pos;
+  if (L > 0) {
+    out.last_fwd = fwd[L - 1];
+  }
+  return out;
 }
 
 std::vector<TrainOp> IterationSchedule::StreamOps(int stream) const {

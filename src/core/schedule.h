@@ -11,8 +11,9 @@
 //
 // Data dependencies (the dO chain, dW_i -> dO_{i+1}, U_i -> dW_i,
 // F_i -> U_i and F_{i-1}) are NOT stored here: they are intrinsic to the
-// training graph and the engines always enforce them, so a buggy scheduler
-// can only produce a slow schedule, never an incorrect execution.
+// training graph, IterationDeps derives them from the issue order, and the
+// engines always enforce them, so a buggy scheduler can only produce a slow
+// schedule, never an incorrect execution.
 
 #ifndef OOBP_SRC_CORE_SCHEDULE_H_
 #define OOBP_SRC_CORE_SCHEDULE_H_
@@ -50,25 +51,30 @@ struct IterationSchedule {
 // updates right after each dW, then the forward pass.
 IterationSchedule ConventionalIteration(const TrainGraph& graph);
 
-// Role cursor over a schedule prefix: for each layer, the index (into
-// IterationSchedule::ops) of that layer's F / dO / dW / U op among the ops
-// consumed so far, -1 while unseen. This is the per-position state the
-// issue-plan dependency rules (BuildTrainIssuePlan) and the incremental
-// analytic evaluator (src/search/fast_eval.h) walk a schedule with; because
-// it depends only on the prefix [0, next_pos), a snapshot taken every few
-// positions lets a consumer resume mid-schedule after a point mutation and
-// re-derive only the suffix.
-struct SchedulePrefixState {
-  int next_pos = 0;  // ops [0, next_pos) have been consumed
-  std::vector<int32_t> fwd_pos;
-  std::vector<int32_t> dgrad_pos;
-  std::vector<int32_t> wgrad_pos;
-  std::vector<int32_t> update_pos;
-
-  void Reset(int num_layers);
-  // Consumes one more op (the caller passes ops[next_pos]).
-  void Advance(const ScheduledOp& scheduled);
+// The data dependencies of one schedule position inside its iteration.
+struct OpDeps {
+  // Earlier positions of the same iteration the op waits on, in wait order;
+  // -1 marks an unused entry.
+  int dep[2] = {-1, -1};
+  // The op also waits on the previous iteration's F_{L-1} (the loss
+  // gradient): dO_{L-1} and dW_{L-1}. That wait comes before `dep`.
+  bool prev_fwd = false;
 };
+
+struct ScheduleDeps {
+  std::vector<OpDeps> ops;  // one entry per position of the schedule
+  int last_fwd = -1;        // position of F_{L-1}; -1 if the schedule has none
+};
+
+// The issue-dependency rule, the one copy every consumer shares: the
+// single-GPU producers and the serving co-run unroll it over iterations
+// (BuildTrainIssuePlan) and the analytic evaluator (src/search/fast_eval.h)
+// reads it per position. Each op waits on the latest earlier op of the same
+// iteration that produces its input: F_i on F_{i-1} and U_i, dO_i on
+// dO_{i+1}, dW_i on dO_{i+1} and on its `wait_for_index` op, U_i on dW_i.
+// A dW before the dO it consumes, a U before its dW, a `wait_for_index` that
+// does not point earlier and a layer outside [0, num_layers) fail a check.
+ScheduleDeps IterationDeps(const IterationSchedule& schedule, int num_layers);
 
 }  // namespace oobp
 

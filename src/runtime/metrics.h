@@ -25,11 +25,11 @@ struct TrainMetrics {
 // many iterations were event-simulated, and why the engine fell back when it
 // did not replay.
 struct ReplayStats {
-  bool attempted = false;  // run was long enough and replay was enabled
+  bool attempted = false;  // run was untraced and long enough to replay
   bool replayed = false;   // periodicity proven; tail extrapolated
   int simulated_iterations = 0;  // iterations actually simulated
   int total_iterations = 0;      // warm-up + measured
-  // Empty when replayed: "disabled", "traced", "short-run", "synchronous"
+  // Empty when replayed: "traced", "short-run", "synchronous"
   // (pipeline flush strategies complete in one simulated iteration —
   // nothing to extrapolate), or "aperiodic" (detection failed; full rerun).
   std::string fallback_reason;

@@ -1027,8 +1027,6 @@ PipelineResult PipelineEngine::Run(const NnModel& micro_model,
 
   if (!continuous) {
     stats.fallback_reason = "synchronous";
-  } else if (!config_.steady_replay) {
-    stats.fallback_reason = "disabled";
   } else if (trace != nullptr) {
     stats.fallback_reason = "traced";
   } else if (iterations <= window_iters) {

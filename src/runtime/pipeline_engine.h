@@ -74,7 +74,11 @@ struct PipelineConfig {
   // when unset, links come from cluster.LinkBetween().
   bool use_link_override = false;
   LinkSpec link_override;
-  int measured_iterations = 3;  // only kPipeDream needs several
+  // Only kPipeDream needs several. A long continuous run replays a
+  // steady-state window (DESIGN.md §9.2); every pipeline metric is
+  // integer-valued (compute busy, link busy, iteration ends, peak bytes),
+  // so the extrapolation is exact by integer arithmetic.
+  int measured_iterations = 3;
   // Paper-figure unit-time mode (the Figure 5/6 toy timelines): when > 0,
   // every F/dO/dW op takes exactly `unit_time` (no kernel overhead), weight
   // updates are free, and layer 0's dO op is omitted — the first layer
@@ -82,11 +86,6 @@ struct PipelineConfig {
   // 8-layer/2-GPU makespan 23 units rather than 24. Combine with an ideal
   // link override so transfers stay negligible against the unit.
   TimeNs unit_time = 0;
-  // Steady-state iteration replay for continuous (kPipeDream) runs — see
-  // DESIGN.md §9 and SingleGpuConfig::steady_replay. Every pipeline metric
-  // is integer-valued (compute busy, link busy, iteration ends, peak bytes),
-  // so the extrapolation is exact by integer arithmetic.
-  bool steady_replay = true;
 };
 
 struct PipelineResult {

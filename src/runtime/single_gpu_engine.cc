@@ -38,35 +38,26 @@ TrainIssuePlan BuildTrainIssuePlan(const NnModel& model,
                                    StreamId main_stream, StreamId sub_stream,
                                    bool label_items) {
   OOBP_CHECK_GT(iterations, 0);
-  const int L = model.num_layers();
+  const size_t n = schedule.ops.size();
+  const ScheduleDeps deps = IterationDeps(schedule, model.num_layers());
 
   // Kernel costs depend only on the scheduled op, not the iteration index:
   // compute them once per schedule position instead of once per issued item.
-  std::vector<KernelCost> op_cost(schedule.ops.size());
-  for (size_t p = 0; p < schedule.ops.size(); ++p) {
+  std::vector<KernelCost> op_cost(n);
+  for (size_t p = 0; p < n; ++p) {
     op_cost[p] =
         cost.Cost(model.layers[schedule.ops[p].op.layer], schedule.ops[p].op.type);
   }
 
-  // Build the issue sequence for all iterations with full data dependencies.
+  // Item t*n + p is position p of iteration t; an op that waits on the
+  // previous iteration's F_{L-1} waits on item (t-1)*n + last_fwd.
   TrainIssuePlan plan;
   std::vector<IssueItem>& items = plan.items;
-  items.reserve(schedule.ops.size() * iterations);
+  items.reserve(n * iterations);
   plan.iter_last_item.assign(iterations, -1);
-  constexpr int kNone = -1;
-  std::vector<int> fwd_item(L, kNone), dgrad_item(L, kNone),
-      wgrad_item(L, kNone), update_item(L, kNone);
-  std::vector<int> prev_fwd_item(L, kNone);
-  std::vector<int> sched_to_item(schedule.ops.size(), kNone);
-
   for (int t = 0; t < iterations; ++t) {
-    std::fill(fwd_item.begin(), fwd_item.end(), kNone);
-    std::fill(dgrad_item.begin(), dgrad_item.end(), kNone);
-    std::fill(wgrad_item.begin(), wgrad_item.end(), kNone);
-    std::fill(update_item.begin(), update_item.end(), kNone);
-    std::fill(sched_to_item.begin(), sched_to_item.end(), kNone);
-
-    for (size_t p = 0; p < schedule.ops.size(); ++p) {
+    const size_t base = static_cast<size_t>(t) * n;
+    for (size_t p = 0; p < n; ++p) {
       const ScheduledOp& s = schedule.ops[p];
       const KernelCost& kc = op_cost[p];
 
@@ -83,64 +74,17 @@ TrainIssuePlan BuildTrainIssuePlan(const NnModel& model,
       item.thread_blocks = kc.thread_blocks;
       item.issue_latency = kc.issue_latency;
 
-      const int i = s.op.layer;
-      switch (s.op.type) {
-        case TrainOpType::kForward:
-          if (i > 0 && fwd_item[i - 1] != kNone) {
-            item.AddDep(fwd_item[i - 1]);
-          }
-          if (update_item[i] != kNone) {
-            item.AddDep(update_item[i]);
-          }
-          break;
-        case TrainOpType::kOutputGrad:
-          if (i + 1 < L && dgrad_item[i + 1] != kNone) {
-            item.AddDep(dgrad_item[i + 1]);
-          } else if (i + 1 >= L && prev_fwd_item[L - 1] != kNone) {
-            // Loss gradient: available once the previous iteration's forward
-            // pass (and loss) completed.
-            item.AddDep(prev_fwd_item[L - 1]);
-          }
-          break;
-        case TrainOpType::kWeightGrad:
-          if (i + 1 < L) {
-            OOBP_CHECK_NE(dgrad_item[i + 1], kNone)
-                << "dW[" << i << "] issued before dO[" << i + 1 << "]";
-            item.AddDep(dgrad_item[i + 1]);
-          } else if (prev_fwd_item[L - 1] != kNone) {
-            item.AddDep(prev_fwd_item[L - 1]);
-          }
-          if (s.wait_for_index >= 0) {
-            const int pinned = sched_to_item[s.wait_for_index];
-            OOBP_CHECK_NE(pinned, kNone);
-            item.AddDep(pinned);
-          }
-          break;
-        case TrainOpType::kWeightUpdate:
-          OOBP_CHECK_NE(wgrad_item[i], kNone);
-          item.AddDep(wgrad_item[i]);
-          break;
+      const OpDeps& d = deps.ops[p];
+      if (d.prev_fwd && t > 0 && deps.last_fwd >= 0) {
+        item.AddDep(base - n + static_cast<size_t>(deps.last_fwd));
       }
-
-      const int item_index = static_cast<int>(items.size());
-      sched_to_item[p] = item_index;
-      switch (s.op.type) {
-        case TrainOpType::kForward:
-          fwd_item[i] = item_index;
-          break;
-        case TrainOpType::kOutputGrad:
-          dgrad_item[i] = item_index;
-          break;
-        case TrainOpType::kWeightGrad:
-          wgrad_item[i] = item_index;
-          break;
-        case TrainOpType::kWeightUpdate:
-          update_item[i] = item_index;
-          break;
+      for (const int q : d.dep) {
+        if (q >= 0) {
+          item.AddDep(base + static_cast<size_t>(q));
+        }
       }
       items.push_back(std::move(item));
     }
-    prev_fwd_item = fwd_item;
     plan.iter_last_item[t] = static_cast<int>(items.size()) - 1;
   }
   return plan;
@@ -559,9 +503,7 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
   double busy = 0.0;
   bool extrapolated = false;
 
-  if (!config_.steady_replay) {
-    stats.fallback_reason = "disabled";
-  } else if (trace != nullptr) {
+  if (trace != nullptr) {
     stats.fallback_reason = "traced";
   } else {
     const int window_iters =

@@ -33,13 +33,12 @@ struct SingleGpuConfig {
   GpuSpec gpu;
   SystemProfile profile;
   bool precompiled_issue = false;  // Opt1
-  int measured_iterations = 3;     // steady-state window after 1 warm-up
-  // Steady-state iteration replay (DESIGN.md §9): for long runs, simulate a
-  // short window, prove the event timeline is iteration-periodic, and
-  // extrapolate the remaining iterations arithmetically — bit-identical to
-  // the full simulation by construction, with automatic fallback to full
-  // simulation whenever periodicity does not hold.
-  bool steady_replay = true;
+  // Steady-state window after 1 warm-up. A run longer than the replay
+  // window simulates that window, proves the event timeline is
+  // iteration-periodic and extrapolates the remaining iterations
+  // arithmetically (DESIGN.md §9.2): bit-identical to the full simulation
+  // by construction, which runs instead whenever periodicity does not hold.
+  int measured_iterations = 3;
 };
 
 // The "simple" multi-stream variant: weight gradients and updates moved to
@@ -49,8 +48,8 @@ struct SingleGpuConfig {
 IterationSchedule NaiveSubStreamIteration(const TrainGraph& graph);
 
 // The CPU issue sequence for `iterations` repetitions of an iteration
-// schedule, with the full cross-iteration data dependencies (dO_{L-1} of
-// iteration t waits on F_{L-1} of iteration t-1, F_i waits on U_i, ...).
+// schedule: IterationDeps (src/core/schedule.h) unrolled over iterations,
+// so dO_{L-1} of iteration t also waits on F_{L-1} of iteration t-1.
 // Shared between SingleGpuEngine and the serving subsystem's co-run engine,
 // which interleaves inference kernels with the same training item stream.
 struct TrainIssuePlan {

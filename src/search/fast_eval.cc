@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 
 #include "src/common/check.h"
 #include "src/hw/gpu.h"  // EffectiveOccupancy
 #include "src/nn/model_cache.h"
+#include "src/sim/fluid.h"
 
 namespace oobp {
 
@@ -15,11 +15,7 @@ namespace {
 
 // Mirrors ScheduleEvaluator: one warm-up plus two measured iterations.
 constexpr int kIterations = 3;
-// Mirrors FluidProcessor's completion threshold exactly.
-constexpr double kWorkEpsilon = 1e-6;
 constexpr TimeNs kNoTime = std::numeric_limits<TimeNs>::max();
-// Role-cursor / memory-liveness checkpoint spacing (schedule positions).
-constexpr size_t kMetaStride = 32;
 // Minimum item-index gap between consecutive sweep checkpoints.
 constexpr int32_t kSweepStride = 16;
 
@@ -42,14 +38,6 @@ size_t DiffPosition(const std::vector<ScheduledOp>& cached,
   return p;
 }
 
-// Memory-liveness bit packing: per layer, (act_consumers + 1) in bits 0-1,
-// grad_consumers in bits 2-3, grad_alloc bit 4, stash_live bit 5.
-uint8_t PackLayer(int act_consumers, int grad_consumers, bool grad_alloc,
-                  bool stash_live) {
-  return static_cast<uint8_t>((act_consumers + 1) | (grad_consumers << 2) |
-                              (grad_alloc ? 16 : 0) | (stash_live ? 32 : 0));
-}
-
 }  // namespace
 
 FastScheduleEvaluator::FastScheduleEvaluator(const NnModel* model,
@@ -62,232 +50,37 @@ FastScheduleEvaluator::FastScheduleEvaluator(const NnModel* model,
       t0_(profile.graph_launch_latency) {
   OOBP_CHECK(model_ != nullptr);
   cost_table_.resize(static_cast<size_t>(model_->num_layers()) * 4);
-  mem_initial_ = ColdInitMemState(&mem_init_packed_);
 }
 
 uint64_t FastScheduleEvaluator::TotalAnalyticEvals() {
   return g_total_analytic_evals.load(std::memory_order_relaxed);
 }
 
-// Replicates the schedule-independent prologue of EstimateBackpropMemory.
-int64_t FastScheduleEvaluator::ColdInitMemState(
-    std::vector<uint8_t>* packed) const {
-  const int L = model_->num_layers();
-  packed->assign(static_cast<size_t>(L), 0);
-  int64_t live = 0;
-  for (int j = 0; j < L; ++j) {
-    const Layer& layer = model_->layers[static_cast<size_t>(j)];
-    live += layer.output_bytes + layer.stash_bytes;
-    const int act =
-        j + 1 < L
-            ? (model_->layers[static_cast<size_t>(j + 1)].has_params() ? 1 : 0)
-            : 0;
-    const int grad = 1 + (layer.has_params() ? 1 : 0);
-    (*packed)[static_cast<size_t>(j)] =
-        PackLayer(act, grad, /*grad_alloc=*/false, /*stash_live=*/true);
-  }
-  if (L > 0) {
-    live += model_->layers[static_cast<size_t>(L - 1)].output_bytes;
-    (*packed)[static_cast<size_t>(L - 1)] |= 16;  // grad_alloc[L-1]
-  }
-  return live;
-}
-
-int64_t FastScheduleEvaluator::PeakMemory(const IterationSchedule& schedule) {
+void FastScheduleEvaluator::RebuildMeta(const IterationSchedule& schedule) {
   const size_t n = schedule.ops.size();
-  const size_t p_diff = DiffPosition(mem_ops_, schedule.ops);
-  if (p_diff == n && mem_ops_.size() == n && last_peak_ >= 0) {
-    return last_peak_;
-  }
-  const int L = model_->num_layers();
-
-  // Resume the liveness walk from the latest checkpoint at or before the
-  // first differing position; everything after is replayed with the exact
-  // integer operations of EstimateBackpropMemory.
-  mem_ckpts_.resize(
-      std::min(mem_ckpts_.size(), p_diff / kMetaStride + 1));
-  size_t start = 0;
-  int64_t live = mem_initial_;
-  int64_t peak = mem_initial_;
-  std::vector<uint8_t> state = mem_init_packed_;
-  if (!mem_ckpts_.empty()) {
-    const MemCkpt& c = mem_ckpts_.back();
-    start = static_cast<size_t>(c.pos);
-    live = c.live;
-    peak = c.peak;
-    state = c.packed;
-  }
-
-  const auto act_of = [&](int j) {
-    return static_cast<int>(state[static_cast<size_t>(j)] & 3) - 1;
-  };
-  const auto set_act = [&](int j, int v) {
-    uint8_t& b = state[static_cast<size_t>(j)];
-    b = static_cast<uint8_t>((b & ~3) | (v + 1));
-  };
-  const auto free_activation = [&](int j) {
-    if (j >= 0 && j < L) {
-      live -= model_->layers[static_cast<size_t>(j)].output_bytes;
-    }
-  };
-  const auto consume_grad = [&](int i) {
-    uint8_t& b = state[static_cast<size_t>(i)];
-    const int grad = (b >> 2) & 3;
-    OOBP_CHECK_GT(grad, 0);
-    b = static_cast<uint8_t>((b & ~12) | ((grad - 1) << 2));
-    if (grad - 1 == 0 && (b & 16) != 0) {
-      live -= model_->layers[static_cast<size_t>(i)].output_bytes;
-    }
-  };
-
-  for (size_t p = start; p < n; ++p) {
-    if (p % kMetaStride == 0 && p / kMetaStride == mem_ckpts_.size()) {
-      mem_ckpts_.push_back({static_cast<int32_t>(p), live, peak, state});
-    }
-    const ScheduledOp& s = schedule.ops[p];
-    if (s.op.type != TrainOpType::kOutputGrad &&
-        s.op.type != TrainOpType::kWeightGrad) {
-      continue;  // never raises the peak (no workspace, no allocation)
-    }
-    const int i = s.op.layer;
-    OOBP_CHECK_GE(i, 0);
-    OOBP_CHECK_LT(i, L);
-    const Layer& layer = model_->layers[static_cast<size_t>(i)];
-
-    if (s.op.type == TrainOpType::kOutputGrad) {
-      if (i > 0 && (state[static_cast<size_t>(i - 1)] & 16) == 0) {
-        live += model_->layers[static_cast<size_t>(i - 1)].output_bytes;
-        state[static_cast<size_t>(i - 1)] |= 16;
-      }
-      peak = std::max(peak, live + layer.workspace_bytes);
-      if ((state[static_cast<size_t>(i)] & 32) != 0) {
-        live -= layer.stash_bytes;
-        state[static_cast<size_t>(i)] &=
-            static_cast<uint8_t>(~uint8_t{32});
-      }
-      consume_grad(i);
-      if (i > 0 && act_of(i - 1) == 0) {
-        free_activation(i - 1);
-        set_act(i - 1, -1);
-      }
-      if (i == L - 1) {
-        free_activation(L - 1);
-      }
-    } else {  // kWeightGrad
-      peak = std::max(peak, live + layer.workspace_bytes);
-      consume_grad(i);
-      if (i > 0) {
-        OOBP_CHECK_EQ(act_of(i - 1), 1)
-            << "dW[" << i << "] scheduled twice or input already freed";
-        free_activation(i - 1);
-        set_act(i - 1, -1);
-      }
-    }
-  }
-
-  mem_ops_.resize(n);
-  std::copy(schedule.ops.begin() + static_cast<ptrdiff_t>(p_diff),
-            schedule.ops.end(),
-            mem_ops_.begin() + static_cast<ptrdiff_t>(p_diff));
-  last_peak_ = peak;
-  return peak;
-}
-
-void FastScheduleEvaluator::RebuildMeta(const IterationSchedule& schedule,
-                                        size_t p_diff) {
-  const size_t n = schedule.ops.size();
-  const int L = model_->num_layers();
+  deps_ = IterationDeps(schedule, model_->num_layers());
+  OOBP_CHECK_GE(deps_.last_fwd, 0) << "schedule has no F[L-1]";
   meta_.resize(n);
-
-  // Restore the role cursor from the latest snapshot at or before p_diff.
-  meta_ckpts_.resize(
-      std::min(meta_ckpts_.size(), p_diff / kMetaStride + 1));
-  SchedulePrefixState cur;
-  size_t start = 0;
-  if (meta_ckpts_.empty()) {
-    cur.Reset(L);
-  } else {
-    cur = meta_ckpts_.back();
-    start = static_cast<size_t>(cur.next_pos);
-  }
-
-  for (size_t p = start; p < n; ++p) {
-    if (p % kMetaStride == 0 && p / kMetaStride == meta_ckpts_.size()) {
-      meta_ckpts_.push_back(cur);
+  rank_.resize(n);
+  seq_[0].clear();
+  seq_[1].clear();
+  for (size_t p = 0; p < n; ++p) {
+    const ScheduledOp& s = schedule.ops[p];
+    CostEntry& ce = cost_table_[static_cast<size_t>(s.op.layer) * 4 +
+                                static_cast<size_t>(s.op.type)];
+    if (!ce.init) {
+      const KernelCost kc =
+          cost_->Cost(model_->layers[static_cast<size_t>(s.op.layer)],
+                      s.op.type);
+      ce.occ = EffectiveOccupancy(kc.thread_blocks, capacity_);
+      ce.work = static_cast<double>(kc.duration) * ce.occ;
+      ce.init = true;
     }
-    if (p >= p_diff) {
-      const ScheduledOp& s = schedule.ops[p];
-      const int i = s.op.layer;
-      OOBP_CHECK_GE(i, 0);
-      OOBP_CHECK_LT(i, L);
-      CostEntry& ce =
-          cost_table_[static_cast<size_t>(i) * 4 +
-                      static_cast<size_t>(s.op.type)];
-      if (!ce.init) {
-        const KernelCost kc =
-            cost_->Cost(model_->layers[static_cast<size_t>(i)], s.op.type);
-        ce.dur = kc.duration;
-        ce.occ = EffectiveOccupancy(kc.thread_blocks, capacity_);
-        ce.work = static_cast<double>(ce.dur) * ce.occ;
-        ce.init = true;
-      }
-      PosMeta m;
-      m.dur = ce.dur;
-      m.occ = ce.occ;
-      m.work = ce.work;
-      m.stream = s.stream == kSubStream ? 1 : 0;
-      // Dependency wiring: positionally identical to BuildTrainIssuePlan
-      // (src/runtime/single_gpu_engine.cc); item of position q in iteration
-      // t is t*n + q, so same-iteration deps are stored as positions and the
-      // single cross-iteration case (the loss gradient / final dW waiting on
-      // the previous iteration's forward pass) as a flag.
-      int num_deps = 0;
-      const auto add_dep = [&](int32_t q) {
-        OOBP_CHECK_LT(num_deps, 2) << "more than two positional deps";
-        m.dep[num_deps++] = q;
-      };
-      switch (s.op.type) {
-        case TrainOpType::kForward:
-          if (i > 0 && cur.fwd_pos[static_cast<size_t>(i - 1)] != -1) {
-            add_dep(cur.fwd_pos[static_cast<size_t>(i - 1)]);
-          }
-          if (cur.update_pos[static_cast<size_t>(i)] != -1) {
-            add_dep(cur.update_pos[static_cast<size_t>(i)]);
-          }
-          break;
-        case TrainOpType::kOutputGrad:
-          if (i + 1 < L) {
-            if (cur.dgrad_pos[static_cast<size_t>(i + 1)] != -1) {
-              add_dep(cur.dgrad_pos[static_cast<size_t>(i + 1)]);
-            }
-          } else {
-            m.dep_prev_fwd = true;
-          }
-          break;
-        case TrainOpType::kWeightGrad:
-          if (i + 1 < L) {
-            OOBP_CHECK_NE(cur.dgrad_pos[static_cast<size_t>(i + 1)], -1)
-                << "dW[" << i << "] issued before dO[" << i + 1 << "]";
-            add_dep(cur.dgrad_pos[static_cast<size_t>(i + 1)]);
-          } else {
-            m.dep_prev_fwd = true;
-          }
-          if (s.wait_for_index >= 0) {
-            OOBP_CHECK_LT(s.wait_for_index, static_cast<int>(p));
-            add_dep(s.wait_for_index);
-          }
-          break;
-        case TrainOpType::kWeightUpdate:
-          OOBP_CHECK_NE(cur.wgrad_pos[static_cast<size_t>(i)], -1);
-          add_dep(cur.wgrad_pos[static_cast<size_t>(i)]);
-          break;
-      }
-      meta_[p] = m;
-    }
-    cur.Advance(schedule.ops[p]);
+    const uint8_t stream = s.stream == kSubStream ? 1 : 0;
+    meta_[p] = {ce.occ, ce.work, stream};
+    rank_[p] = static_cast<int32_t>(seq_[stream].size());
+    seq_[stream].push_back(static_cast<int32_t>(p));
   }
-  OOBP_CHECK_GT(L, 0);
-  fwd_last_pos_ = cur.fwd_pos[static_cast<size_t>(L - 1)];
 }
 
 TimeNs FastScheduleEvaluator::IterationTime(const IterationSchedule& schedule) {
@@ -296,50 +89,22 @@ TimeNs FastScheduleEvaluator::IterationTime(const IterationSchedule& schedule) {
   ++evaluations_;
   g_total_analytic_evals.fetch_add(1, std::memory_order_relaxed);
 
-  const size_t p_diff = DiffPosition(time_ops_, schedule.ops);
-  if (p_diff == n && time_ops_.size() == n && last_time_ >= 0) {
-    return last_time_;
-  }
-
-  RebuildMeta(schedule, p_diff);
-  // Stream sequences are ascending position lists, so the shared prefix
-  // keeps its entries and ranks; drop everything from the first difference
-  // and re-append.
-  rank_.resize(n);
-  for (auto& sq : seq_) {
-    sq.erase(std::lower_bound(sq.begin(), sq.end(),
-                              static_cast<int32_t>(p_diff)),
-             sq.end());
-  }
-  for (size_t p = p_diff; p < n; ++p) {
-    const int s = meta_[p].stream;
-    rank_[p] = static_cast<int32_t>(seq_[s].size());
-    seq_[s].push_back(static_cast<int32_t>(p));
-  }
+  // A checkpoint keyed at or before the first differing position saw only
+  // positions both candidates share.
+  const size_t p_diff = DiffPosition(ops_, schedule.ops);
   while (!sweep_ckpts_.empty() &&
          sweep_ckpts_.back().next_item > static_cast<int32_t>(p_diff)) {
     sweep_ckpts_.pop_back();
   }
-  // The steady-state anchor survives the same way a checkpoint does: its
-  // history only read positions up to anchor_key_, so a candidate whose
-  // first difference lies beyond it shares the anchor bit-for-bit.
-  if (anchor_valid_ && static_cast<int32_t>(p_diff) <= anchor_key_) {
-    anchor_valid_ = false;
-  }
-
-  last_time_ = RunSweep(n);
-  time_ops_.resize(n);
-  std::copy(schedule.ops.begin() + static_cast<ptrdiff_t>(p_diff),
-            schedule.ops.end(),
-            time_ops_.begin() + static_cast<ptrdiff_t>(p_diff));
-  return last_time_;
+  ops_ = schedule.ops;
+  RebuildMeta(schedule);
+  return RunSweep(n);
 }
 
 TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
   const int32_t num_items = static_cast<int32_t>(kIterations * n);
   const int32_t ni = static_cast<int32_t>(n);
   const uint64_t len[2] = {seq_[0].size(), seq_[1].size()};
-  OOBP_CHECK_GE(fwd_last_pos_, 0);
 
   SweepState st;
   if (!sweep_ckpts_.empty()) {
@@ -394,18 +159,26 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
            item != st.run[1];
   };
   const auto deps_done = [&](int32_t t, int32_t p) {
-    const PosMeta& m = meta_[static_cast<size_t>(p)];
-    for (const int32_t d : m.dep) {
-      if (d >= 0 && !item_done(t, d)) {
+    const OpDeps& d = deps_.ops[static_cast<size_t>(p)];
+    for (const int q : d.dep) {
+      if (q >= 0 && !item_done(t, q)) {
         return false;
       }
     }
-    if (m.dep_prev_fwd && t > 0) {
-      if (!item_done(t - 1, fwd_last_pos_)) {
-        return false;
-      }
-    }
-    return true;
+    return !d.prev_fwd || t == 0 || item_done(t - 1, deps_.last_fwd);
+  };
+  // Gpu::BeginExecution: stream s's dispatched kernel starts running.
+  // Returns its work.
+  const auto begin = [&](int s) {
+    const int32_t item = st.pend[s];
+    const PosMeta& m = meta_[static_cast<size_t>(item - pend_it[s] * ni)];
+    st.pend[s] = -1;
+    st.run[s] = item;
+    run_it[s] = pend_it[s];
+    st.occ[s] = m.occ;
+    st.rem[s] = m.work;
+    st.started_seq[s] = st.next_seq++;
+    return m.work;
   };
   // Priority-greedy slot allocation, exactly FluidProcessor::Reallocate():
   // the main stream (priority 0) is allocated before the sub stream.
@@ -431,12 +204,10 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
   // so iteration 2's middle is fast-forwarded by applying the shift
   // directly and resuming the fixpoint in place. Any mismatch simply
   // falls back to simulating all three iterations; the skip never
-  // approximates.
-  //
-  // The iteration-0 anchor persists across candidates (anchor_st_ /
-  // anchor_key_, invalidated in IterationTime): a sweep resuming from a
-  // checkpoint past that completion still compares against the cached
-  // anchor, whose history is untouched by any mutation beyond the key.
+  // approximates. A sweep that resumes from a checkpoint taken after the
+  // iteration-0 anchor has none and simulates all three.
+  SweepState anchor_st;
+  bool anchor_valid = false;
   bool skipped = false;
 
   const auto norm_equal = [&]() -> bool {
@@ -445,36 +216,36 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
       // same way the restart block above does it: at the anchor both
       // streams are still in their first pass (asserted at capture).
       if (len[s] == 0) {
-        if (st.ptr[s] != anchor_st_.ptr[s] || itr[s] != kIterations) {
+        if (st.ptr[s] != anchor_st.ptr[s] || itr[s] != kIterations) {
           return false;
         }
       } else {
         const uint64_t a_idx =
-            anchor_st_.ptr[s] == len[s] ? 0 : anchor_st_.ptr[s];
-        const int32_t a_itr = anchor_st_.ptr[s] == len[s] ? 1 : 0;
-        if (st.ptr[s] != anchor_st_.ptr[s] + len[s] || itr[s] != a_itr + 1 ||
+            anchor_st.ptr[s] == len[s] ? 0 : anchor_st.ptr[s];
+        const int32_t a_itr = anchor_st.ptr[s] == len[s] ? 1 : 0;
+        if (st.ptr[s] != anchor_st.ptr[s] + len[s] || itr[s] != a_itr + 1 ||
             idx[s] != a_idx) {
           return false;
         }
       }
       // Every in-flight slot at the anchor is an iteration-0 item, so the
       // matching slot here must be the same position one iteration up.
-      if ((st.pend[s] >= 0) != (anchor_st_.pend[s] >= 0)) {
+      if ((st.pend[s] >= 0) != (anchor_st.pend[s] >= 0)) {
         return false;
       }
       if (st.pend[s] >= 0 &&
-          (st.pend[s] != anchor_st_.pend[s] + ni || pend_it[s] != 1 ||
+          (st.pend[s] != anchor_st.pend[s] + ni || pend_it[s] != 1 ||
            st.pend_at[s] - st.now !=
-               anchor_st_.pend_at[s] - anchor_st_.now)) {
+               anchor_st.pend_at[s] - anchor_st.now)) {
         return false;
       }
-      if ((st.run[s] >= 0) != (anchor_st_.run[s] >= 0)) {
+      if ((st.run[s] >= 0) != (anchor_st.run[s] >= 0)) {
         return false;
       }
       if (st.run[s] >= 0 &&
-          (st.run[s] != anchor_st_.run[s] + ni || run_it[s] != 1 ||
-           st.rem[s] != anchor_st_.rem[s] ||
-           st.occ[s] != anchor_st_.occ[s])) {
+          (st.run[s] != anchor_st.run[s] + ni || run_it[s] != 1 ||
+           st.rem[s] != anchor_st.rem[s] ||
+           st.occ[s] != anchor_st.occ[s])) {
         return false;
       }
     }
@@ -482,19 +253,19 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
     // overwrites first), so the only order-relevant residue is which of the
     // two last begins came first.
     return (st.started_seq[1] < st.started_seq[0]) ==
-           (anchor_st_.started_seq[1] < anchor_st_.started_seq[0]);
+           (anchor_st.started_seq[1] < anchor_st.started_seq[0]);
   };
 
   const auto apply_shift = [&] {
-    const TimeNs delta = st.now - anchor_st_.now;
-    const uint32_t comp_delta = st.completed - anchor_st_.completed;
+    const TimeNs delta = st.now - anchor_st.now;
+    const uint32_t comp_delta = st.completed - anchor_st.completed;
     // Completions in the skipped segment replicate the previous segment's
     // one iteration up: iter_end[2] becomes the mirrored iter_end[1] and
     // iter_end[1] absorbs the mirror of the iteration-0 stragglers (if the
     // previous segment raised iter_end[0], the same completions recur at
     // +delta; otherwise every mirrored time is already <= iter_end[1]).
     st.iter_end[2] = st.iter_end[1] + delta;
-    if (st.iter_end[0] > anchor_st_.iter_end[0]) {
+    if (st.iter_end[0] > anchor_st.iter_end[0]) {
       st.iter_end[1] = std::max(st.iter_end[1], st.iter_end[0] + delta);
     }
     st.now += delta;
@@ -522,20 +293,12 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
   // iteration-(t+2) item is in flight yet.
   const auto on_anchor = [&](int32_t t) {
     if (t == 0) {
-      anchor_st_ = st;
-      anchor_valid_ = true;
-      // Everything simulated so far only read schedule positions up to the
-      // dispatched maximum and the two stream heads (heads advance
-      // monotonically, so the current ones bound every consultation).
-      int32_t key = st.max_disp;
       for (int s = 0; s < 2; ++s) {
         OOBP_CHECK_LE(st.ptr[s], len[s]);
-        if (itr[s] < kIterations) {
-          key = std::max(key, seq_[s][idx[s]]);
-        }
       }
-      anchor_key_ = key;
-    } else if (anchor_valid_ && norm_equal()) {
+      anchor_st = st;
+      anchor_valid = true;
+    } else if (anchor_valid && norm_equal()) {
       apply_shift();
       skipped = true;
     }
@@ -564,30 +327,22 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
         order[1] = 0;
       }
       for (const int s : order) {
-        if (st.run[s] >= 0 && st.rem[s] <= kWorkEpsilon) {
+        if (st.run[s] >= 0 && st.rem[s] <= FluidProcessor::kWorkEpsilon) {
           const int32_t done_pos = st.run[s] - run_it[s] * ni;
           const int32_t done_it = run_it[s];
           st.run[s] = -1;
           TimeNs& end = st.iter_end[static_cast<size_t>(run_it[s])];
           end = std::max(end, st.now);
           ++st.completed;
-          if (done_pos == fwd_last_pos_ && done_it < 2 && !skipped) {
+          if (done_pos == deps_.last_fwd && done_it < 2 && !skipped) {
             on_anchor(done_it);
           }
         }
       }
       for (int s = 0; s < 2; ++s) {
         if (st.pend[s] >= 0 && st.pend_at[s] <= st.now) {
-          const int32_t item = st.pend[s];
-          const PosMeta& m =
-              meta_[static_cast<size_t>(item - pend_it[s] * ni)];
-          st.pend[s] = -1;
-          st.run[s] = item;
-          run_it[s] = pend_it[s];
-          st.occ[s] = m.occ;
-          st.rem[s] = m.work;
-          st.started_seq[s] = st.next_seq++;
-          again = again || m.work <= kWorkEpsilon;
+          const double work = begin(s);
+          again = again || work <= FluidProcessor::kWorkEpsilon;
         }
       }
       for (int s = 0; s < 2; ++s) {
@@ -642,11 +397,7 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
       }
     }
     if (min_tta >= 0.0) {
-      const TimeNs max_delay = std::numeric_limits<TimeNs>::max() - st.now;
-      next = min_tta >= static_cast<double>(max_delay)
-                 ? st.now + max_delay
-                 : st.now + std::max<TimeNs>(
-                                1, static_cast<TimeNs>(std::ceil(min_tta)));
+      next = st.now + FluidProcessor::WakeDelay(min_tta, st.now);
     }
     for (int s = 0; s < 2; ++s) {
       if (st.pend[s] >= 0) {
@@ -660,7 +411,7 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
     for (int s = 0; s < 2; ++s) {
       if (st.run[s] >= 0) {
         st.rem[s] = std::max(0.0, st.rem[s] - r[s] * dt);
-        completion = completion || st.rem[s] <= kWorkEpsilon;
+        completion = completion || st.rem[s] <= FluidProcessor::kWorkEpsilon;
       }
     }
     st.now = next;
@@ -676,22 +427,14 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
       for (int s = 0; s < 2; ++s) {
         if (st.pend[s] >= 0 && st.pend_at[s] <= st.now &&
             meta_[static_cast<size_t>(st.pend[s] - pend_it[s] * ni)].work <=
-                kWorkEpsilon) {
+                FluidProcessor::kWorkEpsilon) {
           fast = false;
         }
       }
       if (fast) {
         for (int s = 0; s < 2; ++s) {
           if (st.pend[s] >= 0 && st.pend_at[s] <= st.now) {
-            const int32_t item = st.pend[s];
-            const PosMeta& m =
-                meta_[static_cast<size_t>(item - pend_it[s] * ni)];
-            st.pend[s] = -1;
-            st.run[s] = item;
-            run_it[s] = pend_it[s];
-            st.occ[s] = m.occ;
-            st.rem[s] = m.work;
-            st.started_seq[s] = st.next_seq++;
+            begin(s);
           }
         }
         continue;

@@ -2,37 +2,35 @@
 // two-tier search evaluation pipeline (DESIGN.md §14).
 //
 // FastScheduleEvaluator computes the same steady-state iteration time as
-// ScheduleEvaluator (src/search/evaluator.h) without instantiating a
-// SimEngine per candidate. The insight is that the trimmed evaluation
-// workload is a closed two-stream system: in kPrecompiled mode the launcher
-// enqueues every kernel at one instant (graph_launch_latency), so the full
-// discrete-event simulation collapses to a tiny state machine — at most one
-// running and one dispatched-but-not-started kernel per stream plus the
-// single fluid wake-up timer. Replaying exactly the floating-point
-// operations the FluidProcessor performs (rate = min(max_rate, free) in
-// priority order, remaining = max(0, remaining - rate*dt) at every event
-// boundary, completion at remaining <= 1e-6, wake at now + max(1,
-// ceil(min remaining/rate))) makes the analytic makespan BIT-IDENTICAL to
-// the simulator's — not an approximation — while running one to two orders
-// of magnitude faster.
+// ScheduleEvaluator (src/search/evaluator.h) without driving the engine per
+// candidate. The insight is that the trimmed evaluation workload is a closed
+// two-stream system: in kPrecompiled mode the launcher enqueues every kernel
+// at one instant (graph_launch_latency), so the full discrete-event
+// simulation collapses to a tiny state machine — at most one running and
+// one dispatched-but-not-started kernel per stream plus the single fluid
+// wake-up timer. Replaying exactly the floating-point operations the
+// FluidProcessor performs (rate = min(max_rate, free) in priority order,
+// remaining = max(0, remaining - rate*dt) at every event boundary,
+// completion at FluidProcessor::kWorkEpsilon, wake after
+// FluidProcessor::WakeDelay) makes the analytic makespan BIT-IDENTICAL to
+// the simulator's — not an approximation. The dependencies come from the
+// shared rule, IterationDeps (src/core/schedule.h).
 //
-// Incrementality: the local-search mutators flip one WgradGene at a time,
-// so consecutive candidates share a long schedule prefix. The evaluator
-// keeps, per instance:
-//   * role-cursor snapshots (SchedulePrefixState, src/core/schedule.h)
-//     every few positions, so per-position dependency metadata — the same
-//     wiring BuildTrainIssuePlan derives — is rebuilt only from the first
-//     differing position onward;
+// It is about 2.3x faster than scoring each candidate with
+// SingleGpuEngine::Run, and keeps only the layers that measurably pay
+// (DESIGN.md §14.1-14.3). Per instance:
+//   * a lazily filled kernel-cost memo per (layer, op type);
 //   * sweep checkpoints: complete machine states captured whenever a
 //     first-iteration item with a new maximum index is dispatched. At that
 //     instant the machine state provably depends only on earlier schedule
-//     positions, so a later candidate that differs first at position p can
-//     resume from the latest checkpoint with key <= p and re-simulate only
-//     the suffix;
-//   * an incremental activation-memory walk replaying
-//     EstimateBackpropMemory (src/core/memory_model.h) bit-for-bit with
-//     position-keyed liveness checkpoints, so the memory-cap test the
-//     search applies to every candidate is also prefix-incremental.
+//     positions, so a later candidate that differs first at position p
+//     resumes from the latest checkpoint with key <= p and re-simulates
+//     only the suffix (the local-search mutators flip one WgradGene at a
+//     time, so consecutive candidates share a long prefix);
+//   * inside each sweep, a steady-state anchor that fast-forwards the
+//     third iteration when the second repeats the first (RunSweep).
+// The memory cap is not Tier A's: the search calls EstimateBackpropMemory
+// (src/core/memory_model.h), as ScheduleEvaluator::PeakMemory does.
 //
 // Instances are not thread-safe (each search trajectory owns one); the
 // process-wide analytic-evaluation counter is atomic and feeds the perf
@@ -65,11 +63,6 @@ class FastScheduleEvaluator {
   // schedule). Incremental against the previously evaluated schedule.
   TimeNs IterationTime(const IterationSchedule& schedule);
 
-  // Activation-memory peak of the schedule's merged order: bit-identical to
-  // EstimateBackpropMemory(model, schedule.MergedOrder()).peak, incremental
-  // against the previously measured schedule.
-  int64_t PeakMemory(const IterationSchedule& schedule);
-
   // Analytic evaluations performed by this instance.
   int64_t evaluations() const { return evaluations_; }
 
@@ -78,19 +71,20 @@ class FastScheduleEvaluator {
   // event counts.
   static uint64_t TotalAnalyticEvals();
 
-  const NnModel& model() const { return *model_; }
-
  private:
-  // Per-position issue metadata: the dependency wiring BuildTrainIssuePlan
-  // derives, expressed in schedule positions (iteration-invariant; item
-  // index of position p in iteration t is t*n + p).
+  // What the sweep reads of one schedule position besides its
+  // dependencies (deps_).
   struct PosMeta {
-    TimeNs dur = 0;            // solo duration
-    double occ = 0.0;          // EffectiveOccupancy(thread_blocks, capacity)
-    double work = 0.0;         // dur * occ: initial fluid `remaining`
-    int32_t dep[2] = {-1, -1};  // same-iteration dependency positions
-    uint8_t stream = 0;        // kMainStream / kSubStream
-    bool dep_prev_fwd = false;  // also depends on prior iteration's last F
+    double occ = 0.0;    // EffectiveOccupancy(thread_blocks, capacity)
+    double work = 0.0;   // duration * occ: initial fluid `remaining`
+    uint8_t stream = 0;  // kMainStream / kSubStream
+  };
+  // Lazily memoized kernel cost per (layer, op type): the cost model is
+  // consulted once per pair instead of once per position and candidate.
+  struct CostEntry {
+    double occ = 0.0;
+    double work = 0.0;
+    bool init = false;
   };
 
   // Complete machine state of the analytic sweep; small enough to snapshot.
@@ -117,28 +111,9 @@ class FastScheduleEvaluator {
     SweepState state;
   };
 
-  // Activation-memory liveness at a schedule position, packed: per layer
-  // 6 bits (act_consumers+1, grad_consumers, grad_alloc, stash_live).
-  struct MemCkpt {
-    int32_t pos = 0;  // state before consuming ops[pos]
-    int64_t live = 0;
-    int64_t peak = 0;
-    std::vector<uint8_t> packed;
-  };
-
-  // Lazily memoized kernel cost per (layer, op type): position metadata is
-  // position-independent apart from dependency wiring, so the cost model is
-  // consulted once per pair instead of once per rebuilt position.
-  struct CostEntry {
-    TimeNs dur = 0;
-    double occ = 0.0;
-    double work = 0.0;
-    bool init = false;
-  };
-
-  void RebuildMeta(const IterationSchedule& schedule, size_t p_diff);
+  // Derives deps_, meta_ and the per-stream sequences of `schedule`.
+  void RebuildMeta(const IterationSchedule& schedule);
   TimeNs RunSweep(size_t n);
-  int64_t ColdInitMemState(std::vector<uint8_t>* packed) const;
 
   const NnModel* model_;
   std::shared_ptr<const CostModel> cost_;
@@ -148,31 +123,12 @@ class FastScheduleEvaluator {
   TimeNs t0_ = 0;  // graph launch latency: the instant all items enqueue
   int64_t evaluations_ = 0;
 
-  // --- iteration-time path state (diffed against time_ops_) ---
-  std::vector<ScheduledOp> time_ops_;
-  TimeNs last_time_ = -1;
+  std::vector<ScheduledOp> ops_;  // the previous candidate, diffed against
+  ScheduleDeps deps_;
   std::vector<PosMeta> meta_;
-  std::vector<SchedulePrefixState> meta_ckpts_;  // every kMetaStride positions
-  int32_t fwd_last_pos_ = -1;  // position of F_{L-1} (cross-iteration dep)
-  std::vector<int32_t> seq_[2];       // per-stream issue order (positions)
-  std::vector<int32_t> rank_;         // position -> index within its stream
+  std::vector<int32_t> seq_[2];  // per-stream issue order (positions)
+  std::vector<int32_t> rank_;    // position -> index within its stream
   std::vector<SweepCkpt> sweep_ckpts_;
-  // Steady-state anchor (RunSweep): machine state right after iteration 0's
-  // last forward completed. At that instant every in-flight item is still in
-  // iteration 0 and both cursors are in their first pass, so the state plus
-  // the maximum schedule position read so far fully describes it; like the
-  // sweep checkpoints it stays valid across candidates whose first differing
-  // position lies beyond that key.
-  SweepState anchor_st_;
-  bool anchor_valid_ = false;
-  int32_t anchor_key_ = -1;
-
-  // --- memory path state (diffed against mem_ops_) ---
-  std::vector<ScheduledOp> mem_ops_;
-  int64_t last_peak_ = -1;
-  int64_t mem_initial_ = 0;  // schedule-independent initial live bytes
-  std::vector<uint8_t> mem_init_packed_;
-  std::vector<MemCkpt> mem_ckpts_;
 };
 
 }  // namespace oobp

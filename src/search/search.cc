@@ -7,6 +7,7 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/core/memory_model.h"
 #include "src/search/candidate_cache.h"
 #include "src/search/fast_eval.h"
 #include "src/sim/worker_pool.h"
@@ -76,10 +77,8 @@ void DecodeGenotypeInto(const TrainGraph& graph, const Genotype& genotype,
 // Candidates are scored by the incremental analytic evaluator behind the
 // content-addressed cache, and only analytic evaluations are budgeted; the
 // simulator scores the trajectory best once, in RunTrajectory. The memory
-// cap comes from the incremental liveness walk, which is bit-identical to
-// ScheduleEvaluator::PeakMemory (pinned by fast_eval_test) but resumes from
-// the last common schedule prefix instead of recomputing from scratch per
-// candidate.
+// cap is the shared memory model's peak, the number
+// ScheduleEvaluator::PeakMemory returns.
 struct SearchContext {
   SearchContext(const TrainGraph* graph_in, FastScheduleEvaluator* fast_in,
                 CandidateCache* cache_in, int64_t memory_cap_in,
@@ -91,15 +90,15 @@ struct SearchContext {
         evals_left(evals_left_in) {}
 
   const TrainGraph* graph;
-  FastScheduleEvaluator* fast;  // memory walk + Tier A
+  FastScheduleEvaluator* fast;  // Tier A
   CandidateCache* cache;
   int64_t memory_cap;
   int evals_left;
   int64_t memory_rejections = 0;
 
   // Decode buffers, reused across candidates (the context is
-  // single-threaded; only the evaluators read `schedule` and they keep
-  // their own copies of whatever they diff against).
+  // single-threaded; Tier A diffs `schedule` against its own copy of the
+  // previous candidate).
   std::vector<WgradGene> decode_scratch;
   IterationSchedule schedule;
 
@@ -109,7 +108,8 @@ struct SearchContext {
       return hit->time;
     }
     DecodeGenotypeInto(*graph, genotype, &decode_scratch, &schedule);
-    const int64_t peak = fast->PeakMemory(schedule);
+    const int64_t peak =
+        EstimateBackpropMemory(graph->model(), schedule.MergedOrder()).peak;
     if (peak > memory_cap) {
       ++memory_rejections;
       cache->Insert(genotype, {kRejected, peak}, hash);

@@ -705,10 +705,10 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   }
 
   // Tier A against the simulator: a warm analytic evaluator walks through
-  // single-gene mutations of the searched genotype, resuming from its
-  // prefix checkpoints as the search does, and must match the simulator's
-  // time and memory peak to the bit at every step. The walk draws from its
-  // own Rng so the draws above stay put.
+  // single-gene mutations of the searched genotype, resuming from its sweep
+  // checkpoints as the search does, and must match the simulator's time to
+  // the bit at every step. The walk draws from its own Rng so the draws
+  // above stay put.
   Rng walk_rng(seed * 0x9E3779B97F4A7C15ULL + 0x7A1C);
   FastScheduleEvaluator fast(&model, gpu, profile);
   Genotype walk = searched.genotype;
@@ -725,15 +725,10 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
     const IterationSchedule schedule = DecodeGenotype(graph, walk);
     const TimeNs analytic = fast.IterationTime(schedule);
     const TimeNs simulated = sim.IterationTime(schedule);
-    const int64_t analytic_peak = fast.PeakMemory(schedule);
-    const int64_t simulated_peak = sim.PeakMemory(schedule);
-    if (analytic != simulated || analytic_peak != simulated_peak) {
-      fail(StrFormat("walk step %d: analytic %lld ns / %lld B, simulator "
-                     "%lld ns / %lld B",
+    if (analytic != simulated) {
+      fail(StrFormat("walk step %d: analytic %lld ns, simulator %lld ns",
                      step, static_cast<long long>(analytic),
-                     static_cast<long long>(analytic_peak),
-                     static_cast<long long>(simulated),
-                     static_cast<long long>(simulated_peak)));
+                     static_cast<long long>(simulated)));
       break;
     }
   }
@@ -1457,7 +1452,7 @@ std::string ServingMismatch(const FleetMetrics& a, const FleetMetrics& b) {
   return diff;
 }
 
-void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
+void FuzzOneSeed(uint64_t seed, const std::string& checks,
                  std::vector<std::string>* errors) {
   Rng rng(seed);
   auto on = [&checks](const char* family) {
@@ -1620,10 +1615,10 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
   if (on("link")) {
     LinkFuzz(rng, seed, errors);
   }
-  if (on("serve") && include_serve && seed % 4 == 0) {
+  if (on("serve") && seed % 4 == 0) {
     ServeFuzz(rng, seed, errors);
   }
-  if (on("fleet") && include_serve && seed % 2 == 0) {
+  if (on("fleet") && seed % 2 == 0) {
     FleetFuzz(rng, seed, errors);
   }
   if (on("search") && seed % 2 == 1) {
@@ -1635,14 +1630,9 @@ void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
   if (on("dp")) {
     DataParallelFuzz(seed, errors);
   }
-  if (on("serving") && include_serve) {
+  if (on("serving")) {
     ServingFuzz(seed, errors);
   }
-}
-
-void FuzzOneSeed(uint64_t seed, bool include_serve,
-                 std::vector<std::string>* errors) {
-  FuzzOneSeed(seed, include_serve, "*", errors);
 }
 
 FuzzResult RunFuzz(const FuzzOptions& options) {
@@ -1667,7 +1657,7 @@ FuzzResult RunFuzz(const FuzzOptions& options) {
 
   auto run_seed = [&options, &per_seed](size_t i) {
     const uint64_t seed = options.base_seed + static_cast<uint64_t>(i);
-    FuzzOneSeed(seed, options.include_serve, options.checks, &per_seed[i]);
+    FuzzOneSeed(seed, options.checks, &per_seed[i]);
   };
   if (jobs <= 1) {
     for (size_t i = 0; i < n; ++i) {
@@ -1754,15 +1744,12 @@ int FuzzMain(int argc, char** argv) {
       opts.checks = v4;
     } else if (arg == "--checks" && i + 1 < argc) {
       opts.checks = argv[++i];
-    } else if (arg == "--no-serve") {
-      opts.include_serve = false;
     } else if (arg == "--verbose") {
       opts.verbose = true;
     } else {
       std::fprintf(stderr,
                    "usage: oobp fuzz [--seeds=N] [--base-seed=N] [--jobs=N]\n"
-                   "                 [--checks=GLOBS] [--no-serve] "
-                   "[--verbose]\n"
+                   "                 [--checks=GLOBS] [--verbose]\n"
                    "  --jobs=N       seeds per thread pool; 0 = all cores\n"
                    "  --checks=GLOBS comma-separated globs over families\n"
                    "                 schedule,memory,train,dag,link,serve,"

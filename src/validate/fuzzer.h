@@ -32,7 +32,7 @@
 //     differential searched-vs-MakeOooSchedule execution under the
 //     SimValidator; a warm analytic evaluator walked through single-gene
 //     mutations of the searched genotype must match the simulator's time
-//     and memory peak bit for bit at every step;
+//     bit for bit at every step;
 //   * fuzzes the pipeline engine's two producers (DESIGN.md §6.3): a random
 //     strategy, GPU count, micro-batch count, zoo or random model,
 //     unit-time mode, link (an ideal link with 1-ns chunks and a slow,
@@ -74,19 +74,17 @@ namespace oobp {
 struct FuzzOptions {
   uint64_t base_seed = 1;
   int num_seeds = 20;
-  // The serving-subsystem families: serve (every 4th seed), fleet (every
-  // 2nd) and serving (every seed).
-  bool include_serve = true;
   bool verbose = false;       // per-seed progress on stderr
   // Thread-pool size; 0 = one worker per core. Every seed owns its entire
   // simulation stack (SimEngine, Gpu, Link, Rng), so seeds are independent
   // and the merged report is byte-identical for any jobs value.
   int jobs = 1;
   // Comma-separated glob list over check families: "schedule", "memory",
-  // "train", "dag", "link", "serve", "fleet", "search", "pipeline", "dp",
-  // "serving". A skipped family also skips its random draws, so repros must
-  // pass the same --checks value as the failing run ("pipeline", "dp" and
-  // "serving" draw from their own streams and repeat under any --checks).
+  // "train", "dag", "link", "serve" (every 4th seed), "fleet" (every 2nd),
+  // "search" (every 2nd), "pipeline", "dp", "serving". A skipped family
+  // also skips its random draws, so repros must pass the same --checks
+  // value as the failing run ("pipeline", "dp" and "serving" draw from
+  // their own streams and repeat under any --checks).
   std::string checks = "*";
 };
 
@@ -112,15 +110,11 @@ std::string ServingMismatch(const FleetMetrics& a, const FleetMetrics& b);
 
 // Runs the check families matching `checks` for one seed, appending failure
 // messages to `errors`. Exposed for tests that pin specific seeds.
-void FuzzOneSeed(uint64_t seed, bool include_serve, const std::string& checks,
-                 std::vector<std::string>* errors);
-
-// Back-compat overload: every check family.
-void FuzzOneSeed(uint64_t seed, bool include_serve,
+void FuzzOneSeed(uint64_t seed, const std::string& checks,
                  std::vector<std::string>* errors);
 
 // `oobp fuzz` entry point: parses --seeds=N, --base-seed=N, --jobs=N,
-// --checks=GLOBS, --no-serve, --verbose. Returns 0 on a clean run, 1 on
+// --checks=GLOBS, --verbose. Returns 0 on a clean run, 1 on
 // check failures, 2 on bad usage, including a number that does not parse
 // whole (ParseWhole in src/common/str_util.h).
 int FuzzMain(int argc, char** argv);

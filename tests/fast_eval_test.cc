@@ -5,11 +5,10 @@
 // FastScheduleEvaluator replays the exact floating-point recurrence of the
 // fluid processor, its iteration times must be BIT-IDENTICAL to
 // ScheduleEvaluator's simulator scores — on zoo models, on fuzzed models,
-// on arbitrary decodable genotypes, warm or cold. Likewise its incremental
-// memory walk must reproduce EstimateBackpropMemory exactly. The rank
-// correlation (1.0) and relative error (0.0) the search scenarios pin as
-// golden stats follow from these identities; this battery is what localizes
-// a violation when evaluator drift trips that gate.
+// on arbitrary decodable genotypes, warm or cold. The rank correlation
+// (1.0) and relative error (0.0) the search scenarios pin as golden stats
+// follow from these identities; this battery is what localizes a violation
+// when evaluator drift trips that gate.
 
 #include <gtest/gtest.h>
 
@@ -125,8 +124,6 @@ TEST(FastEvalTest, BitIdenticalToSimulatorOnZooModels) {
     for (const IterationSchedule& schedule : schedules) {
       EXPECT_EQ(fast.IterationTime(schedule), sim.IterationTime(schedule))
           << model.name;
-      EXPECT_EQ(fast.PeakMemory(schedule), sim.PeakMemory(schedule))
-          << model.name;
     }
   }
 }
@@ -145,13 +142,11 @@ TEST(FastEvalTest, BitIdenticalToSimulatorOnFuzzedModels) {
           DecodeGenotype(graph, RandomGenotype(graph, rng));
       ASSERT_EQ(fast.IterationTime(schedule), sim.IterationTime(schedule))
           << "seed " << seed << " candidate " << k;
-      ASSERT_EQ(fast.PeakMemory(schedule), sim.PeakMemory(schedule))
-          << "seed " << seed << " candidate " << k;
     }
   }
 }
 
-// The incremental path (warm evaluator, prefix checkpoints) must return the
+// The incremental path (warm evaluator, sweep checkpoints) must return the
 // same bits as a cold evaluation of the same schedule — including under
 // single-gene mutations, the access pattern the local search produces.
 TEST(FastEvalTest, IncrementalMatchesColdUnderPointMutations) {
@@ -176,9 +171,6 @@ TEST(FastEvalTest, IncrementalMatchesColdUnderPointMutations) {
       const IterationSchedule schedule = DecodeGenotype(graph, genotype);
       ASSERT_EQ(warm.IterationTime(schedule),
                 ColdAnalyticTime(model, gpu, profile, schedule))
-          << "seed " << seed << " step " << step;
-      FastScheduleEvaluator cold(&model, gpu, profile);
-      ASSERT_EQ(warm.PeakMemory(schedule), cold.PeakMemory(schedule))
           << "seed " << seed << " step " << step;
     }
   }

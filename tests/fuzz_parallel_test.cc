@@ -62,13 +62,5 @@ TEST(FuzzParallelTest, ChecksGlobSelectsFamilies) {
   EXPECT_TRUE(none.ok());
 }
 
-TEST(FuzzParallelTest, LegacyOverloadIsAllChecks) {
-  std::vector<std::string> via_legacy;
-  std::vector<std::string> via_star;
-  FuzzOneSeed(42, /*include_serve=*/true, &via_legacy);
-  FuzzOneSeed(42, /*include_serve=*/true, "*", &via_star);
-  EXPECT_EQ(via_legacy, via_star);
-}
-
 }  // namespace
 }  // namespace oobp

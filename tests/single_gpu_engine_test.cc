@@ -6,6 +6,7 @@
 #include "src/core/corun_profiler.h"
 #include "src/core/joint_scheduler.h"
 #include "src/core/region.h"
+#include "src/nn/layer_builder.h"
 #include "src/nn/model_zoo.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/validate/sim_validator.h"
@@ -189,6 +190,174 @@ TEST(SingleGpuEngineTest, ExecutorRunsOnlyWhenNothingObservesTheDevices) {
       ExpectBitwiseEqual(plain, validated);
     }
   }
+}
+
+// Three layers: conv or (with `pool_first`) a parameter-free pool, conv,
+// dense.
+NnModel ThreeLayerModel(bool pool_first) {
+  NnModel model;
+  model.name = "three-layer";
+  model.batch = 8;
+  model.layers.push_back(pool_first
+                             ? MakePool("l0", "b0", 8, 16, 8, 8)
+                             : MakeConv2d("l0", "b0", 8, 16, 8, 8, 16, 3, 1));
+  model.layers.push_back(MakeConv2d("l1", "b0", 8, 16, 8, 8, 16, 3, 1));
+  model.layers.push_back(MakeDense("l2", "b1", 8, 1, 64, 64));
+  return model;
+}
+
+ScheduledOp Op(TrainOpType type, int layer, int stream = kMainStream,
+               int wait_for_index = -1) {
+  return {{type, layer}, stream, wait_for_index};
+}
+
+constexpr TrainOpType kF = TrainOpType::kForward;
+constexpr TrainOpType kDO = TrainOpType::kOutputGrad;
+constexpr TrainOpType kDW = TrainOpType::kWeightGrad;
+constexpr TrainOpType kU = TrainOpType::kWeightUpdate;
+
+// What IterationDeps must give for one position.
+struct WantDeps {
+  std::vector<int> dep;  // same-iteration positions, in wait order
+  bool prev_fwd = false;
+};
+
+// Checks IterationDeps position by position, then the dependency lists of
+// BuildTrainIssuePlan over two iterations: item t*n + p waits on
+// (t-1)*n + last_fwd first when it waits on the previous F_{L-1}, then on
+// t*n + q for each same-iteration q.
+void ExpectDeps(const NnModel& model, const IterationSchedule& schedule,
+                const std::vector<WantDeps>& want, int last_fwd) {
+  const size_t n = schedule.ops.size();
+  ASSERT_EQ(want.size(), n);
+  const ScheduleDeps deps = IterationDeps(schedule, model.num_layers());
+  ASSERT_EQ(deps.ops.size(), n);
+  EXPECT_EQ(deps.last_fwd, last_fwd);
+  for (size_t p = 0; p < n; ++p) {
+    std::vector<int> got;
+    for (const int q : deps.ops[p].dep) {
+      if (q >= 0) {
+        got.push_back(q);
+      }
+    }
+    EXPECT_EQ(got, want[p].dep) << "position " << p;
+    EXPECT_EQ(deps.ops[p].prev_fwd, want[p].prev_fwd) << "position " << p;
+  }
+
+  const CostModel cost(GpuSpec::V100(), SystemProfile::TensorFlowXla());
+  const TrainIssuePlan plan =
+      BuildTrainIssuePlan(model, schedule, cost, /*iterations=*/2,
+                          /*main_stream=*/0, /*sub_stream=*/1,
+                          /*label_items=*/false);
+  ASSERT_EQ(plan.items.size(), 2 * n);
+  EXPECT_EQ(plan.iter_last_item, (std::vector<int>{static_cast<int>(n) - 1,
+                                                   static_cast<int>(2 * n) - 1}));
+  for (size_t t = 0; t < 2; ++t) {
+    for (size_t p = 0; p < n; ++p) {
+      std::vector<size_t> expected;
+      if (want[p].prev_fwd && t > 0) {
+        expected.push_back((t - 1) * n + static_cast<size_t>(last_fwd));
+      }
+      for (const int q : want[p].dep) {
+        expected.push_back(t * n + static_cast<size_t>(q));
+      }
+      const IssueItem& item = plan.items[t * n + p];
+      EXPECT_EQ(std::vector<size_t>(item.dep_items,
+                                    item.dep_items + item.num_deps),
+                expected)
+          << "iteration " << t << " position " << p;
+      EXPECT_EQ(item.stream, schedule.ops[p].stream);
+    }
+  }
+}
+
+TEST(IterationDepsTest, ConventionalSchedule) {
+  const NnModel model = ThreeLayerModel(/*pool_first=*/false);
+  IterationSchedule schedule;
+  schedule.ops = {Op(kDO, 2), Op(kDW, 2), Op(kU, 2), Op(kDO, 1),
+                  Op(kDW, 1), Op(kU, 1),  Op(kDO, 0), Op(kDW, 0),
+                  Op(kU, 0),  Op(kF, 0),  Op(kF, 1),  Op(kF, 2)};
+  ExpectDeps(model, schedule,
+             {{{}, true},      // dO2: the previous iteration's F2
+              {{}, true},      // dW2: likewise
+              {{1}},           // U2 <- dW2
+              {{0}},           // dO1 <- dO2
+              {{0}},           // dW1 <- dO2
+              {{4}},           // U1 <- dW1
+              {{3}},           // dO0 <- dO1
+              {{3}},           // dW0 <- dO1
+              {{7}},           // U0 <- dW0
+              {{8}},           // F0 <- U0
+              {{9, 5}},        // F1 <- F0, U1
+              {{10, 2}}},      // F2 <- F1, U2
+             /*last_fwd=*/11);
+}
+
+TEST(IterationDepsTest, OutOfOrderScheduleWithStreamWaits) {
+  const NnModel model = ThreeLayerModel(/*pool_first=*/false);
+  IterationSchedule schedule;
+  schedule.ops = {Op(kDO, 2),
+                  Op(kDO, 1),
+                  Op(kDO, 0),
+                  Op(kDW, 2, kSubStream, /*wait_for_index=*/1),
+                  Op(kU, 2, kSubStream),
+                  Op(kDW, 1, kSubStream),
+                  Op(kU, 1, kSubStream),
+                  Op(kDW, 0, kSubStream, /*wait_for_index=*/2),
+                  Op(kU, 0, kSubStream),
+                  Op(kF, 0),
+                  Op(kF, 1),
+                  Op(kF, 2)};
+  ExpectDeps(model, schedule,
+             {{{}, true},      // dO2
+              {{0}},           // dO1 <- dO2
+              {{1}},           // dO0 <- dO1
+              {{1}, true},     // dW2: previous F2, then its wait on dO1
+              {{3}},           // U2 <- dW2
+              {{0}},           // dW1 <- dO2
+              {{5}},           // U1 <- dW1
+              {{1, 2}},        // dW0 <- dO1, then its wait on dO0
+              {{7}},           // U0 <- dW0
+              {{8}},           // F0 <- U0
+              {{9, 6}},        // F1 <- F0, U1
+              {{10, 4}}},      // F2 <- F1, U2
+             /*last_fwd=*/11);
+  // Spelled out for iteration 1: the previous F2 comes first.
+  const CostModel cost(GpuSpec::V100(), SystemProfile::TensorFlowXla());
+  const TrainIssuePlan plan = BuildTrainIssuePlan(
+      model, schedule, cost, 2, /*main_stream=*/0, /*sub_stream=*/1, false);
+  const IssueItem& dw2 = plan.items[12 + 3];
+  ASSERT_EQ(dw2.num_deps, 2);
+  EXPECT_EQ(dw2.dep_items[0], 11u);
+  EXPECT_EQ(dw2.dep_items[1], 13u);
+}
+
+TEST(IterationDepsTest, ParameterFreeFirstLayer) {
+  const NnModel model = ThreeLayerModel(/*pool_first=*/true);
+  ASSERT_FALSE(model.layers[0].has_params());
+  IterationSchedule schedule;
+  schedule.ops = {Op(kDO, 2), Op(kDW, 2), Op(kU, 2), Op(kDO, 1), Op(kDW, 1),
+                  Op(kU, 1),  Op(kDO, 0), Op(kF, 0), Op(kF, 1),  Op(kF, 2)};
+  ExpectDeps(model, schedule,
+             {{{}, true},      // dO2
+              {{}, true},      // dW2
+              {{1}},           // U2 <- dW2
+              {{0}},           // dO1 <- dO2
+              {{0}},           // dW1 <- dO2
+              {{4}},           // U1 <- dW1
+              {{3}},           // dO0 <- dO1
+              {{}},            // F0: no update, no input layer
+              {{7, 5}},        // F1 <- F0, U1
+              {{8, 2}}},       // F2 <- F1, U2
+             /*last_fwd=*/9);
+}
+
+TEST(IterationDepsDeathTest, WeightGradientBeforeItsOutputGradient) {
+  const NnModel model = ThreeLayerModel(/*pool_first=*/false);
+  IterationSchedule schedule;
+  schedule.ops = {Op(kDW, 1), Op(kDO, 2), Op(kDO, 1)};
+  EXPECT_DEATH(IterationDeps(schedule, model.num_layers()),
+               "dW\\[1\\] issued before dO\\[2\\]");
 }
 
 TEST(SingleGpuEngineDeathTest, EmptyScheduleFailsClosedNamingTheModel) {

@@ -8,6 +8,8 @@
 // sequence of double additions — must be bitwise identical to the full
 // event-driven simulation. These tests run both paths over fixed and
 // randomized models and compare with EXPECT_EQ (no tolerance anywhere).
+// The unreplayed reference is a traced run: a trace must hold every event,
+// so traced runs never replay.
 //
 // The single-GPU outcome itself has two producers: the event simulation
 // and the exact two-stream executor. The differential battery below runs
@@ -71,14 +73,25 @@ NnModel RandomModel(Rng& rng) {
   return model;
 }
 
-SingleGpuConfig SingleGpuCfg(int measured, bool replay) {
+SingleGpuConfig SingleGpuCfg(int measured) {
   SingleGpuConfig cfg;
   cfg.gpu = GpuSpec::V100();
   cfg.profile = SystemProfile::TensorFlowXla();
   cfg.precompiled_issue = true;
   cfg.measured_iterations = measured;
-  cfg.steady_replay = replay;
   return cfg;
+}
+
+// A full simulation of every iteration: the traced run.
+TrainMetrics Unreplayed(const SingleGpuConfig& cfg, const NnModel& model,
+                        const IterationSchedule& schedule) {
+  TraceRecorder trace;
+  ReplayStats stats;
+  const TrainMetrics metrics =
+      SingleGpuEngine(cfg).Run(model, schedule, &trace, &stats);
+  EXPECT_FALSE(stats.attempted);
+  EXPECT_EQ(stats.simulated_iterations, stats.total_iterations);
+  return metrics;
 }
 
 TEST(SteadyReplayTest, SingleGpuReplayIsBitwiseExact) {
@@ -93,17 +106,14 @@ TEST(SteadyReplayTest, SingleGpuReplayIsBitwiseExact) {
     for (const IterationSchedule* schedule : {&conv, &ooo.schedule}) {
       // 20 measured iterations exceeds every replay window for these models
       // (window = 6 + ceil(issue_queue_depth / ops_per_iter)).
-      ReplayStats on_stats, off_stats;
+      ReplayStats on_stats;
       const TrainMetrics with_replay =
-          SingleGpuEngine(SingleGpuCfg(20, true))
+          SingleGpuEngine(SingleGpuCfg(20))
               .Run(model, *schedule, nullptr, &on_stats);
       const TrainMetrics without_replay =
-          SingleGpuEngine(SingleGpuCfg(20, false))
-              .Run(model, *schedule, nullptr, &off_stats);
+          Unreplayed(SingleGpuCfg(20), model, *schedule);
       ExpectBitwiseEqual(with_replay, without_replay,
                          StrFormat("trial %d", trial));
-      EXPECT_FALSE(off_stats.attempted);
-      EXPECT_EQ(off_stats.fallback_reason, "disabled");
       EXPECT_TRUE(on_stats.attempted);
       if (on_stats.replayed) {
         ++replays;
@@ -124,10 +134,10 @@ TEST(SteadyReplayTest, SingleGpuZooModelsReplayExactly) {
         MakeOooSchedule(graph, GpuSpec::V100(), SystemProfile::TensorFlowXla());
     ReplayStats stats;
     const TrainMetrics with_replay =
-        SingleGpuEngine(SingleGpuCfg(24, true))
+        SingleGpuEngine(SingleGpuCfg(24))
             .Run(model, ooo.schedule, nullptr, &stats);
     const TrainMetrics without_replay =
-        SingleGpuEngine(SingleGpuCfg(24, false)).Run(model, ooo.schedule);
+        Unreplayed(SingleGpuCfg(24), model, ooo.schedule);
     ExpectBitwiseEqual(with_replay, without_replay, model.name);
     EXPECT_TRUE(stats.replayed) << model.name;
     EXPECT_LT(stats.simulated_iterations, stats.total_iterations);
@@ -142,7 +152,7 @@ TEST(SteadyReplayTest, SingleGpuFallbacks) {
   // Short runs (the default 3 measured iterations of every fig07 scenario)
   // never attempt replay — this is what keeps the existing goldens frozen.
   ReplayStats short_stats;
-  SingleGpuEngine(SingleGpuCfg(3, true))
+  SingleGpuEngine(SingleGpuCfg(3))
       .Run(model, schedule, nullptr, &short_stats);
   EXPECT_FALSE(short_stats.attempted);
   EXPECT_EQ(short_stats.fallback_reason, "short-run");
@@ -150,7 +160,7 @@ TEST(SteadyReplayTest, SingleGpuFallbacks) {
   // Traced runs need every event, so replay is bypassed.
   ReplayStats trace_stats;
   TraceRecorder trace;
-  SingleGpuEngine(SingleGpuCfg(24, true))
+  SingleGpuEngine(SingleGpuCfg(24))
       .Run(model, schedule, &trace, &trace_stats);
   EXPECT_FALSE(trace_stats.attempted);
   EXPECT_EQ(trace_stats.fallback_reason, "traced");
@@ -264,9 +274,9 @@ TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
         // Unrecorded runs fill only the iteration ends, the busy integral
         // and the event count.
         const TrainSimOutcome event = SimulateTraining(
-            SingleGpuCfg(3, false), cost, model, ooo, 4, nullptr, false);
+            SingleGpuCfg(3), cost, model, ooo, 4, nullptr, false);
         const TrainSimOutcome exec = ExecuteTraining(
-            SingleGpuCfg(3, false), cost, model, ooo, 4, false);
+            SingleGpuCfg(3), cost, model, ooo, 4, false);
         EXPECT_TRUE(exec.item_start.empty() && exec.increments.empty());
         EXPECT_EQ(OutcomeDiff(event, exec), "") << model.name;
       }
@@ -280,7 +290,7 @@ TEST(SteadyReplayTest, ExecutorCountsEventsIntoTheProcessWideTally) {
   const NnModel model = ResNet(50, 32);
   const TrainGraph graph(&model);
   const IterationSchedule schedule = ConventionalIteration(graph);
-  const SingleGpuConfig cfg = SingleGpuCfg(3, false);
+  const SingleGpuConfig cfg = SingleGpuCfg(3);
   const CostModel cost(cfg.gpu, cfg.profile);
   const uint64_t before = SimEngine::TotalProcessedEvents();
   const TrainSimOutcome exec =
@@ -289,13 +299,12 @@ TEST(SteadyReplayTest, ExecutorCountsEventsIntoTheProcessWideTally) {
   EXPECT_EQ(SimEngine::TotalProcessedEvents() - before, exec.events);
 }
 
-PipelineConfig PipeCfg(int measured, bool replay) {
+PipelineConfig PipeCfg(int measured) {
   PipelineConfig cfg;
   cfg.cluster = ClusterSpec::PubB(5);
   cfg.num_gpus = 4;
   cfg.num_micro_batches = 4;
   cfg.measured_iterations = measured;
-  cfg.steady_replay = replay;
   return cfg;
 }
 
@@ -303,11 +312,14 @@ TEST(SteadyReplayTest, PipelineContinuousReplayIsExact) {
   const NnModel micro = Bert(12, 8);
   ReplayStats on_stats;
   const PipelineResult with_replay =
-      PipelineEngine(PipeCfg(16, true))
+      PipelineEngine(PipeCfg(16))
           .Run(micro, PipelineStrategy::kPipeDream, nullptr, &on_stats);
+  TraceRecorder trace;
+  ReplayStats off_stats;
   const PipelineResult without_replay =
-      PipelineEngine(PipeCfg(16, false))
-          .Run(micro, PipelineStrategy::kPipeDream);
+      PipelineEngine(PipeCfg(16))
+          .Run(micro, PipelineStrategy::kPipeDream, &trace, &off_stats);
+  EXPECT_EQ(off_stats.fallback_reason, "traced");
   ExpectBitwiseEqual(with_replay.metrics, without_replay.metrics, "pipedream");
   EXPECT_EQ(with_replay.weight_versions, without_replay.weight_versions);
   EXPECT_EQ(with_replay.per_gpu_peak_memory,
@@ -323,13 +335,13 @@ TEST(SteadyReplayTest, PipelineSynchronousStrategiesFallBack) {
   // Flush-per-iteration strategies simulate exactly one iteration — there is
   // no steady stream to extrapolate.
   ReplayStats stats;
-  PipelineEngine(PipeCfg(16, true))
+  PipelineEngine(PipeCfg(16))
       .Run(micro, PipelineStrategy::kGPipe, nullptr, &stats);
   EXPECT_FALSE(stats.attempted);
   EXPECT_EQ(stats.fallback_reason, "synchronous");
 
   ReplayStats short_stats;
-  PipelineEngine(PipeCfg(3, true))
+  PipelineEngine(PipeCfg(3))
       .Run(micro, PipelineStrategy::kPipeDream, nullptr, &short_stats);
   EXPECT_FALSE(short_stats.attempted);
   EXPECT_EQ(short_stats.fallback_reason, "short-run");

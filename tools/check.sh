@@ -56,11 +56,12 @@
 #      search_eval_perf), a perf smoke of the analytic evaluator gated by
 #      the perf baseline's analytic-evals count and evals/sec floor, a TSan
 #      run of the parallel trajectory portfolio (threads > beam-count
-#      collapse included), and 200 ASan seeds of the search fuzz family
-#      (checker gate, Tier-B rescoring, rerun and threads=3 identity, beam
-#      monotonicity, an analytic-vs-simulator mutation walk, and a
-#      differential searched-vs-heuristic run under the SimValidator;
-#      every second seed runs — see DESIGN.md §13-14).
+#      collapse included), and 2000 ASan seeds of the search fuzz family,
+#      as tier 6 runs for the differential families (checker gate, Tier-B
+#      rescoring, rerun and threads=3 identity, beam monotonicity, an
+#      analytic-vs-simulator mutation walk whose every step must match bit
+#      for bit, and a differential searched-vs-heuristic run under the
+#      SimValidator; every second seed runs — see DESIGN.md §13-14).
 #   9. Benchmark self-test: `hostbench/run.py --selftest` builds the
 #      host-time benchmark (its own Release CMake project over src/, in
 #      build-dir/hostbench) and checks its helpers, that a seed's digest
@@ -169,7 +170,7 @@ ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
 "${TSAN_DIR}/tools/oobp" search --model=densenet121 \
     --beam=4 --budget=150 --seed=7 --threads=8
 
-"${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \
+"${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 \
     --checks=search
 
 # --- Tier 9: benchmark self-test: pinned digests of every workload --------

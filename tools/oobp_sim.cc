@@ -26,7 +26,7 @@
 //                     [--param k=v]  (see src/runner; --check gates perf
 //                     event counts against bench/perf_baseline.json)
 //   oobp_sim fuzz     [--seeds=N] [--base-seed=N] [--jobs=N] [--checks=<glob>]
-//                     [--no-serve] [--verbose]
+//                     [--verbose]
 //                     (seeded differential fuzzer, see src/validate; --jobs=0
 //                     uses all cores, report is byte-identical to --jobs=1)
 //
