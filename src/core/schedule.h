@@ -67,13 +67,28 @@ struct ScheduleDeps {
 };
 
 // The issue-dependency rule, the one copy every consumer shares: the
-// single-GPU producers and the serving co-run unroll it over iterations
-// (BuildTrainIssuePlan) and the analytic evaluator (src/search/fast_eval.h)
-// reads it per position. Each op waits on the latest earlier op of the same
+// single-GPU event path and the serving co-run unroll it over iterations
+// (BuildTrainIssuePlan); the single-GPU executor and the analytic evaluator
+// (src/search/fast_eval.h) read it per position. Each op waits on the latest earlier op of the same
 // iteration that produces its input: F_i on F_{i-1} and U_i, dO_i on
 // dO_{i+1}, dW_i on dO_{i+1} and on its `wait_for_index` op, U_i on dW_i.
 // A dW before the dO it consumes, a U before its dW, a `wait_for_index` that
 // does not point earlier and a layer outside [0, num_layers) fail a check.
+//
+// The barrier rule, which the single-GPU executor
+// (src/runtime/single_gpu_engine.cc) and the analytic evaluator use: every
+// op of iteration t+1 waits on F_{L-1} of iteration t, directly (dO_{L-1},
+// dW_{L-1}) or through the dO chain and each U before its F. So F_{L-1}(t)'s
+// completion is a barrier. Call it clean when every op of iterations <= t
+// has completed by then, no op of a later iteration has begun, and a per-op
+// launcher still has ops to issue: the rest of the run then depends only on
+// what is pending at the barrier, seen from the barrier, and on ops that
+// repeat every iteration. Two consecutive clean barriers (the launch counts
+// as barrier -1) that hold the same pending state make every later
+// iteration a copy of the one between them, shifted by its length, and a
+// run that ends at a clean barrier does not see its end. On the zoo models
+// every barrier is clean: a precompiled run repeats the launch at barrier
+// 0, and a per-op run repeats barrier 0 at barrier 1.
 ScheduleDeps IterationDeps(const IterationSchedule& schedule, int num_layers);
 
 }  // namespace oobp

@@ -10,7 +10,9 @@
 
 #include "src/common/str_util.h"
 #include "src/runner/json.h"
+#include "src/runner/glob.h"
 #include "src/runner/registry.h"
+#include "src/runner/runner.h"
 #include "src/search/fast_eval.h"
 #include "src/sim/engine.h"
 
@@ -85,7 +87,7 @@ bool MeasureScenario(const Scenario& scenario, const PerfOptions& opts,
 
 PerfCheckReport CheckPerfBaseline(const std::string& baseline_json,
                                   const std::vector<PerfSample>& measured,
-                                  bool wall_bands) {
+                                  bool wall_bands, const std::string& filter) {
   PerfCheckReport report;
   std::string error;
   const std::optional<JsonValue> doc = JsonValue::Parse(baseline_json, &error);
@@ -105,9 +107,11 @@ PerfCheckReport CheckPerfBaseline(const std::string& baseline_json,
     return report;
   }
 
-  std::map<std::string, bool> seen;
+  std::map<std::string, bool> seen;  // baseline entries the filter selects
   for (const auto& [name, entry] : scenarios->object_items()) {
-    seen[name] = false;
+    if (MatchAnyGlob(filter, name)) {
+      seen[name] = false;
+    }
   }
   for (const PerfSample& m : measured) {
     const JsonValue* entry = scenarios->Find(m.scenario);
@@ -272,13 +276,10 @@ int RunPerf(const PerfOptions& opts) {
   doc.Set("host", std::move(host));
 
   const std::string path = opts.output_dir + "/BENCH_sim_perf.json";
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
+  if (!WriteBenchFile(path, doc.Dump())) {
     std::fprintf(stderr, "perf: cannot write %s\n", path.c_str());
     return 1;
   }
-  out << doc.Dump();
-  out.close();
   if (opts.print) {
     std::printf("perf: %zu scenario(s), %d failed; total %.2f ms, "
                 "%llu events, %.0f ev/s -> %s\n",
@@ -308,7 +309,7 @@ int RunPerf(const PerfOptions& opts) {
     }
     const bool wall_bands = std::string(OOBP_BUILD_TYPE) == "Release";
     const PerfCheckReport report =
-        CheckPerfBaseline(baseline.str(), samples, wall_bands);
+        CheckPerfBaseline(baseline.str(), samples, wall_bands, opts.filter);
     for (const std::string& n : report.notices) {
       std::printf("perf-check NOTICE  %s\n", n.c_str());
     }

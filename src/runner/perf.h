@@ -101,13 +101,16 @@ struct PerfCheckReport {
 // Release builds — analytic throughput below the baseline's
 // "analytic_per_sec_floor" (the ISSUE-10 evals/sec floor; wall-clock
 // dependent, so sanitizer builds skip it). Notices: measured events below
-// baseline (improvement — re-seed the baseline), scenarios missing on
-// either side, and (only when `wall_bands`) wall time above
-// baseline * (1 + wall_band_frac). Exposed separately from RunPerf so the
-// gate's policy is unit-testable without timing anything.
+// baseline (improvement — re-seed the baseline), a measured scenario
+// missing from the baseline, a baseline scenario that `filter` (the run's
+// scenario glob list) selects but the run did not measure, and (only when
+// `wall_bands`) wall time above baseline * (1 + wall_band_frac). Exposed
+// separately from RunPerf so the gate's policy is unit-testable without
+// timing anything.
 PerfCheckReport CheckPerfBaseline(const std::string& baseline_json,
                                   const std::vector<PerfSample>& measured,
-                                  bool wall_bands);
+                                  bool wall_bands,
+                                  const std::string& filter = "*");
 
 // Runs the harness; returns a process exit code (0 = every scenario ran,
 // the JSON file was written, and — with `check` — the baseline gate passed).

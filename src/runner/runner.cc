@@ -41,6 +41,15 @@ std::string ScenarioJson(const Scenario& scenario,
   return doc.Dump();
 }
 
+bool WriteBenchFile(const std::string& path, const std::string& text) {
+  std::error_code ignored;
+  std::filesystem::remove(path, ignored);
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  out.close();
+  return !out.fail();
+}
+
 namespace {
 
 int ResolveJobs(int jobs, size_t num_scenarios) {
@@ -176,8 +185,7 @@ RunnerReport RunScenarios(const RunnerOptions& opts) {
     if (run.ok && !opts.output_dir.empty()) {
       const std::string path =
           opts.output_dir + "/BENCH_" + run.scenario->name + ".json";
-      std::ofstream out(path, std::ios::binary);
-      if (!(out << run.json)) {
+      if (!WriteBenchFile(path, run.json)) {
         run.ok = false;
         run.error = "cannot write " + path;
       }

@@ -62,6 +62,12 @@ struct RunnerReport {
 // Serializes one scenario's result (stable field and key order).
 std::string ScenarioJson(const Scenario& scenario, const ScenarioResult& result);
 
+// Writes `text` to `path` as a new file, replacing any file there, and
+// returns false unless every byte reached it. Replacing, not truncating:
+// rewriting a directory of BENCH files in place takes seconds where writing
+// fresh ones takes milliseconds.
+bool WriteBenchFile(const std::string& path, const std::string& text);
+
 // Runs all scenarios matching opts.filter on a thread pool of opts.jobs,
 // starting them in descending Scenario::cost_hint order.
 RunnerReport RunScenarios(const RunnerOptions& opts);

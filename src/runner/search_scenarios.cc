@@ -136,22 +136,6 @@ ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
   return result;
 }
 
-// Genotype sampler shared with the fast_eval fidelity tests: uniform slot
-// within the dependency window, uniform stream.
-Genotype RandomGenotype(const TrainGraph& graph, Rng& rng) {
-  Genotype genotype;
-  for (int layer = graph.num_layers() - 1; layer >= 0; --layer) {
-    if (!graph.HasWgrad(layer)) continue;
-    const int span = MaxSlot(graph, layer) - MinSlot(graph, layer) + 1;
-    const int slot =
-        MinSlot(graph, layer) +
-        static_cast<int>(rng.NextBelow(static_cast<uint64_t>(span)));
-    const int stream = rng.NextBelow(2) == 0 ? kMainStream : kSubStream;
-    genotype.push_back({layer, slot, stream});
-  }
-  return genotype;
-}
-
 // Spearman rank correlation with average ranks for ties. The analytic
 // evaluator replays the simulator's arithmetic exactly, so this is 1.0 by
 // construction; the golden pins it so any future drift between the two

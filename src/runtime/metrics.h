@@ -20,18 +20,22 @@ struct TrainMetrics {
   bool oom = false;                       // peak exceeded device memory
 };
 
-// Telemetry of the steady-state replay fast path (DESIGN.md §9), shared by
-// the single-GPU and pipeline engines: whether the run was extrapolated, how
-// many iterations were event-simulated, and why the engine fell back when it
-// did not replay.
+// Telemetry of the steady-state shortcuts (DESIGN.md §9.2), shared by the
+// single-GPU and pipeline engines: whether the run was extrapolated, how
+// many iterations were simulated, and why the engine did not extrapolate.
 struct ReplayStats {
-  bool attempted = false;  // run was untraced and long enough to replay
-  bool replayed = false;   // periodicity proven; tail extrapolated
+  // Single-GPU: the run took the executor, which always looks for a
+  // repeated barrier. Pipeline: the run was untraced and long enough to
+  // replay its window.
+  bool attempted = false;
+  bool replayed = false;         // periodicity proven; tail extrapolated
   int simulated_iterations = 0;  // iterations actually simulated
   int total_iterations = 0;      // warm-up + measured
-  // Empty when replayed: "traced", "short-run", "synchronous"
-  // (pipeline flush strategies complete in one simulated iteration —
-  // nothing to extrapolate), or "aperiodic" (detection failed; full rerun).
+  // Empty when replayed. "traced"; single-GPU "validated" (the event path
+  // steps every iteration); pipeline "short-run" and "synchronous" (flush
+  // strategies complete in one simulated iteration — nothing to
+  // extrapolate); "aperiodic" (single-GPU: no barrier repeated before the
+  // last iteration; pipeline: detection failed, full rerun).
   std::string fallback_reason;
   // The run went through the engine's exact executor (single-GPU: the
   // two-stream executor; pipeline: the message-level executor) rather than

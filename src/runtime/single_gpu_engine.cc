@@ -90,34 +90,19 @@ TrainIssuePlan BuildTrainIssuePlan(const NnModel& model,
   return plan;
 }
 
-namespace {
-
-// Iteration t ends when the last of items (iter_last_item[t-1],
-// iter_last_item[t]] completes; `done_time(index)` gives each item's
-// completion time.
-template <typename DoneTime>
-std::vector<TimeNs> IterationEnds(size_t items,
-                                  const std::vector<int>& iter_last_item,
-                                  DoneTime done_time) {
-  std::vector<TimeNs> iter_end(iter_last_item.size(), 0);
-  size_t t = 0;
-  for (size_t index = 0; index < items; ++index) {
-    while (static_cast<int>(index) > iter_last_item[t]) {
-      ++t;
-    }
-    iter_end[t] = std::max(iter_end[t], done_time(index));
-  }
-  return iter_end;
-}
-
-}  // namespace
-
 std::vector<TimeNs> TrainIterationEndTimes(
     const Gpu& gpu, const std::vector<KernelId>& item_kernel,
     const std::vector<int>& iter_last_item) {
-  return IterationEnds(item_kernel.size(), iter_last_item, [&](size_t index) {
-    return gpu.CompletionTime(item_kernel[index]);
-  });
+  std::vector<TimeNs> iter_end(iter_last_item.size(), 0);
+  size_t t = 0;
+  for (size_t index = 0; index < item_kernel.size(); ++index) {
+    while (static_cast<int>(index) > iter_last_item[t]) {
+      ++t;
+    }
+    iter_end[t] =
+        std::max(iter_end[t], gpu.CompletionTime(item_kernel[index]));
+  }
+  return iter_end;
 }
 
 SingleGpuEngine::SingleGpuEngine(SingleGpuConfig config)
@@ -128,14 +113,11 @@ SingleGpuEngine::SingleGpuEngine(SingleGpuConfig config)
 TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
                                  const CostModel& cost, const NnModel& model,
                                  const IterationSchedule& schedule,
-                                 int iterations, TraceRecorder* trace,
-                                 bool record) {
+                                 int iterations, TraceRecorder* trace) {
   TrainSimOutcome out;
   SimEngine engine;
   Gpu gpu(&engine, config.gpu, trace, /*trace_track_base=*/0);
-  if (record) {
-    gpu.SetBusyRecorder(&out.increments);
-  }
+  gpu.SetBusyRecorder(&out.increments);
   const StreamId main_stream = gpu.CreateStream(/*priority=*/0);
   const StreamId sub_stream = gpu.CreateStream(/*priority=*/1);
   CpuLauncher launcher(&engine, &gpu,
@@ -158,15 +140,8 @@ TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
 
   out.iter_end = TrainIterationEndTimes(gpu, item_kernel, plan.iter_last_item);
   out.busy_integral = gpu.SmBusyIntegral();
-  if (record) {
-    out.item_start.reserve(item_kernel.size());
-    out.item_done.reserve(item_kernel.size());
-    for (KernelId id : item_kernel) {
-      out.item_start.push_back(gpu.StartTime(id));
-      out.item_done.push_back(gpu.CompletionTime(id));
-    }
-  }
   out.events = engine.processed_events();
+  out.simulated_iterations = iterations;
   return out;
 }
 
@@ -180,118 +155,238 @@ namespace {
 // (StreamFluid). Every step below mirrors one in CpuLauncher or Gpu, in the
 // same order, which is what makes the outcome bit-identical
 // (tests/steady_replay_test.cc compares the two).
+//
+// Nothing is unrolled over iterations. Item (t, p) is position p of
+// iteration t; its dependencies are IterationDeps' per-position rule, and
+// it is done once its stream has finished past it, since a stream runs its
+// items in issue order. Readiness is re-derived from those counts where the
+// Gpu decrements a pending count, which dispatches at the same calls.
+//
+// The executor stops at the first clean barrier whose pending state repeats
+// the previous barrier's (src/core/schedule.h): the remaining iteration
+// ends follow by arithmetic and the busy integral by folding the repeated
+// iteration's increments, in order, once per remaining iteration.
 class TwoStreamExecutor {
  public:
-  TwoStreamExecutor(const SingleGpuConfig& config, const TrainIssuePlan& plan,
-                    bool record)
-      : items_(plan.items),
-        n_(plan.items.size()),
+  TwoStreamExecutor(const SingleGpuConfig& config, const CostModel& cost,
+                    const NnModel& model, const IterationSchedule& schedule,
+                    int iterations)
+      : n_(static_cast<int>(schedule.ops.size())),
+        iterations_(iterations),
+        total_(static_cast<int64_t>(n_) * iterations),
         per_op_(!config.precompiled_issue),
         queue_depth_(config.profile.issue_queue_depth),
+        issue_limit_(per_op_ && queue_depth_ > 0 ? total_ + queue_depth_ + 1
+                                                 : total_),
         exec_overhead_(config.gpu.kernel_exec_overhead),
         graph_launch_latency_(config.profile.graph_launch_latency),
-        record_(record),
+        deps_(IterationDeps(schedule, model.num_layers())),
+        pos_(n_),
+        dependents_begin_(n_ + 1, 0),
         fluid_(static_cast<double>(config.gpu.slot_capacity()),
-               record ? &increments_ : nullptr),
-        graph_(plan.items, /*num_streams=*/2),
-        pending_(n_, 0),
-        start_(n_, -1),
-        done_(n_, -1) {
+               &increments_),
+        iter_end_(iterations, 0) {
+    OOBP_CHECK_GT(iterations, 0);
     OOBP_CHECK_GE(queue_depth_, 0);
-    if (record_) {
-      increments_.reserve(4 * n_);
+    for (int p = 0; p < n_; ++p) {
+      const ScheduledOp& s = schedule.ops[p];
+      const KernelCost kc = cost.Cost(model.layers[s.op.layer], s.op.type);
+      OOBP_CHECK_GE(kc.duration, 0);
+      OOBP_CHECK_GT(kc.thread_blocks, 0.0);
+      Position& pos = pos_[p];
+      pos.solo_duration = kc.duration;
+      pos.thread_blocks = kc.thread_blocks;
+      pos.issue_latency = kc.issue_latency;
+      pos.stream = s.stream == kSubStream ? 1 : 0;
+      pos.rank = len_[pos.stream]++;
+      for (const int q : deps_.ops[p].dep) {
+        if (q >= 0) {
+          ++dependents_begin_[q + 1];
+        }
+      }
+      if (deps_.ops[p].prev_fwd) {
+        carried_.push_back(p);
+      }
+    }
+    for (int p = 0; p < n_; ++p) {
+      dependents_begin_[p + 1] += dependents_begin_[p];
+    }
+    // Each position's same-iteration dependents in index order, repeats
+    // kept: Gpu's per-kernel dependent lists.
+    dependents_.resize(dependents_begin_[n_]);
+    std::vector<int> cursor(dependents_begin_.begin(),
+                            dependents_begin_.end() - 1);
+    for (int p = 0; p < n_; ++p) {
+      for (const int q : deps_.ops[p].dep) {
+        if (q >= 0) {
+          dependents_[cursor[q]++] = p;
+        }
+      }
+    }
+    for (int p = n_ - 1; p >= 0; --p) {
+      pos_[p].next_on_stream = first_[pos_[p].stream];
+      first_[pos_[p].stream] = p;
     }
   }
 
-  TrainSimOutcome Run(const std::vector<int>& iter_last_item) {
+  TrainSimOutcome Run() {
     if (per_op_) {
       IssueNext();
+      barrier_ = -1;  // the launch, with nothing before it to repeat
+      AtBarrier();
     } else {
       slots_.Schedule(kIssue, graph_launch_latency_);
     }
-    const auto finish = [this](int item) { Finish(item); };
+    const auto finish = [this](int p) { Finish(p); };
+    bool extrapolated = false;
     for (int e = slots_.Next(); e >= 0; e = slots_.Next()) {
       switch (e) {
         case kIssue:
           if (per_op_) {
+            beyond_end_ += issuing_.t >= iterations_;
             Enqueue(issuing_);
             IssueNext();
           } else {
-            for (size_t i = 0; i < n_; ++i) {
-              Enqueue(i);
-            }
+            Launch();
+            barrier_ = -1;
           }
           break;
         case kBegin0:
         case kBegin1: {
           // Gpu::BeginExecution.
           const int s = e - kBegin0;
-          const int i = head_[s];
-          start_[i] = slots_.now();
+          const Position& pos = pos_[head_[s].pos];
           slots_.Reschedule(
-              kWake, fluid_.Begin(s, i, items_[i].solo_duration,
-                                  items_[i].thread_blocks, slots_.now(),
-                                  finish));
+              kWake, fluid_.Begin(s, head_[s].pos, pos.solo_duration,
+                                  pos.thread_blocks, slots_.now(), finish));
           break;
         }
         case kWake:
           slots_.Reschedule(kWake, fluid_.Wake(slots_.now(), finish));
           break;
       }
+      if (barrier_ != kNoBarrier && AtBarrier()) {
+        extrapolated = true;
+        break;
+      }
     }
-    OOBP_CHECK_EQ(completed_, n_) << "executor stalled before every item ran";
-
     TrainSimOutcome out;
-    out.iter_end = IterationEnds(n_, iter_last_item,
-                                 [this](size_t i) { return done_[i]; });
-    out.busy_integral = fluid_.busy_integral();
-    if (record_) {
-      out.item_start = std::move(start_);
-      out.item_done = std::move(done_);
-      out.increments = std::move(increments_);
+    if (!extrapolated) {
+      OOBP_CHECK_EQ(finished_[0] + finished_[1], total_)
+          << "executor stalled before every item ran";
+      busy_ = fluid_.busy_integral();
+      simulated_ = iterations_;
     }
-    out.events = slots_.processed();
+    out.iter_end = std::move(iter_end_);
+    out.busy_integral = busy_;
+    out.increments = std::move(increments_);
+    out.events = slots_.processed() - beyond_end_;
+    out.simulated_iterations = simulated_;
     return out;
   }
 
  private:
   enum Slot { kIssue, kBegin0, kBegin1, kWake, kSlots };
+  static constexpr int kNoBarrier = -2;
 
-  // CpuLauncher::IssueNext (per-op mode).
+  struct Position {
+    TimeNs solo_duration = 0;
+    double thread_blocks = 0.0;
+    TimeNs issue_latency = 0;
+    int stream = 0;
+    int rank = 0;  // index among its stream's positions
+    int next_on_stream = -1;  // in the iteration; -1 for the stream's last
+  };
+  struct Item {
+    int64_t t = 0;  // iteration
+    int pos = 0;
+  };
+  // The state at a barrier that the rest of the run reads (see AtBarrier).
+  struct Barrier {
+    bool clean = false;
+    TimeNs time = 0;
+    EventSlots<kSlots> ahead;
+    int in_flight = 0;
+    size_t increments = 0;  // busy increments recorded by then
+  };
+
+  // Item (t, q) has completed.
+  bool Done(int64_t t, int q) const {
+    const Position& pos = pos_[q];
+    return finished_[pos.stream] > t * len_[pos.stream] + pos.rank;
+  }
+
+  // Every dependency of item (t, p) has completed: the Gpu's pending count
+  // is zero.
+  bool Ready(const Item& item) const {
+    const OpDeps& d = deps_.ops[item.pos];
+    if (d.prev_fwd && item.t > 0 && deps_.last_fwd >= 0 &&
+        !Done(item.t - 1, deps_.last_fwd)) {
+      return false;
+    }
+    for (const int q : d.dep) {
+      if (q >= 0 && !Done(item.t, q)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // CpuLauncher::IssueNext (per-op mode). The launcher runs at most
+  // queue_depth_ + 1 items ahead of the completed ones, and it keeps going
+  // that far past the run's last item, into iterations that never dispatch
+  // (MaybeDispatch) and do not reach the run's outcome or event count. So a
+  // barrier before the last iteration sees the launcher an endless run
+  // would have (AtBarrier).
   void IssueNext() {
-    if (next_index_ >= n_) {
+    if (next_index_ >= issue_limit_) {
       return;
     }
     if (queue_depth_ > 0 && in_flight_ >= queue_depth_) {
       blocked_ = true;  // resumed from Finish()
       return;
     }
-    issuing_ = next_index_++;
-    slots_.Schedule(kIssue, slots_.now() + items_[issuing_].issue_latency);
+    issuing_ = next_;
+    ++next_index_;
+    if (++next_.pos == n_) {
+      next_.pos = 0;
+      ++next_.t;
+    }
+    slots_.Schedule(kIssue,
+                    slots_.now() + pos_[issuing_.pos].issue_latency);
   }
 
-  // CpuLauncher::EnqueueItem + Gpu::Enqueue.
-  void Enqueue(size_t i) {
-    const IssueItem& item = items_[i];
-    int pending = 0;
-    for (int d = 0; d < item.num_deps; ++d) {
-      if (done_[item.dep_items[d]] < 0) {
-        ++pending;
-      }
-    }
-    pending_[i] = pending;
+  // CpuLauncher::EnqueueItem + Gpu::Enqueue (per-op mode).
+  void Enqueue(const Item& item) {
     ++enqueued_;
-    const int s = item.stream;
+    const int s = pos_[item.pos].stream;
     if (queued_[s]++ == 0) {
-      head_[s] = static_cast<int>(i);
+      head_[s] = item;
     }
     MaybeDispatch(s);
     ++in_flight_;
   }
 
-  // Gpu::MaybeDispatch: the head begins after the SM setup gap.
+  // The graph launch: every item enqueued at once. Gpu::Enqueue dispatches
+  // a stream's head when it enqueues it, so the heads go in the order of
+  // their streams' first positions. The launcher's in-flight count never
+  // blocks a precompiled launch, so it is not kept.
+  void Launch() {
+    enqueued_ = total_;
+    for (int s = 0; s < 2; ++s) {
+      queued_[s] = len_[s] * iterations_;
+      head_[s] = Item{0, first_[s]};
+    }
+    const int first = first_[1] >= 0 && first_[1] < first_[0] ? 1 : 0;
+    MaybeDispatch(first);
+    MaybeDispatch(1 - first);
+  }
+
+  // Gpu::MaybeDispatch: the head begins after the SM setup gap. A head
+  // past the run's last iteration does not exist in the run.
   void MaybeDispatch(int s) {
-    if (dispatched_[s] || queued_[s] == 0 || pending_[head_[s]] > 0) {
+    if (dispatched_[s] || queued_[s] == 0 || head_[s].t >= iterations_ ||
+        !Ready(head_[s])) {
       return;
     }
     dispatched_[s] = true;
@@ -300,27 +395,27 @@ class TwoStreamExecutor {
 
   // Gpu::FinishKernel: woken dependents dispatch first, then the launcher's
   // done listener resumes a blocked issue, then the stream's next head.
-  void Finish(int i) {
-    done_[i] = slots_.now();
-    ++completed_;
-    const int s = items_[i].stream;
-    OOBP_CHECK(queued_[s] > 0 && head_[s] == i);
+  void Finish(int p) {
+    const int s = pos_[p].stream;
+    OOBP_CHECK(queued_[s] > 0 && head_[s].pos == p);
+    const int64_t t = head_[s].t;
+    iter_end_[t] = std::max(iter_end_[t], slots_.now());
+    ++finished_[s];
     if (--queued_[s] > 0) {
-      head_[s] = graph_.next_on_stream[i];
+      const int next = pos_[p].next_on_stream;
+      head_[s] = next >= 0 ? Item{t, next} : Item{t + 1, first_[s]};
     }
     dispatched_[s] = false;
     // Only dependents enqueued so far registered with this item; later
     // ones saw it done. Enqueue order is index order.
-    for (int k = graph_.dependents_begin[i]; k < graph_.dependents_begin[i + 1];
-         ++k) {
-      const int j = graph_.dependents[k];
-      if (static_cast<size_t>(j) >= enqueued_) {
-        break;
+    for (int k = dependents_begin_[p]; k < dependents_begin_[p + 1]; ++k) {
+      WakeDependent(Item{t, dependents_[k]});
+    }
+    if (p == deps_.last_fwd) {
+      for (const int q : carried_) {
+        WakeDependent(Item{t + 1, q});
       }
-      OOBP_CHECK_GT(pending_[j], 0);
-      if (--pending_[j] == 0) {
-        MaybeDispatch(items_[j].stream);
-      }
+      barrier_ = static_cast<int>(t);
     }
     if (in_flight_ > 0) {
       --in_flight_;
@@ -332,36 +427,96 @@ class TwoStreamExecutor {
     MaybeDispatch(s);
   }
 
-  const std::vector<IssueItem>& items_;
-  const size_t n_;
+  void WakeDependent(const Item& item) {
+    if (item.t * n_ + item.pos < enqueued_ && Ready(item)) {
+      MaybeDispatch(pos_[item.pos].stream);
+    }
+  }
+
+  // Called after the step that completed F_{L-1} of iteration b = barrier_
+  // (b = -1: the launch). A barrier is clean when iterations <= b have
+  // completed, no kernel drains and a per-op launcher still has items to
+  // issue. Then the done set is every item below (b+1)n; every item from
+  // there to (b+1)n + in_flight_ is enqueued; a pending issue holds the
+  // next one and an empty issue slot means the launcher is blocked; each
+  // stream's head is its first position of iteration b+1, dispatched iff
+  // its begin is pending. So the pending events seen from the barrier and
+  // the in-flight count are the whole state the rest of the run reads.
+  // Returns true, with the outcome filled in, when that state repeats the
+  // previous barrier's and iterations remain.
+  bool AtBarrier() {
+    const int b = barrier_;
+    barrier_ = kNoBarrier;
+    Barrier cur;
+    cur.clean = fluid_.idle() && finished_[0] == (b + 1) * len_[0] &&
+                finished_[1] == (b + 1) * len_[1] &&
+                (!per_op_ || next_index_ < issue_limit_);
+    cur.time = slots_.now();
+    cur.ahead = slots_;
+    cur.in_flight = in_flight_;
+    cur.increments = increments_.size();
+    const bool repeats = cur.clean && last_.clean &&
+                         cur.in_flight == last_.in_flight &&
+                         slots_.SameAhead(last_.ahead) &&
+                         b + 1 < iterations_;
+    if (repeats) {
+      const TimeNs period = cur.time - last_.time;
+      busy_ = fluid_.busy_integral();
+      for (int t = b + 1; t < iterations_; ++t) {
+        iter_end_[t] = cur.time + (t - b) * period;
+        for (size_t k = last_.increments; k < cur.increments; ++k) {
+          busy_ += increments_[k].value;
+        }
+      }
+      simulated_ = b + 1;
+      return true;
+    }
+    last_ = cur;
+    return false;
+  }
+
+  const int n_;
+  const int iterations_;
+  const int64_t total_;
   const bool per_op_;
   const int queue_depth_;
+  const int64_t issue_limit_;  // items a per-op launcher issues
   const TimeNs exec_overhead_;
   const TimeNs graph_launch_latency_;
-  const bool record_;
+  const ScheduleDeps deps_;
+
+  std::vector<Position> pos_;
+  std::vector<int> dependents_begin_;
+  std::vector<int> dependents_;
+  std::vector<int> carried_;  // positions that wait on the last F_{L-1}
+  int first_[2] = {-1, -1};   // each stream's first position
+  int len_[2] = {0, 0};       // positions per stream
 
   EventSlots<kSlots> slots_;
   std::vector<BusyIncrement> increments_;
   StreamFluid<2> fluid_;
 
   // Launcher.
-  size_t next_index_ = 0;
-  size_t issuing_ = 0;
+  int64_t next_index_ = 0;
+  Item next_;
+  Item issuing_;
   int in_flight_ = 0;
   bool blocked_ = false;
+  uint64_t beyond_end_ = 0;  // issues of items past the last iteration
 
-  // Streams: queued_[s] issued-but-unfinished items, head_[s] the oldest.
-  int queued_[2] = {0, 0};
-  int head_[2] = {-1, -1};
+  // Streams: queued_[s] enqueued-but-unfinished items, head_[s] the oldest.
+  int64_t queued_[2] = {0, 0};
+  Item head_[2];
   bool dispatched_[2] = {false, false};
+  int64_t finished_[2] = {0, 0};
+  int64_t enqueued_ = 0;
 
-  // Kernels.
-  const IssueGraph graph_;
-  std::vector<int> pending_;
-  std::vector<TimeNs> start_;
-  std::vector<TimeNs> done_;  // -1 until the item completes
-  size_t enqueued_ = 0;
-  size_t completed_ = 0;
+  // Barriers and the outcome.
+  int barrier_ = kNoBarrier;
+  Barrier last_;
+  std::vector<TimeNs> iter_end_;
+  double busy_ = 0.0;
+  int simulated_ = 0;
 };
 
 }  // namespace
@@ -369,108 +524,12 @@ class TwoStreamExecutor {
 TrainSimOutcome ExecuteTraining(const SingleGpuConfig& config,
                                 const CostModel& cost, const NnModel& model,
                                 const IterationSchedule& schedule,
-                                int iterations, bool record) {
-  const TrainIssuePlan plan =
-      BuildTrainIssuePlan(model, schedule, cost, iterations, /*main_stream=*/0,
-                          /*sub_stream=*/1, /*label_items=*/false);
+                                int iterations) {
   TrainSimOutcome out =
-      TwoStreamExecutor(config, plan, record).Run(plan.iter_last_item);
+      TwoStreamExecutor(config, cost, model, schedule, iterations).Run();
   SimEngine::AddProcessedEvents(out.events);
   return out;
 }
-
-namespace {
-
-// Truncated-window length: warm-up (iteration 0) + the detection window
-// (iterations 1..3) + a guard tail. The guard covers end effects that make
-// the *last* iterations of any run differ from steady state: with no
-// successor kernels fluid contention drops, and the launcher's bounded issue
-// queue stops exerting back-pressure once fewer than `issue_queue_depth`
-// items remain un-issued — about ceil(depth / ops_per_iter) iterations of
-// lookahead, plus slack. Detection therefore only inspects iterations that
-// sit at least 2 + lookahead iterations before the truncated stream's end.
-int ReplayWindowIterations(int issue_queue_depth, size_t ops_per_iter) {
-  const size_t depth =
-      issue_queue_depth > 0 ? static_cast<size_t>(issue_queue_depth) : 0;
-  const size_t lookahead = (depth + ops_per_iter - 1) / ops_per_iter;
-  return static_cast<int>(4 + 2 + lookahead);
-}
-
-// Proves the truncated run is iteration-periodic over iterations 1..3: every
-// per-position kernel start and completion time advances by exactly the same
-// integer period P, the iteration boundaries advance by P, and the
-// busy-integral increment blocks of iterations 2 and 3 — (E[1], E[2]] and
-// (E[2], E[3]] — are identical term by term (time shifted by P, values
-// bitwise equal; for finite nonzero doubles == is bitwise).
-bool DetectSteadyPeriod(const TrainSimOutcome& out, size_t ops,
-                        TimeNs* period) {
-  const std::vector<TimeNs>& E = out.iter_end;
-  const TimeNs p = E[3] - E[2];
-  if (p <= 0 || E[2] - E[1] != p) {
-    return false;
-  }
-  for (size_t q = 0; q < ops; ++q) {
-    const size_t i1 = 1 * ops + q, i2 = 2 * ops + q, i3 = 3 * ops + q;
-    if (out.item_done[i2] - out.item_done[i1] != p ||
-        out.item_done[i3] - out.item_done[i2] != p ||
-        out.item_start[i2] - out.item_start[i1] != p ||
-        out.item_start[i3] - out.item_start[i2] != p) {
-      return false;
-    }
-  }
-  // Increment times are non-decreasing (recorded in event order), so the
-  // three block boundaries are prefix scans.
-  const std::vector<BusyIncrement>& inc = out.increments;
-  size_t a = 0;
-  while (a < inc.size() && inc[a].time <= E[1]) ++a;
-  size_t b = a;
-  while (b < inc.size() && inc[b].time <= E[2]) ++b;
-  size_t c = b;
-  while (c < inc.size() && inc[c].time <= E[3]) ++c;
-  if (b - a != c - b) {
-    return false;
-  }
-  for (size_t k = 0; k < b - a; ++k) {
-    if (inc[b + k].time - inc[a + k].time != p ||
-        inc[b + k].value != inc[a + k].value) {
-      return false;
-    }
-  }
-  *period = p;
-  return true;
-}
-
-// Rebuilds the busy integral the full simulation would have computed, in its
-// exact addition order: every increment up to E[3], then the steady block
-// (E[2], E[3]] once per extrapolated iteration, then the truncated run's
-// tail. A left fold in this order matches the full run's accumulation
-// sequence because its extra iterations insert exactly that block (time
-// shifted) between the detection window and the stream's final iterations —
-// order-preserving insertion keeps the floating-point sum bit-identical.
-double RefoldBusyIntegral(const std::vector<BusyIncrement>& inc, TimeNs e2,
-                          TimeNs e3, int64_t extra_iterations) {
-  double total = 0.0;
-  size_t i = 0;
-  size_t block_begin = 0;
-  for (; i < inc.size() && inc[i].time <= e3; ++i) {
-    if (inc[i].time <= e2) {
-      ++block_begin;
-    }
-    total += inc[i].value;
-  }
-  const size_t block_end = i;
-  for (int64_t r = 0; r < extra_iterations; ++r) {
-    for (size_t k = block_begin; k < block_end; ++k) {
-      total += inc[k].value;
-    }
-  }
-  for (; i < inc.size(); ++i) {
-    total += inc[i].value;
-  }
-  return total;
-}
-
-}  // namespace
 
 TrainMetrics SingleGpuEngine::Run(const NnModel& model,
                                   const IterationSchedule& schedule,
@@ -478,9 +537,8 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
                                   ReplayStats* replay_stats) const {
   const CostModel cost(config_.gpu, config_.profile);
   const int iterations = 1 + config_.measured_iterations;  // 1 warm-up
-  const size_t ops = schedule.ops.size();
-  OOBP_CHECK_GT(ops, 0u) << "SingleGpuEngine: empty schedule for model '"
-                         << model.name << "'";
+  OOBP_CHECK_GT(schedule.ops.size(), 0u)
+      << "SingleGpuEngine: empty schedule for model '" << model.name << "'";
 
   ReplayStats local_stats;
   ReplayStats& stats = replay_stats != nullptr ? *replay_stats : local_stats;
@@ -488,63 +546,32 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
   stats.total_iterations = iterations;
 
   // The executor reproduces the event path bit for bit; only the event
-  // path emits trace events and feeds the SimValidator's device observers.
+  // path emits trace events and feeds the SimValidator's device observers,
+  // and it simulates every iteration.
   stats.executor = trace == nullptr && ActiveHwValidationHooks() == nullptr;
-  auto simulate = [&](int iters, bool record) {
-    return stats.executor
-               ? ExecuteTraining(config_, cost, model, schedule, iters, record)
-               : SimulateTraining(config_, cost, model, schedule, iters, trace,
-                                  record);
-  };
-
-  TrainSimOutcome out;
-  TimeNs first_end = 0;
-  TimeNs final_end = 0;
-  double busy = 0.0;
-  bool extrapolated = false;
-
-  if (trace != nullptr) {
-    stats.fallback_reason = "traced";
-  } else {
-    const int window_iters =
-        ReplayWindowIterations(config_.profile.issue_queue_depth, ops);
-    if (iterations <= window_iters) {
-      stats.fallback_reason = "short-run";
-    } else {
-      stats.attempted = true;
-      out = simulate(window_iters, /*record=*/true);
-      TimeNs period = 0;
-      if (DetectSteadyPeriod(out, ops, &period)) {
-        const int64_t extra = iterations - window_iters;
-        stats.replayed = true;
-        stats.simulated_iterations = window_iters;
-        first_end = out.iter_end[0];
-        final_end = out.iter_end[window_iters - 1] + extra * period;
-        busy = RefoldBusyIntegral(out.increments, out.iter_end[2],
-                                  out.iter_end[3], extra);
-        extrapolated = true;
-      } else {
-        stats.fallback_reason = "aperiodic";
-      }
-    }
+  const TrainSimOutcome out =
+      stats.executor
+          ? ExecuteTraining(config_, cost, model, schedule, iterations)
+          : SimulateTraining(config_, cost, model, schedule, iterations,
+                             trace);
+  stats.attempted = stats.executor;
+  stats.simulated_iterations = out.simulated_iterations;
+  stats.replayed = out.simulated_iterations < iterations;
+  if (!stats.executor) {
+    stats.fallback_reason = trace != nullptr ? "traced" : "validated";
+  } else if (!stats.replayed) {
+    stats.fallback_reason = "aperiodic";
   }
-  if (!extrapolated) {
-    out = simulate(iterations, /*record=*/false);
-    stats.simulated_iterations = iterations;
-    first_end = out.iter_end.front();
-    final_end = out.iter_end.back();
-    busy = out.busy_integral;
-  }
-
   TrainMetrics metrics;
-  const TimeNs window = final_end - first_end;
+  const TimeNs final_end = out.iter_end.back();
+  const TimeNs window = final_end - out.iter_end.front();
   metrics.iteration_time = window / config_.measured_iterations;
   metrics.throughput =
       static_cast<double>(model.batch) / ToSec(metrics.iteration_time);
   const double capacity = static_cast<double>(config_.gpu.slot_capacity());
   if (window > 0) {
     metrics.gpu_utilization =
-        busy / (capacity * static_cast<double>(final_end));
+        out.busy_integral / (capacity * static_cast<double>(final_end));
   }
 
   // Memory: schedule-dependent activation peak plus the static base, under

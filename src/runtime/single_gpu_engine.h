@@ -33,11 +33,11 @@ struct SingleGpuConfig {
   GpuSpec gpu;
   SystemProfile profile;
   bool precompiled_issue = false;  // Opt1
-  // Steady-state window after 1 warm-up. A run longer than the replay
-  // window simulates that window, proves the event timeline is
-  // iteration-periodic and extrapolates the remaining iterations
-  // arithmetically (DESIGN.md §9.2): bit-identical to the full simulation
-  // by construction, which runs instead whenever periodicity does not hold.
+  // Steady-state window after 1 warm-up. The executor steps until a
+  // barrier repeats (src/core/schedule.h): one iteration for precompiled
+  // issue, two for per-op issue once the launcher's lead settles, however
+  // long the window. The rest follow by arithmetic, bit-identical to
+  // simulating them (DESIGN.md §9.2).
   int measured_iterations = 3;
 };
 
@@ -79,12 +79,13 @@ class SingleGpuEngine {
 
   // Simulates warm-up + measured iterations of `schedule` over `model` and
   // returns steady-state metrics. `trace` (optional) receives kernel/issue
-  // events: track 0 = main stream, 1 = sub stream, 100 = CPU issue thread;
-  // tracing disables steady-state replay (the trace must hold every event).
-  // `replay_stats` (optional) reports whether the run was extrapolated and
-  // whether it ran on the exact two-stream executor, which untraced runs
-  // outside a ValidationScope do (same metrics, bit for bit; DESIGN.md
-  // §6.3). An empty schedule is a check failure.
+  // events: track 0 = main stream, 1 = sub stream, 100 = CPU issue thread.
+  // Untraced runs outside a ValidationScope take the exact two-stream
+  // executor, which stops at a repeated barrier; traced and validated runs
+  // take the event path, which simulates every iteration (same metrics, bit
+  // for bit; DESIGN.md §6.3, §9.2). `replay_stats` (optional) says which
+  // path ran and how many iterations it stepped. An empty schedule is a
+  // check failure.
   TrainMetrics Run(const NnModel& model, const IterationSchedule& schedule,
                    TraceRecorder* trace = nullptr,
                    ReplayStats* replay_stats = nullptr) const;

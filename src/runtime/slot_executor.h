@@ -26,9 +26,10 @@ namespace oobp {
 
 // The Gpu's per-kernel dependency bookkeeping for an issue sequence, built
 // once: each item's dependents in enqueue order, repeats kept (Gpu's
-// per-kernel dependent lists), and the next item on its stream. Executors
-// keep only per-item pending counts beside it. Items must name streams in
-// [0, num_streams), valid costs, and only earlier items as dependencies.
+// per-kernel dependent lists), and the next item on its stream. The serving
+// executor keeps only per-item pending counts beside it. Items must name
+// streams in [0, num_streams), valid costs, and only earlier items as
+// dependencies.
 struct IssueGraph {
   IssueGraph(const std::vector<IssueItem>& items, int num_streams)
       : dependents_begin(items.size() + 1, 0), next_on_stream(items.size()) {
@@ -116,6 +117,28 @@ class EventSlots {
     return e;
   }
 
+  // Whether the pending events, seen from now(), are the ones `earlier` held
+  // seen from its now(): the same slots, delays and order. Only the order of
+  // equal-time events is compared, and only among pending ones: every later
+  // draw exceeds every pending sequence number.
+  bool SameAhead(const EventSlots& earlier) const {
+    for (int a = 0; a < kSlots; ++a) {
+      const Event& x = events_[a];
+      const Event& y = earlier.events_[a];
+      if ((x.seq != 0) != (y.seq != 0) ||
+          (x.seq != 0 && x.time - now_ != y.time - earlier.now_)) {
+        return false;
+      }
+      for (int b = 0; b < a && x.seq != 0; ++b) {
+        if (events_[b].seq != 0 && events_[b].time == x.time &&
+            (events_[b].seq < x.seq) != (earlier.events_[b].seq < y.seq)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
  private:
   struct Event {
     TimeNs time = 0;
@@ -172,6 +195,17 @@ class StreamFluid {
   }
 
   double busy_integral() const { return busy_integral_; }
+
+  // No kernel is draining. Nothing else of the table reaches the future
+  // then: the next Begin starts afresh from its own time.
+  bool idle() const {
+    for (const Job& job : jobs_) {
+      if (job.active) {
+        return false;
+      }
+    }
+    return true;
+  }
 
  private:
   struct Job {

@@ -5,10 +5,12 @@
 // SimulateTraining is the generic event simulation: a SimEngine driving a
 // Gpu (two priority streams over a FluidProcessor) and a CpuLauncher. It is
 // the only producer that emits kernel and issue trace events, and the one
-// the SimValidator observes. ExecuteTraining runs the same closed model on
-// an exact two-stream executor with four fixed event slots and returns the
-// same outcome bit for bit (DESIGN.md §6.3). SingleGpuEngine::Run uses the
-// executor whenever no trace recorder and no validator is attached.
+// the SimValidator observes; it steps every iteration. ExecuteTraining runs
+// the same closed model on an exact two-stream executor with four fixed
+// event slots, steps only until a barrier repeats (src/core/schedule.h) and
+// returns the same iteration ends and busy integral bit for bit (DESIGN.md
+// §6.3, §9.2). SingleGpuEngine::Run uses the executor whenever no trace
+// recorder and no validator is attached.
 
 #ifndef OOBP_SRC_RUNTIME_TRAIN_SIM_H_
 #define OOBP_SRC_RUNTIME_TRAIN_SIM_H_
@@ -26,29 +28,28 @@
 namespace oobp {
 
 // Outcome of one simulation of `iterations` training iterations.
-// `item_start` / `item_done` / `increments` are filled only for recorded
-// (replay-candidate) runs; item index = iteration * ops_per_iter + position.
 struct TrainSimOutcome {
-  std::vector<TimeNs> iter_end;
+  std::vector<TimeNs> iter_end;  // every iteration's end
   double busy_integral = 0.0;
-  std::vector<TimeNs> item_start;
-  std::vector<TimeNs> item_done;
+  // The nonzero busy contributions of the stepped iterations, in event
+  // order: the busy integral is their left fold, extended by the executor.
   std::vector<BusyIncrement> increments;
   uint64_t events = 0;  // simulation events processed
+  // Iterations stepped; the executor extrapolates the rest from a repeated
+  // barrier (src/core/schedule.h), the event path steps them all.
+  int simulated_iterations = 0;
 };
 
 TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
                                  const CostModel& cost, const NnModel& model,
                                  const IterationSchedule& schedule,
-                                 int iterations, TraceRecorder* trace,
-                                 bool record);
+                                 int iterations, TraceRecorder* trace);
 
-// Adds its processed events to SimEngine's process-wide tally, so event
-// counts read the same whichever producer ran.
+// Adds its processed events to SimEngine's process-wide tally.
 TrainSimOutcome ExecuteTraining(const SingleGpuConfig& config,
                                 const CostModel& cost, const NnModel& model,
                                 const IterationSchedule& schedule,
-                                int iterations, bool record);
+                                int iterations);
 
 }  // namespace oobp
 

@@ -12,11 +12,9 @@ SingleGpuConfig EvaluatorConfig(const GpuSpec& gpu,
   config.gpu = gpu;
   config.profile = profile;
   config.precompiled_issue = true;
-  // One warm-up plus two measured iterations: the launcher's bounded issue
-  // queue and the cross-iteration F->dO dependencies make iteration 0
-  // atypical; iterations 1..2 are steady state for every schedule shape the
-  // search emits. Three iterations never reach the replay window (at least
-  // six), so the run never replays.
+  // One warm-up plus two measured iterations: iteration 0 absorbs the graph
+  // launch, iterations 1..2 are steady state for every schedule shape the
+  // search emits.
   config.measured_iterations = 2;
   return config;
 }

@@ -2,13 +2,14 @@
 // oracle of the search pipeline (DESIGN.md §14).
 //
 // ScheduleEvaluator runs one IterationSchedule through SingleGpuEngine:
-// pre-compiled issue, one warm-up plus two measured iterations, no replay.
-// The engine runs it on the exact two-stream executor, or on the event
-// simulation inside a ValidationScope; the two agree bit for bit
-// (DESIGN.md §6.3). The search scores its baseline and each trajectory's
-// final point here; FastScheduleEvaluator (src/search/fast_eval.h), which
-// scores every candidate, must match it to the bit, and the fidelity
-// scenario and the search fuzz family check that it does.
+// pre-compiled issue, one warm-up plus two measured iterations. The engine
+// runs it on the exact two-stream executor, which steps one iteration when
+// the launch repeats at the first barrier, or on the event simulation
+// inside a ValidationScope; the two agree bit for bit (DESIGN.md §6.3).
+// The search scores its baseline and each trajectory's final point here;
+// FastScheduleEvaluator (src/search/fast_eval.h), which scores every
+// candidate, must match it to the bit, and the fidelity scenario and the
+// search fuzz family check that it does.
 //
 // Determinism: the evaluation is a pure function of (model, gpu, profile,
 // schedule), so scores are bit-reproducible across runs, --jobs threads,
@@ -35,8 +36,8 @@ class ScheduleEvaluator {
                     const SystemProfile& profile);
 
   // Simulated steady-state time of one training iteration under `schedule`:
-  // three iterations are simulated and the mean of the last two is returned
-  // (iteration 0 absorbs the cold launcher queue).
+  // the mean of iterations 1 and 2 of a three-iteration run (iteration 0
+  // absorbs the graph launch).
   TimeNs IterationTime(const IterationSchedule& schedule) const;
 
   // Activation-memory peak (bytes, excluding weights/optimizer base) of the

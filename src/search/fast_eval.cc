@@ -16,27 +16,28 @@ namespace {
 // Mirrors ScheduleEvaluator: one warm-up plus two measured iterations.
 constexpr int kIterations = 3;
 constexpr TimeNs kNoTime = std::numeric_limits<TimeNs>::max();
-// Minimum item-index gap between consecutive sweep checkpoints.
-constexpr int32_t kSweepStride = 16;
 
 std::atomic<uint64_t> g_total_analytic_evals{0};
 
-bool SameOp(const ScheduledOp& a, const ScheduledOp& b) {
-  return a.op == b.op && a.stream == b.stream &&
-         a.wait_for_index == b.wait_for_index;
-}
-
-// First position where `ops` disagrees with the cached copy (or one of them
-// ends); min(sizes) when the shorter is a prefix of the longer.
-size_t DiffPosition(const std::vector<ScheduledOp>& cached,
-                    const std::vector<ScheduledOp>& ops) {
-  const size_t bound = std::min(cached.size(), ops.size());
-  size_t p = 0;
-  while (p < bound && SameOp(cached[p], ops[p])) {
-    ++p;
-  }
-  return p;
-}
+// The analytic machine's state: per stream at most one dispatched kernel
+// paying its setup gap and one draining kernel.
+struct SweepState {
+  TimeNs now = 0;
+  // Dispatched item count per stream (flat index into the per-stream
+  // issue sequence across iterations). The dispatched/completed tests
+  // derive from these cursors plus the in-flight slots below, so no
+  // per-item done flags are kept.
+  uint64_t ptr[2] = {0, 0};
+  int32_t pend[2] = {-1, -1};   // dispatched, paying exec overhead
+  TimeNs pend_at[2] = {0, 0};   // its execution start time
+  int32_t run[2] = {-1, -1};    // occupying fluid slots
+  double rem[2] = {0.0, 0.0};   // remaining work (rate*ns)
+  double occ[2] = {0.0, 0.0};   // max_rate of the running kernel
+  uint64_t started_seq[2] = {0, 0};  // fluid job seq (completion order)
+  uint64_t next_seq = 1;        // mirrors FluidProcessor::next_id_
+  uint32_t completed = 0;
+  TimeNs iter_end[kIterations] = {0, 0, 0};  // per-iteration completion maxima
+};
 
 }  // namespace
 
@@ -88,15 +89,6 @@ TimeNs FastScheduleEvaluator::IterationTime(const IterationSchedule& schedule) {
   OOBP_CHECK_GT(n, 0u);
   ++evaluations_;
   g_total_analytic_evals.fetch_add(1, std::memory_order_relaxed);
-
-  // A checkpoint keyed at or before the first differing position saw only
-  // positions both candidates share.
-  const size_t p_diff = DiffPosition(ops_, schedule.ops);
-  while (!sweep_ckpts_.empty() &&
-         sweep_ckpts_.back().next_item > static_cast<int32_t>(p_diff)) {
-    sweep_ckpts_.pop_back();
-  }
-  ops_ = schedule.ops;
   RebuildMeta(schedule);
   return RunSweep(n);
 }
@@ -107,33 +99,14 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
   const uint64_t len[2] = {seq_[0].size(), seq_[1].size()};
 
   SweepState st;
-  if (!sweep_ckpts_.empty()) {
-    st = sweep_ckpts_.back().state;
-  } else {
-    st.now = t0_;
-  }
-
-  // Division-free cursors and in-flight iteration tags, re-derived on every
-  // (re)start. Checkpoints are only ever pushed while max_disp < n — no
-  // item of a later iteration dispatched yet — so a restored state has both
-  // stream cursors still inside their first pass (ptr <= len) and every
-  // in-flight slot in iteration 0; the derivations below are exact.
-  uint64_t idx[2];              // ptr[s] % len[s], kept incrementally
+  st.now = t0_;
+  // Division-free cursors and in-flight iteration tags.
+  uint64_t idx[2] = {0, 0};     // ptr[s] % len[s], kept incrementally
   int32_t itr[2];               // ptr[s] / len[s] (head's iteration)
   int32_t pend_it[2] = {0, 0};  // iteration of pend[s]
   int32_t run_it[2] = {0, 0};   // iteration of run[s]
   for (int s = 0; s < 2; ++s) {
-    OOBP_CHECK_LE(st.ptr[s], len[s]);
-    if (len[s] == 0) {
-      idx[s] = 0;
-      itr[s] = kIterations;  // stream never dispatches
-    } else if (st.ptr[s] == len[s]) {
-      idx[s] = 0;
-      itr[s] = 1;
-    } else {
-      idx[s] = st.ptr[s];
-      itr[s] = 0;
-    }
+    itr[s] = len[s] == 0 ? kIterations : 0;  // an empty stream never dispatches
   }
 
   const auto head_item = [&](int s) -> int32_t {
@@ -143,9 +116,9 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
     return itr[s] * ni + seq_[s][idx[s]];
   };
   // An item is complete iff its stream already dispatched past it and it is
-  // not one of the (at most four) in-flight slots — no per-item flags, so
-  // checkpoints stay O(1). Callers always know the item's (iteration,
-  // position) pair, keeping this free of integer division.
+  // not one of the (at most four) in-flight slots — no per-item flags.
+  // Callers always know the item's (iteration, position) pair, keeping this
+  // free of integer division.
   const auto item_done = [&](int32_t iter, int32_t p) {
     const int s = meta_[static_cast<size_t>(p)].stream;
     const uint64_t flat =
@@ -190,118 +163,23 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
     }
   };
 
-  // --- steady-state periodicity skip ---------------------------------------
-  // Iteration t+1's backward cannot start before iteration t's last forward
-  // (F_{L-1}) completes: dO[L-1] / the final dW carries the cross-iteration
-  // dep, every other backward op transitively depends on it, and streams
-  // run their items strictly sequentially. So the machine state right after
-  // that completion is a natural per-iteration anchor: no item of iteration
-  // t+2 can have been dispatched yet. If the anchors of iterations 0 and 1
-  // are equal modulo the shift (item indices + n, stream cursors + one
-  // pass, times + delta), the pipeline has reached its steady-state period
-  // and the whole segment anchor(1) -> anchor(2) is a delta-shifted replica
-  // of anchor(0) -> anchor(1) — every float op lands on identical values —
-  // so iteration 2's middle is fast-forwarded by applying the shift
-  // directly and resuming the fixpoint in place. Any mismatch simply
-  // falls back to simulating all three iterations; the skip never
-  // approximates. A sweep that resumes from a checkpoint taken after the
-  // iteration-0 anchor has none and simulates all three.
-  SweepState anchor_st;
-  bool anchor_valid = false;
-  bool skipped = false;
-
-  const auto norm_equal = [&]() -> bool {
+  // Iteration 0's F_{L-1} completed in the current fixpoint.
+  bool barrier = false;
+  // The barrier rule (src/core/schedule.h), for a launch: iteration 0 has
+  // completed, no kernel drains, and each dispatched kernel, the first of
+  // its stream in iteration 1, was dispatched at this instant. The launch
+  // left exactly that state at t0 with iteration 0's first kernels, since
+  // a first kernel is ready at both instants iff it waits on nothing in
+  // its own iteration; so every later iteration repeats iteration 0.
+  const auto clean_barrier = [&] {
     for (int s = 0; s < 2; ++s) {
-      // Anchor cursors are re-derived from the stored dispatch counts the
-      // same way the restart block above does it: at the anchor both
-      // streams are still in their first pass (asserted at capture).
-      if (len[s] == 0) {
-        if (st.ptr[s] != anchor_st.ptr[s] || itr[s] != kIterations) {
-          return false;
-        }
-      } else {
-        const uint64_t a_idx =
-            anchor_st.ptr[s] == len[s] ? 0 : anchor_st.ptr[s];
-        const int32_t a_itr = anchor_st.ptr[s] == len[s] ? 1 : 0;
-        if (st.ptr[s] != anchor_st.ptr[s] + len[s] || itr[s] != a_itr + 1 ||
-            idx[s] != a_idx) {
-          return false;
-        }
-      }
-      // Every in-flight slot at the anchor is an iteration-0 item, so the
-      // matching slot here must be the same position one iteration up.
-      if ((st.pend[s] >= 0) != (anchor_st.pend[s] >= 0)) {
-        return false;
-      }
-      if (st.pend[s] >= 0 &&
-          (st.pend[s] != anchor_st.pend[s] + ni || pend_it[s] != 1 ||
-           st.pend_at[s] - st.now !=
-               anchor_st.pend_at[s] - anchor_st.now)) {
-        return false;
-      }
-      if ((st.run[s] >= 0) != (anchor_st.run[s] >= 0)) {
-        return false;
-      }
-      if (st.run[s] >= 0 &&
-          (st.run[s] != anchor_st.run[s] + ni || run_it[s] != 1 ||
-           st.rem[s] != anchor_st.rem[s] ||
-           st.occ[s] != anchor_st.occ[s])) {
+      const bool pending = st.pend[s] >= 0;
+      if (st.run[s] >= 0 || st.ptr[s] != len[s] + (pending ? 1 : 0) ||
+          (pending && st.pend_at[s] != st.now + exec_overhead_)) {
         return false;
       }
     }
-    // Stale seq values of empty slots are never read again (a begin always
-    // overwrites first), so the only order-relevant residue is which of the
-    // two last begins came first.
-    return (st.started_seq[1] < st.started_seq[0]) ==
-           (anchor_st.started_seq[1] < anchor_st.started_seq[0]);
-  };
-
-  const auto apply_shift = [&] {
-    const TimeNs delta = st.now - anchor_st.now;
-    const uint32_t comp_delta = st.completed - anchor_st.completed;
-    // Completions in the skipped segment replicate the previous segment's
-    // one iteration up: iter_end[2] becomes the mirrored iter_end[1] and
-    // iter_end[1] absorbs the mirror of the iteration-0 stragglers (if the
-    // previous segment raised iter_end[0], the same completions recur at
-    // +delta; otherwise every mirrored time is already <= iter_end[1]).
-    st.iter_end[2] = st.iter_end[1] + delta;
-    if (st.iter_end[0] > anchor_st.iter_end[0]) {
-      st.iter_end[1] = std::max(st.iter_end[1], st.iter_end[0] + delta);
-    }
-    st.now += delta;
-    st.completed += comp_delta;
-    st.max_disp += ni;
-    for (int s = 0; s < 2; ++s) {
-      st.ptr[s] += len[s];
-      if (len[s] > 0) {
-        ++itr[s];
-      }
-      if (st.pend[s] >= 0) {
-        st.pend[s] += ni;
-        st.pend_at[s] += delta;
-      }
-      if (st.run[s] >= 0) {
-        st.run[s] += ni;
-      }
-      ++pend_it[s];
-      ++run_it[s];
-    }
-  };
-
-  // Called from the completion scan right after the last forward of
-  // iteration `t` completes — before any same-instant dispatch, so no
-  // iteration-(t+2) item is in flight yet.
-  const auto on_anchor = [&](int32_t t) {
-    if (t == 0) {
-      for (int s = 0; s < 2; ++s) {
-        OOBP_CHECK_LE(st.ptr[s], len[s]);
-      }
-      anchor_st = st;
-      anchor_valid = true;
-    } else if (anchor_valid && norm_equal()) {
-      apply_shift();
-      skipped = true;
-    }
+    return true;
   };
 
   // Processes everything due at st.now to a fixpoint: fluid completions (in
@@ -328,15 +206,12 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
       }
       for (const int s : order) {
         if (st.run[s] >= 0 && st.rem[s] <= FluidProcessor::kWorkEpsilon) {
-          const int32_t done_pos = st.run[s] - run_it[s] * ni;
-          const int32_t done_it = run_it[s];
+          barrier =
+              barrier || (run_it[s] == 0 && st.run[s] == deps_.last_fwd);
           st.run[s] = -1;
           TimeNs& end = st.iter_end[static_cast<size_t>(run_it[s])];
           end = std::max(end, st.now);
           ++st.completed;
-          if (done_pos == deps_.last_fwd && done_it < 2 && !skipped) {
-            on_anchor(done_it);
-          }
         }
       }
       for (int s = 0; s < 2; ++s) {
@@ -353,18 +228,6 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
         if (head < 0 || !deps_done(itr[s], seq_[s][idx[s]])) {
           continue;
         }
-        if (head > st.max_disp) {
-          // The machine state at this instant depends only on items with a
-          // smaller index; snapshot it so a candidate differing first at a
-          // later position can resume here. Only first-iteration keys are
-          // useful — a mutation always perturbs iteration 0.
-          if (head < ni &&
-              (sweep_ckpts_.empty() ||
-               head >= sweep_ckpts_.back().next_item + kSweepStride)) {
-            sweep_ckpts_.push_back({head, st});
-          }
-          st.max_disp = head;
-        }
         ++st.ptr[s];
         st.pend[s] = head;
         pend_it[s] = itr[s];
@@ -378,7 +241,7 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
     }
   };
 
-  process_now();  // cold start / checkpoint re-dispatch
+  process_now();  // the launch
   while (st.completed < static_cast<uint32_t>(num_items)) {
     // Next wake: the earliest fluid completion (exactly the simulator's
     // wake formula) or pending execution begin. The rates are computed
@@ -441,6 +304,12 @@ TimeNs FastScheduleEvaluator::RunSweep(size_t n) {
       }
     }
     process_now();
+    if (barrier) {
+      if (clean_barrier()) {
+        return st.iter_end[0] - t0_;
+      }
+      barrier = false;
+    }
   }
 
   return (st.iter_end[kIterations - 1] - st.iter_end[0]) / (kIterations - 1);

@@ -16,20 +16,14 @@
 // the simulator's — not an approximation. The dependencies come from the
 // shared rule, IterationDeps (src/core/schedule.h).
 //
-// It is about 2.3x faster than scoring each candidate with
-// SingleGpuEngine::Run, and keeps only the layers that measurably pay
-// (DESIGN.md §14.1-14.3). Per instance:
-//   * a lazily filled kernel-cost memo per (layer, op type);
-//   * sweep checkpoints: complete machine states captured whenever a
-//     first-iteration item with a new maximum index is dispatched. At that
-//     instant the machine state provably depends only on earlier schedule
-//     positions, so a later candidate that differs first at position p
-//     resumes from the latest checkpoint with key <= p and re-simulates
-//     only the suffix (the local-search mutators flip one WgradGene at a
-//     time, so consecutive candidates share a long prefix);
-//   * inside each sweep, a steady-state anchor that fast-forwards the
-//     third iteration when the second repeats the first (RunSweep).
-// The memory cap is not Tier A's: the search calls EstimateBackpropMemory
+// Like SingleGpuEngine's executor, it applies the barrier rule stated
+// beside IterationDeps: it simulates iteration 0 from the launch and, when
+// iteration 0's F_{L-1} completes at a clean barrier that repeats the
+// launch, returns E0 - t0; otherwise it simulates all three iterations. It
+// is 1.6-1.7x faster than scoring each candidate with SingleGpuEngine::Run
+// (DESIGN.md §14.1). Per instance it memoizes kernel costs per (layer, op
+// type), so the cost model is consulted once per pair. The memory cap is not
+// Tier A's: the search calls EstimateBackpropMemory
 // (src/core/memory_model.h), as ScheduleEvaluator::PeakMemory does.
 //
 // Instances are not thread-safe (each search trajectory owns one); the
@@ -60,7 +54,7 @@ class FastScheduleEvaluator {
 
   // Steady-state time of one training iteration: bit-identical to
   // ScheduleEvaluator::IterationTime on the same (model, gpu, profile,
-  // schedule). Incremental against the previously evaluated schedule.
+  // schedule).
   TimeNs IterationTime(const IterationSchedule& schedule);
 
   // Analytic evaluations performed by this instance.
@@ -87,30 +81,6 @@ class FastScheduleEvaluator {
     bool init = false;
   };
 
-  // Complete machine state of the analytic sweep; small enough to snapshot.
-  struct SweepState {
-    TimeNs now = 0;
-    // Dispatched item count per stream (flat index into the per-stream
-    // issue sequence across iterations). The dispatched/completed tests
-    // derive from these cursors plus the in-flight slots below, so no
-    // per-item done flags need checkpointing.
-    uint64_t ptr[2] = {0, 0};
-    int32_t pend[2] = {-1, -1};   // dispatched, paying exec overhead
-    TimeNs pend_at[2] = {0, 0};   // its execution start time
-    int32_t run[2] = {-1, -1};    // occupying fluid slots
-    double rem[2] = {0.0, 0.0};   // remaining work (rate*ns)
-    double occ[2] = {0.0, 0.0};   // max_rate of the running kernel
-    uint64_t started_seq[2] = {0, 0};  // fluid job seq (completion order)
-    uint64_t next_seq = 1;        // mirrors FluidProcessor::next_id_
-    uint32_t completed = 0;
-    int32_t max_disp = -1;        // highest item index dispatched so far
-    TimeNs iter_end[3] = {0, 0, 0};  // per-iteration completion maxima
-  };
-  struct SweepCkpt {
-    int32_t next_item = 0;  // the item about to be dispatched (the key)
-    SweepState state;
-  };
-
   // Derives deps_, meta_ and the per-stream sequences of `schedule`.
   void RebuildMeta(const IterationSchedule& schedule);
   TimeNs RunSweep(size_t n);
@@ -123,12 +93,10 @@ class FastScheduleEvaluator {
   TimeNs t0_ = 0;  // graph launch latency: the instant all items enqueue
   int64_t evaluations_ = 0;
 
-  std::vector<ScheduledOp> ops_;  // the previous candidate, diffed against
   ScheduleDeps deps_;
   std::vector<PosMeta> meta_;
   std::vector<int32_t> seq_[2];  // per-stream issue order (positions)
   std::vector<int32_t> rank_;    // position -> index within its stream
-  std::vector<SweepCkpt> sweep_ckpts_;
 };
 
 }  // namespace oobp

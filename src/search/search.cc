@@ -74,7 +74,7 @@ void DecodeGenotypeInto(const TrainGraph& graph, const Genotype& genotype,
 }
 
 // Per-trajectory evaluation pipeline: memory cap, cache, and budget.
-// Candidates are scored by the incremental analytic evaluator behind the
+// Candidates are scored by the analytic evaluator behind the
 // content-addressed cache, and only analytic evaluations are budgeted; the
 // simulator scores the trajectory best once, in RunTrajectory. The memory
 // cap is the shared memory model's peak, the number
@@ -97,8 +97,7 @@ struct SearchContext {
   int64_t memory_rejections = 0;
 
   // Decode buffers, reused across candidates (the context is
-  // single-threaded; Tier A diffs `schedule` against its own copy of the
-  // previous candidate).
+  // single-threaded).
   std::vector<WgradGene> decode_scratch;
   IterationSchedule schedule;
 
@@ -180,24 +179,17 @@ void GreedyTrajectory(SearchContext& ctx, Genotype& cur, TimeNs& cur_time) {
 // out. All randomness flows from the caller's seeded Rng.
 void RandomTrajectory(SearchContext& ctx, Rng& rng, Genotype& cur,
                       TimeNs& cur_time) {
-  auto random_gene = [&](int layer) {
-    const int lo = MinSlot(*ctx.graph, layer);
-    const int hi = MaxSlot(*ctx.graph, layer);
-    const int slot = lo + static_cast<int>(rng.NextBelow(hi - lo + 1));
-    const int stream = rng.NextBelow(2) == 0 ? kMainStream : kSubStream;
-    return WgradGene{layer, slot, stream};
-  };
   SweepToFixpoint(ctx, cur, cur_time, [&](const WgradGene& gene) {
     std::vector<WgradGene> moves = GreedyMoves(*ctx.graph, gene);
-    moves.push_back(random_gene(gene.layer));
-    moves.push_back(random_gene(gene.layer));
+    moves.push_back(RandomGene(*ctx.graph, gene.layer, rng));
+    moves.push_back(RandomGene(*ctx.graph, gene.layer, rng));
     return moves;
   });
   if (cur.empty()) return;
   for (int attempts = 4 * ctx.evals_left;
        attempts > 0 && ctx.evals_left > 0; --attempts) {
     const size_t gi = rng.NextBelow(cur.size());
-    WgradGene move = random_gene(cur[gi].layer);
+    WgradGene move = RandomGene(*ctx.graph, cur[gi].layer, rng);
     if (move == cur[gi]) continue;
     Genotype cand = cur;
     cand[gi] = move;
@@ -345,6 +337,24 @@ int MaxSlot(const TrainGraph& graph, int layer) {
   // U_i must land before F_i (backbone index L+layer), i.e. at the latest
   // directly after backbone op L+layer-1.
   return graph.num_layers() + layer - 1;
+}
+
+WgradGene RandomGene(const TrainGraph& graph, int layer, Rng& rng) {
+  const int lo = MinSlot(graph, layer);
+  const int hi = MaxSlot(graph, layer);
+  const int slot = lo + static_cast<int>(rng.NextBelow(hi - lo + 1));
+  const int stream = rng.NextBelow(2) == 0 ? kMainStream : kSubStream;
+  return WgradGene{layer, slot, stream};
+}
+
+Genotype RandomGenotype(const TrainGraph& graph, Rng& rng) {
+  Genotype genotype;
+  for (int layer = graph.num_layers() - 1; layer >= 0; --layer) {
+    if (graph.HasWgrad(layer)) {
+      genotype.push_back(RandomGene(graph, layer, rng));
+    }
+  }
+  return genotype;
 }
 
 Genotype ConventionalGenotype(const TrainGraph& graph) {

@@ -36,13 +36,11 @@
 // Memory. Candidates whose activation peak exceeds memory_cap_factor x the
 // conventional schedule's peak are rejected without consuming evaluation
 // budget (the memory model is closed-form; only scored evaluations are
-// budgeted). The peak itself comes from the incremental liveness walk in
-// FastScheduleEvaluator — bit-identical to EstimateBackpropMemory but
-// resumed from the last common schedule prefix instead of recomputed from
-// scratch per candidate.
+// budgeted). The peak is EstimateBackpropMemory's, the number
+// ScheduleEvaluator::PeakMemory returns.
 //
-// Evaluation (DESIGN.md §14). Candidates are scored by the incremental
-// analytic evaluator (Tier A; the budget counts analytic evaluations),
+// Evaluation (DESIGN.md §14). Candidates are scored by the analytic
+// evaluator (Tier A; the budget counts analytic evaluations),
 // memoized in a per-trajectory content-addressed CandidateCache. The
 // simulator (Tier B, ScheduleEvaluator) scores only the conventional
 // baseline and each trajectory's final best, so every time that can become
@@ -66,6 +64,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/core/joint_scheduler.h"
 #include "src/core/schedule.h"
@@ -127,6 +126,11 @@ IterationSchedule DecodeGenotype(const TrainGraph& graph,
 // Inclusive slot window for layer `layer` (see header comment).
 int MinSlot(const TrainGraph& graph, int layer);
 int MaxSlot(const TrainGraph& graph, int layer);
+
+// A uniform placement of `layer`'s pair: a slot in its window, then a
+// stream. RandomGenotype draws one per parameterized layer, in gene order.
+WgradGene RandomGene(const TrainGraph& graph, int layer, Rng& rng);
+Genotype RandomGenotype(const TrainGraph& graph, Rng& rng);
 
 struct SearchResult {
   IterationSchedule schedule;    // best schedule found

@@ -705,9 +705,8 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   }
 
   // Tier A against the simulator: a warm analytic evaluator walks through
-  // single-gene mutations of the searched genotype, resuming from its sweep
-  // checkpoints as the search does, and must match the simulator's time to
-  // the bit at every step. The walk draws from its own Rng so the draws
+  // single-gene mutations of the searched genotype, as the search does, and
+  // must match the simulator's time to the bit at every step. The walk draws from its own Rng so the draws
   // above stay put.
   Rng walk_rng(seed * 0x9E3779B97F4A7C15ULL + 0x7A1C);
   FastScheduleEvaluator fast(&model, gpu, profile);
@@ -1535,10 +1534,11 @@ void FuzzOneSeed(uint64_t seed, const std::string& checks,
 
     if (on("train")) {
       // Differential execution: conventional vs ooo, both end to end under
-      // the invariant validator, at a short length and at one long enough
-      // to replay. The validator forces the event path; the same runs
-      // outside it take the exact executor and must report the same
-      // metrics, bit for bit, and the same replay outcome.
+      // the invariant validator, at a short length and a long one. The
+      // validator forces the event path, which simulates every iteration;
+      // the same runs outside it take the exact executor, which stops at a
+      // repeated barrier (src/core/schedule.h), and must report the same
+      // metrics, bit for bit.
       SingleGpuConfig cfg;
       cfg.gpu = gpu;
       cfg.profile = profile;
@@ -1563,8 +1563,15 @@ void FuzzOneSeed(uint64_t seed, const std::string& checks,
       if (!validator.ok()) {
         fail("train run: " + validator.Summary());
       }
-      if (validator.kernels_finished() == 0) {
-        fail("train run: validator observed no kernel completions");
+      const int64_t kernels =
+          static_cast<int64_t>(conventional.ops.size() +
+                               ooo.schedule.ops.size()) *
+          (lengths[0] + 1 + lengths[1] + 1);
+      if (validator.kernels_finished() != kernels) {
+        fail(StrFormat("train run: validator observed %lld kernel completions, "
+                       "not every iteration's %lld",
+                       static_cast<long long>(validator.kernels_finished()),
+                       static_cast<long long>(kernels)));
       }
       if (validated[0][0].iteration_time <= 0 ||
           validated[0][1].iteration_time <= 0) {
@@ -1573,6 +1580,7 @@ void FuzzOneSeed(uint64_t seed, const std::string& checks,
                        static_cast<long long>(validated[0][0].iteration_time),
                        static_cast<long long>(validated[0][1].iteration_time)));
       }
+      int stepped[2][2];
       for (int l = 0; l < 2; ++l) {
         cfg.measured_iterations = lengths[l];
         const SingleGpuEngine engine(cfg);
@@ -1591,19 +1599,27 @@ void FuzzOneSeed(uint64_t seed, const std::string& checks,
           if (const std::string d = MetricsMismatch(m, v); !d.empty()) {
             fail(what + d);
           }
-          if (stats.attempted != vs.attempted ||
-              stats.replayed != vs.replayed ||
-              stats.simulated_iterations != vs.simulated_iterations ||
-              stats.total_iterations != vs.total_iterations ||
-              stats.fallback_reason != vs.fallback_reason) {
-            fail(what + StrFormat("replay outcome differs (replayed %d vs %d, "
-                                  "simulated %d vs %d, reason '%s' vs '%s')",
-                                  stats.replayed, vs.replayed,
-                                  stats.simulated_iterations,
-                                  vs.simulated_iterations,
-                                  stats.fallback_reason.c_str(),
-                                  vs.fallback_reason.c_str()));
+          if (vs.simulated_iterations != lengths[l] + 1) {
+            fail(what + StrFormat("the event path simulated %d of %d "
+                                  "iterations",
+                                  vs.simulated_iterations, lengths[l] + 1));
           }
+          stepped[l][k] = stats.simulated_iterations;
+        }
+      }
+      // A precompiled run repeats the launch at its first barrier. A per-op
+      // run steps until its launcher settles, however long the run: the
+      // short run steps what the long one does, up to its own length.
+      for (int k = 0; k < 2; ++k) {
+        const int expect =
+            cfg.precompiled_issue ? 1 : std::min(stepped[1][k], lengths[0] + 1);
+        if (stepped[0][k] != expect ||
+            (cfg.precompiled_issue && stepped[1][k] != 1)) {
+          fail(StrFormat("train %s, %s: the executor stepped %d and %d "
+                         "iterations at %d and %d measured",
+                         names[k],
+                         cfg.precompiled_issue ? "precompiled" : "per-op",
+                         stepped[0][k], stepped[1][k], lengths[0], lengths[1]));
         }
       }
     }

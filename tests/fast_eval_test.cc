@@ -1,4 +1,4 @@
-// Fidelity battery for the incremental analytic evaluator (Tier A of the
+// Fidelity battery for the analytic evaluator (Tier A of the
 // two-tier search evaluation pipeline, DESIGN.md §14).
 //
 // The contract is stronger than the usual surrogate-model bargain: because
@@ -80,22 +80,8 @@ GpuSpec RotatingGpu(uint64_t seed) {
   }
 }
 
-Genotype RandomGenotype(const TrainGraph& graph, Rng& rng) {
-  Genotype genotype;
-  for (int layer = graph.num_layers() - 1; layer >= 0; --layer) {
-    if (!graph.HasWgrad(layer)) continue;
-    const int span = MaxSlot(graph, layer) - MinSlot(graph, layer) + 1;
-    const int slot = MinSlot(graph, layer) +
-                     static_cast<int>(rng.NextBelow(
-                         static_cast<uint64_t>(span)));
-    const int stream = rng.NextBelow(2) == 0 ? kMainStream : kSubStream;
-    genotype.push_back({layer, slot, stream});
-  }
-  return genotype;
-}
-
-// One fresh (cold) analytic evaluator per call: the reference the warm
-// incremental path must match bit-for-bit.
+// One fresh (cold) analytic evaluator per call: the reference a warm
+// evaluator must match bit-for-bit.
 TimeNs ColdAnalyticTime(const NnModel& model, const GpuSpec& gpu,
                         const SystemProfile& profile,
                         const IterationSchedule& schedule) {
@@ -146,8 +132,8 @@ TEST(FastEvalTest, BitIdenticalToSimulatorOnFuzzedModels) {
   }
 }
 
-// The incremental path (warm evaluator, sweep checkpoints) must return the
-// same bits as a cold evaluation of the same schedule — including under
+// A warm evaluator (its kernel-cost memo filled by earlier candidates) must
+// return the same bits as a cold evaluation of the same schedule, under
 // single-gene mutations, the access pattern the local search produces.
 TEST(FastEvalTest, IncrementalMatchesColdUnderPointMutations) {
   const SystemProfile profile = SystemProfile::TensorFlowXla();

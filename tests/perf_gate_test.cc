@@ -61,6 +61,22 @@ TEST(PerfGateTest, CoverageDriftIsANotice) {
   EXPECT_NE(report.notices[1].find("serve_only_resnet50"), std::string::npos);
 }
 
+TEST(PerfGateTest, OnlyFilteredBaselineEntriesCountAsUnmeasured) {
+  // A filtered run measures a subset: baseline entries outside the filter
+  // are not coverage drift, entries inside it still are.
+  const std::vector<PerfSample> measured = {{"fig07_resnet50", 1000, 10.0}};
+  const PerfCheckReport filtered =
+      CheckPerfBaseline(kBaseline, measured, false, "fig07_*");
+  EXPECT_TRUE(filtered.ok());
+  EXPECT_TRUE(filtered.notices.empty());
+
+  const PerfCheckReport wider =
+      CheckPerfBaseline(kBaseline, measured, false, "fig07_*,serve_*");
+  EXPECT_TRUE(wider.ok());
+  ASSERT_EQ(wider.notices.size(), 1u);
+  EXPECT_NE(wider.notices[0].find("serve_only_resnet50"), std::string::npos);
+}
+
 TEST(PerfGateTest, WallBandOnlyWhenEnabled) {
   const std::vector<PerfSample> slow = {{"fig07_resnet50", 1000, 15.1},
                                         {"serve_only_resnet50", 500, 4.0}};

@@ -214,6 +214,38 @@ TEST_F(RunnerTest, ParallelMatchesSerialByteForByte) {
   fs::remove_all(parallel_dir);
 }
 
+TEST_F(RunnerTest, SecondSweepIntoOneDirReplacesEveryFile) {
+  for (int i = 0; i < 4; ++i) {
+    AddSynthetic("resweep_" + std::to_string(i), 1.5 * (i + 1));
+  }
+  const fs::path dir = MakeTempDir("resweep");
+  RunnerOptions opts;
+  opts.jobs = 2;
+  opts.print = false;
+  opts.output_dir = dir.string();
+  ASSERT_TRUE(RunScenarios(opts).ok());
+  std::vector<std::string> first;
+  for (int i = 0; i < 4; ++i) {
+    first.push_back(
+        ReadFile(dir / ("BENCH_resweep_" + std::to_string(i) + ".json")));
+  }
+  // A hard link keeps the first sweep's file: the second sweep writes a new
+  // file under the name instead of rewriting the old one in place.
+  const fs::path file = dir / "BENCH_resweep_0.json";
+  const fs::path link = dir / "first_sweep_link";
+  fs::create_hard_link(file, link);
+
+  ASSERT_TRUE(RunScenarios(opts).ok());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(ReadFile(dir / ("BENCH_resweep_" + std::to_string(i) + ".json")),
+              first[i]);
+  }
+  EXPECT_EQ(ReadFile(link), first[0]);
+  EXPECT_EQ(fs::hard_link_count(file), 1u);
+  EXPECT_EQ(fs::hard_link_count(link), 1u);
+  fs::remove_all(dir);
+}
+
 TEST_F(RunnerTest, FailingScenarioIsReportedNotFatal) {
   AddSynthetic("good", 1.0);
   ScenarioRegistry::Global().Register(

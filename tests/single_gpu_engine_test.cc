@@ -144,8 +144,9 @@ void ExpectBitwiseEqual(const TrainMetrics& a, const TrainMetrics& b) {
 }
 
 // Untraced runs take the exact executor; traced runs and runs under the
-// SimValidator take the event path. All three report the same metrics, bit
-// for bit, both for a short run and for a replayed one.
+// SimValidator take the event path, which simulates every iteration. The
+// executor steps at most two iterations, and all three report the same
+// metrics, bit for bit, both for a short run and for a long one.
 TEST(SingleGpuEngineTest, ExecutorRunsOnlyWhenNothingObservesTheDevices) {
   const NnModel m = DenseNet(121, 24, 32, 32);
   const TrainGraph g(&m);
@@ -161,7 +162,8 @@ TEST(SingleGpuEngineTest, ExecutorRunsOnlyWhenNothingObservesTheDevices) {
       const TrainMetrics plain =
           engine.Run(m, ooo.schedule, nullptr, &plain_stats);
       EXPECT_TRUE(plain_stats.executor);
-      EXPECT_EQ(plain_stats.replayed, measured == 24);
+      EXPECT_TRUE(plain_stats.replayed);
+      EXPECT_LE(plain_stats.simulated_iterations, 2);
 
       ReplayStats traced_stats;
       TraceRecorder trace;
@@ -178,13 +180,11 @@ TEST(SingleGpuEngineTest, ExecutorRunsOnlyWhenNothingObservesTheDevices) {
         validated = engine.Run(m, ooo.schedule, nullptr, &validated_stats);
       }
       EXPECT_FALSE(validated_stats.executor);
-      EXPECT_EQ(validated_stats.replayed, plain_stats.replayed);
-      EXPECT_EQ(validated_stats.simulated_iterations,
-                plain_stats.simulated_iterations);
+      EXPECT_EQ(validated_stats.simulated_iterations, measured + 1);
       EXPECT_TRUE(validator.ok()) << validator.Summary();
       EXPECT_EQ(validator.kernels_finished(),
                 static_cast<int64_t>(ooo.schedule.ops.size()) *
-                    validated_stats.simulated_iterations);
+                    (measured + 1));
 
       ExpectBitwiseEqual(plain, traced);
       ExpectBitwiseEqual(plain, validated);

@@ -1,19 +1,16 @@
-// Differential tests for steady-state iteration replay (DESIGN.md §9) and
-// for the two producers replay consumes (DESIGN.md §6.3).
+// Differential tests for the single-GPU barrier shortcut and pipeline
+// steady-state replay (DESIGN.md §9.2), and for the two single-GPU
+// producers they run on (DESIGN.md §6.3).
 //
-// The replay fast path truncates a multi-iteration training run to a short
-// steady-state window and extrapolates the remaining iterations. Its
-// contract is EXACTNESS, not approximation: every reported metric —
-// including the floating-point utilization, whose busy integral is a
-// sequence of double additions — must be bitwise identical to the full
-// event-driven simulation. These tests run both paths over fixed and
-// randomized models and compare with EXPECT_EQ (no tolerance anywhere).
-// The unreplayed reference is a traced run: a trace must hold every event,
-// so traced runs never replay.
-//
-// The single-GPU outcome itself has two producers: the event simulation
-// and the exact two-stream executor. The differential battery below runs
-// both over 4,032 configurations and compares every outcome field bitwise.
+// The single-GPU executor stops stepping at the first clean barrier that
+// repeats the one before it (src/core/schedule.h) and extrapolates the
+// remaining iterations. Its contract is EXACTNESS, not approximation: every
+// reported metric — including the floating-point utilization, whose busy
+// integral is a sequence of double additions — must be bitwise identical to
+// the event simulation, which steps every iteration. These tests run both
+// over fixed and randomized models and compare with EXPECT_EQ (no
+// tolerance anywhere). The reference is a traced run: a trace must hold
+// every event, so traced runs take the event path.
 
 #include <gtest/gtest.h>
 
@@ -32,8 +29,10 @@
 #include "src/runtime/pipeline_engine.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/runtime/train_sim.h"
+#include "src/search/search.h"
 #include "src/sim/engine.h"
 #include "src/trace/trace.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -73,11 +72,11 @@ NnModel RandomModel(Rng& rng) {
   return model;
 }
 
-SingleGpuConfig SingleGpuCfg(int measured) {
+SingleGpuConfig SingleGpuCfg(int measured, bool precompiled = true) {
   SingleGpuConfig cfg;
   cfg.gpu = GpuSpec::V100();
   cfg.profile = SystemProfile::TensorFlowXla();
-  cfg.precompiled_issue = true;
+  cfg.precompiled_issue = precompiled;
   cfg.measured_iterations = measured;
   return cfg;
 }
@@ -96,7 +95,6 @@ TrainMetrics Unreplayed(const SingleGpuConfig& cfg, const NnModel& model,
 
 TEST(SteadyReplayTest, SingleGpuReplayIsBitwiseExact) {
   Rng rng(2024);
-  int replays = 0;
   for (int trial = 0; trial < 8; ++trial) {
     const NnModel model = RandomModel(rng);
     const TrainGraph graph(&model);
@@ -104,27 +102,25 @@ TEST(SteadyReplayTest, SingleGpuReplayIsBitwiseExact) {
     const JointScheduleResult ooo =
         MakeOooSchedule(graph, GpuSpec::V100(), SystemProfile::TensorFlowXla());
     for (const IterationSchedule* schedule : {&conv, &ooo.schedule}) {
-      // 20 measured iterations exceeds every replay window for these models
-      // (window = 6 + ceil(issue_queue_depth / ops_per_iter)).
-      ReplayStats on_stats;
-      const TrainMetrics with_replay =
-          SingleGpuEngine(SingleGpuCfg(20))
-              .Run(model, *schedule, nullptr, &on_stats);
-      const TrainMetrics without_replay =
-          Unreplayed(SingleGpuCfg(20), model, *schedule);
-      ExpectBitwiseEqual(with_replay, without_replay,
-                         StrFormat("trial %d", trial));
-      EXPECT_TRUE(on_stats.attempted);
-      if (on_stats.replayed) {
-        ++replays;
-        EXPECT_LT(on_stats.simulated_iterations, on_stats.total_iterations);
-        EXPECT_TRUE(on_stats.fallback_reason.empty());
+      for (const bool precompiled : {false, true}) {
+        ReplayStats on_stats;
+        const TrainMetrics with_replay =
+            SingleGpuEngine(SingleGpuCfg(20, precompiled))
+                .Run(model, *schedule, nullptr, &on_stats);
+        const TrainMetrics without_replay =
+            Unreplayed(SingleGpuCfg(20, precompiled), model, *schedule);
+        const std::string what =
+            StrFormat("trial %d precompiled %d", trial, precompiled);
+        ExpectBitwiseEqual(with_replay, without_replay, what);
+        // Steady training timelines repeat at every barrier: a precompiled
+        // run steps one iteration, a per-op run two.
+        EXPECT_TRUE(on_stats.attempted) << what;
+        EXPECT_TRUE(on_stats.replayed) << what;
+        EXPECT_EQ(on_stats.simulated_iterations, precompiled ? 1 : 2) << what;
+        EXPECT_TRUE(on_stats.fallback_reason.empty()) << what;
       }
     }
   }
-  // The point of the fast path: steady training timelines ARE periodic, so
-  // replay must engage on (at least most of) these runs.
-  EXPECT_GE(replays, 12);
 }
 
 TEST(SteadyReplayTest, SingleGpuZooModelsReplayExactly) {
@@ -140,30 +136,116 @@ TEST(SteadyReplayTest, SingleGpuZooModelsReplayExactly) {
         Unreplayed(SingleGpuCfg(24), model, ooo.schedule);
     ExpectBitwiseEqual(with_replay, without_replay, model.name);
     EXPECT_TRUE(stats.replayed) << model.name;
-    EXPECT_LT(stats.simulated_iterations, stats.total_iterations);
+    EXPECT_EQ(stats.simulated_iterations, 1) << model.name;
   }
 }
 
+// The event path simulates every iteration, traced or validated; the
+// executor steps at most two; the metrics are the same bits.
 TEST(SteadyReplayTest, SingleGpuFallbacks) {
   const NnModel model = ResNet(50, 32);
   const TrainGraph graph(&model);
   const IterationSchedule schedule = ConventionalIteration(graph);
+  for (const bool precompiled : {false, true}) {
+    for (const int measured : {3, 24}) {
+      const SingleGpuEngine engine(SingleGpuCfg(measured, precompiled));
+      const std::string what =
+          StrFormat("precompiled %d, %d measured", precompiled, measured);
 
-  // Short runs (the default 3 measured iterations of every fig07 scenario)
-  // never attempt replay — this is what keeps the existing goldens frozen.
-  ReplayStats short_stats;
-  SingleGpuEngine(SingleGpuCfg(3))
-      .Run(model, schedule, nullptr, &short_stats);
-  EXPECT_FALSE(short_stats.attempted);
-  EXPECT_EQ(short_stats.fallback_reason, "short-run");
+      ReplayStats plain_stats;
+      const TrainMetrics plain =
+          engine.Run(model, schedule, nullptr, &plain_stats);
+      EXPECT_TRUE(plain_stats.executor) << what;
+      EXPECT_LE(plain_stats.simulated_iterations, 2) << what;
 
-  // Traced runs need every event, so replay is bypassed.
-  ReplayStats trace_stats;
-  TraceRecorder trace;
-  SingleGpuEngine(SingleGpuCfg(24))
-      .Run(model, schedule, &trace, &trace_stats);
-  EXPECT_FALSE(trace_stats.attempted);
-  EXPECT_EQ(trace_stats.fallback_reason, "traced");
+      ReplayStats trace_stats;
+      TraceRecorder trace;
+      const TrainMetrics traced =
+          engine.Run(model, schedule, &trace, &trace_stats);
+      EXPECT_FALSE(trace_stats.attempted) << what;
+      EXPECT_EQ(trace_stats.fallback_reason, "traced") << what;
+      EXPECT_EQ(trace_stats.simulated_iterations, measured + 1) << what;
+
+      ReplayStats validated_stats;
+      SimValidator validator;
+      TrainMetrics validated;
+      {
+        ValidationScope scope(&validator);
+        validated = engine.Run(model, schedule, nullptr, &validated_stats);
+      }
+      EXPECT_TRUE(validator.ok()) << validator.Summary();
+      EXPECT_EQ(validated_stats.fallback_reason, "validated") << what;
+      EXPECT_EQ(validated_stats.simulated_iterations, measured + 1) << what;
+      EXPECT_EQ(validator.kernels_finished(),
+                static_cast<int64_t>(schedule.ops.size()) * (measured + 1))
+          << what;
+
+      ExpectBitwiseEqual(plain, traced, what);
+      ExpectBitwiseEqual(plain, validated, what);
+    }
+  }
+}
+
+// One random search genotype per model, decoded: the search's schedules.
+IterationSchedule GenotypeSchedule(const TrainGraph& graph, uint64_t seed) {
+  Rng rng(seed);
+  return DecodeGenotype(graph, RandomGenotype(graph, rng));
+}
+
+// The barrier rule on the event path: in every precompiled Figure 7 run
+// (XLA + Opt1, ooo and Nimble profiles), whatever the schedule, iteration 0
+// lasts one period plus the graph launch and every later iteration one
+// period, and the executor steps one iteration to the same outcome.
+TEST(SteadyReplayTest, PrecompiledIterationsRepeatTheLaunch) {
+  const std::vector<NnModel> models = {
+      DenseNet(121, 24, 32, 32), DenseNet(169, 32, 32, 32),
+      MobileNetV3Large(0.75, 32, 224), ResNet(50, 32, 224),
+      ResNet(101, 32, 224)};
+  const std::vector<GpuSpec> gpus = {GpuSpec::V100(), GpuSpec::P100(),
+                                     GpuSpec::TitanXp()};
+  const std::vector<SystemProfile> profiles = {SystemProfile::TensorFlowXla(),
+                                               SystemProfile::PyTorchNimble()};
+  constexpr int kIterations = 4;
+  int runs = 0;
+  for (const NnModel& model : models) {
+    const TrainGraph graph(&model);
+    const IterationSchedule conv = ConventionalIteration(graph);
+    const IterationSchedule naive = NaiveSubStreamIteration(graph);
+    const IterationSchedule genotype = GenotypeSchedule(graph, 25);
+    for (const GpuSpec& gpu : gpus) {
+      for (const SystemProfile& profile : profiles) {
+        const IterationSchedule ooo =
+            MakeOooSchedule(graph, gpu, profile).schedule;
+        SingleGpuConfig cfg;
+        cfg.gpu = gpu;
+        cfg.profile = profile;
+        cfg.precompiled_issue = true;
+        const CostModel cost(gpu, profile);
+        for (const IterationSchedule* schedule :
+             {&conv, &ooo, &naive, &genotype}) {
+          const std::string what =
+              StrFormat("%s on %s, %s, %zu ops", model.name.c_str(),
+                        gpu.name.c_str(), profile.name.c_str(),
+                        schedule->ops.size());
+          const TrainSimOutcome event = SimulateTraining(
+              cfg, cost, model, *schedule, kIterations, nullptr);
+          const TimeNs period =
+              event.iter_end[0] - profile.graph_launch_latency;
+          for (int t = 0; t + 1 < kIterations; ++t) {
+            EXPECT_EQ(event.iter_end[t + 1] - event.iter_end[t], period)
+                << what << ", iteration " << t + 1;
+          }
+          const TrainSimOutcome exec =
+              ExecuteTraining(cfg, cost, model, *schedule, kIterations);
+          EXPECT_EQ(exec.simulated_iterations, 1) << what;
+          EXPECT_EQ(exec.iter_end, event.iter_end) << what;
+          EXPECT_EQ(exec.busy_integral, event.busy_integral) << what;
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 120);
 }
 
 uint64_t Bits(double v) {
@@ -172,48 +254,76 @@ uint64_t Bits(double v) {
   return bits;
 }
 
-// The first field in which two outcomes differ, or "" if none does. Every
-// comparison is exact: times as integers, doubles by their bits.
-std::string OutcomeDiff(const TrainSimOutcome& a, const TrainSimOutcome& b) {
-  if (a.iter_end != b.iter_end) {
+// The first field in which the executor's outcome differs from the event
+// path's, or "" if none does. Every comparison is exact: times as integers,
+// doubles by their bits. The executor records the busy increments of the
+// iterations it stepped, a prefix of the event path's, and processes the
+// event path's events only when it stepped every iteration.
+std::string OutcomeDiff(const TrainSimOutcome& event,
+                        const TrainSimOutcome& exec, int iterations) {
+  if (event.iter_end != exec.iter_end) {
     return "iter_end";
   }
-  if (Bits(a.busy_integral) != Bits(b.busy_integral)) {
-    return StrFormat("busy_integral %.17g vs %.17g", a.busy_integral,
-                     b.busy_integral);
+  if (Bits(event.busy_integral) != Bits(exec.busy_integral)) {
+    return StrFormat("busy_integral %.17g vs %.17g", event.busy_integral,
+                     exec.busy_integral);
   }
-  if (a.item_start != b.item_start) {
-    return "item_start";
+  if (exec.increments.size() > event.increments.size()) {
+    return StrFormat("%zu vs %zu increments", exec.increments.size(),
+                     event.increments.size());
   }
-  if (a.item_done != b.item_done) {
-    return "item_done";
-  }
-  if (a.increments.size() != b.increments.size()) {
-    return StrFormat("%zu vs %zu increments", a.increments.size(),
-                     b.increments.size());
-  }
-  for (size_t k = 0; k < a.increments.size(); ++k) {
-    if (a.increments[k].time != b.increments[k].time ||
-        Bits(a.increments[k].value) != Bits(b.increments[k].value)) {
+  for (size_t k = 0; k < exec.increments.size(); ++k) {
+    if (event.increments[k].time != exec.increments[k].time ||
+        Bits(event.increments[k].value) != Bits(exec.increments[k].value)) {
       return StrFormat("increment %zu", k);
     }
   }
-  if (a.events != b.events) {
-    return StrFormat("%llu vs %llu events",
-                     static_cast<unsigned long long>(a.events),
-                     static_cast<unsigned long long>(b.events));
+  if (exec.simulated_iterations == iterations &&
+      (event.increments.size() != exec.increments.size() ||
+       event.events != exec.events)) {
+    return StrFormat("stepped every iteration: %llu vs %llu events",
+                     static_cast<unsigned long long>(event.events),
+                     static_cast<unsigned long long>(exec.events));
   }
   return "";
 }
 
-// Compares outcomes, not metrics: a metric can hide a reordered event. Two
-// deliberately wrong executors show it. One that begins same-instant
-// kernels in stream order instead of dispatch order leaves every iteration
-// end and busy integral here unchanged, yet moves item starts or increments
-// in 588 of the 2,688 configurations at 4 and 7 iterations. One that folds
-// busy contributions in priority order instead of job-seq order moves the
-// busy integral in 100 and the increments in 1,252 of them. Both fail here.
+// Compares outcomes, not metrics: a metric can hide a reordered event. Three
+// deliberately wrong executors show it. One that begins same-instant kernels
+// in stream order instead of dispatch order leaves every iteration end and
+// busy integral unchanged, yet moves the increments the executor steps in
+// 2,077 configurations. One that folds busy contributions in priority order
+// instead of job-seq order moves the busy integral in 444 and the increments
+// in 5,096 more. One whose barrier comparison ignores the launcher's
+// in-flight count extrapolates 6 of the lagging-launcher runs below too
+// early. All three fail here.
 TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
+  int configs = 0;
+  int mismatches = 0;
+  int extrapolated = 0;
+  const auto check = [&](const NnModel& model, const GpuSpec& gpu,
+                         const SystemProfile& profile,
+                         const IterationSchedule& schedule, bool precompiled,
+                         int iterations, const std::string& what) {
+    SingleGpuConfig cfg;
+    cfg.gpu = gpu;
+    cfg.profile = profile;
+    cfg.precompiled_issue = precompiled;
+    const CostModel cost(gpu, profile);
+    const TrainSimOutcome event = SimulateTraining(
+        cfg, cost, model, schedule, iterations, /*trace=*/nullptr);
+    const TrainSimOutcome exec =
+        ExecuteTraining(cfg, cost, model, schedule, iterations);
+    ++configs;
+    extrapolated += exec.simulated_iterations < iterations;
+    const std::string diff = OutcomeDiff(event, exec, iterations);
+    if (!diff.empty() && ++mismatches <= 5) {
+      ADD_FAILURE() << model.name << " " << what << " precompiled "
+                    << precompiled << " iterations " << iterations << ": "
+                    << diff;
+    }
+  };
+
   std::vector<NnModel> models = {
       DenseNet(121, 24, 32, 32), DenseNet(169, 32, 32, 32),
       MobileNetV3Large(0.75, 32, 224), ResNet(50, 32, 224),
@@ -234,56 +344,69 @@ TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
   const std::vector<SystemProfile> profiles = {
       SystemProfile::TensorFlowXla(), SystemProfile::PyTorchNimble(),
       SystemProfile::TensorFlow(), unbounded};
-
-  int configs = 0;
-  int mismatches = 0;
-  for (const NnModel& model : models) {
-    const TrainGraph graph(&model);
+  for (size_t m = 0; m < models.size(); ++m) {
+    const TrainGraph graph(&models[m]);
     const IterationSchedule conv = ConventionalIteration(graph);
     const IterationSchedule naive = NaiveSubStreamIteration(graph);
+    const IterationSchedule genotype = GenotypeSchedule(graph, 1000 + m);
     for (size_t g = 0; g < gpus.size(); ++g) {
       for (size_t p = 0; p < profiles.size(); ++p) {
-        const CostModel cost(gpus[g], profiles[p]);
         const IterationSchedule ooo =
             MakeOooSchedule(graph, gpus[g], profiles[p]).schedule;
-        const IterationSchedule* schedules[] = {&conv, &ooo, &naive};
-        for (int k = 0; k < 3; ++k) {
+        const IterationSchedule* schedules[] = {&conv, &ooo, &naive,
+                                                &genotype};
+        for (int k = 0; k < 4; ++k) {
           for (bool precompiled : {false, true}) {
             // 3 is ScheduleEvaluator's run: one warm-up, two measured.
-            for (int iterations : {3, 4, 7}) {
-              SingleGpuConfig cfg;
-              cfg.gpu = gpus[g];
-              cfg.profile = profiles[p];
-              cfg.precompiled_issue = precompiled;
-              const TrainSimOutcome event =
-                  SimulateTraining(cfg, cost, model, *schedules[k], iterations,
-                                   /*trace=*/nullptr, /*record=*/true);
-              const TrainSimOutcome exec = ExecuteTraining(
-                  cfg, cost, model, *schedules[k], iterations, true);
-              ++configs;
-              const std::string diff = OutcomeDiff(event, exec);
-              if (!diff.empty() && ++mismatches <= 5) {
-                ADD_FAILURE() << model.name << " gpu " << g << " profile "
-                              << p << " schedule " << k << " precompiled "
-                              << precompiled << " iterations " << iterations
-                              << ": " << diff;
-              }
+            for (int iterations : {1, 2, 3, 4, 7, 25}) {
+              check(models[m], gpus[g], profiles[p], *schedules[k],
+                    precompiled, iterations,
+                    StrFormat("gpu %zu profile %zu schedule %d", g, p, k));
             }
           }
         }
-        // Unrecorded runs fill only the iteration ends, the busy integral
-        // and the event count.
-        const TrainSimOutcome event = SimulateTraining(
-            SingleGpuCfg(3), cost, model, ooo, 4, nullptr, false);
-        const TrainSimOutcome exec = ExecuteTraining(
-            SingleGpuCfg(3), cost, model, ooo, 4, false);
-        EXPECT_TRUE(exec.item_start.empty() && exec.increments.empty());
-        EXPECT_EQ(OutcomeDiff(event, exec), "") << model.name;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 10752);
+
+  // Per-op runs whose launcher falls behind the GPU: an issue latency at the
+  // 8 us kernel floor (fused) or half of it (per primitive op), a queue of 6
+  // to 24, on two random models that show it. The pending events seen from
+  // consecutive barriers can agree while the launcher's lead differs.
+  Rng lag_rng(99);
+  for (int r = 0; r <= 11; ++r) {
+    const NnModel model = RandomModel(lag_rng);
+    if (r != 9 && r != 11) {
+      continue;
+    }
+    const TrainGraph graph(&model);
+    SystemProfile profile =
+        r == 9 ? SystemProfile::TensorFlowXla() : SystemProfile::TensorFlow();
+    profile.issue_latency_per_op = Us(r == 9 ? 8 : 4);
+    for (int depth : {6, 8, 12, 24}) {
+      profile.issue_queue_depth = depth;
+      const GpuSpec gpu = GpuSpec::TitanXp();
+      const IterationSchedule ooo =
+          MakeOooSchedule(graph, gpu, profile).schedule;
+      for (const IterationSchedule& schedule :
+           {ConventionalIteration(graph), NaiveSubStreamIteration(graph),
+            ooo}) {
+        for (int iterations : {7, 25}) {
+          check(model, gpu, profile, schedule, /*precompiled=*/false,
+                iterations,
+                StrFormat("lagging launcher %d, depth %d", r, depth));
+        }
       }
     }
   }
   EXPECT_EQ(mismatches, 0) << "of " << configs << " configurations";
-  EXPECT_EQ(configs, 4032);
+  EXPECT_EQ(configs, 10800);
+  // Every run longer than the barrier rule's one iteration (two per-op)
+  // ends early, except 236 per-op runs whose unbounded issue queue lets the
+  // launcher get further ahead at every barrier, and 9 lagging-launcher runs
+  // whose launcher has not settled before their last barrier.
+  EXPECT_EQ(extrapolated, 7867);
 }
 
 TEST(SteadyReplayTest, ExecutorCountsEventsIntoTheProcessWideTally) {
@@ -293,8 +416,7 @@ TEST(SteadyReplayTest, ExecutorCountsEventsIntoTheProcessWideTally) {
   const SingleGpuConfig cfg = SingleGpuCfg(3);
   const CostModel cost(cfg.gpu, cfg.profile);
   const uint64_t before = SimEngine::TotalProcessedEvents();
-  const TrainSimOutcome exec =
-      ExecuteTraining(cfg, cost, model, schedule, 4, false);
+  const TrainSimOutcome exec = ExecuteTraining(cfg, cost, model, schedule, 4);
   EXPECT_GT(exec.events, 0u);
   EXPECT_EQ(SimEngine::TotalProcessedEvents() - before, exec.events);
 }

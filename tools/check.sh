@@ -26,9 +26,11 @@
 #      another 200 ASan seeds restricted to the fleet fuzz family (random
 #      fleets, metamorphic add-a-replica check; every second seed runs),
 #      and 2000 ASan seeds of the train family (each seed's conventional
-#      and ooo runs, short and replayed, under the validator on the event
-#      path, then again on the exact single-GPU executor: metrics must
-#      match bit for bit, replay outcomes exactly; see DESIGN.md §6.3),
+#      and ooo runs, short and long, under the validator on the event path,
+#      which steps every iteration, then again on the exact single-GPU
+#      executor, which stops at a repeated barrier: metrics must match bit
+#      for bit, a precompiled run steps one iteration, and a per-op run
+#      steps as many at either length; see DESIGN.md §6.3, §9.2),
 #      and 2000 ASan seeds of the pipeline family (a random pipeline
 #      config under the validator on the event path, then on the exact
 #      message-level executor: every result field, the replay outcome and
