@@ -83,10 +83,12 @@ struct ScheduleDeps {
 // has completed by then, no op of a later iteration has begun, and a per-op
 // launcher still has ops to issue: the rest of the run then depends only on
 // what is pending at the barrier, seen from the barrier, and on ops that
-// repeat every iteration. Two consecutive clean barriers (the launch counts
-// as barrier -1) that hold the same pending state make every later
-// iteration a copy of the one between them, shifted by its length, and a
-// run that ends at a clean barrier does not see its end. On the zoo models
+// repeat every iteration. Two clean barriers a < b (the launch counts as
+// barrier -1) that hold the same pending state make every later iteration
+// a copy of the one b - a before it, shifted by the time between them, and
+// a run that ends at a clean barrier does not see its end. The data-parallel
+// and pipeline executors apply the same rule at their own iteration
+// boundaries (DESIGN.md §9.2). On the zoo models
 // every barrier is clean: a precompiled run repeats the launch at barrier
 // 0, and a per-op run repeats barrier 0 at barrier 1.
 ScheduleDeps IterationDeps(const IterationSchedule& schedule, int num_layers);

@@ -28,6 +28,7 @@ namespace {
 
 struct PerfRow {
   const Scenario* scenario = nullptr;
+  int timed_runs = 0;
   double wall_best_ms = 0.0;
   double wall_mean_ms = 0.0;
   uint64_t events = 0;  // per single run
@@ -46,9 +47,12 @@ bool MeasureScenario(const Scenario& scenario, const PerfOptions& opts,
     for (int i = 0; i < opts.warmup; ++i) {
       scenario.run(opts.params);
     }
+    // At least `repeats` timed runs, and more until they add up to
+    // kPerfMinTimedSeconds: the best of three sub-millisecond runs is noise.
     double best_s = -1.0;
     double sum_s = 0.0;
-    for (int i = 0; i < opts.repeats; ++i) {
+    while (row->timed_runs < opts.repeats || sum_s < kPerfMinTimedSeconds) {
+      ++row->timed_runs;
       const uint64_t events_before = SimEngine::TotalProcessedEvents();
       const uint64_t analytic_before =
           FastScheduleEvaluator::TotalAnalyticEvals();
@@ -65,7 +69,7 @@ bool MeasureScenario(const Scenario& scenario, const PerfOptions& opts,
       }
     }
     row->wall_best_ms = best_s * 1e3;
-    row->wall_mean_ms = sum_s / opts.repeats * 1e3;
+    row->wall_mean_ms = sum_s / row->timed_runs * 1e3;
     row->events_per_sec =
         best_s > 0.0 ? static_cast<double>(row->events) / best_s : 0.0;
     row->analytic_per_sec =
@@ -242,6 +246,7 @@ int RunPerf(const PerfOptions& opts) {
       continue;
     }
     JsonValue entry = JsonValue::Object();
+    entry.Set("timed_runs", JsonValue::Number(r.timed_runs));
     entry.Set("wall_ms_best", JsonValue::Number(r.wall_best_ms));
     entry.Set("wall_ms_mean", JsonValue::Number(r.wall_mean_ms));
     entry.Set("events", JsonValue::Number(static_cast<double>(r.events)));

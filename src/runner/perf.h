@@ -3,13 +3,16 @@
 // `oobp bench --perf` (also tools/perf.sh) runs the selected scenarios with
 // warm-up iterations followed by timed repeats, all serially on one thread so
 // the numbers are not polluted by co-scheduling, and emits
-// `BENCH_sim_perf.json`:
+// `BENCH_sim_perf.json`. A scenario runs `repeats` timed times, and more
+// until its timed runs add up to kPerfMinTimedSeconds, so a sub-millisecond
+// row's best is taken over enough runs to be stable:
 //
 //   {
 //     "warmup": 1,
 //     "repeats": 3,
 //     "scenarios": {
 //       "fig07_resnet50": {
+//         "timed_runs": ...,       // repeats, or more for a fast scenario
 //         "wall_ms_best": ...,     // fastest repeat (headline number)
 //         "wall_ms_mean": ...,
 //         "events": ...,           // simulator events processed per run
@@ -45,6 +48,9 @@
 
 namespace oobp {
 
+// The timed wall a scenario's runs must add up to (see above).
+inline constexpr double kPerfMinTimedSeconds = 0.05;
+
 struct PerfOptions {
   // Default perf suite: the single-GPU figure-7 scenarios plus the
   // data-parallel, pipeline-scaling, serving, steady-state, fleet and
@@ -57,7 +63,7 @@ struct PerfOptions {
       "fig07_*,fig10_*,fig13_*,serve_*,steady_*,fleet_rr_64,"
       "fleet_corun_ooo_64,cluster_ps_*,search_eval_perf";
   int warmup = 1;                  // untimed runs per scenario
-  int repeats = 3;                 // timed runs per scenario
+  int repeats = 3;                 // timed runs per scenario, at least
   std::string output_dir = ".";    // BENCH_sim_perf.json lands here
   ScenarioParams params;           // forwarded to every scenario
   bool print = true;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
@@ -115,7 +116,9 @@ class Driver;
 class DpBackend {
  public:
   virtual ~DpBackend() = default;
-  // Starts `driver` and runs until no event is pending.
+  // Starts `driver` and runs until no event is pending, or, on the
+  // executor, until an iteration boundary repeats an earlier one
+  // (Driver::Repeat).
   virtual void Run(Driver* driver) = 0;
   virtual TimeNs now() const = 0;
   // Runs Driver::OnIssue `delay` after now.
@@ -131,7 +134,7 @@ class DpBackend {
                         int token) = 0;
   // Runs Driver::OnFusionTimer `delay` after now.
   virtual void ScheduleFusionTimer(TimeNs delay) = 0;
-  // Link::busy_time of the channel.
+  // Link::busy_time of the channel at the end of the run.
   virtual TimeNs channel_busy() const = 0;
 };
 
@@ -165,6 +168,8 @@ class Driver {
         kc.issue_latency = 0;
       }
       seq_cost_.push_back(kc);
+      // Every kernel of every iteration is issued once.
+      compute_busy_ += iterations * kc.duration;
     }
     sync_volume_.resize(L_);
     for (int i = 0; i < L_; ++i) {
@@ -189,9 +194,7 @@ class Driver {
 
   // The issue event: the op at the sequence cursor enters the stream.
   void OnIssue() {
-    const KernelCost& kc = seq_cost_[pos_];
-    backend_->Enqueue(sequence_[pos_], iter_, kc);
-    compute_busy_ += kc.duration;
+    backend_->Enqueue(sequence_[pos_], iter_, seq_cost_[pos_]);
     if (++pos_ == sequence_.size()) {
       pos_ = 0;
       ++iter_;
@@ -200,17 +203,20 @@ class Driver {
   }
 
   // Kernels run in issue order, so kernel k is sequence position k % S of
-  // iteration k / S.
-  void OnKernelDone(int64_t kernel) {
+  // iteration k / S. Returns true when the kernel, F_{L-1}, ends its
+  // iteration: the iteration boundary.
+  bool OnKernelDone(int64_t kernel) {
     const int64_t S = static_cast<int64_t>(sequence_.size());
     const int t = static_cast<int>(kernel / S);
     const TrainOp op = sequence_[kernel % S];
     if (op.type == TrainOpType::kWeightGrad && config_.num_gpus > 1) {
       StartSync(t, op.layer);
     }
-    if (op.type == TrainOpType::kForward && op.layer == L_ - 1) {
-      iter_end_[t] = backend_->now();
+    if (kernel % S != S - 1) {
+      return false;
     }
+    iter_end_[t] = backend_->now();
+    return true;
   }
 
   void OnTransferDone(int token) {
@@ -233,6 +239,23 @@ class Driver {
 
   TimeNs IterEnd(int t) const { return iter_end_[t]; }
   TimeNs compute_busy() const { return compute_busy_; }
+  int stepped() const { return stepped_; }  // iterations stepped
+
+  // At an iteration boundary: the cursor still has items to issue, so the
+  // run's horizon has cut nothing yet, and no tensor waits in the fusion
+  // buffer. See DpExecutor::AtBoundary.
+  bool Settled() const { return iter_ < iterations_ && fusion_bytes_ == 0; }
+
+  // Boundary b repeats boundary a, and the run stops stepping: every later
+  // iteration is a copy of the one p = b - a before it, shifted by the time
+  // between the two.
+  void Repeat(int a, int b) {
+    const TimeNs shift = iter_end_[b] - iter_end_[a];
+    for (int t = b + 1; t < iterations_; ++t) {
+      iter_end_[t] = iter_end_[t - (b - a)] + shift;
+    }
+    stepped_ = b + 1;
+  }
 
  private:
   int SyncSlot(int t, int layer) const { return t * L_ + layer; }
@@ -325,9 +348,10 @@ class Driver {
   size_t pos_ = 0;
   int iter_ = 0;
   int waiting_slot_ = -1;  // the sync slot a gated forward waits on
-  TimeNs compute_busy_ = 0;
+  TimeNs compute_busy_ = 0;  // every kernel's duration, summed
   std::vector<char> sync_done_;  // by sync slot t * L + layer
   std::vector<TimeNs> iter_end_;
+  int stepped_ = iterations_;
 
   std::vector<int> parts_left_;  // BytePS partitions in flight, by slot
   std::vector<int> fused_;       // Horovod: every slot fused, in order
@@ -399,13 +423,15 @@ class DpEventBackend final : public DpBackend {
 // event: they live in five slots and run in SimEngine's (time, seq) order.
 // Kernels step through the fluid model the single-GPU executor uses
 // (StreamFluid) and the channel through Link's own LinkQueue, so the
-// executor steps every event the event path processes, in its order, and
-// adds that count to SimEngine's tally.
+// executor steps the event path's events in its order, and adds the ones it
+// steps to SimEngine's tally. It stops at the first iteration boundary that
+// repeats an earlier one (AtBoundary) and extrapolates the rest.
 class DpExecutor final : public DpBackend {
  public:
   DpExecutor(const GpuSpec& gpu, const LinkSpec& channel,
-             int64_t commit_window_bytes)
-      : exec_overhead_(gpu.kernel_exec_overhead),
+             int64_t commit_window_bytes, int iterations)
+      : iterations_(iterations),
+        exec_overhead_(gpu.kernel_exec_overhead),
         fluid_(static_cast<double>(gpu.slot_capacity()), nullptr),
         channel_(channel, kChannelChunkBytes, commit_window_bytes) {}
 
@@ -413,6 +439,7 @@ class DpExecutor final : public DpBackend {
     driver_ = driver;
     driver->Start();
     const auto finish = [this](int kernel) { Finish(kernel); };
+    bool repeated = false;
     for (int e = slots_.Next(); e >= 0; e = slots_.Next()) {
       switch (e) {
         case kIssue:
@@ -443,8 +470,15 @@ class DpExecutor final : public DpBackend {
           driver_->OnFusionTimer();
           break;
       }
+      if (boundary_ && AtBoundary()) {
+        repeated = true;
+        break;
+      }
     }
     SimEngine::AddProcessedEvents(slots_.processed());
+    if (!repeated) {
+      busy_ = channel_.busy_time();
+    }
   }
 
   TimeNs now() const override { return slots_.now(); }
@@ -470,13 +504,21 @@ class DpExecutor final : public DpBackend {
   void ScheduleFusionTimer(TimeNs delay) override {
     slots_.Schedule(kTimer, now() + delay);
   }
-  TimeNs channel_busy() const override { return channel_.busy_time(); }
+  TimeNs channel_busy() const override { return busy_; }
 
  private:
   enum Slot { kIssue, kBegin, kWake, kChunk, kTimer, kSlots };
   struct QueuedKernel {
     TimeNs solo_duration;
     double thread_blocks;
+  };
+  // The state at an iteration boundary that the rest of the run reads (see
+  // AtBoundary), and the channel time spent by then.
+  struct Boundary {
+    bool clean = false;
+    size_t queued = 0;  // kernels issued past the boundary
+    EventSlots<kSlots> ahead;
+    TimeNs busy = 0;
   };
 
   // Gpu::MaybeDispatch: the head begins after the SM setup gap.
@@ -496,7 +538,7 @@ class DpExecutor final : public DpBackend {
       head_ = 0;
     }
     dispatched_ = false;
-    driver_->OnKernelDone(kernel);
+    boundary_ = driver_->OnKernelDone(kernel);
     MaybeDispatch();
   }
 
@@ -508,6 +550,50 @@ class DpExecutor final : public DpBackend {
     }
   }
 
+  // Called after the step that completed F_{L-1}(b), for the boundary b
+  // after the ones recorded so far. F_i(b) waited on layer i's sync of
+  // iteration b, and no weight gradient of iteration b + 1 has completed,
+  // so every sync started has completed: the channel is idle, its backlog
+  // and commit window empty, and later iterations' sync slots and BytePS
+  // partitions are as the run began. The boundary is clean when that shows
+  // (the channel idle, the fusion buffer empty), no kernel drains, and the
+  // driver still has items to issue. Then the stream holds the kernels
+  // issued past the boundary, in sequence order from the head; the driver's
+  // cursor is that many positions past it, and its forward gate waits iff
+  // no issue is pending. So the pending events seen from the boundary
+  // (EventSlots::SameAhead: the issue, the head's begin and an armed fusion
+  // timer) and the issued count are the whole state the rest of the run
+  // reads. Returns true, with the run extrapolated, when that state repeats
+  // any earlier clean boundary's: every later iteration is then a copy of
+  // the one a period earlier.
+  bool AtBoundary() {
+    boundary_ = false;
+    const int b = static_cast<int>(boundaries_.size());
+    Boundary cur;
+    cur.clean = fluid_.idle() && !channel_.busy() && channel_.pending() == 0 &&
+                driver_->Settled();
+    cur.queued = queue_.size() - head_;
+    cur.ahead = slots_;
+    cur.busy = channel_.busy_time();
+    boundaries_.push_back(cur);
+    for (int a = 0; a < b && cur.clean; ++a) {
+      const Boundary& earlier = boundaries_[a];
+      if (earlier.clean && earlier.queued == cur.queued &&
+          slots_.SameAhead(earlier.ahead)) {
+        driver_->Repeat(a, b);
+        std::vector<TimeNs> busy(iterations_);
+        for (int t = 0; t < iterations_; ++t) {
+          busy[t] = t <= b ? boundaries_[t].busy
+                           : busy[t - (b - a)] + (cur.busy - earlier.busy);
+        }
+        busy_ = busy.back();
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const int iterations_;
   const TimeNs exec_overhead_;
   EventSlots<kSlots> slots_;
   StreamFluid<1> fluid_;
@@ -521,6 +607,11 @@ class DpExecutor final : public DpBackend {
   int begun_ = 0;  // kernels that left their setup gap; the head's number
 
   std::vector<int> tokens_;  // by channel transfer id - 1
+
+  // Boundaries and the outcome.
+  bool boundary_ = false;  // the step completed an iteration
+  std::vector<Boundary> boundaries_;
+  TimeNs busy_ = 0;  // the channel's busy time at the end of the run
 };
 
 }  // namespace
@@ -528,7 +619,7 @@ class DpExecutor final : public DpBackend {
 TrainMetrics DataParallelEngine::Run(const NnModel& model,
                                      const std::vector<TrainOp>& backprop,
                                      TraceRecorder* trace,
-                                     bool* executor) const {
+                                     ReplayStats* replay_stats) const {
   const TrainGraph graph(&model);
   OOBP_CHECK(graph.ValidateBackpropOrder(backprop));
   const CostModel cost(config_.cluster.gpu, config_.profile);
@@ -561,16 +652,13 @@ TrainMetrics DataParallelEngine::Run(const NnModel& model,
 
   // The executor reproduces the event path bit for bit; only the event
   // path emits trace events and builds the Gpu and Link the SimValidator
-  // observes.
+  // observes, and it steps every iteration.
   const bool use_executor =
       trace == nullptr && ActiveHwValidationHooks() == nullptr;
-  if (executor != nullptr) {
-    *executor = use_executor;
-  }
   std::unique_ptr<DpBackend> backend;
   if (use_executor) {
-    backend =
-        std::make_unique<DpExecutor>(gpu_spec, channel_spec, commit_window);
+    backend = std::make_unique<DpExecutor>(gpu_spec, channel_spec,
+                                           commit_window, iterations);
   } else {
     backend = std::make_unique<DpEventBackend>(gpu_spec, channel_spec,
                                                commit_window, trace);
@@ -578,6 +666,10 @@ TrainMetrics DataParallelEngine::Run(const NnModel& model,
   Driver driver(backend.get(), model, cost, *this, config_, backprop,
                 iterations, /*tracing=*/trace != nullptr);
   backend->Run(&driver);
+  if (replay_stats != nullptr) {
+    *replay_stats = StepStats(use_executor, trace != nullptr,
+                              driver.stepped(), iterations);
+  }
 
   TrainMetrics metrics;
   const TimeNs t0 = driver.IterEnd(0);

@@ -43,6 +43,9 @@ struct DataParallelConfig {
   SystemProfile profile = SystemProfile::TensorFlow();
   CommScheme scheme = CommScheme::kBytePS;
   bool precompiled_issue = true;
+  // Steady-state window after 1 warm-up. The executor steps until an
+  // iteration boundary repeats (two iterations on the paper's clusters) and
+  // extrapolates the rest, bit-identical to stepping them (DESIGN.md §9.2).
   int measured_iterations = 3;
   // Horovod fusion parameters.
   TimeNs fusion_cycle = Ms(5);
@@ -68,12 +71,14 @@ class DataParallelEngine {
   // Runs warm-up + measured iterations with the given backprop order (must
   // validate against the model's TrainGraph). Throughput is global
   // (samples/s across all workers). Untraced runs outside a ValidationScope
-  // take an exact executor, the others the event simulation; both give the
-  // same result bit for bit (DESIGN.md §6.3). `executor`, when not null,
-  // reports which one ran.
+  // take an exact executor, which stops at the first iteration boundary
+  // that repeats an earlier one; traced and validated runs take the event
+  // simulation, which steps every iteration. Both give the same metrics bit
+  // for bit (DESIGN.md §6.3, §9.2). `replay_stats`, when not null, says
+  // which path ran and how many iterations it stepped.
   TrainMetrics Run(const NnModel& model, const std::vector<TrainOp>& backprop,
                    TraceRecorder* trace = nullptr,
-                   bool* executor = nullptr) const;
+                   ReplayStats* replay_stats = nullptr) const;
 
   // Bytes layer i contributes to the channel per iteration (gradient size
   // times the collective volume factor).

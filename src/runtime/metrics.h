@@ -20,29 +20,47 @@ struct TrainMetrics {
   bool oom = false;                       // peak exceeded device memory
 };
 
-// Telemetry of the steady-state shortcuts (DESIGN.md §9.2), shared by the
-// single-GPU and pipeline engines: whether the run was extrapolated, how
-// many iterations were simulated, and why the engine did not extrapolate.
+// How a training run was stepped, in the same terms for the single-GPU,
+// data-parallel and pipeline engines (DESIGN.md §9.2). Untraced runs outside
+// a ValidationScope take the engine's exact executor, which stops at the
+// first iteration boundary whose state repeats an earlier one and
+// extrapolates the rest; traced and validated runs take the event
+// simulation, which steps every iteration (DESIGN.md §6.3).
 struct ReplayStats {
-  // Single-GPU: the run took the executor, which always looks for a
-  // repeated barrier. Pipeline: the run was untraced and long enough to
-  // replay its window.
+  // The run took the executor, which looks for a repeated boundary. False
+  // on the event path and for the synchronous pipeline strategies, which
+  // run one iteration.
   bool attempted = false;
-  bool replayed = false;         // periodicity proven; tail extrapolated
-  int simulated_iterations = 0;  // iterations actually simulated
+  bool replayed = false;         // a boundary repeated; the rest extrapolated
+  int simulated_iterations = 0;  // iterations stepped
   int total_iterations = 0;      // warm-up + measured
-  // Empty when replayed. "traced"; single-GPU "validated" (the event path
-  // steps every iteration); pipeline "short-run" and "synchronous" (flush
-  // strategies complete in one simulated iteration — nothing to
-  // extrapolate); "aperiodic" (single-GPU: no barrier repeated before the
-  // last iteration; pipeline: detection failed, full rerun).
+  // Empty when replayed. "traced" or "validated" (the event path),
+  // "synchronous" (a pipeline strategy that flushes every iteration) or
+  // "aperiodic" (the executor stepped every iteration).
   std::string fallback_reason;
   // The run went through the engine's exact executor (single-GPU: the
-  // two-stream executor; pipeline: the message-level executor) rather than
-  // the event simulation (DESIGN.md §6.3). False for traced runs and under
-  // the SimValidator, which need the event path.
+  // two-stream executor; data-parallel: the five-slot executor; pipeline:
+  // the message-level executor) rather than the event simulation.
   bool executor = false;
 };
+
+// The stats of a run that stepped `simulated` of `total` iterations, on the
+// executor or, when the run was `traced` or validated, on the event path.
+inline ReplayStats StepStats(bool executor, bool traced, int simulated,
+                             int total) {
+  ReplayStats stats;
+  stats.executor = executor;
+  stats.attempted = executor;
+  stats.replayed = simulated < total;
+  stats.simulated_iterations = simulated;
+  stats.total_iterations = total;
+  if (!executor) {
+    stats.fallback_reason = traced ? "traced" : "validated";
+  } else if (!stats.replayed) {
+    stats.fallback_reason = "aperiodic";
+  }
+  return stats;
+}
 
 // One serializable metric entry; ordered lists of these are what the
 // scenario runner writes into BENCH_<scenario>.json and compares against

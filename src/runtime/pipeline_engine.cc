@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
@@ -109,6 +111,12 @@ class PipeBackend {
   // Busy time summed over the links: every chunk that started before the
   // event being processed.
   virtual TimeNs comm_busy() const = 0;
+  // For the boundary rule (PipeSim::AtBoundary): appends to `key` the event
+  // path's pending state, seen from now, with each fired PipeEvent written
+  // as `code` gives it. Returns false, appending nothing, on a backend that
+  // steps every iteration.
+  virtual bool AppendPending(const std::function<int64_t(PipeEvent)>& code,
+                             std::vector<int64_t>* key) const = 0;
 };
 
 LinkSpec LinkSpecFor(const PipelineConfig& config, int src, int dst) {
@@ -174,67 +182,23 @@ class PipeSim {
     }
   }
 
+  // What a repeated boundary let the run skip (AtBoundary): the time,
+  // compute busy and link busy time of the whole periods it skipped.
+  struct Skip {
+    TimeNs time = 0;
+    TimeNs compute_busy = 0;
+    TimeNs comm_busy = 0;
+  };
+
+  // Iterations stepped: the run's, less the skipped ones.
+  int iterations() const { return iterations_; }
+  const Skip& skipped() const { return skip_; }
   TimeNs IterEnd(int t) const { return iter_end_[t]; }
   TimeNs compute_busy() const { return compute_busy_; }
   TimeNs comm_busy() const { return backend_->comm_busy(); }
   const std::vector<int64_t>& peak_memory() const { return peak_mem_; }
   const std::vector<TimeNs>& fwd_start() const { return fwd_start_; }
   const std::vector<TimeNs>& wgrad_done() const { return wgrad_done_; }
-
-  // Steady-state deltas per iteration, valid only after DetectSteadyPeriod
-  // returned true for `base`: what one steady iteration adds to each
-  // cumulative counter.
-  TimeNs SteadyComputeDelta(int base) const {
-    return cb_at_iter_[base + 2] - cb_at_iter_[base + 1];
-  }
-  TimeNs SteadyCommDelta(int base) const {
-    return comm_at_iter_[base + 2] - comm_at_iter_[base + 1];
-  }
-
-  // Proves the (continuous-mode) truncated run is iteration-periodic over
-  // iterations base..base+2: every existing op's completion time advances by
-  // exactly the same integer period P, iteration boundaries advance by P,
-  // the cumulative compute/communication busy counters advance by a constant
-  // per-iteration delta, and per-GPU live/peak memory at the boundaries is
-  // unchanged (the memory trajectory repeats and the peak stopped growing).
-  // `base` must sit past the pipeline-fill transient (the caller uses
-  // num_gpus + lookahead iterations of warm-up).
-  bool DetectSteadyPeriod(int base, TimeNs* period) const {
-    OOBP_CHECK_GE(base, 1);
-    OOBP_CHECK_GE(iterations_, base + 3);
-    const size_t b = static_cast<size_t>(base);
-    const TimeNs p = iter_end_[b + 2] - iter_end_[b + 1];
-    if (p <= 0 || iter_end_[b + 1] - iter_end_[b] != p) {
-      return false;
-    }
-    const size_t per_iter = static_cast<size_t>(M_) * L_ * 3;
-    for (size_t q = 0; q < per_iter; ++q) {
-      const Op& o1 = ops_[b * per_iter + q];
-      const Op& o2 = ops_[(b + 1) * per_iter + q];
-      const Op& o3 = ops_[(b + 2) * per_iter + q];
-      if (!o1.exists) {
-        continue;
-      }
-      if (o2.done_time - o1.done_time != p ||
-          o3.done_time - o2.done_time != p) {
-        return false;
-      }
-    }
-    if (cb_at_iter_[b + 1] - cb_at_iter_[b] !=
-            cb_at_iter_[b + 2] - cb_at_iter_[b + 1] ||
-        comm_at_iter_[b + 1] - comm_at_iter_[b] !=
-            comm_at_iter_[b + 2] - comm_at_iter_[b + 1]) {
-      return false;
-    }
-    for (int g = 0; g < config_.num_gpus; ++g) {
-      if (live_at_iter_[b + 2][g] != live_at_iter_[b + 1][g] ||
-          peak_at_iter_[b + 2][g] != peak_at_iter_[b + 1][g]) {
-        return false;
-      }
-    }
-    *period = p;
-    return true;
-  }
 
  private:
   struct Op {
@@ -243,7 +207,6 @@ class PipeSim {
     int deps = 0;
     int64_t priority = 0;
     TimeNs duration = 0;
-    TimeNs done_time = -1;  // completion timestamp (replay detection)
     bool done = false;
     bool exists = true;
   };
@@ -276,19 +239,19 @@ class PipeSim {
   }
 
   void Build() {
-    ops_.assign(static_cast<size_t>(iterations_) * M_ * L_ * 3, Op{});
+    // Ops and tensor slots are built an iteration at a time, when the
+    // iteration's roots are released (BuildIteration), so a run that skips
+    // periods never builds them. Reserving keeps references to ops valid.
+    const size_t per_iter = static_cast<size_t>(M_) * L_;
+    ops_.reserve(iterations_ * per_iter * 3);
+    act_consumers_.reserve(iterations_ * per_iter);
+    grad_consumers_.reserve(iterations_ * per_iter);
     iter_end_.assign(iterations_, 0);
-    cb_at_iter_.assign(iterations_, 0);
-    comm_at_iter_.assign(iterations_, 0);
-    live_at_iter_.assign(iterations_, {});
-    peak_at_iter_.assign(iterations_, {});
     fwd_start_.assign(L_, -1);
     wgrad_done_.assign(L_, -1);
     iter_ops_left_.assign(iterations_, 0);
     peak_mem_.assign(config_.num_gpus, 0);
     live_mem_.assign(config_.num_gpus, 0);
-    act_consumers_.assign(ops_.size() / 3, 0);
-    grad_consumers_.assign(ops_.size() / 3, 0);
 
     for (int g = 0; g < config_.num_gpus; ++g) {
       gpus_[g].owned_layers =
@@ -311,7 +274,7 @@ class PipeSim {
     // Which ops exist and how long they take depend only on (layer, kind).
     // Unit-time mode follows the paper's figures: layer 0 computes no input
     // gradient, and every op takes exactly `unit_time`.
-    std::vector<std::array<TimeNs, 3>> duration(L_, {-1, -1, -1});
+    duration_.assign(L_, {-1, -1, -1});
     for (int l = 0; l < L_; ++l) {
       const Layer& layer = model_.layers[l];
       for (PipeOpKind kind :
@@ -325,44 +288,13 @@ class PipeSim {
                                    : (kind == PipeOpKind::kDgrad
                                           ? TrainOpType::kOutputGrad
                                           : TrainOpType::kWeightGrad);
-        duration[l][static_cast<int>(kind)] =
+        duration_[l][static_cast<int>(kind)] =
             config_.unit_time > 0 ? config_.unit_time
                                   : cost_.Cost(layer, ot).duration +
                                         cost_.gpu().kernel_exec_overhead;
       }
     }
 
-    for (int t = 0; t < iterations_; ++t) {
-      for (int m = 0; m < M_; ++m) {
-        for (int l = 0; l < L_; ++l) {
-          for (PipeOpKind kind :
-               {PipeOpKind::kFwd, PipeOpKind::kDgrad, PipeOpKind::kWgrad}) {
-            Op& op = ops_[OpIndex(t, m, l, kind)];
-            op.kind = kind;
-            op.iter = t;
-            op.micro = m;
-            op.layer = l;
-            op.gpu = assignment_[l];
-            op.priority = PriorityOf(t, m, l, kind);
-            op.duration = duration[l][static_cast<int>(kind)];
-            if (op.duration < 0) {
-              op.exists = false;
-              op.done = true;
-              continue;
-            }
-            // Dependencies: F needs its input activation (except layer 0,
-            // which reads the micro-batch); dO/dW need the incoming
-            // gradient. Iteration barriers for flush strategies are added
-            // at release time.
-            op.deps = (kind == PipeOpKind::kFwd && l == 0) ? 0 : 1;
-            if (kind == PipeOpKind::kFwd && l == 0 && flush_ && t > 0) {
-              op.deps = 1;  // released by the previous iteration's flush
-            }
-            ++iter_ops_left_[t];
-          }
-        }
-      }
-    }
     // Per-iteration update barrier time: the slowest GPU's weight updates
     // (free in unit-time mode — the paper's unit timelines do not count
     // updates).
@@ -381,10 +313,58 @@ class PipeSim {
     }
   }
 
-  // Makes the zero-dep roots of iteration t schedulable.
+  // Appends iteration t's ops and tensor slots, after iteration t - 1's.
+  void BuildIteration(int t) {
+    OOBP_CHECK_EQ(ops_.size(), static_cast<size_t>(OpIndex(t, 0, 0,
+                                                           PipeOpKind::kFwd)));
+    for (int m = 0; m < M_; ++m) {
+      for (int l = 0; l < L_; ++l) {
+        for (PipeOpKind kind :
+             {PipeOpKind::kFwd, PipeOpKind::kDgrad, PipeOpKind::kWgrad}) {
+          Op& op = ops_.emplace_back();
+          op.kind = kind;
+          op.iter = t;
+          op.micro = m;
+          op.layer = l;
+          op.gpu = assignment_[l];
+          op.priority = PriorityOf(t, m, l, kind);
+          op.duration = duration_[l][static_cast<int>(kind)];
+          if (op.duration < 0) {
+            op.exists = false;
+            op.done = true;
+            continue;
+          }
+          // Dependencies: F needs its input activation (except layer 0,
+          // which reads the micro-batch); dO/dW need the incoming
+          // gradient. Iteration barriers for flush strategies are added
+          // at release time.
+          op.deps = (kind == PipeOpKind::kFwd && l == 0) ? 0 : 1;
+          if (kind == PipeOpKind::kFwd && l == 0 && flush_ && t > 0) {
+            op.deps = 1;  // released by the previous iteration's flush
+          }
+          ++iter_ops_left_[t];
+        }
+      }
+    }
+    act_consumers_.resize(ops_.size() / 3, 0);
+    grad_consumers_.resize(ops_.size() / 3, 0);
+  }
+
+  // Makes the roots of iteration t, its layer-0 forwards, schedulable.
+  // Flush strategies release iteration t + 1 when iteration t ends.
+  // Continuous mode releases it when iteration t's last root starts
+  // (TryRun); priorities and the in-flight cap pace the roots. That is when
+  // the first root of t + 1 could start anyway: a root of t + 1 never
+  // outranks a root of t and meets the same cap, so while a root of t is
+  // ready no root of t + 1 is chosen.
   void ReleaseIteration(int t) {
     if (t >= iterations_) {
-      return;
+      return;  // the run's horizon; continuous mode keeps roots_left_ == 0
+    }
+    BuildIteration(t);
+    if (!flush_) {
+      released_ = t;
+      roots_left_ = M_;
     }
     for (int m = 0; m < M_; ++m) {
       const int idx = OpIndex(t, m, 0, PipeOpKind::kFwd);
@@ -395,11 +375,6 @@ class PipeSim {
       } else {
         SatisfyDep(idx);
       }
-    }
-    if (!flush_ && t + 1 < iterations_) {
-      // Continuous mode: all iterations' roots are schedulable up front;
-      // priorities and the in-flight cap pace them.
-      ReleaseIteration(t + 1);
     }
   }
 
@@ -476,6 +451,10 @@ class PipeSim {
     }
     compute_busy_ += op.duration;
     backend_->Schedule(op.duration, {PipeEvent::kOpDone, chosen});
+    if (!flush_ && op.kind == PipeOpKind::kFwd && op.layer == 0 &&
+        --roots_left_ == 0) {
+      ReleaseIteration(op.iter + 1);
+    }
   }
 
   void AddMem(int g, int64_t bytes) {
@@ -588,7 +567,6 @@ class PipeSim {
       trace_->Add(ev);
     }
     op.done = true;
-    op.done_time = now;
     GpuState& gs = gpus_[op.gpu];
     gs.busy = false;
 
@@ -650,16 +628,125 @@ class PipeSim {
 
   void OnIterEnd(int t) {
     iter_end_[t] = backend_->now();
-    // Iteration-boundary snapshots of every cumulative counter the result
-    // reads; replay detection compares consecutive deltas and extrapolation
-    // adds the steady delta once per skipped iteration.
-    cb_at_iter_[t] = compute_busy_;
-    comm_at_iter_[t] = comm_busy();
-    live_at_iter_[t] = live_mem_;
-    peak_at_iter_[t] = peak_mem_;
+    ++iters_ended_;
     if (flush_) {
       ReleaseIteration(t + 1);
+    } else if (looking_) {
+      AtBoundary(t);
     }
+  }
+
+  // The state at a continuous run's iteration boundary, kIterEnd(t), and
+  // the counters the result reads, by then.
+  struct Boundary {
+    int t = 0;
+    TimeNs time = 0;
+    TimeNs compute_busy = 0;
+    TimeNs comm_busy = 0;
+    std::vector<int64_t> key;
+  };
+
+  // The boundary rule (DESIGN.md §9.2), called when iteration t ends. The
+  // boundary is clean when every iteration up to t has ended and the run's
+  // horizon has cut nothing yet: the released iteration still has a root to
+  // start (ReleaseIteration). Every op of iterations <= t has then
+  // completed and released what it held, and no op of an iteration past
+  // the released one has been touched. So the rest of the run reads, seen
+  // from t: each GPU's busy op (a pending event), ready set, dW pool,
+  // forwards started less backwards done (the in-flight cap) and live
+  // memory; the dependency counts, done flags and tensor consumer counts of
+  // iterations t + 1 up to the released one; the released iteration and its
+  // roots left; and the backend's pending events and link queues
+  // (AppendPending). Once that state repeats an earlier clean boundary's, a
+  // period of p iterations before, the run from here is a copy of the run
+  // from there, and so is the run a whole number k of periods on, as long
+  // as its horizon still has cut nothing: k * p <= iterations_ - 1 -
+  // released_. So the run moves its horizon in by k periods and goes on,
+  // stepping its drain; the skipped periods add k times the time and busy
+  // counters between the two boundaries, and nothing new to the memory
+  // peaks, fwd_start or wgrad_done.
+  void AtBoundary(int t) {
+    if (iters_ended_ != t + 1 || roots_left_ == 0) {
+      return;
+    }
+    Boundary cur;
+    cur.t = t;
+    cur.time = backend_->now();
+    cur.compute_busy = compute_busy_;
+    cur.comm_busy = comm_busy();
+    const auto code = [this, t](PipeEvent e) { return Code(e, t); };
+    if (!backend_->AppendPending(code, &cur.key)) {
+      looking_ = false;
+      return;
+    }
+    AppendState(t, &cur.key);
+    for (const Boundary& earlier : boundaries_) {
+      if (earlier.key != cur.key) {
+        continue;
+      }
+      const int p = t - earlier.t;
+      const int k = (iterations_ - 1 - released_) / p;
+      skip_ = Skip{k * (cur.time - earlier.time),
+                   k * (cur.compute_busy - earlier.compute_busy),
+                   k * (cur.comm_busy - earlier.comm_busy)};
+      iterations_ -= k * p;
+      looking_ = false;
+      return;
+    }
+    boundaries_.push_back(std::move(cur));
+  }
+
+  // A fired event seen from iteration t: the kind, and the op, iteration or
+  // tensor slot counted from iteration t's first.
+  int64_t Code(PipeEvent e, int t) const {
+    const int64_t per_iter = static_cast<int64_t>(M_) * L_;
+    const int64_t base = e.kind == PipeEvent::kOpDone    ? t * per_iter * 3
+                         : e.kind == PipeEvent::kIterEnd ? t
+                                                         : t * per_iter;
+    return (e.slot - base) * 4 + e.kind;
+  }
+
+  // Appends PipeSim's part of boundary t's state (AtBoundary).
+  void AppendState(int t, std::vector<int64_t>* key) const {
+    const int64_t per_iter = static_cast<int64_t>(M_) * L_;
+    const int64_t first_op = (t + 1) * per_iter * 3;
+    key->push_back(released_ - t);
+    key->push_back(roots_left_);
+    for (int g = 0; g < config_.num_gpus; ++g) {
+      const GpuState& gs = gpus_[g];
+      key->push_back(gs.busy ? 1 : 0);
+      key->push_back(gs.fwd_started - gs.bwd_done);
+      key->push_back(live_mem_[g]);
+      // The sets' order follows from the ops: priorities are per op.
+      key->push_back(static_cast<int64_t>(gs.ready.size()));
+      for (const auto& entry : gs.ready) {
+        key->push_back(entry.second - first_op);
+      }
+      key->push_back(static_cast<int64_t>(gs.pool.size()));
+      for (const auto& entry : gs.pool) {
+        key->push_back(entry.second - first_op);
+      }
+    }
+    // A byte per op and per tensor slot, eight to a word: dependency counts
+    // are 0 or 1, and a tensor has at most one activation consumer and two
+    // gradient consumers.
+    const auto append_bytes = [key](int64_t begin, int64_t end,
+                                    const auto& byte_of) {
+      for (int64_t i = begin; i < end; i += 8) {
+        uint64_t word = 0;
+        for (int64_t j = i; j < std::min(end, i + 8); ++j) {
+          word |= static_cast<uint64_t>(byte_of(j)) << (8 * (j - i));
+        }
+        key->push_back(static_cast<int64_t>(word));
+      }
+    };
+    append_bytes(first_op, (released_ + 1) * per_iter * 3, [this](int64_t i) {
+      return ops_[i].deps * 2 + (ops_[i].done ? 1 : 0);
+    });
+    append_bytes((t + 1) * per_iter, (released_ + 1) * per_iter,
+                 [this](int64_t slot) {
+                   return act_consumers_[slot] * 4 + grad_consumers_[slot];
+                 });
   }
 
   PipeBackend* backend_;
@@ -681,14 +768,22 @@ class PipeSim {
   TimeNs update_time_ = 0;
   TimeNs compute_busy_ = 0;
 
+  // Continuous mode: the last iteration whose roots are released, and how
+  // many of them have not started.
+  int released_ = 0;
+  int roots_left_ = 0;
+  // The boundary rule: the clean boundaries so far, while no repeat was
+  // found, and what the repeat skipped.
+  int iters_ended_ = 0;
+  bool looking_ = true;
+  std::vector<Boundary> boundaries_;
+  Skip skip_;
+
+  std::vector<std::array<TimeNs, 3>> duration_;  // by layer, kind; -1: none
   std::vector<Op> ops_;
   std::vector<GpuState> gpus_;
   std::vector<int> iter_ops_left_;
   std::vector<TimeNs> iter_end_;
-  std::vector<TimeNs> cb_at_iter_;   // compute_busy_ at each iteration end
-  std::vector<TimeNs> comm_at_iter_; // comm_busy() at each iteration end
-  std::vector<std::vector<int64_t>> live_at_iter_;
-  std::vector<std::vector<int64_t>> peak_at_iter_;
   std::vector<int> act_consumers_;   // keyed by (t, m, producer layer)
   std::vector<int> grad_consumers_;  // keyed by (t, m, target layer)
   std::vector<int64_t> live_mem_;
@@ -726,6 +821,10 @@ class EventBackend final : public PipeBackend {
       total += link->busy_time();
     }
     return total;
+  }
+  bool AppendPending(const std::function<int64_t(PipeEvent)>& /*code*/,
+                     std::vector<int64_t>* /*key*/) const override {
+    return false;
   }
 
  private:
@@ -768,8 +867,9 @@ class EventBackend final : public PipeBackend {
 //     sequence number, which follows the order in which the drawing events
 //     ran, so it walks both draw chains back until times or sequence
 //     numbers differ.
-// The executor adds the event path's event count, skipped chunks included,
-// to SimEngine's tally.
+// The executor adds the event path's event count of what it steps, skipped
+// chunks included, to SimEngine's tally. PipeDream runs may skip whole
+// periods of iterations (PipeSim::AtBoundary).
 class PipeExecutor final : public PipeBackend {
  public:
   explicit PipeExecutor(const PipelineConfig& config)
@@ -837,23 +937,63 @@ class PipeExecutor final : public PipeBackend {
   TimeNs comm_busy() const override {
     TimeNs total = busy_;
     for (const LinkState& link : links_) {
-      if (!link.busy) {
-        continue;
+      if (link.busy) {
+        const ChunkTiming& timing = messages_[link.head].timing;
+        total += timing.ChunkEnd(ChunksEnded(link) + 1) - timing.ChunkEnd(1);
       }
-      const Message& msg = messages_[link.head];
-      const ChunkTiming& timing = msg.timing;
-      const TimeNs since = now_ - msg.start - timing.latency;
-      if (timing.chunks == 1 || since < timing.full) {
-        continue;
-      }
-      int64_t ended = std::min<int64_t>(since / timing.full, timing.chunks - 1);
-      if (ended * timing.full == since &&
-          !Before({link.head, static_cast<int32_t>(ended)}, {current_, 0})) {
-        --ended;  // that chunk end shares the current event's nanosecond
-      }
-      total += timing.ChunkEnd(ended + 1) - timing.ChunkEnd(1);
     }
     return total;
+  }
+
+  // The event path's pending events in (time, seq) order, each as its delay
+  // and what it does, where a busy link's pending event is the end of the
+  // chunk on its wire; then each link's messages from the head, as their
+  // chunk timing and arrival, and the head's start. The event path's
+  // pending events, link queues and PipeSim are its whole state, and future
+  // events run after pending ones of the same time; the executor reproduces
+  // the event path, so this is all of the executor's future too.
+  bool AppendPending(const std::function<int64_t(PipeEvent)>& code,
+                     std::vector<int64_t>* key) const override {
+    std::vector<NodeRef> pending;
+    for (const int32_t e : heap_) {
+      if (events_[e].message < 0) {
+        pending.push_back({e, 0});
+      }
+    }
+    for (const LinkState& link : links_) {
+      if (link.busy) {
+        const Message& msg = messages_[link.head];
+        const int64_t chunk = ChunksEnded(link) + 1;
+        pending.push_back(chunk < msg.timing.chunks
+                              ? NodeRef{link.head, static_cast<int32_t>(chunk)}
+                              : NodeRef{msg.completion, 0});
+      }
+    }
+    std::sort(pending.begin(), pending.end(),
+              [this](NodeRef a, NodeRef b) { return Before(a, b); });
+    for (const NodeRef ref : pending) {
+      key->push_back(Resolve(ref).time - now_);
+      if (ref.chunk == 0 && events_[ref.index].message < 0) {
+        key->push_back(code(events_[ref.index].what));
+      } else {
+        const int32_t m = ref.chunk > 0 ? ref.index : events_[ref.index].message;
+        key->push_back(-1 - messages_[m].link);  // a chunk end
+      }
+    }
+    for (size_t l = 0; l < links_.size(); ++l) {
+      const LinkState& link = links_[l];
+      if (link.head < 0) {
+        continue;
+      }
+      key->push_back(static_cast<int64_t>(l));
+      key->push_back(messages_[link.head].start - now_);
+      for (int32_t m = link.head; m >= 0; m = messages_[m].next) {
+        key->push_back(messages_[m].timing.chunks);
+        key->push_back(messages_[m].timing.last);
+        key->push_back(code(messages_[m].arrival));
+      }
+    }
+    return true;
   }
 
  private:
@@ -887,6 +1027,7 @@ class PipeExecutor final : public PipeBackend {
     TimeNs start = -1;
     uint64_t seq = 0;       // the first chunk's sequence number
     int32_t drawer = -1;    // the event that started the message
+    int32_t completion = -1;  // its completion's index in events_
   };
   // One direction of a GPU pair: a FIFO of messages from head to tail; the
   // head is on the wire while `busy`.
@@ -927,6 +1068,23 @@ class PipeExecutor final : public PipeBackend {
     return false;
   }
 
+  // The chunk ends of a busy link's head, 1 up to chunks - 1, that ran
+  // before the current event.
+  int64_t ChunksEnded(const LinkState& link) const {
+    const Message& msg = messages_[link.head];
+    const ChunkTiming& timing = msg.timing;
+    const TimeNs since = now_ - msg.start - timing.latency;
+    if (timing.chunks == 1 || since < timing.full) {
+      return 0;
+    }
+    int64_t ended = std::min<int64_t>(since / timing.full, timing.chunks - 1);
+    if (ended * timing.full == since &&
+        !Before({link.head, static_cast<int32_t>(ended)}, {current_, 0})) {
+      --ended;  // that chunk end shares the current event's nanosecond
+    }
+    return ended;
+  }
+
   // Heap order over events_ indices: the event the event path runs first
   // is on top.
   struct Later {
@@ -962,6 +1120,7 @@ class PipeExecutor final : public PipeBackend {
              : Event{{done, 0,
                       {link.head, static_cast<int32_t>(msg.timing.chunks - 1)}},
                      msg.arrival, link.head});
+    msg.completion = static_cast<int32_t>(events_.size() - 1);
   }
 
   const PipelineConfig& config_;
@@ -993,108 +1152,48 @@ PipelineResult PipelineEngine::Run(const NnModel& micro_model,
   const bool continuous = strategy == PipelineStrategy::kPipeDream;
   const int iterations = continuous ? 1 + config_.measured_iterations : 1;
 
-  ReplayStats local_stats;
-  ReplayStats& stats = replay_stats != nullptr ? *replay_stats : local_stats;
-  stats = ReplayStats();
-  stats.total_iterations = iterations;
   // The executor reproduces the event path bit for bit; only the event
-  // path emits trace events and builds Links the SimValidator can observe.
-  stats.executor = trace == nullptr && ActiveHwValidationHooks() == nullptr;
-
-  // Replay window: pipeline-fill warm-up + 3 detection iterations + guard
-  // tail. The pipe takes about num_gpus iterations to fill, and the
-  // in-flight cap (AdmitForward) bounds how far ahead of the backward
-  // frontier the scheduler can issue forwards — num_gpus * owned_layers ops
-  // per GPU, about num_gpus * max_owned / M iterations of lookahead. The
-  // detection block therefore starts after max(num_gpus, lookahead) + 1
-  // warm-up iterations (past every fill/admission transient) and is followed
-  // by lookahead + 2 guard iterations, so its iterations behave exactly like
-  // full-run middle iterations (end effects cannot reach back into them).
-  int window_iters = 0;
-  int detect_base = 0;
-  if (continuous) {
-    int max_owned = 1;
-    for (int g = 0; g < config_.num_gpus; ++g) {
-      max_owned = std::max(
-          max_owned, static_cast<int>(LayersOf(assignment, g).size()));
-    }
-    const int lookahead =
-        (config_.num_gpus * max_owned + config_.num_micro_batches - 1) /
-        config_.num_micro_batches;
-    detect_base = std::max(config_.num_gpus, lookahead) + 1;
-    window_iters = detect_base + 3 + 2 + lookahead;
-  }
-
-  if (!continuous) {
-    stats.fallback_reason = "synchronous";
-  } else if (trace != nullptr) {
-    stats.fallback_reason = "traced";
-  } else if (iterations <= window_iters) {
-    stats.fallback_reason = "short-run";
+  // path emits trace events and builds Links the SimValidator can observe,
+  // and it steps every iteration.
+  const bool executor =
+      trace == nullptr && ActiveHwValidationHooks() == nullptr;
+  std::unique_ptr<PipeBackend> backend;
+  if (executor) {
+    backend = std::make_unique<PipeExecutor>(config_);
   } else {
-    stats.attempted = true;
+    backend = std::make_unique<EventBackend>(config_, trace);
+  }
+  PipeSim sim(backend.get(), config_, micro_model, graph, cost, assignment,
+              strategy, iterations, trace);
+  backend->Run(&sim);
+  // A continuous run may have moved its horizon in by whole periods
+  // (PipeSim::AtBoundary); the counters are integers, so adding the skipped
+  // periods back is exact.
+  const PipeSim::Skip& skip = sim.skipped();
+  const TimeNs final_end = sim.IterEnd(sim.iterations() - 1) + skip.time;
+  const TimeNs compute_busy = sim.compute_busy() + skip.compute_busy;
+  const TimeNs comm_total = sim.comm_busy() + skip.comm_busy;
+  if (replay_stats != nullptr) {
+    *replay_stats = StepStats(executor, trace != nullptr, sim.iterations(),
+                              iterations);
+    if (!continuous) {
+      // Flush strategies run one iteration: nothing to extrapolate.
+      replay_stats->attempted = false;
+      replay_stats->fallback_reason = "synchronous";
+    }
   }
 
   PipelineResult result;
   result.assignment = assignment;
   result.weight_versions = continuous ? config_.num_gpus : 1;
-
-  TimeNs first_end = 0;
-  TimeNs final_end = 0;
-  TimeNs compute_busy = 0;
-  TimeNs comm_total = 0;
-
-  // Simulates `iters` iterations; with `extrapolate`, returns false unless
-  // the run is provably periodic, in which case the remaining iterations are
-  // folded in arithmetically (all pipeline counters are integers, so the
-  // extrapolated totals are exact). fwd_start/wgrad_done describe iteration
-  // 0, which a truncated run reproduces exactly.
-  const auto run_once = [&](int iters, bool extrapolate) {
-    std::unique_ptr<PipeBackend> backend;
-    if (stats.executor) {
-      backend = std::make_unique<PipeExecutor>(config_);
-    } else {
-      backend = std::make_unique<EventBackend>(config_, trace);
-    }
-    PipeSim sim(backend.get(), config_, micro_model, graph, cost, assignment,
-                strategy, iters, trace);
-    backend->Run(&sim);
-    TimeNs period = 0;
-    TimeNs compute_delta = 0;
-    TimeNs comm_delta = 0;
-    if (extrapolate) {
-      if (!sim.DetectSteadyPeriod(detect_base, &period)) {
-        return false;
-      }
-      compute_delta = sim.SteadyComputeDelta(detect_base);
-      comm_delta = sim.SteadyCommDelta(detect_base);
-    }
-    const int64_t extra = iterations - iters;
-    first_end = sim.IterEnd(0);
-    final_end = sim.IterEnd(iters - 1) + extra * period;
-    compute_busy = sim.compute_busy() + extra * compute_delta;
-    comm_total = sim.comm_busy() + extra * comm_delta;
-    result.per_gpu_peak_memory = sim.peak_memory();
-    result.fwd_start = sim.fwd_start();
-    result.wgrad_done = sim.wgrad_done();
-    return true;
-  };
-
-  if (stats.attempted && run_once(window_iters, /*extrapolate=*/true)) {
-    stats.replayed = true;
-    stats.simulated_iterations = window_iters;
-  } else {
-    if (stats.attempted) {
-      stats.fallback_reason = "aperiodic";
-    }
-    run_once(iterations, /*extrapolate=*/false);
-    stats.simulated_iterations = iterations;
-  }
+  result.per_gpu_peak_memory = sim.peak_memory();
+  result.fwd_start = sim.fwd_start();
+  result.wgrad_done = sim.wgrad_done();
 
   TimeNs iter_time;
   if (continuous) {
-    OOBP_CHECK_GT(final_end, first_end);
-    iter_time = (final_end - first_end) / config_.measured_iterations;
+    OOBP_CHECK_GT(final_end, sim.IterEnd(0));
+    iter_time = (final_end - sim.IterEnd(0)) / config_.measured_iterations;
   } else {
     iter_time = final_end;
     OOBP_CHECK_GT(iter_time, 0) << "pipeline did not complete";

@@ -74,10 +74,10 @@ struct PipelineConfig {
   // when unset, links come from cluster.LinkBetween().
   bool use_link_override = false;
   LinkSpec link_override;
-  // Only kPipeDream needs several. A long continuous run replays a
-  // steady-state window (DESIGN.md §9.2); every pipeline metric is
-  // integer-valued (compute busy, link busy, iteration ends, peak bytes),
-  // so the extrapolation is exact by integer arithmetic.
+  // Only kPipeDream needs several. Its executor stops stepping whole
+  // periods once an iteration boundary repeats an earlier one, and steps
+  // the drain (DESIGN.md §9.2); the counters it extrapolates (iteration
+  // ends, compute busy, link busy) are integers, so the result is exact.
   int measured_iterations = 3;
   // Paper-figure unit-time mode (the Figure 5/6 toy timelines): when > 0,
   // every F/dO/dW op takes exactly `unit_time` (no kernel overhead), weight
@@ -106,8 +106,12 @@ class PipelineEngine {
  public:
   explicit PipelineEngine(PipelineConfig config);
 
-  // `replay_stats` (optional) reports whether the continuous-mode run was
-  // extrapolated from a truncated steady-state window.
+  // Untraced runs outside a ValidationScope take an exact message-level
+  // executor, which skips whole periods of a PipeDream run once an
+  // iteration boundary repeats; traced and validated runs take the event
+  // simulation, which steps every iteration. Both give the same result bit
+  // for bit (DESIGN.md §6.3, §9.2). `replay_stats` (optional) says which
+  // path ran and how many iterations it stepped.
   PipelineResult Run(const NnModel& micro_model, PipelineStrategy strategy,
                      TraceRecorder* trace = nullptr,
                      ReplayStats* replay_stats = nullptr) const;

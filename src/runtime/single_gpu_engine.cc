@@ -163,9 +163,10 @@ namespace {
 // Gpu decrements a pending count, which dispatches at the same calls.
 //
 // The executor stops at the first clean barrier whose pending state repeats
-// the previous barrier's (src/core/schedule.h): the remaining iteration
-// ends follow by arithmetic and the busy integral by folding the repeated
-// iteration's increments, in order, once per remaining iteration.
+// an earlier barrier's (src/core/schedule.h): the remaining iteration ends
+// follow by arithmetic and the busy integral by folding each remaining
+// iteration's increments, those of the stepped iteration it repeats, in
+// order.
 class TwoStreamExecutor {
  public:
   TwoStreamExecutor(const SingleGpuConfig& config, const CostModel& cost,
@@ -188,6 +189,7 @@ class TwoStreamExecutor {
         iter_end_(iterations, 0) {
     OOBP_CHECK_GT(iterations, 0);
     OOBP_CHECK_GE(queue_depth_, 0);
+    barriers_.reserve(static_cast<size_t>(iterations) + 1);
     for (int p = 0; p < n_; ++p) {
       const ScheduledOp& s = schedule.ops[p];
       const KernelCost kc = cost.Cost(model.layers[s.op.layer], s.op.type);
@@ -442,8 +444,9 @@ class TwoStreamExecutor {
   // stream's head is its first position of iteration b+1, dispatched iff
   // its begin is pending. So the pending events seen from the barrier and
   // the in-flight count are the whole state the rest of the run reads.
-  // Returns true, with the outcome filled in, when that state repeats the
-  // previous barrier's and iterations remain.
+  // Returns true, with the outcome filled in, when that state repeats any
+  // earlier clean barrier's and iterations remain: every later iteration
+  // then repeats the one p = b - a before it.
   bool AtBarrier() {
     const int b = barrier_;
     barrier_ = kNoBarrier;
@@ -455,23 +458,28 @@ class TwoStreamExecutor {
     cur.ahead = slots_;
     cur.in_flight = in_flight_;
     cur.increments = increments_.size();
-    const bool repeats = cur.clean && last_.clean &&
-                         cur.in_flight == last_.in_flight &&
-                         slots_.SameAhead(last_.ahead) &&
-                         b + 1 < iterations_;
-    if (repeats) {
-      const TimeNs period = cur.time - last_.time;
+    barriers_.push_back(cur);  // barrier b is barriers_[b + 1]
+    for (int a = -1; a < b && cur.clean && b + 1 < iterations_; ++a) {
+      const Barrier& earlier = barriers_[a + 1];
+      if (!earlier.clean || earlier.in_flight != cur.in_flight ||
+          !slots_.SameAhead(earlier.ahead)) {
+        continue;
+      }
+      const int p = b - a;
       busy_ = fluid_.busy_integral();
       for (int t = b + 1; t < iterations_; ++t) {
-        iter_end_[t] = cur.time + (t - b) * period;
-        for (size_t k = last_.increments; k < cur.increments; ++k) {
+        iter_end_[t] = iter_end_[t - p] + (cur.time - earlier.time);
+        // The stepped iteration it repeats, between barriers src - 1 and
+        // src.
+        const int src = t - p * ((t - b + p - 1) / p);
+        for (size_t k = barriers_[src].increments;
+             k < barriers_[src + 1].increments; ++k) {
           busy_ += increments_[k].value;
         }
       }
       simulated_ = b + 1;
       return true;
     }
-    last_ = cur;
     return false;
   }
 
@@ -513,7 +521,7 @@ class TwoStreamExecutor {
 
   // Barriers and the outcome.
   int barrier_ = kNoBarrier;
-  Barrier last_;
+  std::vector<Barrier> barriers_;  // from the launch, barrier -1
   std::vector<TimeNs> iter_end_;
   double busy_ = 0.0;
   int simulated_ = 0;
@@ -540,27 +548,18 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
   OOBP_CHECK_GT(schedule.ops.size(), 0u)
       << "SingleGpuEngine: empty schedule for model '" << model.name << "'";
 
-  ReplayStats local_stats;
-  ReplayStats& stats = replay_stats != nullptr ? *replay_stats : local_stats;
-  stats = ReplayStats();
-  stats.total_iterations = iterations;
-
   // The executor reproduces the event path bit for bit; only the event
   // path emits trace events and feeds the SimValidator's device observers,
   // and it simulates every iteration.
-  stats.executor = trace == nullptr && ActiveHwValidationHooks() == nullptr;
+  const bool executor =
+      trace == nullptr && ActiveHwValidationHooks() == nullptr;
   const TrainSimOutcome out =
-      stats.executor
-          ? ExecuteTraining(config_, cost, model, schedule, iterations)
-          : SimulateTraining(config_, cost, model, schedule, iterations,
-                             trace);
-  stats.attempted = stats.executor;
-  stats.simulated_iterations = out.simulated_iterations;
-  stats.replayed = out.simulated_iterations < iterations;
-  if (!stats.executor) {
-    stats.fallback_reason = trace != nullptr ? "traced" : "validated";
-  } else if (!stats.replayed) {
-    stats.fallback_reason = "aperiodic";
+      executor ? ExecuteTraining(config_, cost, model, schedule, iterations)
+               : SimulateTraining(config_, cost, model, schedule, iterations,
+                                  trace);
+  if (replay_stats != nullptr) {
+    *replay_stats = StepStats(executor, trace != nullptr,
+                              out.simulated_iterations, iterations);
   }
   TrainMetrics metrics;
   const TimeNs final_end = out.iter_end.back();

@@ -763,8 +763,10 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
 // ---------------------------------------------------------------------------
 // Pipeline executor vs event path: one random pipeline config per seed, run
 // inside a ValidationScope (SimEngine + Link events; the validator must stay
-// clean) and outside it (the exact message-level executor). Every result
-// field, the replay outcome and the event count must agree bit for bit.
+// clean; every iteration stepped) and outside it (the exact message-level
+// executor, which may stop at a repeated boundary). Every result field must
+// agree bit for bit, and the stepping must keep its contract
+// (SteppingMismatch).
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -786,6 +788,40 @@ std::string MetricsMismatch(const TrainMetrics& a, const TrainMetrics& b) {
       static_cast<long long>(a.iteration_time),
       static_cast<long long>(b.iteration_time), a.gpu_utilization,
       b.gpu_utilization, a.comm_comp_ratio, b.comm_comp_ratio);
+}
+
+// Empty when the producers ran as the stepping contract says (DESIGN.md
+// §9.2): the event path, inside the validator, stepped every iteration; the
+// executor, outside it, stepped no more, and counted the event path's
+// events when it stepped them all. Otherwise what broke it.
+std::string SteppingMismatch(const ReplayStats& exec, uint64_t exec_events,
+                             const ReplayStats& event, uint64_t event_events) {
+  if (event.executor || !exec.executor) {
+    return "wrong producer (executor outside the validator, event path "
+           "inside)";
+  }
+  if (event.simulated_iterations != event.total_iterations ||
+      exec.total_iterations != event.total_iterations ||
+      exec.simulated_iterations < 1 ||
+      exec.simulated_iterations > exec.total_iterations ||
+      exec.replayed != (exec.simulated_iterations < exec.total_iterations)) {
+    return StrFormat(
+        "stepped iterations: executor %d of %d (replayed %d), event path %d "
+        "of %d",
+        exec.simulated_iterations, exec.total_iterations, exec.replayed,
+        event.simulated_iterations, event.total_iterations);
+  }
+  if (exec.simulated_iterations == exec.total_iterations
+          ? exec_events != event_events
+          : exec_events >= event_events) {
+    return StrFormat(
+        "executor counted %llu events stepping %d of %d iterations, the "
+        "event path %llu",
+        static_cast<unsigned long long>(exec_events),
+        exec.simulated_iterations, exec.total_iterations,
+        static_cast<unsigned long long>(event_events));
+  }
+  return "";
 }
 
 void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
@@ -902,11 +938,11 @@ void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
     fail("event path: " + validator.Summary());
   }
   const Run exec = run();
-  if (event.stats.executor || !exec.stats.executor) {
-    fail("wrong producer (executor outside the validator, event path "
-         "inside)");
+  if (const std::string m = SteppingMismatch(exec.stats, exec.events,
+                                             event.stats, event.events);
+      !m.empty()) {
+    fail(m);
   }
-
   if (const std::string m =
           MetricsMismatch(exec.result.metrics, event.result.metrics);
       !m.empty()) {
@@ -921,31 +957,14 @@ void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
     fail("executor result fields (assignment, versions, per-GPU peaks, "
          "fwd_start, wgrad_done) differ from the event path");
   }
-  if (exec.stats.attempted != event.stats.attempted ||
-      exec.stats.replayed != event.stats.replayed ||
-      exec.stats.simulated_iterations != event.stats.simulated_iterations ||
-      exec.stats.total_iterations != event.stats.total_iterations ||
-      exec.stats.fallback_reason != event.stats.fallback_reason) {
-    fail(StrFormat("replay outcome differs (replayed %d vs %d, simulated %d "
-                   "vs %d, reason '%s' vs '%s')",
-                   exec.stats.replayed, event.stats.replayed,
-                   exec.stats.simulated_iterations,
-                   event.stats.simulated_iterations,
-                   exec.stats.fallback_reason.c_str(),
-                   event.stats.fallback_reason.c_str()));
-  }
-  if (exec.events != event.events) {
-    fail(StrFormat("executor counted %llu events, the event path %llu",
-                   static_cast<unsigned long long>(exec.events),
-                   static_cast<unsigned long long>(event.events)));
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Data-parallel executor vs event path: one random data-parallel config per
 // seed, run inside a ValidationScope (SimEngine + Gpu + Link; the validator
-// must stay clean) and outside it (the five-slot executor). Every metric and
-// the event count must agree bit for bit.
+// must stay clean; every iteration stepped) and outside it (the five-slot
+// executor, which may stop at a repeated boundary). Every metric must agree
+// bit for bit, and the stepping must keep its contract (SteppingMismatch).
 
 void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
   // Its own stream, like the pipeline family's.
@@ -1074,13 +1093,13 @@ void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
   const DataParallelEngine engine(config);
   struct Run {
     TrainMetrics metrics;
-    bool executor = false;
+    ReplayStats stats;
     uint64_t events = 0;
   };
   auto run = [&engine, &model, &order] {
     Run r;
     const uint64_t before = SimEngine::ThreadProcessedEvents();
-    r.metrics = engine.Run(model, order, nullptr, &r.executor);
+    r.metrics = engine.Run(model, order, nullptr, &r.stats);
     r.events = SimEngine::ThreadProcessedEvents() - before;
     return r;
   };
@@ -1094,18 +1113,14 @@ void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
     fail("event path: " + validator.Summary());
   }
   const Run exec = run();
-  if (event.executor || !exec.executor) {
-    fail("wrong producer (executor outside the validator, event path "
-         "inside)");
+  if (const std::string m = SteppingMismatch(exec.stats, exec.events,
+                                             event.stats, event.events);
+      !m.empty()) {
+    fail(m);
   }
   if (const std::string m = MetricsMismatch(exec.metrics, event.metrics);
       !m.empty()) {
     fail(m);
-  }
-  if (exec.events != event.events) {
-    fail(StrFormat("executor counted %llu events, the event path %llu",
-                   static_cast<unsigned long long>(exec.events),
-                   static_cast<unsigned long long>(event.events)));
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -139,10 +140,11 @@ TEST(DataParallelEngineTest, RejectsConfigsThatCannotRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor vs event path (DESIGN.md §6.3). Untraced runs outside a
-// ValidationScope take the exact five-slot executor; inside one they take
-// SimEngine + Gpu + Link. Every metric and the event tally must match bit
-// for bit.
+// Executor vs event path (DESIGN.md §6.3, §9.2). Untraced runs outside a
+// ValidationScope take the exact five-slot executor, which stops at the
+// first repeated iteration boundary; inside one they take SimEngine + Gpu +
+// Link, which step every iteration. Every metric must match bit for bit,
+// and the event tally too when the executor stepped every iteration.
 
 // Pool, conv, pool, dense, pool, dense: parameter-free layers, layer 0
 // among them.
@@ -161,7 +163,7 @@ NnModel ParamFreeModel(int batch) {
 
 struct DpRun {
   TrainMetrics metrics;
-  bool executor = false;
+  ReplayStats stats;
   uint64_t events = 0;  // SimEngine tally delta
 };
 
@@ -170,15 +172,16 @@ DpRun RunDp(const DataParallelConfig& config, const NnModel& model,
   DpRun run;
   const uint64_t before = SimEngine::ThreadProcessedEvents();
   run.metrics =
-      DataParallelEngine(config).Run(model, order, nullptr, &run.executor);
+      DataParallelEngine(config).Run(model, order, nullptr, &run.stats);
   run.events = SimEngine::ThreadProcessedEvents() - before;
   return run;
 }
 
-void ExpectExecutorMatchesEventPath(const DataParallelConfig& config,
-                                    const NnModel& model,
-                                    const std::vector<TrainOp>& order,
-                                    const std::string& what) {
+// Returns the executor's run after checking it against the event path.
+DpRun ExpectExecutorMatchesEventPath(const DataParallelConfig& config,
+                                     const NnModel& model,
+                                     const std::vector<TrainOp>& order,
+                                     const std::string& what) {
   SimValidator validator;
   DpRun event;
   {
@@ -187,8 +190,15 @@ void ExpectExecutorMatchesEventPath(const DataParallelConfig& config,
   }
   EXPECT_TRUE(validator.ok()) << what << ": " << validator.Summary();
   const DpRun exec = RunDp(config, model, order);
-  EXPECT_FALSE(event.executor) << what;
-  EXPECT_TRUE(exec.executor) << what;
+  const int total = 1 + config.measured_iterations;
+  EXPECT_FALSE(event.stats.executor) << what;
+  EXPECT_EQ(event.stats.fallback_reason, "validated") << what;
+  EXPECT_EQ(event.stats.simulated_iterations, total) << what;
+  EXPECT_TRUE(exec.stats.executor) << what;
+  EXPECT_GE(exec.stats.simulated_iterations, 1) << what;
+  EXPECT_LE(exec.stats.simulated_iterations, total) << what;
+  EXPECT_EQ(exec.stats.replayed, exec.stats.simulated_iterations < total)
+      << what;
   const TrainMetrics& a = exec.metrics;
   const TrainMetrics& b = event.metrics;
   EXPECT_EQ(a.iteration_time, b.iteration_time) << what;
@@ -197,7 +207,12 @@ void ExpectExecutorMatchesEventPath(const DataParallelConfig& config,
   EXPECT_EQ(a.comm_comp_ratio, b.comm_comp_ratio) << what;
   EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes) << what;
   EXPECT_EQ(a.oom, b.oom) << what;
-  EXPECT_EQ(exec.events, event.events) << what;
+  if (exec.stats.simulated_iterations == total) {
+    EXPECT_EQ(exec.events, event.events) << what;
+  } else {
+    EXPECT_LT(exec.events, event.events) << what;
+  }
+  return exec;
 }
 
 struct CommCase {
@@ -234,6 +249,7 @@ TEST(DataParallelExecutorTest, MatchesEventPathOverTheGrid) {
   };
   const UnitCase units[] = {{0, 2.0}, {Ms(1), 3.0}, {32768, 2.5}};
   int runs = 0;
+  int replayed = 0;
   for (const ClusterCase& cc : clusters) {
     for (const int gpus : cc.gpus) {
       for (const NnModel& model : models) {
@@ -245,29 +261,38 @@ TEST(DataParallelExecutorTest, MatchesEventPathOverTheGrid) {
           for (const bool precompiled : {true, false}) {
             for (const UnitCase& unit : units) {
               for (size_t o = 0; o < 2; ++o) {
-                DataParallelConfig config;
-                config.cluster = cc.cluster;
-                config.num_gpus = gpus;
-                config.scheme = comm.scheme;
-                config.precompiled_issue = precompiled;
-                config.measured_iterations = 2;
-                config.commit_window_bytes = comm.commit_window_bytes;
-                if (comm.scheme == CommScheme::kHorovod) {
-                  config.fusion_buffer_bytes = comm.fusion_buffer_bytes;
-                  config.fusion_cycle = comm.fusion_cycle;
+                for (const int measured : {1, 2, 16}) {
+                  DataParallelConfig config;
+                  config.cluster = cc.cluster;
+                  config.num_gpus = gpus;
+                  config.scheme = comm.scheme;
+                  config.precompiled_issue = precompiled;
+                  config.measured_iterations = measured;
+                  config.commit_window_bytes = comm.commit_window_bytes;
+                  if (comm.scheme == CommScheme::kHorovod) {
+                    config.fusion_buffer_bytes = comm.fusion_buffer_bytes;
+                    config.fusion_cycle = comm.fusion_cycle;
+                  }
+                  config.unit_time = unit.unit_time;
+                  config.unit_sync_units = unit.sync_units;
+                  const DpRun exec = ExpectExecutorMatchesEventPath(
+                      config, model, orders[o],
+                      StrFormat("%s, %d GPUs, %s, %s, %s, %s, unit %lld x "
+                                "%g, %d measured",
+                                cc.cluster.name.c_str(), gpus,
+                                model.name.c_str(), comm.name,
+                                o == 0 ? "conventional" : "reverse-first-k",
+                                precompiled ? "precompiled" : "per-op",
+                                static_cast<long long>(unit.unit_time),
+                                unit.sync_units, measured));
+                  replayed += exec.stats.replayed ? 1 : 0;
+                  if (gpus > 1) {
+                    // Boundary 1 repeats boundary 0.
+                    EXPECT_EQ(exec.stats.simulated_iterations,
+                              std::min(2, 1 + measured));
+                  }
+                  ++runs;
                 }
-                config.unit_time = unit.unit_time;
-                config.unit_sync_units = unit.sync_units;
-                ExpectExecutorMatchesEventPath(
-                    config, model, orders[o],
-                    StrFormat("%s, %d GPUs, %s, %s, %s, %s, unit %lld x %g",
-                              cc.cluster.name.c_str(), gpus,
-                              model.name.c_str(), comm.name,
-                              o == 0 ? "conventional" : "reverse-first-k",
-                              precompiled ? "precompiled" : "per-op",
-                              static_cast<long long>(unit.unit_time),
-                              unit.sync_units));
-                ++runs;
               }
             }
           }
@@ -275,7 +300,13 @@ TEST(DataParallelExecutorTest, MatchesEventPathOverTheGrid) {
       }
     }
   }
-  EXPECT_EQ(runs, 3 * 3 * 3 * 4 * 2 * 3 * 2);
+  EXPECT_EQ(runs, 3 * 3 * 3 * 4 * 2 * 3 * 2 * 3);
+  // Every multi-GPU run at 2 and 16 measured iterations (1,728) stops at a
+  // repeated boundary, and so do the 16 one-GPU per-op runs on Pub-A whose
+  // launcher, not the GPU, sets the pace. The other one-GPU runs' issue
+  // cursor pulls further ahead at every boundary, and a run of 1 measured
+  // iteration has none left to skip.
+  EXPECT_EQ(replayed, 1744);
 }
 
 // Horovod's edge values: a 1-byte fusion buffer flushes every tensor at
@@ -291,21 +322,56 @@ TEST(DataParallelExecutorTest, MatchesEventPathOnFusionEdgeValues) {
   for (const CommCase& comm : comms) {
     for (const TimeNs unit : {TimeNs{0}, Us(40)}) {
       for (const int gpus : {4, 16}) {
-        DataParallelConfig config;
-        config.cluster = ClusterSpec::PubA();
-        config.num_gpus = gpus;
-        config.scheme = comm.scheme;
-        config.measured_iterations = 2;
-        config.fusion_buffer_bytes = comm.fusion_buffer_bytes;
-        config.fusion_cycle = comm.fusion_cycle;
-        config.unit_time = unit;
-        ExpectExecutorMatchesEventPath(
-            config, model, graph.ConventionalBackprop(),
-            StrFormat("%s, %d GPUs, unit %lld", comm.name, gpus,
-                      static_cast<long long>(unit)));
+        for (const int measured : {2, 16}) {
+          DataParallelConfig config;
+          config.cluster = ClusterSpec::PubA();
+          config.num_gpus = gpus;
+          config.scheme = comm.scheme;
+          config.measured_iterations = measured;
+          config.fusion_buffer_bytes = comm.fusion_buffer_bytes;
+          config.fusion_cycle = comm.fusion_cycle;
+          config.unit_time = unit;
+          ExpectExecutorMatchesEventPath(
+              config, model, graph.ConventionalBackprop(),
+              StrFormat("%s, %d GPUs, unit %lld, %d measured", comm.name,
+                        gpus, static_cast<long long>(unit), measured));
+        }
       }
     }
   }
+}
+
+// Unit-time Horovod whose fusion cycle is a fraction of an iteration to
+// several: the timer a boundary leaves armed decides when the next
+// iteration's first tensors flush, so the boundary state must hold it.
+TEST(DataParallelExecutorTest, MatchesEventPathWhenTheFusionTimerCrossesBoundaries) {
+  const NnModel model = Ffnn(16, 32);
+  const TrainGraph graph(&model);
+  int replayed = 0;
+  for (const TimeNs cycle : {Ms(3), Ms(7), Us(14926), Ms(20), Ms(33)}) {
+    for (const bool precompiled : {true, false}) {
+      for (const int measured : {4, 16}) {
+        DataParallelConfig config;
+        config.cluster = ClusterSpec::PrivB();
+        config.num_gpus = 9;
+        config.scheme = CommScheme::kHorovod;
+        config.precompiled_issue = precompiled;
+        config.measured_iterations = measured;
+        config.unit_time = Us(246);
+        config.unit_sync_units = 0.5;
+        config.fusion_buffer_bytes = 16 << 20;
+        config.fusion_cycle = cycle;
+        replayed += ExpectExecutorMatchesEventPath(
+                        config, model, graph.ConventionalBackprop(),
+                        StrFormat("cycle %lld ns, %s, %d measured",
+                                  static_cast<long long>(cycle),
+                                  precompiled ? "precompiled" : "per-op",
+                                  measured))
+                        .stats.replayed;
+      }
+    }
+  }
+  EXPECT_EQ(replayed, 20);
 }
 
 // A fusion buffer of a few layers' volume and a cycle far longer than an
@@ -337,8 +403,13 @@ TEST(DataParallelExecutorTest, MatchesEventPathWhenSizeFlushesAnArmedTimer) {
     }
   }
   EXPECT_GT(size_flushes, 1);
-  ExpectExecutorMatchesEventPath(config, model, graph.ConventionalBackprop(),
-                                 "size flush under an armed timer");
+  // Over a longer run the armed timer crosses iteration boundaries.
+  for (const int measured : {2, 16}) {
+    config.measured_iterations = measured;
+    ExpectExecutorMatchesEventPath(
+        config, model, graph.ConventionalBackprop(),
+        StrFormat("size flush under an armed timer, %d measured", measured));
+  }
 }
 
 }  // namespace

@@ -181,6 +181,27 @@ TEST(OobpCliTest, EveryModeTakesAllItsFlags) {
   std::remove(schedule.c_str());
 }
 
+// Without --trace a run passes no recorder and takes its engine's exact
+// executor, which may stop stepping at a repeated iteration boundary; with
+// it, the event path. Both print the same metric lines.
+TEST(OobpCliTest, TracingChangesNoMetricLine) {
+  const std::string trace = ::testing::TempDir() + "oobp_cli_trace.json";
+  const std::string runs[] = {
+      "dp --model=resnet50 --batch=32 --gpus=16 --k=0",
+      "pipeline --model=bert12 --batch=64 --micro=4 --gpus=4 "
+      "--strategy=pipedream",
+  };
+  for (const std::string& args : runs) {
+    const CliRun plain = RunOobp(args);
+    const CliRun traced = RunOobp(args + " --trace=" + trace);
+    EXPECT_EQ(plain.exit_code, 0) << args << ":\n" << plain.output;
+    EXPECT_EQ(traced.output,
+              plain.output + "trace written to " + trace + "\n")
+        << args;
+  }
+  std::remove(trace.c_str());
+}
+
 TEST(OobpCliTest, DataParallelPrintsItsScheme) {
   for (const std::string scheme : {"byteps", "horovod"}) {
     const CliRun run =

@@ -1,14 +1,20 @@
 // Unit tests for the perf regression gate's comparison policy
 // (CheckPerfBaseline in src/runner/perf.h): event-count inflation is a hard
 // failure, deflation and coverage drift are notices, wall-clock bands are
-// informational and only evaluated when requested.
+// informational and only evaluated when requested. Also the harness's
+// repeat rule (RunPerf).
 
 #include "src/runner/perf.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "src/runner/registry.h"
 
 namespace oobp {
 namespace {
@@ -182,6 +188,42 @@ TEST(PerfGateTest, DefaultBandIsHalf) {
   EXPECT_TRUE(CheckPerfBaseline(base, {{"x", 10, 14.9}}, true).notices.empty());
   EXPECT_EQ(CheckPerfBaseline(base, {{"x", 10, 15.1}}, true).notices.size(),
             1u);
+}
+
+// The harness times a scenario `repeats` times, and more until the timed
+// runs add up to kPerfMinTimedSeconds: a trivial scenario runs far more
+// often, one that takes the whole minimum per run exactly `repeats` times.
+TEST(PerfHarnessTest, FastScenariosRunUntilTheMinimumTimedWall) {
+  // The registry outlives the test, so the scenarios count into statics.
+  static int trivial_runs = 0;
+  static int slow_runs = 0;
+  trivial_runs = 0;
+  slow_runs = 0;
+  ScenarioRegistry& registry = ScenarioRegistry::Global();
+  if (registry.Find("perf_harness_trivial") == nullptr) {
+    registry.Register(
+        {"perf_harness_trivial", "-", "no work", [](const ScenarioParams&) {
+           ++trivial_runs;
+           return ScenarioResult();
+         }});
+    registry.Register(
+        {"perf_harness_slow", "-", "sleeps", [](const ScenarioParams&) {
+           ++slow_runs;
+           std::this_thread::sleep_for(
+               std::chrono::duration<double>(kPerfMinTimedSeconds));
+           return ScenarioResult();
+         }});
+  }
+  PerfOptions opts;
+  opts.filter = "perf_harness_*";
+  opts.warmup = 1;
+  opts.repeats = 2;
+  opts.output_dir = ::testing::TempDir();
+  opts.print = false;
+  ASSERT_EQ(RunPerf(opts), 0);
+  EXPECT_GT(trivial_runs, opts.warmup + opts.repeats);
+  EXPECT_EQ(slow_runs, opts.warmup + opts.repeats);
+  std::remove((opts.output_dir + "/BENCH_sim_perf.json").c_str());
 }
 
 }  // namespace

@@ -169,10 +169,12 @@ TEST(PipelineEngineTest, ThroughputScalesWithGpus) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor vs event path (DESIGN.md §6.3). Untraced runs outside a
-// ValidationScope take the exact message-level executor; inside one they
-// take the SimEngine + Link event path. Both must produce every result
-// field, the replay outcome and the event tally bit for bit.
+// Executor vs event path (DESIGN.md §6.3, §9.2). Untraced runs outside a
+// ValidationScope take the exact message-level executor, which may stop
+// stepping a PipeDream run at a repeated boundary; inside one they take the
+// SimEngine + Link event path, which steps every iteration. Both must
+// produce every result field bit for bit, and the event tally too when the
+// executor stepped every iteration.
 
 constexpr PipelineStrategy kAllStrategies[] = {
     PipelineStrategy::kGPipe,    PipelineStrategy::kDapple,
@@ -228,14 +230,27 @@ PipelineRun ExpectExecutorMatchesEventPath(const PipelineConfig& config,
   EXPECT_EQ(exec.result.fwd_start, event.result.fwd_start) << what;
   EXPECT_EQ(exec.result.wgrad_done, event.result.wgrad_done) << what;
 
-  EXPECT_EQ(exec.stats.attempted, event.stats.attempted) << what;
-  EXPECT_EQ(exec.stats.replayed, event.stats.replayed) << what;
-  EXPECT_EQ(exec.stats.simulated_iterations, event.stats.simulated_iterations)
+  const int total = event.stats.total_iterations;
+  EXPECT_EQ(exec.stats.total_iterations, total) << what;
+  EXPECT_EQ(event.stats.simulated_iterations, total) << what;
+  EXPECT_FALSE(event.stats.replayed) << what;
+  EXPECT_GE(exec.stats.simulated_iterations, 1) << what;
+  EXPECT_LE(exec.stats.simulated_iterations, total) << what;
+  EXPECT_EQ(exec.stats.replayed, exec.stats.simulated_iterations < total)
       << what;
-  EXPECT_EQ(exec.stats.total_iterations, event.stats.total_iterations)
-      << what;
-  EXPECT_EQ(exec.stats.fallback_reason, event.stats.fallback_reason) << what;
-  EXPECT_EQ(exec.events, event.events) << what;
+  if (strategy == PipelineStrategy::kPipeDream) {
+    EXPECT_TRUE(exec.stats.attempted) << what;
+    EXPECT_EQ(event.stats.fallback_reason, "validated") << what;
+  } else {
+    EXPECT_EQ(total, 1) << what;
+    EXPECT_EQ(exec.stats.fallback_reason, "synchronous") << what;
+    EXPECT_EQ(event.stats.fallback_reason, "synchronous") << what;
+  }
+  if (exec.stats.simulated_iterations == total) {
+    EXPECT_EQ(exec.events, event.events) << what;
+  } else {
+    EXPECT_LT(exec.events, event.events) << what;
+  }
   return exec;
 }
 
@@ -256,6 +271,7 @@ TEST(PipelineExecutorTest, MatchesEventPathOverTheGrid) {
   const NnModel bert = Bert(12, 8);
   const NnModel ffnn = Ffnn(8, 64);
   int runs = 0;
+  int replayed = 0;
   for (const LinkCase& link : links) {
     for (const int gpus : {1, 2, 4, 8}) {
       for (const int micro : {1, 3, 4}) {
@@ -266,48 +282,88 @@ TEST(PipelineExecutorTest, MatchesEventPathOverTheGrid) {
         config.use_link_override = link.override_link;
         config.link_override = link.spec;
         config.unit_time = link.unit_time;
-        config.measured_iterations = 16;  // PipeDream replays
         const NnModel& model = gpus == 8 ? bert : ffnn;
         for (const PipelineStrategy s : kAllStrategies) {
-          ExpectExecutorMatchesEventPath(
-              config, model, s,
-              StrFormat("%s, %d GPUs, M=%d, %s", link.name, gpus, micro,
-                        PipelineStrategyName(s)));
-          ++runs;
+          // Only PipeDream runs more than one iteration.
+          for (const int measured : {1, 3, 16, 64}) {
+            if (measured != 1 && s != PipelineStrategy::kPipeDream) {
+              continue;
+            }
+            config.measured_iterations = measured;
+            const PipelineRun exec = ExpectExecutorMatchesEventPath(
+                config, model, s,
+                StrFormat("%s, %d GPUs, M=%d, %s, %d measured", link.name,
+                          gpus, micro, PipelineStrategyName(s), measured));
+            replayed += exec.stats.replayed ? 1 : 0;
+            ++runs;
+          }
         }
       }
     }
   }
-  EXPECT_EQ(runs, 4 * 4 * 3 * 7);
+  EXPECT_EQ(runs, 4 * 4 * 3 * (6 + 4));
+  // Of the 48 PipeDream runs at each length, none skips a period at 1
+  // measured iteration, 13 do at 3, and all but 5 at 16 and all but 1 at 64:
+  // BERT-12 on 8 GPUs over Eth10G and unit-time links repeats late.
+  EXPECT_EQ(replayed, 13 + 43 + 47);
 }
 
-// PipeDream's three run shapes: replayed, too short to replay, and a
-// replay attempt whose detection fails (full rerun).
+// The iterations the executor steps for PipeDream runs of `from` up to
+// `from + count - 1` measured iterations. A run whose boundary repeats with
+// period p moves its horizon in by whole periods and steps its drain, so
+// the count repeats with period p as the run grows.
+std::vector<int> SteppedOverRunLengths(PipelineConfig config,
+                                       const NnModel& model, int from,
+                                       int count) {
+  std::vector<int> stepped;
+  for (int measured = from; measured < from + count; ++measured) {
+    config.measured_iterations = measured;
+    stepped.push_back(
+        RunPipeline(config, model, PipelineStrategy::kPipeDream)
+            .stats.simulated_iterations);
+  }
+  return stepped;
+}
+
+// PipeDream's three run shapes on hostbench's Pub-B configurations:
+// boundaries that repeat with period 1 and with period 3, and boundaries
+// that do not repeat within the run, which then steps every iteration.
 TEST(PipelineExecutorTest, MatchesEventPathOnEveryPipeDreamRunShape) {
-  const NnModel bert = Bert(12, 8);
   PipelineConfig config;
   config.cluster = ClusterSpec::PubB(5);
+  config.measured_iterations = 16;
+
+  // BERT-12, 4 GPUs, 4 micro-batches: period 1.
   config.num_gpus = 4;
   config.num_micro_batches = 4;
-  config.measured_iterations = 16;
-  EXPECT_TRUE(ExpectExecutorMatchesEventPath(config, bert,
+  const NnModel bert12 = Bert(12, 64);
+  EXPECT_TRUE(ExpectExecutorMatchesEventPath(config, bert12,
                                              PipelineStrategy::kPipeDream,
-                                             "replayed")
+                                             "period 1")
                   .stats.replayed);
-  config.measured_iterations = 3;
-  EXPECT_EQ(ExpectExecutorMatchesEventPath(config, bert,
-                                           PipelineStrategy::kPipeDream,
-                                           "short run")
-                .stats.fallback_reason,
-            "short-run");
-  config.num_gpus = 2;
-  config.num_micro_batches = 1;
-  config.measured_iterations = 24;
-  EXPECT_EQ(ExpectExecutorMatchesEventPath(config, Ffnn(4, 64),
-                                           PipelineStrategy::kPipeDream,
-                                           "aperiodic")
-                .stats.fallback_reason,
-            "aperiodic");
+  EXPECT_EQ(SteppedOverRunLengths(config, bert12, 16, 6),
+            std::vector<int>(6, 5));
+
+  // BERT-24, 4 GPUs, 4 micro-batches: period 3, found only by comparing
+  // with every earlier boundary.
+  const NnModel bert24 = Bert(24, 64);
+  EXPECT_TRUE(ExpectExecutorMatchesEventPath(config, bert24,
+                                             PipelineStrategy::kPipeDream,
+                                             "period 3")
+                  .stats.replayed);
+  EXPECT_EQ(SteppedOverRunLengths(config, bert24, 16, 6),
+            (std::vector<int>{8, 6, 7, 8, 6, 7}));
+
+  // BERT-24, 8 GPUs, 8 micro-batches: the period (11) is longer than what
+  // a 16-measured run leaves after its fill.
+  config.num_gpus = 8;
+  config.num_micro_batches = 8;
+  const NnModel bert24_m8 = Bert(24, 32);
+  const PipelineRun no_repeat = ExpectExecutorMatchesEventPath(
+      config, bert24_m8, PipelineStrategy::kPipeDream, "no repeat");
+  EXPECT_FALSE(no_repeat.stats.replayed);
+  EXPECT_EQ(no_repeat.stats.simulated_iterations, 17);
+  EXPECT_EQ(no_repeat.stats.fallback_reason, "aperiodic");
 }
 
 // Unit-time mode drops layer 0's dO. PipeDream's in-flight cap must then

@@ -1,6 +1,6 @@
-// Differential tests for the single-GPU barrier shortcut and pipeline
-// steady-state replay (DESIGN.md §9.2), and for the two single-GPU
-// producers they run on (DESIGN.md §6.3).
+// Differential tests for the single-GPU barrier shortcut and the pipeline's
+// boundary rule (DESIGN.md §9.2), and for the two single-GPU producers they
+// run on (DESIGN.md §6.3).
 //
 // The single-GPU executor stops stepping at the first clean barrier that
 // repeats the one before it (src/core/schedule.h) and extrapolates the
@@ -462,11 +462,15 @@ TEST(SteadyReplayTest, PipelineSynchronousStrategiesFallBack) {
   EXPECT_FALSE(stats.attempted);
   EXPECT_EQ(stats.fallback_reason, "synchronous");
 
+  // A PipeDream run too short to skip a whole period after its pipeline
+  // fill steps every iteration on the executor.
   ReplayStats short_stats;
-  PipelineEngine(PipeCfg(3))
+  PipelineEngine(PipeCfg(1))
       .Run(micro, PipelineStrategy::kPipeDream, nullptr, &short_stats);
-  EXPECT_FALSE(short_stats.attempted);
-  EXPECT_EQ(short_stats.fallback_reason, "short-run");
+  EXPECT_TRUE(short_stats.attempted);
+  EXPECT_FALSE(short_stats.replayed);
+  EXPECT_EQ(short_stats.simulated_iterations, 2);
+  EXPECT_EQ(short_stats.fallback_reason, "aperiodic");
 }
 
 }  // namespace

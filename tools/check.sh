@@ -32,13 +32,16 @@
 #      for bit, a precompiled run steps one iteration, and a per-op run
 #      steps as many at either length; see DESIGN.md §6.3, §9.2),
 #      and 2000 ASan seeds of the pipeline family (a random pipeline
-#      config under the validator on the event path, then on the exact
-#      message-level executor: every result field, the replay outcome and
-#      the event count must match bit for bit), and 2000 ASan seeds of the
-#      dp family (a random data-parallel config, unit-time and edge-value
-#      commit windows and fusion settings included, under the validator on
-#      the event path, then on the exact five-slot executor: every metric
-#      and the event count must match bit for bit), and 2000 ASan seeds of
+#      config under the validator on the event path, which steps every
+#      iteration, then on the exact message-level executor, which may stop
+#      stepping PipeDream at a repeated iteration boundary: every result
+#      field must match bit for bit, the executor steps no more iterations,
+#      and the event count matches when it steps them all), and 2000 ASan
+#      seeds of the dp family (a random data-parallel config, unit-time and
+#      edge-value commit windows and fusion settings included, under the
+#      validator on the event path, then on the exact five-slot executor,
+#      under the same stepping contract: every metric must match bit for
+#      bit; see DESIGN.md §9.2), and 2000 ASan seeds of
 #      the serving family (a random ServeEngine or fleet run, serve-only or
 #      co-run, with dense arrivals, zero gaps and nanosecond timers among
 #      the draws, under the validator on the event path, then on the slot

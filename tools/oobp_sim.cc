@@ -194,6 +194,13 @@ void PrintMetrics(const TrainMetrics& m) {
   }
 }
 
+// `recorder` when --trace names a file, else null: an untraced run takes its
+// engine's exact executor, which may stop stepping at a repeated iteration
+// boundary, and prints the same metrics (DESIGN.md §6.3, §9.2).
+TraceRecorder* TraceIfAsked(const Flags& flags, TraceRecorder* recorder) {
+  return flags.Get("trace", "").empty() ? nullptr : recorder;
+}
+
 void MaybeWriteTrace(const TraceRecorder& trace, const Flags& flags) {
   const std::string path = flags.Get("trace", "");
   if (path.empty()) {
@@ -243,10 +250,11 @@ int RunSingle(const Flags& flags) {
                           model.num_layers())) {
       std::printf("schedule written to %s\n", export_path.c_str());
     }
-    metrics = SingleGpuEngine(config).Run(model, sched.schedule, &trace);
+    metrics = SingleGpuEngine(config).Run(model, sched.schedule,
+                                          TraceIfAsked(flags, &trace));
   } else {
-    metrics =
-        SingleGpuEngine(config).Run(model, ConventionalIteration(graph), &trace);
+    metrics = SingleGpuEngine(config).Run(model, ConventionalIteration(graph),
+                                          TraceIfAsked(flags, &trace));
   }
   std::printf("single-GPU %s on %s, %s\n", model.name.c_str(),
               gpu.name.c_str(), system.c_str());
@@ -272,7 +280,8 @@ int RunReplay(const Flags& flags) {
   config.profile = SystemProfile::TensorFlowXla();
   config.precompiled_issue = true;
   TraceRecorder trace;
-  const TrainMetrics metrics = SingleGpuEngine(config).Run(model, *sched, &trace);
+  const TrainMetrics metrics =
+      SingleGpuEngine(config).Run(model, *sched, TraceIfAsked(flags, &trace));
   std::printf("replayed schedule for %s\n", model.name.c_str());
   PrintMetrics(metrics);
   MaybeWriteTrace(trace, flags);
@@ -305,8 +314,8 @@ int RunDataParallel(const Flags& flags) {
                 search.evaluations.size());
   }
   TraceRecorder trace;
-  const TrainMetrics metrics =
-      engine.Run(model, ReverseFirstK(graph, k).order, &trace);
+  const TrainMetrics metrics = engine.Run(
+      model, ReverseFirstK(graph, k).order, TraceIfAsked(flags, &trace));
   std::printf("data-parallel %s on %d x %s (%s), %s, k=%d\n",
               model.name.c_str(), config.num_gpus,
               config.cluster.gpu.name.c_str(), config.cluster.name.c_str(),
@@ -347,7 +356,7 @@ int RunPipeline(const Flags& flags) {
       ParseStrategy(flags.Get("strategy", "ooo2"));
   TraceRecorder trace;
   const PipelineResult r =
-      PipelineEngine(config).Run(micro, strategy, &trace);
+      PipelineEngine(config).Run(micro, strategy, TraceIfAsked(flags, &trace));
   std::printf("pipeline %s: %s on %d GPUs, %d micro-batches\n",
               PipelineStrategyName(strategy), micro.name.c_str(),
               config.num_gpus, micro_batches);
