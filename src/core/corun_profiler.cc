@@ -126,7 +126,7 @@ double CorunProfiler::SpeedupAt(int r, const TrainOp& op, TimeNs offset) const {
   if (joint <= 0) {
     return 1.0;
   }
-  return static_cast<double>(main_left + solo) / static_cast<double>(joint);
+  return CorunSpeedup(main_left, solo, joint);
 }
 
 std::pair<int, TimeNs> CorunProfiler::ReadyPoint(const TrainOp& op) const {

@@ -25,6 +25,14 @@
 
 namespace oobp {
 
+// Sequential time over joint makespan, ((main_left + solo) / joint): the
+// speedup formula SpeedupAt evaluates with joint = max(main_left, SubTimeAt).
+// The planner's scan bound evaluates it with joint = main_left; one
+// expression keeps the two rounded alike.
+inline double CorunSpeedup(TimeNs main_left, TimeNs solo, TimeNs joint) {
+  return static_cast<double>(main_left + solo) / static_cast<double>(joint);
+}
+
 class CorunProfiler {
  public:
   CorunProfiler(const TrainGraph& graph, const CostModel& cost,

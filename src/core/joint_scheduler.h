@@ -13,6 +13,8 @@
 // peak memory exceeds the cap, the first k backward regions are
 // "pre-scheduled" — their weight gradients run as soon as they are ready —
 // and the algorithm re-runs for the remaining regions with increasing k.
+// When no k meets the cap, the result is the pass with every backward region
+// pre-scheduled.
 
 #ifndef OOBP_SRC_CORE_JOINT_SCHEDULER_H_
 #define OOBP_SRC_CORE_JOINT_SCHEDULER_H_
@@ -42,6 +44,17 @@ struct JointScheduleResult {
   int pre_scheduled_regions = 0;
   int64_t peak_memory = 0;  // activation peak of the final schedule
 };
+
+// Work Algorithm 1 has done on the calling thread since the thread started:
+// greedy passes (one per memory-fallback k tried) and co-run speedup
+// evaluations (SpeedupAt calls). Both are deterministic for a given plan;
+// `oobp bench --perf` reports their change over a scenario run, the way it
+// reports simulator events.
+struct PlannerWork {
+  uint64_t passes = 0;
+  uint64_t speedup_evals = 0;
+};
+PlannerWork ThreadPlannerWork();
 
 JointScheduleResult MultiRegionJointSchedule(
     const TrainGraph& graph, const CorunProfiler& profiler,

@@ -32,13 +32,15 @@ void AppendRegions(const NnModel& model, const std::vector<TrainOp>& ops,
                    Region::Kind kind, const std::string& prefix,
                    int min_ops_per_region, std::vector<Region>* out) {
   std::vector<Region> pending;
+  const std::string* pending_block = nullptr;  // block of pending.back()
   for (const TrainOp& op : ops) {
     const std::string& block = model.layers[op.layer].block;
-    if (pending.empty() || pending.back().name != prefix + block) {
+    if (pending.empty() || block != *pending_block) {
       Region r;
       r.kind = kind;
       r.name = prefix + block;
       pending.push_back(std::move(r));
+      pending_block = &block;
     }
     pending.back().main_ops.push_back(op);
   }

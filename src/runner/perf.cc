@@ -6,9 +6,11 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/str_util.h"
+#include "src/core/joint_scheduler.h"
 #include "src/runner/json.h"
 #include "src/runner/glob.h"
 #include "src/runner/registry.h"
@@ -35,6 +37,7 @@ struct PerfRow {
   double events_per_sec = 0.0;
   uint64_t analytic_evals = 0;  // per single run; 0 off the search fast path
   double analytic_per_sec = 0.0;
+  PlannerWork planner;  // per single run; 0 for scenarios that never plan
   bool ok = true;
   std::string error;
 };
@@ -56,6 +59,7 @@ bool MeasureScenario(const Scenario& scenario, const PerfOptions& opts,
       const uint64_t events_before = SimEngine::TotalProcessedEvents();
       const uint64_t analytic_before =
           FastScheduleEvaluator::TotalAnalyticEvals();
+      const PlannerWork planner_before = ThreadPlannerWork();
       const auto start = Clock::now();
       scenario.run(opts.params);
       const double s =
@@ -63,6 +67,10 @@ bool MeasureScenario(const Scenario& scenario, const PerfOptions& opts,
       row->events = SimEngine::TotalProcessedEvents() - events_before;
       row->analytic_evals =
           FastScheduleEvaluator::TotalAnalyticEvals() - analytic_before;
+      const PlannerWork planner_after = ThreadPlannerWork();
+      row->planner.passes = planner_after.passes - planner_before.passes;
+      row->planner.speedup_evals =
+          planner_after.speedup_evals - planner_before.speedup_evals;
       sum_s += s;
       if (best_s < 0.0 || s < best_s) {
         best_s = s;
@@ -131,6 +139,30 @@ PerfCheckReport CheckPerfBaseline(const std::string& baseline_json,
       report.failures.push_back(m.scenario + ": baseline entry has no event "
                                 "count");
       continue;
+    }
+    // Planner work is as deterministic as events and gated the same way; an
+    // entry without a count expects none.
+    for (const auto& [key, measured_count] :
+         {std::pair<const char*, uint64_t>{"planner_passes", m.planner_passes},
+          {"speedup_evals", m.speedup_evals}}) {
+      const JsonValue* count = entry->Find(key);
+      const uint64_t expect_count =
+          count != nullptr && count->is_number()
+              ? static_cast<uint64_t>(count->number_value())
+              : 0;
+      if (measured_count > expect_count) {
+        report.failures.push_back(StrFormat(
+            "%s: %s inflated %llu -> %llu", m.scenario.c_str(), key,
+            static_cast<unsigned long long>(expect_count),
+            static_cast<unsigned long long>(measured_count)));
+      } else if (measured_count < expect_count) {
+        report.notices.push_back(StrFormat(
+            "%s: %s improved %llu -> %llu — re-seed perf_baseline.json to "
+            "lock it in",
+            m.scenario.c_str(), key,
+            static_cast<unsigned long long>(expect_count),
+            static_cast<unsigned long long>(measured_count)));
+      }
     }
     const uint64_t expect = static_cast<uint64_t>(events->number_value());
     if (m.events > expect) {
@@ -228,6 +260,12 @@ int RunPerf(const PerfOptions& opts) {
                       "", static_cast<unsigned long long>(r.analytic_evals),
                       r.analytic_per_sec);
         }
+        if (r.planner.passes > 0) {
+          std::printf("perf %-24s %38llu planner passes  %10llu speedup "
+                      "evals\n",
+                      "", static_cast<unsigned long long>(r.planner.passes),
+                      static_cast<unsigned long long>(r.planner.speedup_evals));
+        }
       } else {
         std::printf("perf %-24s FAILED: %s\n", r.scenario->name.c_str(),
                     r.error.c_str());
@@ -251,6 +289,12 @@ int RunPerf(const PerfOptions& opts) {
     entry.Set("wall_ms_mean", JsonValue::Number(r.wall_mean_ms));
     entry.Set("events", JsonValue::Number(static_cast<double>(r.events)));
     entry.Set("events_per_sec", JsonValue::Number(r.events_per_sec));
+    if (r.planner.passes > 0) {
+      entry.Set("planner_passes",
+                JsonValue::Number(static_cast<double>(r.planner.passes)));
+      entry.Set("speedup_evals",
+                JsonValue::Number(static_cast<double>(r.planner.speedup_evals)));
+    }
     if (r.analytic_evals > 0) {
       entry.Set("analytic_evals",
                 JsonValue::Number(static_cast<double>(r.analytic_evals)));
@@ -309,7 +353,8 @@ int RunPerf(const PerfOptions& opts) {
     for (const PerfRow& r : rows) {
       if (r.ok) {
         samples.push_back({r.scenario->name, r.events, r.wall_best_ms,
-                           r.analytic_evals, r.analytic_per_sec});
+                           r.analytic_evals, r.analytic_per_sec,
+                           r.planner.passes, r.planner.speedup_evals});
       }
     }
     const bool wall_bands = std::string(OOBP_BUILD_TYPE) == "Release";

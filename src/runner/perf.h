@@ -16,13 +16,16 @@
 //         "wall_ms_best": ...,     // fastest repeat (headline number)
 //         "wall_ms_mean": ...,
 //         "events": ...,           // simulator events processed per run
-//         "events_per_sec": ...    // events / best wall time
+//         "events_per_sec": ...,   // events / best wall time
+//         "planner_passes": ...,   // Algorithm 1 passes per run (rows
+//         "speedup_evals": ...     //   that plan), co-run speedup evals
 //       }, ...
 //     },
 //     "total": { "wall_ms_best": ..., "events": ..., "events_per_sec": ... }
 //   }
 //
-// Event counts come from SimEngine::TotalProcessedEvents() deltas; they are
+// Event counts come from SimEngine::TotalProcessedEvents() deltas, planner
+// counts from ThreadPlannerWork() deltas (src/core/joint_scheduler.h); they are
 // deterministic per scenario, so events/sec is comparable across machines of
 // the same class and across commits — this file seeds the repo's perf
 // trajectory (see DESIGN.md §6/§9). Wall-clock fields are intentionally NOT
@@ -34,7 +37,8 @@
 // counts are exact and machine-independent, so an INCREASE over the baseline
 // hard-fails (someone made every simulation do more work — e.g. broke the
 // steady-state replay); a decrease is an improvement and only prompts a
-// baseline re-seed. Wall-clock bands are informational and only evaluated on
+// baseline re-seed. Planner passes and speedup evaluations are gated the
+// same way. Wall-clock bands are informational and only evaluated on
 // Release builds (sanitizer builds are arbitrarily slower).
 
 #ifndef OOBP_SRC_RUNNER_PERF_H_
@@ -82,6 +86,10 @@ struct PerfSample {
   // 0 for scenarios that never touch the search's fast path.
   uint64_t analytic_evals = 0;
   double analytic_per_sec = 0;  // analytic_evals / best wall time
+  // Algorithm 1 work of a single run (PlannerWork); 0 for scenarios that
+  // never plan.
+  uint64_t planner_passes = 0;
+  uint64_t speedup_evals = 0;
 };
 
 // Outcome of a baseline comparison. `failures` break the build (exit 1);
@@ -101,13 +109,15 @@ struct PerfCheckReport {
 //   }
 //
 // Hard failures: unparsable baseline; measured events above the baseline
-// count; measured analytic_evals differing from a baseline "analytic_evals"
+// count; measured planner_passes or speedup_evals above the baseline entry's
+// (0 when the entry has none, so a scenario that starts planning fails
+// until re-seeded); measured analytic_evals differing from a baseline "analytic_evals"
 // entry (the count is bit-deterministic, so any drift means the search
 // explored different candidates); and — only when `wall_bands`, i.e. on
 // Release builds — analytic throughput below the baseline's
 // "analytic_per_sec_floor" (the ISSUE-10 evals/sec floor; wall-clock
-// dependent, so sanitizer builds skip it). Notices: measured events below
-// baseline (improvement — re-seed the baseline), a measured scenario
+// dependent, so sanitizer builds skip it). Notices: measured events or planner
+// counts below baseline (improvement — re-seed the baseline), a measured scenario
 // missing from the baseline, a baseline scenario that `filter` (the run's
 // scenario glob list) selects but the run did not measure, and (only when
 // `wall_bands`) wall time above baseline * (1 + wall_band_frac). Exposed

@@ -171,6 +171,68 @@ TEST(PerfGateTest, EntriesWithoutAnalyticFieldsIgnoreAnalyticStats) {
   EXPECT_TRUE(report.notices.empty());
 }
 
+// Planner work (Algorithm 1 passes and co-run speedup evaluations) is as
+// deterministic as events and gated the same way: more hard-fails, less is a
+// notice, and an entry without a count expects none.
+const char* kPlannerBaseline = R"({
+  "scenarios": {
+    "fig07_densenet121": {"events": 100, "wall_ms_best": 1.0,
+                          "planner_passes": 8, "speedup_evals": 3000},
+    "fig10_priva": {"events": 200, "wall_ms_best": 4.0}
+  }
+})";
+
+std::vector<PerfSample> PlannerSamples(uint64_t passes, uint64_t evals,
+                                       uint64_t unplanned_passes = 0) {
+  PerfSample planned;
+  planned.scenario = "fig07_densenet121";
+  planned.events = 100;
+  planned.wall_ms_best = 1.0;
+  planned.planner_passes = passes;
+  planned.speedup_evals = evals;
+  PerfSample unplanned;
+  unplanned.scenario = "fig10_priva";
+  unplanned.events = 200;
+  unplanned.wall_ms_best = 4.0;
+  unplanned.planner_passes = unplanned_passes;
+  unplanned.speedup_evals = unplanned_passes;
+  return {planned, unplanned};
+}
+
+TEST(PerfGateTest, PlannerWorkGatedLikeEvents) {
+  const PerfCheckReport exact =
+      CheckPerfBaseline(kPlannerBaseline, PlannerSamples(8, 3000), false);
+  EXPECT_TRUE(exact.ok());
+  EXPECT_TRUE(exact.notices.empty());
+
+  const PerfCheckReport more_passes =
+      CheckPerfBaseline(kPlannerBaseline, PlannerSamples(9, 3000), false);
+  ASSERT_EQ(more_passes.failures.size(), 1u);
+  EXPECT_NE(more_passes.failures[0].find("planner_passes inflated 8 -> 9"),
+            std::string::npos);
+  const PerfCheckReport more_evals =
+      CheckPerfBaseline(kPlannerBaseline, PlannerSamples(8, 3001), false);
+  ASSERT_EQ(more_evals.failures.size(), 1u);
+  EXPECT_NE(more_evals.failures[0].find("speedup_evals inflated"),
+            std::string::npos);
+
+  const PerfCheckReport fewer =
+      CheckPerfBaseline(kPlannerBaseline, PlannerSamples(7, 2000), false);
+  EXPECT_TRUE(fewer.ok());
+  ASSERT_EQ(fewer.notices.size(), 2u);
+  EXPECT_NE(fewer.notices[0].find("planner_passes improved"),
+            std::string::npos);
+  EXPECT_NE(fewer.notices[1].find("speedup_evals improved"),
+            std::string::npos);
+
+  // A scenario whose entry has no planner counts must not start planning.
+  const PerfCheckReport started =
+      CheckPerfBaseline(kPlannerBaseline, PlannerSamples(8, 3000, 1), false);
+  ASSERT_EQ(started.failures.size(), 2u);
+  EXPECT_NE(started.failures[0].find("fig10_priva: planner_passes inflated"),
+            std::string::npos);
+}
+
 TEST(PerfGateTest, MalformedBaselineFails) {
   EXPECT_FALSE(CheckPerfBaseline("not json", {}, false).ok());
   EXPECT_FALSE(CheckPerfBaseline("[1,2]", {}, false).ok());
