@@ -122,17 +122,6 @@ class IntHistogram {
   double sum_ = 0.0;
 };
 
-// Geometric mean of strictly positive samples; the paper reports average
-// speedups that are geometric in nature.
-inline double GeoMean(const std::vector<double>& xs) {
-  OOBP_CHECK(!xs.empty());
-  double log_sum = 0.0;
-  for (double x : xs) {
-    OOBP_CHECK_GT(x, 0.0);
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
 
 }  // namespace oobp
 

@@ -32,32 +32,4 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
-std::string HumanBytes(int64_t bytes) {
-  const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-  double value = static_cast<double>(bytes);
-  int unit = 0;
-  while (value >= 1024.0 && unit < 4) {
-    value /= 1024.0;
-    ++unit;
-  }
-  if (unit == 0) {
-    return StrFormat("%lldB", static_cast<long long>(bytes));
-  }
-  return StrFormat("%.1f%s", value, units[unit]);
-}
-
-std::string PadLeft(const std::string& s, size_t width) {
-  if (s.size() >= width) {
-    return s;
-  }
-  return std::string(width - s.size(), ' ') + s;
-}
-
-std::string PadRight(const std::string& s, size_t width) {
-  if (s.size() >= width) {
-    return s;
-  }
-  return s + std::string(width - s.size(), ' ');
-}
-
 }  // namespace oobp

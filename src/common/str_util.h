@@ -29,13 +29,6 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 // Joins the elements with the separator: {"a","b"} + "," -> "a,b".
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 
-// Human-readable byte count: 1536 -> "1.5KiB".
-std::string HumanBytes(int64_t bytes);
-
-// Fixed-width left/right padding for the plain-text tables the benches print.
-std::string PadLeft(const std::string& s, size_t width);
-std::string PadRight(const std::string& s, size_t width);
-
 }  // namespace oobp
 
 #endif  // OOBP_SRC_COMMON_STR_UTIL_H_

@@ -15,12 +15,12 @@ CorunProfiler::CorunProfiler(const TrainGraph& graph, const CostModel& cost,
   const TimeNs setup = cost_->gpu().kernel_exec_overhead;
   const int L = graph_->num_layers();
 
-  // The cost model is pure in (layer, op type); evaluate each pair once.
-  constexpr int kNumOpTypes = 4;
-  cost_cache_.resize(static_cast<size_t>(L) * kNumOpTypes);
+  // The cost model is pure in (layer, op type); evaluate each pair the
+  // profiler reads once.
+  cost_cache_.resize(static_cast<size_t>(L) * kCachedOpTypes);
   for (int i = 0; i < L; ++i) {
-    for (int t = 0; t < kNumOpTypes; ++t) {
-      cost_cache_[static_cast<size_t>(i) * kNumOpTypes + t] =
+    for (int t = 0; t < kCachedOpTypes; ++t) {
+      cost_cache_[static_cast<size_t>(i) * kCachedOpTypes + t] =
           cost_->Cost(graph_->model().layers[i], static_cast<TrainOpType>(t));
     }
   }
@@ -65,7 +65,8 @@ CorunProfiler::CorunProfiler(const TrainGraph& graph, const CostModel& cost,
 }
 
 const KernelCost& CorunProfiler::CachedCost(const TrainOp& op) const {
-  return cost_cache_[static_cast<size_t>(op.layer) * 4 +
+  OOBP_CHECK_LT(static_cast<int>(op.type), kCachedOpTypes);
+  return cost_cache_[static_cast<size_t>(op.layer) * kCachedOpTypes +
                      static_cast<int>(op.type)];
 }
 

@@ -91,7 +91,10 @@ class CorunProfiler {
   std::vector<std::pair<int, TimeNs>> dgrad_end_;
   // fwd_region_[layer] = region containing F_layer, or -1.
   std::vector<int> fwd_region_;
-  // cost_cache_[layer * 4 + op_type].
+  // The op types the profiler reads: forward, output and weight gradient
+  // (the first three TrainOpType values; updates never co-run here).
+  static constexpr int kCachedOpTypes = 3;
+  // cost_cache_[layer * kCachedOpTypes + op_type].
   std::vector<KernelCost> cost_cache_;
 };
 

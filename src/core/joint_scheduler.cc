@@ -314,7 +314,7 @@ JointScheduleResult MultiRegionJointSchedule(const TrainGraph& graph,
     result.schedule = BuildSchedule(graph, tables, region_order, &grads);
     // The estimate skips every op but dO and dW, so the gradient order gives
     // the peak of the whole merged order.
-    result.peak_memory = EstimateBackpropMemory(graph.model(), grads).peak;
+    result.peak_memory = EstimateBackpropPeak(graph.model(), grads).peak;
     result.pre_scheduled_regions = pre_k;
     if (options.memory_cap_bytes < 0 ||
         result.peak_memory <= options.memory_cap_bytes) {
@@ -338,8 +338,8 @@ JointScheduleResult MakeOooSchedule(const TrainGraph& graph,
   const CorunProfiler profiler(graph, cost, BuildRegions(graph));
   JointScheduleOptions opts;
   // The conventional iteration's gradient ops are its backprop order.
-  const MemoryTimeline conv_mem =
-      EstimateBackpropMemory(graph.model(), graph.ConventionalBackprop());
+  const MemoryPeak conv_mem =
+      EstimateBackpropPeak(graph.model(), graph.ConventionalBackprop());
   opts.memory_cap_bytes =
       static_cast<int64_t>(memory_cap_factor * conv_mem.peak);
   return MultiRegionJointSchedule(graph, profiler, opts);

@@ -22,26 +22,37 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/schedule.h"
 #include "src/nn/train_graph.h"
 
 namespace oobp {
 
-struct MemoryTimeline {
+struct MemoryPeak {
+  int64_t base = 0;  // weights + optimizer state + gradient buffers
+  int64_t peak = 0;  // max live activation bytes over the order (excl. base)
+
+  int64_t peak_total() const { return peak + base; }
+};
+
+struct MemoryTimeline : MemoryPeak {
   // Live bytes after each op of the analyzed order (excluding `base`).
   std::vector<int64_t> usage_after;
   // Live bytes while each op runs (includes its workspace).
   std::vector<int64_t> usage_during;
   int64_t initial = 0;  // live activation bytes at backprop start
-  int64_t base = 0;     // weights + optimizer state + gradient buffers
-  int64_t peak = 0;     // max over usage_during and initial (excludes base)
-
-  int64_t peak_total() const { return peak + base; }
 };
 
 // `order` must be a valid backprop order (dO/dW ops only); ops of other
 // types are ignored so a full-iteration merged order can be passed directly.
 MemoryTimeline EstimateBackpropMemory(const NnModel& model,
                                       const std::vector<TrainOp>& order);
+
+// The same walk, keeping only the peak and the base.
+MemoryPeak EstimateBackpropPeak(const NnModel& model,
+                                const std::vector<TrainOp>& order);
+// The peak of a schedule's issue order (its MergedOrder), read in place.
+MemoryPeak EstimateBackpropPeak(const NnModel& model,
+                                const IterationSchedule& schedule);
 
 }  // namespace oobp
 

@@ -42,8 +42,8 @@ ReverseFirstKResult ReverseFirstK(const TrainGraph& graph, int k,
     // f(j) is monotone in j, so the largest feasible j is found by scanning
     // down from the requested k.
     while (k > 0) {
-      const MemoryTimeline mem =
-          EstimateBackpropMemory(graph.model(), BuildOrder(graph, k));
+      const MemoryPeak mem =
+          EstimateBackpropPeak(graph.model(), BuildOrder(graph, k));
       if (mem.peak < memory_cap_bytes) {
         break;
       }
@@ -54,7 +54,7 @@ ReverseFirstKResult ReverseFirstK(const TrainGraph& graph, int k,
   result.order = BuildOrder(graph, k);
   result.effective_k = k;
   result.peak_memory =
-      EstimateBackpropMemory(graph.model(), result.order).peak;
+      EstimateBackpropPeak(graph.model(), result.order).peak;
   OOBP_CHECK(graph.ValidateBackpropOrder(result.order));
   return result;
 }

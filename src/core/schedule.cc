@@ -69,16 +69,6 @@ ScheduleDeps IterationDeps(const IterationSchedule& schedule,
   return out;
 }
 
-std::vector<TrainOp> IterationSchedule::StreamOps(int stream) const {
-  std::vector<TrainOp> out;
-  for (const ScheduledOp& s : ops) {
-    if (s.stream == stream) {
-      out.push_back(s.op);
-    }
-  }
-  return out;
-}
-
 std::vector<TrainOp> IterationSchedule::MergedOrder() const {
   std::vector<TrainOp> out;
   out.reserve(ops.size());

@@ -39,8 +39,6 @@ struct ScheduledOp {
 struct IterationSchedule {
   std::vector<ScheduledOp> ops;  // CPU issue order
 
-  // Ops of one stream, in issue (== execution) order.
-  std::vector<TrainOp> StreamOps(int stream) const;
   // The merged order approximating completion order (issue order), used by
   // the memory model.
   std::vector<TrainOp> MergedOrder() const;
@@ -68,15 +66,16 @@ struct ScheduleDeps {
 
 // The issue-dependency rule, the one copy every consumer shares: the
 // single-GPU event path and the serving co-run unroll it over iterations
-// (BuildTrainIssuePlan); the single-GPU executor and the analytic evaluator
-// (src/search/fast_eval.h) read it per position. Each op waits on the latest earlier op of the same
-// iteration that produces its input: F_i on F_{i-1} and U_i, dO_i on
-// dO_{i+1}, dW_i on dO_{i+1} and on its `wait_for_index` op, U_i on dW_i.
+// (BuildTrainIssuePlan); the single-GPU executor, which also scores the
+// search's candidates, reads it per position. Each op waits on the latest
+// earlier op of the same iteration that produces its input: F_i on F_{i-1}
+// and U_i, dO_i on dO_{i+1}, dW_i on dO_{i+1} and on its `wait_for_index`
+// op, U_i on dW_i.
 // A dW before the dO it consumes, a U before its dW, a `wait_for_index` that
 // does not point earlier and a layer outside [0, num_layers) fail a check.
 //
 // The barrier rule, which the single-GPU executor
-// (src/runtime/single_gpu_engine.cc) and the analytic evaluator use: every
+// (src/runtime/single_gpu_engine.cc) applies: every
 // op of iteration t+1 waits on F_{L-1} of iteration t, directly (dO_{L-1},
 // dW_{L-1}) or through the dO chain and each U before its F. So F_{L-1}(t)'s
 // completion is a barrier. Call it clean when every op of iterations <= t

@@ -113,48 +113,6 @@ std::optional<IterationSchedule> ScheduleFromText(const std::string& text,
   return schedule;
 }
 
-std::string AssignmentToText(const LayerAssignment& assignment, int num_gpus) {
-  std::string out = "# oobp-assignment v1\n";
-  out += StrFormat("layers %zu gpus %d\nmap", assignment.size(), num_gpus);
-  for (int gpu : assignment) {
-    out += StrFormat(" %d", gpu);
-  }
-  out += "\n";
-  return out;
-}
-
-std::optional<LayerAssignment> AssignmentFromText(const std::string& text,
-                                                  int* num_gpus_out) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "# oobp-assignment v1") {
-    return std::nullopt;
-  }
-  int layers = -1, gpus = -1;
-  {
-    std::string kw1, kw2;
-    in >> kw1 >> layers >> kw2 >> gpus;
-    if (kw1 != "layers" || kw2 != "gpus" || layers <= 0 || gpus <= 0) {
-      return std::nullopt;
-    }
-  }
-  std::string map_kw;
-  in >> map_kw;
-  if (map_kw != "map") {
-    return std::nullopt;
-  }
-  LayerAssignment assignment(layers);
-  for (int l = 0; l < layers; ++l) {
-    if (!(in >> assignment[l]) || assignment[l] < 0 || assignment[l] >= gpus) {
-      return std::nullopt;
-    }
-  }
-  if (num_gpus_out != nullptr) {
-    *num_gpus_out = gpus;
-  }
-  return assignment;
-}
-
 bool WriteScheduleFile(const std::string& path,
                        const IterationSchedule& schedule,
                        const std::string& model_name, int num_layers) {

@@ -12,12 +12,6 @@
 //   op fwd 0 stream=0
 //   op dW 12 stream=1 wait=37
 //   ...
-//
-// Layer assignments (pipeline) serialize as:
-//
-//   # oobp-assignment v1
-//   layers 26 gpus 4
-//   map 0 1 2 3 0 1 2 3 ...
 
 #ifndef OOBP_SRC_CORE_SCHEDULE_IO_H_
 #define OOBP_SRC_CORE_SCHEDULE_IO_H_
@@ -25,7 +19,6 @@
 #include <optional>
 #include <string>
 
-#include "src/core/modulo_alloc.h"
 #include "src/core/schedule.h"
 
 namespace oobp {
@@ -39,10 +32,6 @@ std::string ScheduleToText(const IterationSchedule& schedule,
 // `expect_layers` >= 0, a mismatch with the recorded layer count fails.
 std::optional<IterationSchedule> ScheduleFromText(const std::string& text,
                                                   int expect_layers = -1);
-
-std::string AssignmentToText(const LayerAssignment& assignment, int num_gpus);
-std::optional<LayerAssignment> AssignmentFromText(const std::string& text,
-                                                  int* num_gpus_out = nullptr);
 
 // File helpers; return false / nullopt on I/O failure.
 bool WriteScheduleFile(const std::string& path,

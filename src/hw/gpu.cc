@@ -52,7 +52,6 @@ KernelId Gpu::Enqueue(StreamId stream, KernelDesc desc, const KernelId* deps,
   const KernelId id = static_cast<KernelId>(kernels_.size());
   Kernel k;
   k.stream = stream;
-  k.enqueue_time = engine_->now();
   for (size_t d = 0; d < num_deps; ++d) {
     const KernelId dep = deps[d];
     OOBP_CHECK_GE(dep, 0);
@@ -90,34 +89,16 @@ TimeNs Gpu::StartTime(KernelId id) const {
   return kernels_[id].start_time;
 }
 
-bool Gpu::Started(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].started;
-}
-
 StreamId Gpu::KernelStream(KernelId id) const {
   OOBP_CHECK_GE(id, 0);
   OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
   return kernels_[id].stream;
 }
 
-TimeNs Gpu::KernelEnqueueTime(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].enqueue_time;
-}
-
 const KernelDesc& Gpu::KernelDescOf(KernelId id) const {
   OOBP_CHECK_GE(id, 0);
   OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
   return kernels_[id].desc;
-}
-
-int Gpu::StreamPriority(StreamId stream) const {
-  OOBP_CHECK_GE(stream, 0);
-  OOBP_CHECK_LT(stream, static_cast<StreamId>(streams_.size()));
-  return streams_[stream].priority;
 }
 
 void Gpu::MaybeDispatch(StreamId stream) {

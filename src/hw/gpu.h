@@ -137,11 +137,8 @@ class Gpu {
   // Read-only accessors for validators and tests.
   const SimEngine& engine() const { return *engine_; }
   const FluidProcessor& slots() const { return slots_; }
-  bool Started(KernelId id) const;
   StreamId KernelStream(KernelId id) const;
-  TimeNs KernelEnqueueTime(KernelId id) const;
   const KernelDesc& KernelDescOf(KernelId id) const;
-  int StreamPriority(StreamId stream) const;
 
   // At most one observer; pass nullptr to detach. Normally installed through
   // the thread-local validation hooks, not called directly.
@@ -151,7 +148,6 @@ class Gpu {
   struct Kernel {
     KernelDesc desc;
     StreamId stream = 0;
-    TimeNs enqueue_time = 0;
     TimeNs start_time = -1;  // after setup overhead
     TimeNs done_time = -1;
     bool started = false;

@@ -374,8 +374,8 @@ ScenarioResult Fig08Regions(const ScenarioParams&) {
   const std::shared_ptr<const CostModel> cost =
       CachedCostModel(GpuSpec::V100(), SystemProfile::TensorFlowXla());
   const CorunProfiler profiler(graph, *cost, BuildRegions(graph));
-  const MemoryTimeline conv_mem = EstimateBackpropMemory(
-      *model, ConventionalIteration(graph).MergedOrder());
+  const MemoryPeak conv_mem =
+      EstimateBackpropPeak(*model, ConventionalIteration(graph));
   result.Set("regions", profiler.num_regions());
   result.Set("conventional_peak_mb", conv_mem.peak / 1e6);
 

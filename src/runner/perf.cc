@@ -204,8 +204,7 @@ PerfCheckReport CheckPerfBaseline(const std::string& baseline_json,
         floor->number_value() > 0.0 &&
         m.analytic_per_sec < floor->number_value()) {
       report.failures.push_back(StrFormat(
-          "%s: analytic evaluator throughput %.0f evals/s below the floor "
-          "%.0f evals/s",
+          "%s: scorer throughput %.0f evals/s below the floor %.0f evals/s",
           m.scenario.c_str(), m.analytic_per_sec, floor->number_value()));
     }
     const JsonValue* wall = entry->Find("wall_ms_best");

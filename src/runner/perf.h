@@ -59,8 +59,8 @@ struct PerfOptions {
   // Default perf suite: the single-GPU figure-7 scenarios plus the
   // data-parallel, pipeline-scaling, serving, steady-state, fleet and
   // cluster families — every simulation path whose throughput the repo
-  // tracks. search_eval_perf tracks the analytic schedule evaluator
-  // (src/search): its throughput is measured in analytic evaluations/sec
+  // tracks. search_eval_perf tracks the search's candidate scorer
+  // (src/search): its throughput is measured in scored candidates/sec
   // rather than simulator events/sec and gated by the baseline's floor
   // entry.
   std::string filter =
@@ -82,8 +82,8 @@ struct PerfSample {
   std::string scenario;
   uint64_t events = 0;      // deterministic event count of a single run
   double wall_ms_best = 0;  // fastest timed repeat
-  // Analytic schedule evaluations (FastScheduleEvaluator) of a single run;
-  // 0 for scenarios that never touch the search's fast path.
+  // Search candidate scores (FastScheduleEvaluator) of a single run; 0 for
+  // scenarios that never search.
   uint64_t analytic_evals = 0;
   double analytic_per_sec = 0;  // analytic_evals / best wall time
   // Algorithm 1 work of a single run (PlannerWork); 0 for scenarios that

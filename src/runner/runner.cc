@@ -1,7 +1,6 @@
 #include "src/runner/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -19,6 +18,7 @@
 #include "src/runner/search_scenarios.h"
 #include "src/runner/serve_scenarios.h"
 #include "src/runner/sweep_scenarios.h"
+#include "src/sim/worker_pool.h"
 
 namespace oobp {
 
@@ -135,31 +135,11 @@ RunnerReport RunScenarios(const RunnerOptions& opts) {
     return matched[a]->cost_hint > matched[b]->cost_hint;
   });
 
-  const int jobs = ResolveJobs(opts.jobs, matched.size());
-  if (jobs <= 1) {
-    for (const size_t i : order) {
-      RunOne(*report.runs[i].scenario, opts.params, &report.runs[i]);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) {
-      pool.emplace_back([&report, &opts, &next, &order] {
-        while (true) {
-          const size_t k = next.fetch_add(1);
-          if (k >= order.size()) {
-            return;
-          }
-          ScenarioRun& run = report.runs[order[k]];
-          RunOne(*run.scenario, opts.params, &run);
-        }
-      });
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  WorkerPool pool(ResolveJobs(opts.jobs, matched.size()));
+  pool.Run(order.size(), [&report, &opts, &order](size_t k, int) {
+    ScenarioRun& run = report.runs[order[k]];
+    RunOne(*run.scenario, opts.params, &run);
+  });
 
   // Post-processing stays single-threaded and in registration order so the
   // printed report and any written files are deterministic.

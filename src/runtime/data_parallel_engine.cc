@@ -449,8 +449,10 @@ class DpExecutor final : public DpBackend {
           // Gpu::BeginExecution of the stream's head.
           const QueuedKernel& k = queue_[head_];
           slots_.Reschedule(kWake,
-                            fluid_.Begin(0, begun_++, k.solo_duration,
-                                         k.thread_blocks, now(), finish));
+                            fluid_.Begin(0, begun_++,
+                                         fluid_.DemandOf(k.solo_duration,
+                                                         k.thread_blocks),
+                                         now(), finish));
           break;
         }
         case kWake:
@@ -684,7 +686,7 @@ TrainMetrics DataParallelEngine::Run(const NnModel& model,
     metrics.comm_comp_ratio = static_cast<double>(backend->channel_busy()) /
                               static_cast<double>(driver.compute_busy());
   }
-  const MemoryTimeline mem = EstimateBackpropMemory(model, backprop);
+  const MemoryPeak mem = EstimateBackpropPeak(model, backprop);
   metrics.peak_memory_bytes = static_cast<int64_t>(
       static_cast<double>(mem.peak_total()) * config_.profile.allocator_overhead);
   metrics.oom = metrics.peak_memory_bytes > config_.cluster.gpu.mem_bytes;

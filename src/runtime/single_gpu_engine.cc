@@ -145,8 +145,6 @@ TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
   return out;
 }
 
-namespace {
-
 // The single-GPU model, executed without the event machinery. Each of the
 // two streams (main = priority 0, sub = priority 1) holds at most one
 // dispatched-or-running kernel, so at most four events are ever pending:
@@ -162,89 +160,55 @@ namespace {
 // items in issue order. Readiness is re-derived from those counts where the
 // Gpu decrements a pending count, which dispatches at the same calls.
 //
-// The executor stops at the first clean barrier whose pending state repeats
-// an earlier barrier's (src/core/schedule.h): the remaining iteration ends
+// A pass stops at the first clean barrier whose pending state repeats an
+// earlier barrier's (src/core/schedule.h): the remaining iteration ends
 // follow by arithmetic and the busy integral by folding each remaining
 // iteration's increments, those of the stepped iteration it repeats, in
 // order.
-class TwoStreamExecutor {
+class TwoStreamExecutor::Pass {
  public:
-  TwoStreamExecutor(const SingleGpuConfig& config, const CostModel& cost,
-                    const NnModel& model, const IterationSchedule& schedule,
-                    int iterations)
-      : n_(static_cast<int>(schedule.ops.size())),
+  // `increments` receives the busy increments; null records none.
+  Pass(TwoStreamExecutor* x, int iterations,
+       std::vector<BusyIncrement>* increments)
+      : x_(*x),
+        pos_(x->pos_.data()),
+        deps_(x->deps_.ops.data()),
+        dependent_next_(x->dependent_next_.data()),
+        last_fwd_(x->deps_.last_fwd),
+        order_{x->order_[0].data(), x->order_[1].data()},
+        len_{static_cast<int>(x->order_[0].size()),
+             static_cast<int>(x->order_[1].size())},
+        first_{len_[0] > 0 ? order_[0][0] : -1,
+               len_[1] > 0 ? order_[1][0] : -1},
+        n_(x->n_),
         iterations_(iterations),
         total_(static_cast<int64_t>(n_) * iterations),
-        per_op_(!config.precompiled_issue),
-        queue_depth_(config.profile.issue_queue_depth),
-        issue_limit_(per_op_ && queue_depth_ > 0 ? total_ + queue_depth_ + 1
-                                                 : total_),
-        exec_overhead_(config.gpu.kernel_exec_overhead),
-        graph_launch_latency_(config.profile.graph_launch_latency),
-        deps_(IterationDeps(schedule, model.num_layers())),
-        pos_(n_),
-        dependents_begin_(n_ + 1, 0),
-        fluid_(static_cast<double>(config.gpu.slot_capacity()),
-               &increments_),
-        iter_end_(iterations, 0) {
+        issue_limit_(x->per_op_ && x->queue_depth_ > 0
+                         ? total_ + x->queue_depth_ + 1
+                         : total_),
+        increments_(increments),
+        fluid_(x->capacity_, increments) {
     OOBP_CHECK_GT(iterations, 0);
-    OOBP_CHECK_GE(queue_depth_, 0);
-    barriers_.reserve(static_cast<size_t>(iterations) + 1);
-    for (int p = 0; p < n_; ++p) {
-      const ScheduledOp& s = schedule.ops[p];
-      const KernelCost kc = cost.Cost(model.layers[s.op.layer], s.op.type);
-      OOBP_CHECK_GE(kc.duration, 0);
-      OOBP_CHECK_GT(kc.thread_blocks, 0.0);
-      Position& pos = pos_[p];
-      pos.solo_duration = kc.duration;
-      pos.thread_blocks = kc.thread_blocks;
-      pos.issue_latency = kc.issue_latency;
-      pos.stream = s.stream == kSubStream ? 1 : 0;
-      pos.rank = len_[pos.stream]++;
-      for (const int q : deps_.ops[p].dep) {
-        if (q >= 0) {
-          ++dependents_begin_[q + 1];
-        }
-      }
-      if (deps_.ops[p].prev_fwd) {
-        carried_.push_back(p);
-      }
-    }
-    for (int p = 0; p < n_; ++p) {
-      dependents_begin_[p + 1] += dependents_begin_[p];
-    }
-    // Each position's same-iteration dependents in index order, repeats
-    // kept: Gpu's per-kernel dependent lists.
-    dependents_.resize(dependents_begin_[n_]);
-    std::vector<int> cursor(dependents_begin_.begin(),
-                            dependents_begin_.end() - 1);
-    for (int p = 0; p < n_; ++p) {
-      for (const int q : deps_.ops[p].dep) {
-        if (q >= 0) {
-          dependents_[cursor[q]++] = p;
-        }
-      }
-    }
-    for (int p = n_ - 1; p >= 0; --p) {
-      pos_[p].next_on_stream = first_[pos_[p].stream];
-      first_[pos_[p].stream] = p;
-    }
+    x_.barriers_.clear();
+    x_.iter_end_.assign(static_cast<size_t>(iterations), 0);
+    iter_end_ = x_.iter_end_.data();
   }
 
-  TrainSimOutcome Run() {
-    if (per_op_) {
+  // Steps until every item has run or a barrier repeats; the iteration ends
+  // land in the executor's iter_end_.
+  void Run() {
+    if (x_.per_op_) {
       IssueNext();
       barrier_ = -1;  // the launch, with nothing before it to repeat
       AtBarrier();
     } else {
-      slots_.Schedule(kIssue, graph_launch_latency_);
+      slots_.Schedule(kIssue, x_.graph_launch_latency_);
     }
     const auto finish = [this](int p) { Finish(p); };
-    bool extrapolated = false;
     for (int e = slots_.Next(); e >= 0; e = slots_.Next()) {
       switch (e) {
         case kIssue:
-          if (per_op_) {
+          if (x_.per_op_) {
             beyond_end_ += issuing_.t >= iterations_;
             Enqueue(issuing_);
             IssueNext();
@@ -257,10 +221,9 @@ class TwoStreamExecutor {
         case kBegin1: {
           // Gpu::BeginExecution.
           const int s = e - kBegin0;
-          const Position& pos = pos_[head_[s].pos];
-          slots_.Reschedule(
-              kWake, fluid_.Begin(s, head_[s].pos, pos.solo_duration,
-                                  pos.thread_blocks, slots_.now(), finish));
+          const int p = head_[s].pos;
+          slots_.Reschedule(kWake, fluid_.Begin(s, p, pos_[p].demand,
+                                                slots_.now(), finish));
           break;
         }
         case kWake:
@@ -268,48 +231,26 @@ class TwoStreamExecutor {
           break;
       }
       if (barrier_ != kNoBarrier && AtBarrier()) {
-        extrapolated = true;
-        break;
+        return;
       }
     }
-    TrainSimOutcome out;
-    if (!extrapolated) {
-      OOBP_CHECK_EQ(finished_[0] + finished_[1], total_)
-          << "executor stalled before every item ran";
-      busy_ = fluid_.busy_integral();
-      simulated_ = iterations_;
-    }
-    out.iter_end = std::move(iter_end_);
-    out.busy_integral = busy_;
-    out.increments = std::move(increments_);
-    out.events = slots_.processed() - beyond_end_;
-    out.simulated_iterations = simulated_;
-    return out;
+    OOBP_CHECK_EQ(finished_[0] + finished_[1], total_)
+        << "executor stalled before every item ran";
+    busy_ = fluid_.busy_integral();
+    simulated_ = iterations_;
   }
 
+  double busy_integral() const { return busy_; }
+  int simulated_iterations() const { return simulated_; }
+  // Events stepped for items of the run: the event path's count.
+  uint64_t events() const { return slots_.processed() - beyond_end_; }
+
  private:
-  enum Slot { kIssue, kBegin0, kBegin1, kWake, kSlots };
   static constexpr int kNoBarrier = -2;
 
-  struct Position {
-    TimeNs solo_duration = 0;
-    double thread_blocks = 0.0;
-    TimeNs issue_latency = 0;
-    int stream = 0;
-    int rank = 0;  // index among its stream's positions
-    int next_on_stream = -1;  // in the iteration; -1 for the stream's last
-  };
   struct Item {
     int64_t t = 0;  // iteration
     int pos = 0;
-  };
-  // The state at a barrier that the rest of the run reads (see AtBarrier).
-  struct Barrier {
-    bool clean = false;
-    TimeNs time = 0;
-    EventSlots<kSlots> ahead;
-    int in_flight = 0;
-    size_t increments = 0;  // busy increments recorded by then
   };
 
   // Item (t, q) has completed.
@@ -321,9 +262,9 @@ class TwoStreamExecutor {
   // Every dependency of item (t, p) has completed: the Gpu's pending count
   // is zero.
   bool Ready(const Item& item) const {
-    const OpDeps& d = deps_.ops[item.pos];
-    if (d.prev_fwd && item.t > 0 && deps_.last_fwd >= 0 &&
-        !Done(item.t - 1, deps_.last_fwd)) {
+    const OpDeps& d = deps_[item.pos];
+    if (d.prev_fwd && item.t > 0 && last_fwd_ >= 0 &&
+        !Done(item.t - 1, last_fwd_)) {
       return false;
     }
     for (const int q : d.dep) {
@@ -335,7 +276,7 @@ class TwoStreamExecutor {
   }
 
   // CpuLauncher::IssueNext (per-op mode). The launcher runs at most
-  // queue_depth_ + 1 items ahead of the completed ones, and it keeps going
+  // queue_depth + 1 items ahead of the completed ones, and it keeps going
   // that far past the run's last item, into iterations that never dispatch
   // (MaybeDispatch) and do not reach the run's outcome or event count. So a
   // barrier before the last iteration sees the launcher an endless run
@@ -344,7 +285,7 @@ class TwoStreamExecutor {
     if (next_index_ >= issue_limit_) {
       return;
     }
-    if (queue_depth_ > 0 && in_flight_ >= queue_depth_) {
+    if (x_.queue_depth_ > 0 && in_flight_ >= x_.queue_depth_) {
       blocked_ = true;  // resumed from Finish()
       return;
     }
@@ -354,8 +295,8 @@ class TwoStreamExecutor {
       next_.pos = 0;
       ++next_.t;
     }
-    slots_.Schedule(kIssue,
-                    slots_.now() + pos_[issuing_.pos].issue_latency);
+    const Kernel& kernel = x_.kernels_[pos_[issuing_.pos].kernel];
+    slots_.Schedule(kIssue, slots_.now() + kernel.issue_latency);
   }
 
   // CpuLauncher::EnqueueItem + Gpu::Enqueue (per-op mode).
@@ -376,7 +317,7 @@ class TwoStreamExecutor {
   void Launch() {
     enqueued_ = total_;
     for (int s = 0; s < 2; ++s) {
-      queued_[s] = len_[s] * iterations_;
+      queued_[s] = static_cast<int64_t>(len_[s]) * iterations_;
       head_[s] = Item{0, first_[s]};
     }
     const int first = first_[1] >= 0 && first_[1] < first_[0] ? 1 : 0;
@@ -392,7 +333,7 @@ class TwoStreamExecutor {
       return;
     }
     dispatched_[s] = true;
-    slots_.Schedule(kBegin0 + s, slots_.now() + exec_overhead_);
+    slots_.Schedule(kBegin0 + s, slots_.now() + x_.exec_overhead_);
   }
 
   // Gpu::FinishKernel: woken dependents dispatch first, then the launcher's
@@ -401,20 +342,22 @@ class TwoStreamExecutor {
     const int s = pos_[p].stream;
     OOBP_CHECK(queued_[s] > 0 && head_[s].pos == p);
     const int64_t t = head_[s].t;
-    iter_end_[t] = std::max(iter_end_[t], slots_.now());
+    TimeNs& end = iter_end_[t];
+    end = std::max(end, slots_.now());
     ++finished_[s];
     if (--queued_[s] > 0) {
-      const int next = pos_[p].next_on_stream;
-      head_[s] = next >= 0 ? Item{t, next} : Item{t + 1, first_[s]};
+      const int next = pos_[p].rank + 1;
+      head_[s] = next < len_[s] ? Item{t, order_[s][next]}
+                                : Item{t + 1, first_[s]};
     }
     dispatched_[s] = false;
     // Only dependents enqueued so far registered with this item; later
     // ones saw it done. Enqueue order is index order.
-    for (int k = dependents_begin_[p]; k < dependents_begin_[p + 1]; ++k) {
-      WakeDependent(Item{t, dependents_[k]});
+    for (int e = pos_[p].dependents; e >= 0; e = dependent_next_[e]) {
+      WakeDependent(Item{t, e >> 1});
     }
-    if (p == deps_.last_fwd) {
-      for (const int q : carried_) {
+    if (p == last_fwd_) {
+      for (const int q : x_.carried_) {
         WakeDependent(Item{t + 1, q});
       }
       barrier_ = static_cast<int>(t);
@@ -422,7 +365,7 @@ class TwoStreamExecutor {
     if (in_flight_ > 0) {
       --in_flight_;
     }
-    if (blocked_ && in_flight_ < queue_depth_) {
+    if (blocked_ && in_flight_ < x_.queue_depth_) {
       blocked_ = false;
       IssueNext();
     }
@@ -450,17 +393,18 @@ class TwoStreamExecutor {
   bool AtBarrier() {
     const int b = barrier_;
     barrier_ = kNoBarrier;
+    std::vector<Barrier>& barriers = x_.barriers_;
     Barrier cur;
     cur.clean = fluid_.idle() && finished_[0] == (b + 1) * len_[0] &&
                 finished_[1] == (b + 1) * len_[1] &&
-                (!per_op_ || next_index_ < issue_limit_);
+                (!x_.per_op_ || next_index_ < issue_limit_);
     cur.time = slots_.now();
     cur.ahead = slots_;
     cur.in_flight = in_flight_;
-    cur.increments = increments_.size();
-    barriers_.push_back(cur);  // barrier b is barriers_[b + 1]
+    cur.increments = increments_ != nullptr ? increments_->size() : 0;
+    barriers.push_back(cur);  // barrier b is barriers[b + 1]
     for (int a = -1; a < b && cur.clean && b + 1 < iterations_; ++a) {
-      const Barrier& earlier = barriers_[a + 1];
+      const Barrier& earlier = barriers[a + 1];
       if (!earlier.clean || earlier.in_flight != cur.in_flight ||
           !slots_.SameAhead(earlier.ahead)) {
         continue;
@@ -472,9 +416,9 @@ class TwoStreamExecutor {
         // The stepped iteration it repeats, between barriers src - 1 and
         // src.
         const int src = t - p * ((t - b + p - 1) / p);
-        for (size_t k = barriers_[src].increments;
-             k < barriers_[src + 1].increments; ++k) {
-          busy_ += increments_[k].value;
+        for (size_t k = barriers[src].increments;
+             k < barriers[src + 1].increments; ++k) {
+          busy_ += (*increments_)[k].value;
         }
       }
       simulated_ = b + 1;
@@ -483,25 +427,23 @@ class TwoStreamExecutor {
     return false;
   }
 
+  TwoStreamExecutor& x_;  // the prepared schedule and the run's buffers
+  // The hot parts of x_, at hand.
+  const Position* const pos_;
+  const OpDeps* const deps_;
+  const int* const dependent_next_;
+  const int last_fwd_;
+  const int* const order_[2];
+  const int len_[2];
+  const int first_[2];  // each stream's first position; -1 for none
+  TimeNs* iter_end_ = nullptr;
   const int n_;
   const int iterations_;
   const int64_t total_;
-  const bool per_op_;
-  const int queue_depth_;
   const int64_t issue_limit_;  // items a per-op launcher issues
-  const TimeNs exec_overhead_;
-  const TimeNs graph_launch_latency_;
-  const ScheduleDeps deps_;
-
-  std::vector<Position> pos_;
-  std::vector<int> dependents_begin_;
-  std::vector<int> dependents_;
-  std::vector<int> carried_;  // positions that wait on the last F_{L-1}
-  int first_[2] = {-1, -1};   // each stream's first position
-  int len_[2] = {0, 0};       // positions per stream
+  std::vector<BusyIncrement>* const increments_;
 
   EventSlots<kSlots> slots_;
-  std::vector<BusyIncrement> increments_;
   StreamFluid<2> fluid_;
 
   // Launcher.
@@ -521,20 +463,107 @@ class TwoStreamExecutor {
 
   // Barriers and the outcome.
   int barrier_ = kNoBarrier;
-  std::vector<Barrier> barriers_;  // from the launch, barrier -1
-  std::vector<TimeNs> iter_end_;
   double busy_ = 0.0;
   int simulated_ = 0;
 };
 
-}  // namespace
+TwoStreamExecutor::TwoStreamExecutor(const SingleGpuConfig& config,
+                                     const CostModel& cost,
+                                     const NnModel& model)
+    : cost_(cost),
+      model_(model),
+      per_op_(!config.precompiled_issue),
+      queue_depth_(config.profile.issue_queue_depth),
+      exec_overhead_(config.gpu.kernel_exec_overhead),
+      graph_launch_latency_(config.profile.graph_launch_latency),
+      capacity_(static_cast<double>(config.gpu.slot_capacity())),
+      kernels_(static_cast<size_t>(model.num_layers()) * 4) {
+  OOBP_CHECK_GE(queue_depth_, 0);
+}
+
+TwoStreamExecutor::~TwoStreamExecutor() = default;
+
+void TwoStreamExecutor::Prepare(const IterationSchedule& schedule) {
+  deps_ = IterationDeps(schedule, model_.num_layers());
+  const int n = static_cast<int>(schedule.ops.size());
+  n_ = n;
+  pos_.resize(static_cast<size_t>(n));
+  dependent_next_.resize(2 * static_cast<size_t>(n));
+  dependent_last_.resize(static_cast<size_t>(n));
+  carried_.clear();
+  // Locals, not members, so that the stores below cannot alias them.
+  Position* const pos = pos_.data();
+  int* const dependent_next = dependent_next_.data();
+  int* const dependent_last = dependent_last_.data();
+  const OpDeps* const deps = deps_.ops.data();
+  order_[0].clear();
+  order_[1].clear();
+  for (int p = 0; p < n; ++p) {
+    const ScheduledOp& s = schedule.ops[p];
+    const int kernel = s.op.layer * 4 + static_cast<int>(s.op.type);
+    Kernel& k = kernels_[kernel];
+    if (!k.known) {
+      // Sized as a pass's fluid sizes it.
+      const KernelCost kc = cost_.Cost(model_.layers[s.op.layer], s.op.type);
+      k = Kernel{true, kc.issue_latency,
+                 StreamFluid<2>(capacity_, nullptr)
+                     .DemandOf(kc.duration, kc.thread_blocks)};
+    }
+    const int stream = s.stream == kSubStream ? 1 : 0;
+    std::vector<int>& order = order_[stream];
+    pos[p] = Position{k.demand, kernel, stream, static_cast<int>(order.size()),
+                      -1};
+    order.push_back(p);
+    const OpDeps& d = deps[p];
+    for (int j = 0; j < 2; ++j) {
+      const int q = d.dep[j];
+      if (q < 0) {
+        continue;
+      }
+      const int e = 2 * p + j;
+      int& head = pos[q].dependents;
+      (head < 0 ? head : dependent_next[dependent_last[q]]) = e;
+      dependent_last[q] = e;
+      dependent_next[e] = -1;
+    }
+    if (d.prev_fwd) {
+      carried_.push_back(p);
+    }
+  }
+}
+
+TrainSimOutcome TwoStreamExecutor::Run(const IterationSchedule& schedule,
+                                       int iterations) {
+  Prepare(schedule);
+  increments_.clear();
+  Pass pass(this, iterations, &increments_);
+  pass.Run();
+  TrainSimOutcome out;
+  out.iter_end = std::move(iter_end_);
+  out.busy_integral = pass.busy_integral();
+  out.increments = std::move(increments_);
+  out.events = pass.events();
+  out.simulated_iterations = pass.simulated_iterations();
+  return out;
+}
+
+// Flattened, so that the pass, its slots and its fluid compile into one
+// frame: that makes a DenseNet-121 candidate about 9% cheaper
+// (DESIGN.md §14.1).
+[[gnu::flatten]] TimeNs TwoStreamExecutor::IterationTime(
+    const IterationSchedule& schedule, int iterations) {
+  OOBP_CHECK_GE(iterations, 2);
+  Prepare(schedule);
+  Pass(this, iterations, nullptr).Run();
+  return (iter_end_.back() - iter_end_.front()) / (iterations - 1);
+}
 
 TrainSimOutcome ExecuteTraining(const SingleGpuConfig& config,
                                 const CostModel& cost, const NnModel& model,
                                 const IterationSchedule& schedule,
                                 int iterations) {
   TrainSimOutcome out =
-      TwoStreamExecutor(config, cost, model, schedule, iterations).Run();
+      TwoStreamExecutor(config, cost, model).Run(schedule, iterations);
   SimEngine::AddProcessedEvents(out.events);
   return out;
 }
@@ -575,8 +604,7 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
 
   // Memory: schedule-dependent activation peak plus the static base, under
   // the framework's allocator overhead.
-  const MemoryTimeline mem =
-      EstimateBackpropMemory(model, schedule.MergedOrder());
+  const MemoryPeak mem = EstimateBackpropPeak(model, schedule);
   metrics.peak_memory_bytes = static_cast<int64_t>(
       static_cast<double>(mem.peak_total()) * config_.profile.allocator_overhead);
   metrics.oom = metrics.peak_memory_bytes > config_.gpu.mem_bytes;

@@ -1,6 +1,6 @@
 // The pieces the exact executors share.
 //
-// The single-GPU executor (ExecuteTraining, train_sim.h), the data-parallel
+// The single-GPU executor (TwoStreamExecutor, train_sim.h), the data-parallel
 // executor (data_parallel_engine.cc) and the serving executor
 // (src/serve/replica_driver.cc) each run a closed model in which every kind
 // of event has a bounded number of pending instances. They keep those events
@@ -171,19 +171,29 @@ class StreamFluid {
     OOBP_CHECK_GT(capacity, 0.0);
   }
 
-  // Stream s's kernel `item` leaves its setup gap at `now` and starts
-  // draining: Gpu::BeginExecution + FluidProcessor::Add.
-  template <typename Finish>
-  TimeNs Begin(int s, int item, TimeNs solo_duration, double thread_blocks,
-               TimeNs now, Finish&& finish) {
+  // A kernel's fluid job as Gpu::BeginExecution sizes it.
+  struct Demand {
+    double max_rate = 0.0;
+    double work = 0.0;  // solo duration * max_rate
+  };
+  Demand DemandOf(TimeNs solo_duration, double thread_blocks) const {
     const double max_rate = EffectiveOccupancy(thread_blocks, capacity_);
-    const double work = static_cast<double>(solo_duration) * max_rate;
-    OOBP_CHECK_GE(work, 0.0);
-    OOBP_CHECK_GT(max_rate, 0.0);
+    const Demand demand{max_rate,
+                        static_cast<double>(solo_duration) * max_rate};
+    OOBP_CHECK_GE(demand.work, 0.0);
+    OOBP_CHECK_GT(demand.max_rate, 0.0);
+    return demand;
+  }
+
+  // Stream s's kernel `item`, sized by DemandOf, leaves its setup gap at
+  // `now` and starts draining: Gpu::BeginExecution + FluidProcessor::Add.
+  template <typename Finish>
+  TimeNs Begin(int s, int item, const Demand& demand, TimeNs now,
+               Finish&& finish) {
     Advance(now, finish);
     Job& job = jobs_[s];
     OOBP_CHECK(!job.active);
-    job = Job{true, work, max_rate, 0.0, next_job_seq_++, item};
+    job = Job{true, demand.work, demand.max_rate, 0.0, next_job_seq_++, item};
     return Reallocate(now);
   }
 

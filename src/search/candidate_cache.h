@@ -1,8 +1,8 @@
-// Content-addressed cache of analytic candidate scores (DESIGN.md §14).
+// Content-addressed cache of candidate scores (DESIGN.md §14).
 //
 // The local-search trajectories revisit genotypes constantly — greedy sweeps
 // re-try the same moves every pass, and random walks frequently undo a step
-// — so the search pipeline memoizes Tier-A results per genotype. The key
+// — so the search pipeline memoizes the scorer's results per genotype. The key
 // is the full genotype content (layer, slot, stream per gene); a 64-bit mix
 // of that content buckets the entries and an exact genotype comparison
 // guards against collisions, so a hit is guaranteed to return the
@@ -31,7 +31,7 @@ namespace oobp {
 class CandidateCache {
  public:
   struct Score {
-    TimeNs time = 0;       // analytic iteration time, or the reject sentinel
+    TimeNs time = 0;       // scored iteration time, or the reject sentinel
     int64_t peak = 0;      // activation-memory peak
   };
 

@@ -4,26 +4,20 @@
 #include "src/core/memory_model.h"
 
 namespace oobp {
-namespace {
 
-SingleGpuConfig EvaluatorConfig(const GpuSpec& gpu,
-                                const SystemProfile& profile) {
+SingleGpuConfig ScoringConfig(const GpuSpec& gpu,
+                              const SystemProfile& profile) {
   SingleGpuConfig config;
   config.gpu = gpu;
   config.profile = profile;
   config.precompiled_issue = true;
-  // One warm-up plus two measured iterations: iteration 0 absorbs the graph
-  // launch, iterations 1..2 are steady state for every schedule shape the
-  // search emits.
   config.measured_iterations = 2;
   return config;
 }
 
-}  // namespace
-
 ScheduleEvaluator::ScheduleEvaluator(const NnModel* model, const GpuSpec& gpu,
                                      const SystemProfile& profile)
-    : model_(model), engine_(EvaluatorConfig(gpu, profile)) {
+    : model_(model), engine_(ScoringConfig(gpu, profile)) {
   OOBP_CHECK(model_ != nullptr);
 }
 
@@ -33,7 +27,7 @@ TimeNs ScheduleEvaluator::IterationTime(
 }
 
 int64_t ScheduleEvaluator::PeakMemory(const IterationSchedule& schedule) const {
-  return EstimateBackpropMemory(*model_, schedule.MergedOrder()).peak;
+  return EstimateBackpropPeak(*model_, schedule).peak;
 }
 
 }  // namespace oobp

@@ -1,15 +1,14 @@
-// Simulator scoring for the search-based scheduler baseline: the Tier-B
-// oracle of the search pipeline (DESIGN.md §14).
+// Simulator scoring for the search-based scheduler baseline (DESIGN.md §14).
 //
 // ScheduleEvaluator runs one IterationSchedule through SingleGpuEngine:
-// pre-compiled issue, one warm-up plus two measured iterations. The engine
-// runs it on the exact two-stream executor, which steps one iteration when
-// the launch repeats at the first barrier, or on the event simulation
-// inside a ValidationScope; the two agree bit for bit (DESIGN.md §6.3).
-// The search scores its baseline and each trajectory's final point here;
-// FastScheduleEvaluator (src/search/fast_eval.h), which scores every
-// candidate, must match it to the bit, and the fidelity scenario and the
-// search fuzz family check that it does.
+// pre-compiled issue, one warm-up plus two measured iterations
+// (ScoringConfig). The engine runs it on the exact two-stream executor,
+// which steps one iteration when the launch repeats at the first barrier,
+// or on the event simulation inside a ValidationScope; the two agree bit
+// for bit (DESIGN.md §6.3). The search scores its baseline and each
+// trajectory's final point here, and every candidate with
+// FastScheduleEvaluator (src/search/fast_eval.h), the same executor's
+// time-only entry point.
 //
 // Determinism: the evaluation is a pure function of (model, gpu, profile,
 // schedule), so scores are bit-reproducible across runs, --jobs threads,
@@ -29,6 +28,12 @@
 
 namespace oobp {
 
+// The single-GPU run both search scorers make: pre-compiled issue, one
+// warm-up plus two measured iterations. Iteration 0 absorbs the graph
+// launch; iterations 1..2 are steady state for every schedule shape the
+// search emits.
+SingleGpuConfig ScoringConfig(const GpuSpec& gpu, const SystemProfile& profile);
+
 class ScheduleEvaluator {
  public:
   // `model` must outlive the evaluator.
@@ -41,7 +46,7 @@ class ScheduleEvaluator {
   TimeNs IterationTime(const IterationSchedule& schedule) const;
 
   // Activation-memory peak (bytes, excluding weights/optimizer base) of the
-  // schedule's merged issue order, from the shared memory model.
+  // schedule's issue order, from the shared memory model.
   int64_t PeakMemory(const IterationSchedule& schedule) const;
 
  private:

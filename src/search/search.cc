@@ -74,9 +74,9 @@ void DecodeGenotypeInto(const TrainGraph& graph, const Genotype& genotype,
 }
 
 // Per-trajectory evaluation pipeline: memory cap, cache, and budget.
-// Candidates are scored by the analytic evaluator behind the
-// content-addressed cache, and only analytic evaluations are budgeted; the
-// simulator scores the trajectory best once, in RunTrajectory. The memory
+// Candidates are scored by the scorer behind the content-addressed cache,
+// and only its evaluations are budgeted; ScheduleEvaluator scores the
+// trajectory best once, in RunTrajectory. The memory
 // cap is the shared memory model's peak, the number
 // ScheduleEvaluator::PeakMemory returns.
 struct SearchContext {
@@ -90,7 +90,7 @@ struct SearchContext {
         evals_left(evals_left_in) {}
 
   const TrainGraph* graph;
-  FastScheduleEvaluator* fast;  // Tier A
+  FastScheduleEvaluator* fast;  // the candidate scorer
   CandidateCache* cache;
   int64_t memory_cap;
   int evals_left;
@@ -108,7 +108,7 @@ struct SearchContext {
     }
     DecodeGenotypeInto(*graph, genotype, &decode_scratch, &schedule);
     const int64_t peak =
-        EstimateBackpropMemory(graph->model(), schedule.MergedOrder()).peak;
+        EstimateBackpropPeak(graph->model(), schedule).peak;
     if (peak > memory_cap) {
       ++memory_rejections;
       cache->Insert(genotype, {kRejected, peak}, hash);
@@ -238,8 +238,8 @@ Genotype DeriveGenotype(const TrainGraph& graph,
 }
 
 // Everything a finished trajectory hands back to the coordinator. `time` is
-// a simulator score of `genotype` (Tier B): no analytic number crosses this
-// boundary, so every value that can become the reported best_time is exact.
+// ScheduleEvaluator's score of `genotype` (Tier B), so every value that can
+// become the reported best_time is an engine score.
 struct TrajectoryOutcome {
   Genotype genotype;
   TimeNs time = kRejected;
@@ -252,8 +252,8 @@ struct TrajectoryOutcome {
 // One trajectory of the portfolio, self-contained: private evaluators,
 // cache, and Rng, so trajectories are pure functions of their index and may
 // run on any worker thread in any order. The trajectory's internal currency
-// is analytic time, so its starting point is scored analytically too (one
-// budgeted evaluation).
+// is the scorer's time, so its starting point is scored by the scorer too
+// (one budgeted evaluation).
 TrajectoryOutcome RunTrajectory(const TrainGraph& graph, const GpuSpec& gpu,
                                 const SystemProfile& profile,
                                 const SearchOptions& options, int j,

@@ -36,17 +36,18 @@
 // Memory. Candidates whose activation peak exceeds memory_cap_factor x the
 // conventional schedule's peak are rejected without consuming evaluation
 // budget (the memory model is closed-form; only scored evaluations are
-// budgeted). The peak is EstimateBackpropMemory's, the number
+// budgeted). The peak is EstimateBackpropPeak's, the number
 // ScheduleEvaluator::PeakMemory returns.
 //
-// Evaluation (DESIGN.md §14). Candidates are scored by the analytic
-// evaluator (Tier A; the budget counts analytic evaluations),
-// memoized in a per-trajectory content-addressed CandidateCache. The
-// simulator (Tier B, ScheduleEvaluator) scores only the conventional
-// baseline and each trajectory's final best, so every time that can become
-// best_time is a simulator score. Tier A replays the simulator's
-// floating-point arithmetic exactly, so the two agree to the bit; the
-// fidelity scenario and the search fuzz family check that they still do.
+// Evaluation (DESIGN.md §14). Candidates are scored by FastScheduleEvaluator,
+// the time-only entry point of the single-GPU engine's exact executor (the
+// budget counts these "analytic" evaluations), memoized in a per-trajectory
+// content-addressed CandidateCache. ScheduleEvaluator (Tier B, one
+// SingleGpuEngine::Run call) scores only the conventional baseline and each
+// trajectory's final best, so every time that can become best_time is an
+// engine score. Both run the same executor, so they agree to the bit; the
+// fidelity scenario and the search fuzz family check both against the
+// event path.
 //
 // Parallelism. The `threads` option runs the independent trajectories on a
 // WorkerPool (src/sim/worker_pool.h). Each trajectory owns its evaluators,
@@ -94,8 +95,8 @@ struct SearchOptions {
 
 // Bookkeeping of one search run, aggregated across trajectories.
 struct SearchStats {
-  int64_t sim_evals = 0;        // Tier-B simulator scores (1 + beam)
-  int64_t analytic_evals = 0;   // Tier-A scores (== budget spend)
+  int64_t sim_evals = 0;        // Tier-B engine scores (1 + beam)
+  int64_t analytic_evals = 0;   // candidate scores (== budget spend)
   uint64_t cache_hits = 0;      // candidate-cache hits
   uint64_t cache_misses = 0;    // candidate-cache misses
   int64_t memory_rejections = 0;  // candidates over the cap (never budgeted)

@@ -240,8 +240,7 @@ FleetMetrics ReplicaDriver::Metrics(const NnModel* train_model,
     train.throughput = static_cast<double>(train_model->batch) /
                        ToSec(train.iteration_time);
     train.gpu_utilization = sum_util / replicas;
-    const MemoryTimeline mem =
-        EstimateBackpropMemory(*train_model, train_schedule->MergedOrder());
+    const MemoryPeak mem = EstimateBackpropPeak(*train_model, *train_schedule);
     train.peak_memory_bytes =
         static_cast<int64_t>(static_cast<double>(mem.peak_total()) *
                              config.profile.allocator_overhead);
@@ -686,8 +685,10 @@ class ReplicaExecutor final : public ReplicaBackend {
           const int i = rep.head[s];
           const IssueItem& item = in_.plan->items[static_cast<size_t>(i)];
           Reschedule(rep, kWake,
-                     rep.fluid.Begin(kStreamPriority[s], i, item.solo_duration,
-                                     item.thread_blocks, now_, finish));
+                     rep.fluid.Begin(kStreamPriority[s], i,
+                                     rep.fluid.DemandOf(item.solo_duration,
+                                                        item.thread_blocks),
+                                     now_, finish));
           break;
         }
         case kBegin + kServeStream: {
@@ -698,8 +699,9 @@ class ReplicaExecutor final : public ReplicaBackend {
           const KernelCost& cost = (*rep.served.front().costs)[rep.layer];
           Reschedule(rep, kWake,
                      rep.fluid.Begin(kStreamPriority[kServeStream], -1,
-                                     cost.duration, cost.thread_blocks, now_,
-                                     finish));
+                                     rep.fluid.DemandOf(cost.duration,
+                                                        cost.thread_blocks),
+                                     now_, finish));
           break;
         }
         case kWake:

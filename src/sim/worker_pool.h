@@ -1,5 +1,6 @@
-// Persistent worker pool for deterministic fan-outs: the search module runs
-// its portfolio trajectories on it. The contract is deliberately tiny:
+// Persistent worker pool for deterministic fan-outs: the search runs its
+// portfolio trajectories on it, `oobp bench` its scenarios and `oobp fuzz`
+// its seeds. The contract is deliberately tiny:
 //
 //   WorkerPool pool(n);                 // spawns n threads iff n > 1
 //   pool.Run(count, [&](size_t i, int worker) { ... });
@@ -11,13 +12,14 @@
 // run inline on the caller's thread in index order with worker == -1 — the
 // reference path the byte-identity batteries compare against. Tasks are
 // claimed from a shared cursor under one mutex; tasks are coarse (a whole
-// search trajectory), so contention is nil and the protocol is trivially
-// race-free (tools/check.sh runs it under ThreadSanitizer).
+// search trajectory, scenario or fuzz seed), so contention is nil and the
+// protocol is trivially race-free (tools/check.sh runs it under
+// ThreadSanitizer).
 //
 // Determinism note: callers must not let results depend on which worker ran
-// a task or in what order tasks finished. The search portfolio satisfies
-// this structurally — trajectories share no mutable state and results are
-// merged in task-index order after Run() returns.
+// a task or in what order tasks finished. Every caller satisfies this
+// structurally: tasks share no mutable state, each writes its own result
+// slot, and results are merged in task-index order after Run() returns.
 
 #ifndef OOBP_SRC_SIM_WORKER_POOL_H_
 #define OOBP_SRC_SIM_WORKER_POOL_H_

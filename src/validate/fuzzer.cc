@@ -1,7 +1,6 @@
 #include "src/validate/fuzzer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +35,7 @@
 #include "src/search/fast_eval.h"
 #include "src/search/search.h"
 #include "src/sim/engine.h"
+#include "src/sim/worker_pool.h"
 #include "src/validate/schedule_checker.h"
 #include "src/validate/sim_validator.h"
 
@@ -625,8 +625,9 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
 // ---------------------------------------------------------------------------
 // Search-based scheduler baseline (src/search): machine-verified schedules,
 // never-worse-than-in-order, Tier-B scores, determinism, thread-count and
-// beam monotonicity, Tier A against the simulator along a mutation walk, and
-// a differential searched-vs-MakeOooSchedule run under the SimValidator.
+// beam monotonicity, the scorer against the event path along a mutation
+// walk, and a differential searched-vs-MakeOooSchedule run under the
+// SimValidator.
 
 void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   auto fail = [errors, seed](std::string msg) {
@@ -704,10 +705,11 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
                    options.beam, static_cast<long long>(searched.best_time)));
   }
 
-  // Tier A against the simulator: a warm analytic evaluator walks through
+  // The scorer against the event path: one warm scorer walks through
   // single-gene mutations of the searched genotype, as the search does, and
-  // must match the simulator's time to the bit at every step. The walk draws from its own Rng so the draws
-  // above stay put.
+  // must match ScheduleEvaluator under a validator, which runs the event
+  // simulation, to the bit at every step. The walk draws from its own Rng so
+  // the draws above stay put.
   Rng walk_rng(seed * 0x9E3779B97F4A7C15ULL + 0x7A1C);
   FastScheduleEvaluator fast(&model, gpu, profile);
   Genotype walk = searched.genotype;
@@ -722,11 +724,21 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
       gene.stream = walk_rng.NextBelow(2) == 0 ? kMainStream : kSubStream;
     }
     const IterationSchedule schedule = DecodeGenotype(graph, walk);
-    const TimeNs analytic = fast.IterationTime(schedule);
-    const TimeNs simulated = sim.IterationTime(schedule);
-    if (analytic != simulated) {
-      fail(StrFormat("walk step %d: analytic %lld ns, simulator %lld ns",
-                     step, static_cast<long long>(analytic),
+    const TimeNs scored = fast.IterationTime(schedule);
+    SimValidator walk_validator;
+    TimeNs simulated = 0;
+    {
+      ValidationScope scope(&walk_validator);
+      simulated = sim.IterationTime(schedule);
+    }
+    if (!walk_validator.ok()) {
+      fail(StrFormat("walk step %d: %s", step,
+                     walk_validator.Summary().c_str()));
+      break;
+    }
+    if (scored != simulated) {
+      fail(StrFormat("walk step %d: scorer %lld ns, event path %lld ns",
+                     step, static_cast<long long>(scored),
                      static_cast<long long>(simulated)));
       break;
     }
@@ -1686,33 +1698,11 @@ FuzzResult RunFuzz(const FuzzOptions& options) {
     jobs = static_cast<int>(n);
   }
 
-  auto run_seed = [&options, &per_seed](size_t i) {
+  WorkerPool pool(jobs);
+  pool.Run(n, [&options, &per_seed](size_t i, int) {
     const uint64_t seed = options.base_seed + static_cast<uint64_t>(i);
     FuzzOneSeed(seed, options.checks, &per_seed[i]);
-  };
-  if (jobs <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      run_seed(i);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) {
-      pool.emplace_back([&run_seed, &next, n] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= n) {
-            return;
-          }
-          run_seed(i);
-        }
-      });
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
+  });
 
   for (size_t i = 0; i < n; ++i) {
     std::vector<std::string>& errors = per_seed[i];

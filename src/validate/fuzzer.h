@@ -30,8 +30,9 @@
 //     options and at three worker threads, never get worse when the beam
 //     is enlarged (portfolio monotonicity), and run clean in a
 //     differential searched-vs-MakeOooSchedule execution under the
-//     SimValidator; a warm analytic evaluator walked through single-gene
-//     mutations of the searched genotype must match the simulator's time
+//     SimValidator; one warm scorer (the single-GPU executor's time-only
+//     entry point) walked through single-gene mutations of the searched
+//     genotype must match the event path's time, under the SimValidator,
 //     bit for bit at every step;
 //   * fuzzes the pipeline engine's two producers (DESIGN.md §6.3): a random
 //     strategy, GPU count, micro-batch count, zoo or random model,

@@ -77,10 +77,8 @@ TEST(RunningStatTest, MatchesClosedForm) {
   EXPECT_NEAR(s.stderr_mean(), s.stddev() / std::sqrt(8.0), 1e-12);
 }
 
-TEST(StatsTest, MeanAndGeoMean) {
+TEST(StatsTest, Mean) {
   EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_NEAR(GeoMean({1.0, 4.0}), 2.0, 1e-12);
-  EXPECT_NEAR(GeoMean({2.0, 2.0, 2.0}), 2.0, 1e-12);
 }
 
 TEST(StatsTest, PercentileSortedNearestRank) {
@@ -130,18 +128,6 @@ TEST(StrUtilTest, Join) {
   EXPECT_EQ(Join({}, ","), "");
   EXPECT_EQ(Join({"a"}, ","), "a");
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-}
-
-TEST(StrUtilTest, HumanBytes) {
-  EXPECT_EQ(HumanBytes(512), "512B");
-  EXPECT_EQ(HumanBytes(1536), "1.5KiB");
-  EXPECT_EQ(HumanBytes(3 * 1024 * 1024), "3.0MiB");
-}
-
-TEST(StrUtilTest, Padding) {
-  EXPECT_EQ(PadLeft("ab", 4), "  ab");
-  EXPECT_EQ(PadRight("ab", 4), "ab  ");
-  EXPECT_EQ(PadLeft("abcde", 4), "abcde");
 }
 
 }  // namespace

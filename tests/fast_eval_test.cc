@@ -1,17 +1,17 @@
-// Fidelity battery for the analytic evaluator (Tier A of the
-// two-tier search evaluation pipeline, DESIGN.md §14).
+// Fidelity battery for the search's scorer (DESIGN.md §14).
 //
-// The contract is stronger than the usual surrogate-model bargain: because
-// FastScheduleEvaluator replays the exact floating-point recurrence of the
-// fluid processor, its iteration times must be BIT-IDENTICAL to
-// ScheduleEvaluator's simulator scores — on zoo models, on fuzzed models,
-// on arbitrary decodable genotypes, warm or cold. The rank correlation
-// (1.0) and relative error (0.0) the search scenarios pin as golden stats
-// follow from these identities; this battery is what localizes a violation
-// when evaluator drift trips that gate.
+// FastScheduleEvaluator is the time-only entry point of SingleGpuEngine's
+// exact two-stream executor, reused across candidates, and
+// ScheduleEvaluator outside a validator runs the same executor. So every
+// reference here is the event path: ScheduleEvaluator inside a
+// ValidationScope, which simulates every iteration on SimEngine, Gpu and
+// CpuLauncher. The scores must be BIT-IDENTICAL to it — on zoo models, on
+// fuzzed models, on arbitrary decodable genotypes, and across candidates
+// that make one instance step different numbers of iterations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -25,6 +25,7 @@
 #include "src/search/evaluator.h"
 #include "src/search/fast_eval.h"
 #include "src/search/search.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -80,13 +81,19 @@ GpuSpec RotatingGpu(uint64_t seed) {
   }
 }
 
-// One fresh (cold) analytic evaluator per call: the reference a warm
-// evaluator must match bit-for-bit.
-TimeNs ColdAnalyticTime(const NnModel& model, const GpuSpec& gpu,
-                        const SystemProfile& profile,
-                        const IterationSchedule& schedule) {
-  FastScheduleEvaluator cold(&model, gpu, profile);
-  return cold.IterationTime(schedule);
+// The event path's score of `schedule`, under a validator that must see no
+// invariant violated.
+TimeNs EventPathTime(const NnModel& model, const GpuSpec& gpu,
+                     const SystemProfile& profile,
+                     const IterationSchedule& schedule) {
+  SimValidator validator;
+  TimeNs time = 0;
+  {
+    ValidationScope scope(&validator);
+    time = ScheduleEvaluator(&model, gpu, profile).IterationTime(schedule);
+  }
+  EXPECT_TRUE(validator.ok()) << validator.Summary();
+  return time;
 }
 
 TEST(FastEvalTest, BitIdenticalToSimulatorOnZooModels) {
@@ -99,7 +106,6 @@ TEST(FastEvalTest, BitIdenticalToSimulatorOnZooModels) {
   };
   for (const NnModel& model : models) {
     const TrainGraph graph(&model);
-    ScheduleEvaluator sim(&model, gpu, profile);
     FastScheduleEvaluator fast(&model, gpu, profile);
     Rng rng(2026);
     std::vector<IterationSchedule> schedules = {
@@ -108,7 +114,8 @@ TEST(FastEvalTest, BitIdenticalToSimulatorOnZooModels) {
       schedules.push_back(DecodeGenotype(graph, RandomGenotype(graph, rng)));
     }
     for (const IterationSchedule& schedule : schedules) {
-      EXPECT_EQ(fast.IterationTime(schedule), sim.IterationTime(schedule))
+      EXPECT_EQ(fast.IterationTime(schedule),
+                EventPathTime(model, gpu, profile, schedule))
           << model.name;
     }
   }
@@ -121,21 +128,21 @@ TEST(FastEvalTest, BitIdenticalToSimulatorOnFuzzedModels) {
     const NnModel model = RandomModel(rng);
     const TrainGraph graph(&model);
     const GpuSpec gpu = RotatingGpu(seed);
-    ScheduleEvaluator sim(&model, gpu, profile);
     FastScheduleEvaluator fast(&model, gpu, profile);
     for (int k = 0; k < 8; ++k) {
       const IterationSchedule schedule =
           DecodeGenotype(graph, RandomGenotype(graph, rng));
-      ASSERT_EQ(fast.IterationTime(schedule), sim.IterationTime(schedule))
+      ASSERT_EQ(fast.IterationTime(schedule),
+                EventPathTime(model, gpu, profile, schedule))
           << "seed " << seed << " candidate " << k;
     }
   }
 }
 
-// A warm evaluator (its kernel-cost memo filled by earlier candidates) must
-// return the same bits as a cold evaluation of the same schedule, under
-// single-gene mutations, the access pattern the local search produces.
-TEST(FastEvalTest, IncrementalMatchesColdUnderPointMutations) {
+// A warm instance (its kernel-cost table and buffers filled by earlier
+// candidates) must return the event path's bits under single-gene
+// mutations, the access pattern the local search produces.
+TEST(FastEvalTest, WarmInstanceMatchesEventPathUnderPointMutations) {
   const SystemProfile profile = SystemProfile::TensorFlowXla();
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed * 6700417);
@@ -156,10 +163,56 @@ TEST(FastEvalTest, IncrementalMatchesColdUnderPointMutations) {
       }
       const IterationSchedule schedule = DecodeGenotype(graph, genotype);
       ASSERT_EQ(warm.IterationTime(schedule),
-                ColdAnalyticTime(model, gpu, profile, schedule))
+                EventPathTime(model, gpu, profile, schedule))
           << "seed " << seed << " step " << step;
     }
   }
+}
+
+// One instance alternates between candidates whose run repeats the launch
+// at barrier 0 (one iteration stepped) and candidates that never reach a
+// clean barrier, because a dW/U pair issued after F_{L-1} on the main
+// stream is still pending there (all three stepped). Nothing one run leaves
+// behind may reach the next: every score is the event path's.
+TEST(FastEvalTest, ReusedInstanceMatchesEventPathAcrossSteppedCounts) {
+  const SystemProfile profile = SystemProfile::TensorFlowXla();
+  int stepped_all = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 15485863);
+    const NnModel model = RandomModel(rng);
+    const TrainGraph graph(&model);
+    const GpuSpec gpu = RotatingGpu(seed);
+    const SingleGpuEngine engine(ScoringConfig(gpu, profile));
+    FastScheduleEvaluator fast(&model, gpu, profile);
+    for (int k = 0; k < 8; ++k) {
+      IterationSchedule schedule =
+          DecodeGenotype(graph, RandomGenotype(graph, rng));
+      const bool trailing_pair = k % 2 == 1;
+      if (trailing_pair) {
+        const auto dw = std::find_if(
+            schedule.ops.begin(), schedule.ops.end(), [](const ScheduledOp& s) {
+              return s.op.type == TrainOpType::kWeightGrad;
+            });
+        ASSERT_NE(dw, schedule.ops.end());
+        const std::vector<ScheduledOp> pair(dw, dw + 2);  // dW_i, U_i
+        schedule.ops.erase(dw, dw + 2);
+        for (ScheduledOp op : pair) {
+          op.stream = kMainStream;
+          schedule.ops.push_back(op);
+        }
+      }
+      ReplayStats stats;
+      engine.Run(model, schedule, nullptr, &stats);
+      ASSERT_TRUE(stats.executor);
+      ASSERT_EQ(stats.simulated_iterations, trailing_pair ? 3 : 1)
+          << "seed " << seed << " candidate " << k;
+      stepped_all += trailing_pair;
+      ASSERT_EQ(fast.IterationTime(schedule),
+                EventPathTime(model, gpu, profile, schedule))
+          << "seed " << seed << " candidate " << k;
+    }
+  }
+  EXPECT_EQ(stepped_all, 48);
 }
 
 TEST(FastEvalTest, RepeatedEvaluationIsStable) {

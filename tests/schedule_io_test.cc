@@ -98,22 +98,5 @@ TEST(ScheduleIoTest, FileRoundTrip) {
   EXPECT_FALSE(ReadScheduleFile(path).has_value());
 }
 
-TEST(AssignmentIoTest, RoundTrip) {
-  const LayerAssignment a = ModuloAllocation(26, 4, 2);
-  const std::string text = AssignmentToText(a, 4);
-  int gpus = 0;
-  const auto parsed = AssignmentFromText(text, &gpus);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, a);
-  EXPECT_EQ(gpus, 4);
-}
-
-TEST(AssignmentIoTest, RejectsOutOfRangeGpu) {
-  EXPECT_FALSE(
-      AssignmentFromText("# oobp-assignment v1\nlayers 2 gpus 2\nmap 0 5\n")
-          .has_value());
-  EXPECT_FALSE(AssignmentFromText("junk").has_value());
-}
-
 }  // namespace
 }  // namespace oobp

@@ -48,25 +48,28 @@
 #      executor: every metric field and the event count must match bit for
 #      bit).
 #   7. ThreadSanitizer build (-DOOBP_SANITIZE_THREAD=ON) of what still
-#      starts threads: search_threads_identity_test (the search portfolio's
-#      worker pool at threads 1/4/8), event_heap_test (the process-wide
-#      event tally hammered from concurrent engines), and a 20-seed fleet
-#      fuzz smoke on the fuzzer's --jobs pool.
+#      starts threads, all of it on WorkerPool (src/sim/worker_pool.h):
+#      search_threads_identity_test (the search portfolio's pool at
+#      threads 1/4/8), event_heap_test (the process-wide event tally
+#      hammered from concurrent engines), a 20-seed fleet fuzz smoke on the
+#      fuzzer's --jobs fan-out, and `oobp bench --jobs 4` over the fig04-06
+#      toys on the runner's scenario fan-out.
 #   8. Search baseline: search-labeled ctest tier (the 200-seed
 #      searched-schedule property battery, the search_gap_*
-#      golden/byte-identity tests, the analytic-evaluator bit-exactness
-#      battery, and the parallel-trajectory byte-identity test at threads
+#      golden/byte-identity tests, the scorer's battery against the event
+#      path, and the parallel-trajectory byte-identity test at threads
 #      1/4/8), every search_* scenario against its golden (the gap sweeps,
 #      the deep-budget search_deep_fig07, search_eval_fidelity and
-#      search_eval_perf), a perf smoke of the analytic evaluator gated by
-#      the perf baseline's analytic-evals count and evals/sec floor, a TSan
-#      run of the parallel trajectory portfolio (threads > beam-count
-#      collapse included), and 2000 ASan seeds of the search fuzz family,
-#      as tier 6 runs for the differential families (checker gate, Tier-B
-#      rescoring, rerun and threads=3 identity, beam monotonicity, an
-#      analytic-vs-simulator mutation walk whose every step must match bit
-#      for bit, and a differential searched-vs-heuristic run under the
-#      SimValidator; every second seed runs — see DESIGN.md §13-14).
+#      search_eval_perf), a perf smoke of the scorer gated by the perf
+#      baseline's analytic-evals count and evals/sec floor, a TSan run of
+#      the parallel trajectory portfolio (threads > beam-count collapse
+#      included), and 2000 ASan seeds of the search fuzz family, as tier 6
+#      runs for the differential families (checker gate, Tier-B rescoring,
+#      rerun and threads=3 identity, beam monotonicity, a mutation walk in
+#      which one reused scorer must match the event path, under the
+#      SimValidator, bit for bit at every step, and a differential
+#      searched-vs-heuristic run under the SimValidator; every second seed
+#      runs — see DESIGN.md §13-14).
 #   9. Benchmark self-test: `hostbench/run.py --selftest` builds the
 #      host-time benchmark (its own Release CMake project over src/, in
 #      build-dir/hostbench) and checks its helpers, that a seed's digest
@@ -78,7 +81,8 @@
 # Tier matrix (tier x build):
 #   tier 1, 3, 4, 5 -> Release build    (speed; golden gates are exact)
 #   tier 2, 6       -> ASan+UBSan build (memory-safety of slab/fluid/fuzz paths)
-#   tier 7          -> TSan build       (data races in the worker pools)
+#   tier 7          -> TSan build       (data races in the WorkerPool
+#                                        fan-outs: search, fuzz, bench)
 #   tier 8          -> Release (search goldens) + TSan (parallel portfolio)
 #                      + ASan (search fuzz smoke)
 #   tier 9          -> hostbench's own Release build
@@ -153,17 +157,20 @@ ctest --test-dir "${TSAN_DIR}" \
 "${TSAN_DIR}/tools/oobp" fuzz --seeds 20 --base-seed 1 --jobs 0 \
     --checks=fleet
 
+"${TSAN_DIR}/tools/oobp" bench --jobs 4 --filter 'fig0[4-6]*' \
+    --out "${TSAN_DIR}" --golden "${REPO_ROOT}/bench/golden"
+
 # --- Tier 8: search baseline: goldens + fuzz smoke ------------------------
 ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
 
 # Every search golden: the gap sweeps (budget 400 and the deep 4000),
-# analytic-vs-simulator fidelity, and the eval-perf counters.
+# scorer-vs-simulator fidelity, and the eval-perf counters.
 "${BUILD_DIR}/tools/oobp" bench --filter 'search_*' --jobs 0 \
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
-# Analytic-evaluator perf smoke: the deterministic eval count must match
-# the baseline exactly and Release throughput must clear the evals/sec
-# floor (bench/perf_baseline.json, "analytic_per_sec_floor").
+# Scorer perf smoke: the deterministic eval count must match the baseline
+# exactly and Release throughput must clear the evals/sec floor
+# (bench/perf_baseline.json, "analytic_per_sec_floor").
 "${BUILD_DIR}/tools/oobp" bench --perf --warmup 0 --repeats 1 --jobs 0 \
     --filter search_eval_perf \
     --check="${REPO_ROOT}/bench/perf_baseline.json" \
