@@ -7,18 +7,19 @@
 namespace oobp {
 
 CpuLauncher::CpuLauncher(SimEngine* engine, Gpu* gpu, Mode mode,
-                         TimeNs graph_launch_latency, TraceRecorder* trace,
-                         int issue_track, int max_outstanding)
+                         TimeNs graph_launch_latency, int max_outstanding)
     : engine_(engine),
       gpu_(gpu),
       mode_(mode),
       graph_launch_latency_(graph_launch_latency),
-      trace_(trace),
-      issue_track_(issue_track),
-      max_outstanding_(max_outstanding) {
+      max_outstanding_(max_outstanding),
+      observers_(RegisterDevice(&device_)) {
   OOBP_CHECK(engine != nullptr);
   OOBP_CHECK(gpu != nullptr);
   OOBP_CHECK_GE(max_outstanding, 0);
+  if (observers_ != nullptr) {
+    Notify(*observers_, &DeviceObserver::OnTimelineCreated, device_);
+  }
   gpu_->AddKernelDoneListener([this](KernelId) {
     if (in_flight_ > 0) {
       --in_flight_;
@@ -47,14 +48,8 @@ void CpuLauncher::Launch(std::vector<IssueItem> items,
     // One graph launch enqueues the entire captured sequence.
     issue_busy_ = graph_launch_latency_;
     engine_->ScheduleAfter(graph_launch_latency_, [this] {
-      if (trace_ != nullptr && !items_.empty()) {
-        TraceEvent ev;
-        ev.name = "graph_launch";
-        ev.category = "issue";
-        ev.track = issue_track_;
-        ev.start = engine_->now() - graph_launch_latency_;
-        ev.duration = graph_launch_latency_;
-        trace_->Add(ev);
+      if (observers_ != nullptr && !items_.empty()) {
+        ReportIssue("graph_launch", graph_launch_latency_);
       }
       for (size_t i = 0; i < items_.size(); ++i) {
         EnqueueItem(i);
@@ -85,25 +80,25 @@ void CpuLauncher::IssueNext() {
   const TimeNs latency = items_[index].issue_latency;
   issue_busy_ += latency;
   engine_->ScheduleAfter(latency, [this, index, latency] {
-    if (trace_ != nullptr) {
-      TraceEvent ev;
-      ev.name = "issue:" + items_[index].name;
-      ev.category = "issue";
-      ev.track = issue_track_;
-      ev.start = engine_->now() - latency;
-      ev.duration = latency;
-      trace_->Add(ev);
+    if (observers_ != nullptr) {
+      ReportIssue("issue:" + items_[index].name, latency);
     }
     EnqueueItem(index);
     IssueNext();
   });
 }
 
+void CpuLauncher::ReportIssue(std::string_view name, TimeNs latency) const {
+  Notify(*observers_, &DeviceObserver::OnSpan,
+         Span{.timeline = device_, .start = engine_->now() - latency,
+              .duration = latency, .name = name, .category = "issue"});
+}
+
 KernelId CpuLauncher::EnqueueItem(size_t index) {
   IssueItem& item = items_[index];
   KernelDesc desc;
-  // The item is never read again after this call (any trace event naming it
-  // was emitted by the caller first), so its labels can be stolen.
+  // The item is never read again after this call (any issue span naming it
+  // was reported by the caller first), so its labels can be stolen.
   desc.name = std::move(item.name);
   desc.category = std::move(item.category);
   desc.solo_duration = item.solo_duration;

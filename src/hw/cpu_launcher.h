@@ -18,12 +18,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/time.h"
 #include "src/hw/gpu.h"
+#include "src/hw/observer.h"
 #include "src/sim/engine.h"
-#include "src/trace/trace.h"
 
 namespace oobp {
 
@@ -57,15 +58,14 @@ class CpuLauncher {
     kPrecompiled,
   };
 
-  // `trace` may be null; issue activity is recorded on `issue_track`.
   // `max_outstanding` bounds how many issued-but-unfinished kernels the
   // executor may have in flight in kPerOp mode (0 = unbounded): real
   // framework executors only run a bounded distance ahead of the GPU, which
   // is why issue latency becomes visible in short-kernel regions (Figure 2).
+  // Built in an observed run (src/hw/observer.h), the launcher reports each
+  // issue, or the graph launch, as a span.
   CpuLauncher(SimEngine* engine, Gpu* gpu, Mode mode,
-              TimeNs graph_launch_latency = Us(5),
-              TraceRecorder* trace = nullptr, int issue_track = 100,
-              int max_outstanding = 0);
+              TimeNs graph_launch_latency = Us(5), int max_outstanding = 0);
 
   // Starts issuing `items` at the current simulation time. `on_issued(i, id)`
   // reports the KernelId assigned to item i; `on_all_issued` fires when the
@@ -81,14 +81,16 @@ class CpuLauncher {
  private:
   void IssueNext();
   KernelId EnqueueItem(size_t index);
+  // Reports the issue span that ends now.
+  void ReportIssue(std::string_view name, TimeNs latency) const;
 
   SimEngine* engine_;
   Gpu* gpu_;
   Mode mode_;
   TimeNs graph_launch_latency_;
-  TraceRecorder* trace_;
-  int issue_track_;
   int max_outstanding_;
+  int device_ = -1;
+  const ObserverList* observers_;  // null in an unobserved run
 
   bool active_ = false;
   bool blocked_on_queue_ = false;

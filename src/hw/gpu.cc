@@ -3,27 +3,25 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/hw/validation_hooks.h"
-
 namespace oobp {
 
-Gpu::Gpu(SimEngine* engine, GpuSpec spec, TraceRecorder* trace,
-         int trace_track_base)
+Gpu::Gpu(SimEngine* engine, GpuSpec spec)
     : engine_(engine),
       spec_(std::move(spec)),
-      trace_(trace),
-      trace_track_base_(trace_track_base),
-      slots_(engine, static_cast<double>(spec_.slot_capacity())) {
+      slots_(engine, static_cast<double>(spec_.slot_capacity())),
+      observers_(RegisterDevice(&device_)) {
   OOBP_CHECK(engine != nullptr);
   OOBP_CHECK_GT(spec_.slot_capacity(), 0);
-  if (HwValidationHooks* hooks = ActiveHwValidationHooks()) {
-    hooks->OnGpuCreated(this);
+  if (observers_ != nullptr) {
+    Notify(*observers_, &DeviceObserver::OnGpuCreated, device_,
+           engine_->now(), spec_);
   }
 }
 
 Gpu::~Gpu() {
-  if (observer_ != nullptr) {
-    observer_->OnGpuDestroyed(*this);
+  if (observers_ != nullptr) {
+    Notify(*observers_, &DeviceObserver::OnGpuDestroyed, device_,
+           engine_->now(), slots_.busy_integral());
   }
 }
 
@@ -65,8 +63,10 @@ KernelId Gpu::Enqueue(StreamId stream, KernelDesc desc, const KernelId* deps,
   kernels_.push_back(std::move(k));
   streams_[stream].queue.push_back(id);
   MaybeDispatch(stream);
-  if (observer_ != nullptr) {
-    observer_->OnKernelEnqueued(*this, id, deps, num_deps);
+  if (observers_ != nullptr) {
+    KernelEvent e = Observed(id);
+    e.deps = {deps, num_deps};
+    Notify(*observers_, &DeviceObserver::OnKernelEnqueued, e);
   }
   return id;
 }
@@ -89,16 +89,12 @@ TimeNs Gpu::StartTime(KernelId id) const {
   return kernels_[id].start_time;
 }
 
-StreamId Gpu::KernelStream(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].stream;
-}
-
-const KernelDesc& Gpu::KernelDescOf(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].desc;
+KernelEvent Gpu::Observed(KernelId id) const {
+  const Kernel& k = kernels_[id];
+  return {.gpu = device_, .now = engine_->now(), .id = id, .stream = k.stream,
+          .solo_duration = k.desc.solo_duration,
+          .allocated_rate = slots_.allocated_rate(), .start = k.start_time,
+          .name = k.desc.name, .category = k.desc.category};
 }
 
 void Gpu::MaybeDispatch(StreamId stream) {
@@ -128,8 +124,8 @@ void Gpu::BeginExecution(KernelId id) {
   const double work = static_cast<double>(k.desc.solo_duration) * max_rate;
   const int priority = streams_[k.stream].priority;
   slots_.Add(work, max_rate, priority, [this, id] { FinishKernel(id); });
-  if (observer_ != nullptr) {
-    observer_->OnKernelStarted(*this, id);
+  if (observers_ != nullptr) {
+    Notify(*observers_, &DeviceObserver::OnKernelStarted, Observed(id));
   }
 }
 
@@ -150,18 +146,9 @@ void Gpu::FinishKernel(KernelId id) {
     first_dependent = k.first_dependent;
     more_dependents = std::move(k.more_dependents);
 
-    if (trace_ != nullptr) {
-      TraceEvent ev;
-      ev.name = k.desc.name;
-      ev.category = k.desc.category;
-      ev.track = trace_track_base_ + k.stream;
-      ev.start = k.start_time;
-      ev.duration = k.done_time - k.start_time;
-      trace_->Add(ev);
+    if (observers_ != nullptr) {
+      Notify(*observers_, &DeviceObserver::OnKernelFinished, Observed(id));
     }
-  }
-  if (observer_ != nullptr) {
-    observer_->OnKernelFinished(*this, id);
   }
 
   Stream& s = streams_[stream];

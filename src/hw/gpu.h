@@ -23,14 +23,11 @@
 #include "src/common/check.h"
 #include "src/common/time.h"
 #include "src/hw/gpu_spec.h"
+#include "src/hw/observer.h"
 #include "src/sim/engine.h"
 #include "src/sim/fluid.h"
-#include "src/trace/trace.h"
 
 namespace oobp {
-
-using StreamId = int;
-using KernelId = int64_t;
 
 // Average SM-slot occupancy of a kernel with `blocks` thread blocks on a
 // device with `capacity` slots. Thread blocks execute in ceil(blocks /
@@ -51,37 +48,11 @@ struct KernelDesc {
   std::vector<KernelId> deps;  // cross-stream dependencies (must be enqueued)
 };
 
-class Gpu;
-
-// Passive per-event observer, attached by the validation layer (see
-// src/hw/validation_hooks.h and src/validate/). Callbacks fire after the
-// GPU's own bookkeeping for the event, so observers can query the public
-// accessors for consistent state. Observers must not mutate the GPU. An
-// attached observer must outlive the Gpu (the destructor notifies it).
-class GpuObserver {
- public:
-  virtual ~GpuObserver() = default;
-  // `deps` is the resolved dependency span for this enqueue (valid only for
-  // the duration of the call; it may differ from KernelDescOf(id).deps when
-  // the span-based Enqueue overload was used).
-  virtual void OnKernelEnqueued(const Gpu& gpu, KernelId id,
-                                const KernelId* deps, size_t num_deps) {
-    (void)gpu, (void)id, (void)deps, (void)num_deps;
-  }
-  virtual void OnKernelStarted(const Gpu& gpu, KernelId id) {
-    (void)gpu, (void)id;
-  }
-  virtual void OnKernelFinished(const Gpu& gpu, KernelId id) {
-    (void)gpu, (void)id;
-  }
-  virtual void OnGpuDestroyed(const Gpu& gpu) { (void)gpu; }
-};
-
 class Gpu {
  public:
-  // `trace` may be null. Stream `s` traces onto track `trace_track_base + s`.
-  Gpu(SimEngine* engine, GpuSpec spec, TraceRecorder* trace = nullptr,
-      int trace_track_base = 0);
+  // Reports its kernel events to the observer list when built in an
+  // observed run (src/hw/observer.h).
+  Gpu(SimEngine* engine, GpuSpec spec);
   ~Gpu();
   Gpu(const Gpu&) = delete;
   Gpu& operator=(const Gpu&) = delete;
@@ -134,16 +105,6 @@ class Gpu {
     slots_.set_busy_recorder(recorder);
   }
 
-  // Read-only accessors for validators and tests.
-  const SimEngine& engine() const { return *engine_; }
-  const FluidProcessor& slots() const { return slots_; }
-  StreamId KernelStream(KernelId id) const;
-  const KernelDesc& KernelDescOf(KernelId id) const;
-
-  // At most one observer; pass nullptr to detach. Normally installed through
-  // the thread-local validation hooks, not called directly.
-  void SetObserver(GpuObserver* observer) { observer_ = observer; }
-
  private:
   struct Kernel {
     KernelDesc desc;
@@ -177,17 +138,18 @@ class Gpu {
   void MaybeDispatch(StreamId stream);
   void BeginExecution(KernelId id);
   void FinishKernel(KernelId id);
+  // What observers hear of kernel `id` now.
+  KernelEvent Observed(KernelId id) const;
 
   SimEngine* engine_;
   GpuSpec spec_;
-  TraceRecorder* trace_;
-  int trace_track_base_;
   FluidProcessor slots_;
   std::vector<Stream> streams_;
   std::vector<Kernel> kernels_;
   size_t completed_ = 0;
   std::vector<std::function<void(KernelId)>> done_listeners_;
-  GpuObserver* observer_ = nullptr;
+  int device_ = -1;
+  const ObserverList* observers_;  // null in an unobserved run
 };
 
 }  // namespace oobp

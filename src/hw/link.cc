@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/hw/validation_hooks.h"
 
 namespace oobp {
 
@@ -16,20 +15,14 @@ LinkSpec LinkSpec::Eth20G() { return {"20GbE", 2.5, Us(25)}; }
 LinkSpec LinkSpec::Eth25G() { return {"25GbE", 3.125, Us(25)}; }
 
 Link::Link(SimEngine* engine, LinkSpec spec, int64_t chunk_bytes,
-           TraceRecorder* trace, int track, int64_t commit_window_bytes)
+           int64_t commit_window_bytes)
     : engine_(engine),
       queue_(spec, chunk_bytes, commit_window_bytes),
-      trace_(trace),
-      track_(track) {
+      observers_(RegisterDevice(&device_)) {
   OOBP_CHECK(engine != nullptr);
-  if (HwValidationHooks* hooks = ActiveHwValidationHooks()) {
-    hooks->OnLinkCreated(this);
-  }
-}
-
-Link::~Link() {
-  if (observer_ != nullptr) {
-    observer_->OnLinkDestroyed(*this);
+  if (observers_ != nullptr) {
+    Notify(*observers_, &DeviceObserver::OnLinkCreated, device_,
+           engine_->now(), queue_.spec());
   }
 }
 
@@ -139,8 +132,10 @@ Link::TransferId Link::Transfer(int64_t bytes, int priority, std::string name,
                                 std::function<void()> on_complete) {
   const TransferId id = queue_.Submit(bytes, priority);
   records_.push_back(Record{std::move(name), std::move(on_complete), false});
-  if (observer_ != nullptr) {
-    observer_->OnTransferSubmitted(*this, id, bytes, priority);
+  if (observers_ != nullptr) {
+    Notify(*observers_, &DeviceObserver::OnTransferSubmitted,
+           TransferEvent{.link = device_, .now = engine_->now(), .id = id,
+                         .bytes = bytes});
   }
   RefillAndStart();
   return id;
@@ -163,19 +158,14 @@ void Link::OnChunkEnd() {
   LinkQueue::Completion done;
   if (queue_.EndChunk(&done)) {
     Record& record = records_[static_cast<size_t>(done.id - 1)];
-    if (trace_ != nullptr) {
-      TraceEvent ev;
-      ev.name = record.name;
-      ev.category = "comm";
-      ev.track = track_;
-      ev.start = done.first_start;
-      ev.duration = engine_->now() - done.first_start;
-      ev.args["bytes"] = std::to_string(done.bytes);
-      trace_->Add(ev);
-    }
     record.done = true;
-    if (observer_ != nullptr) {
-      observer_->OnTransferCompleted(*this, done.id);
+    if (observers_ != nullptr) {
+      Notify(*observers_, &DeviceObserver::OnTransferCompleted,
+             TransferEvent{.link = device_, .now = engine_->now(),
+                           .id = done.id, .bytes = done.bytes,
+                           .first_start = done.first_start,
+                           .busy_time = queue_.busy_time(),
+                           .name = record.name});
     }
     // The callback may submit transfers, which can grow records_.
     const std::function<void()> cb = std::move(record.on_complete);

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/hw/observer.h"
 #include "src/sim/engine.h"
-#include "src/trace/trace.h"
 
 namespace oobp {
 
@@ -130,30 +130,12 @@ class LinkQueue {
   int64_t committed_bytes_ = 0;
 };
 
-class Link;
-
-// Passive per-transfer observer, attached by the validation layer (see
-// src/hw/validation_hooks.h and src/validate/). Same contract as GpuObserver:
-// callbacks fire after the link's own bookkeeping, observers must not mutate
-// the link and must outlive it.
-class LinkObserver {
- public:
-  virtual ~LinkObserver() = default;
-  virtual void OnTransferSubmitted(const Link& link, int64_t id, int64_t bytes,
-                                   int priority) {
-    (void)link, (void)id, (void)bytes, (void)priority;
-  }
-  virtual void OnTransferCompleted(const Link& link, int64_t id) {
-    (void)link, (void)id;
-  }
-  virtual void OnLinkDestroyed(const Link& link) { (void)link; }
-};
-
 class Link {
  public:
   using TransferId = int64_t;
 
-  // `trace` may be null; transfers are recorded on `track`.
+  // Reports its transfer events to the observer list when built in an
+  // observed run (src/hw/observer.h).
   //
   // `commit_window_bytes` models the transport's non-preemptible queue
   // (socket buffers, RDMA work queues, the server-side pipeline): messages
@@ -165,9 +147,7 @@ class Link {
   // priority scheduling (Section 8.3). 0 = fully preemptible at chunk
   // granularity.
   Link(SimEngine* engine, LinkSpec spec, int64_t chunk_bytes = 1 << 20,
-       TraceRecorder* trace = nullptr, int track = 200,
        int64_t commit_window_bytes = 0);
-  ~Link();
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
@@ -181,11 +161,6 @@ class Link {
   size_t pending() const { return queue_.pending(); }
   TimeNs busy_time() const { return queue_.busy_time(); }
   const LinkSpec& spec() const { return queue_.spec(); }
-  const SimEngine& engine() const { return *engine_; }
-
-  // At most one observer; pass nullptr to detach. Normally installed through
-  // the thread-local validation hooks, not called directly.
-  void SetObserver(LinkObserver* observer) { observer_ = observer; }
 
   // Nanoseconds to move `bytes` at link bandwidth (excluding latency).
   TimeNs SerializationTime(int64_t bytes) const {
@@ -206,10 +181,9 @@ class Link {
 
   SimEngine* engine_;
   LinkQueue queue_;
-  TraceRecorder* trace_;
-  int track_;
   std::vector<Record> records_;
-  LinkObserver* observer_ = nullptr;
+  int device_ = -1;
+  const ObserverList* observers_;  // null in an unobserved run
 };
 
 }  // namespace oobp

@@ -24,6 +24,7 @@
 #include "src/search/fast_eval.h"
 #include "src/search/search.h"
 #include "src/validate/schedule_checker.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -186,8 +187,10 @@ double SpearmanRankCorr(const std::vector<TimeNs>& a,
   return cov / std::sqrt(var_a * var_b);
 }
 
-// Analytic-vs-simulator fidelity over the gap zoo: conventional plus
-// `candidates` random genotypes per config, each scored by both evaluators.
+// Scorer-vs-simulator fidelity over the gap zoo: conventional plus
+// `candidates` random genotypes per config, each scored by the candidate
+// scorer and by ScheduleEvaluator in an observed run, so that the reference
+// is the event path (src/hw/observer.h) and a SimValidator checks it.
 // Reported per config and in aggregate; EXPERIMENTS.md cites the aggregate
 // row and the golden pins it.
 ScenarioResult RunEvalFidelity(const std::vector<GapConfig>& configs,
@@ -210,6 +213,7 @@ ScenarioResult RunEvalFidelity(const std::vector<GapConfig>& configs,
     const TrainGraph graph(config.model.get());
     ScheduleEvaluator sim(config.model.get(), config.gpu, profile);
     FastScheduleEvaluator fast(config.model.get(), config.gpu, profile);
+    SimValidator validator;
     Rng rng(seed * 0x9E3779B97F4A7C15ULL + ci);
     std::vector<TimeNs> fast_times;
     std::vector<TimeNs> sim_times;
@@ -220,6 +224,7 @@ ScenarioResult RunEvalFidelity(const std::vector<GapConfig>& configs,
           k == 0 ? ConventionalIteration(graph)
                  : DecodeGenotype(graph, RandomGenotype(graph, rng));
       const TimeNs f = fast.IterationTime(schedule);
+      const ObserverScope observed(&validator);
       const TimeNs s = sim.IterationTime(schedule);
       fast_times.push_back(f);
       sim_times.push_back(s);
@@ -230,6 +235,8 @@ ScenarioResult RunEvalFidelity(const std::vector<GapConfig>& configs,
       config_err_sum += err;
       config_err_max = std::max(config_err_max, err);
     }
+    OOBP_CHECK(validator.ok() && validator.kernels_finished() > 0)
+        << config.name << ": " << validator.Summary();
     const double corr = SpearmanRankCorr(fast_times, sim_times);
     result.Set(config.name + ".rank_corr", corr);
     result.Set(config.name + ".mean_rel_err",

@@ -11,7 +11,7 @@
 #include "src/core/memory_model.h"
 #include "src/hw/gpu.h"
 #include "src/hw/link.h"
-#include "src/hw/validation_hooks.h"
+#include "src/hw/observer.h"
 #include "src/runtime/slot_executor.h"
 #include "src/sim/engine.h"
 
@@ -128,8 +128,8 @@ class DpBackend {
   // completion runs Driver::OnKernelDone(k).
   virtual void Enqueue(const TrainOp& op, int iter, const KernelCost& cost) = 0;
   // Sends `bytes` on the channel at `priority` (lower first); the
-  // completion runs Driver::OnTransferDone(token). `name` labels the trace
-  // event.
+  // completion runs Driver::OnTransferDone(token). `name` labels the
+  // transfer for observers.
   virtual void Transfer(int64_t bytes, int priority, std::string name,
                         int token) = 0;
   // Runs Driver::OnFusionTimer `delay` after now.
@@ -146,12 +146,11 @@ class Driver {
  public:
   Driver(DpBackend* backend, const NnModel& model, const CostModel& cost,
          const DataParallelEngine& parent, const DataParallelConfig& config,
-         const std::vector<TrainOp>& backprop, int iterations, bool tracing)
+         const std::vector<TrainOp>& backprop, int iterations)
       : backend_(backend),
         config_(config),
         L_(model.num_layers()),
-        iterations_(iterations),
-        tracing_(tracing) {
+        iterations_(iterations) {
     // Per-iteration op sequence: backprop (with updates folded into the
     // synchronization completion), then the next forward pass.
     sequence_ = backprop;
@@ -295,7 +294,8 @@ class Driver {
         const int64_t bytes = std::min<int64_t>(part, volume - p * part);
         backend_->Transfer(
             bytes, layer,
-            tracing_ ? StrFormat("sync[%d].%d#%d", layer, p, t) : std::string(),
+            RunIsObserved() ? StrFormat("sync[%d].%d#%d", layer, p, t)
+                            : std::string(),
             slot);
       }
       return;
@@ -324,8 +324,9 @@ class Driver {
     fusion_bytes_ = 0;
     backend_->Transfer(
         bytes, kFusionPriority,
-        tracing_ ? StrFormat("fusion(%zu tensors)", fused_.size() - begin)
-                 : std::string(),
+        RunIsObserved()
+            ? StrFormat("fusion(%zu tensors)", fused_.size() - begin)
+            : std::string(),
         token);
   }
 
@@ -340,7 +341,6 @@ class Driver {
   const DataParallelConfig& config_;
   const int L_;
   const int iterations_;
-  const bool tracing_;
 
   std::vector<TrainOp> sequence_;
   std::vector<KernelCost> seq_cost_;  // cost of sequence_[i], unit-adjusted
@@ -361,17 +361,14 @@ class Driver {
 };
 
 // The reference producer: every issue, kernel begin, fluid wake, channel
-// chunk and fusion timer is a SimEngine event. Traced runs and runs under a
-// ValidationScope take it (only it emits trace events and builds the Gpu
-// and Link the SimValidator observes).
+// chunk and fusion timer is a SimEngine event. Observed runs take it (it
+// builds the Gpu and Link observers hear from).
 class DpEventBackend final : public DpBackend {
  public:
   DpEventBackend(const GpuSpec& gpu, const LinkSpec& channel,
-                 int64_t commit_window_bytes, TraceRecorder* trace)
-      : trace_(trace),
-        gpu_(&engine_, gpu, trace, /*trace_track_base=*/0),
-        channel_(&engine_, channel, kChannelChunkBytes, trace, /*track=*/200,
-                 commit_window_bytes),
+                 int64_t commit_window_bytes)
+      : gpu_(&engine_, gpu),
+        channel_(&engine_, channel, kChannelChunkBytes, commit_window_bytes),
         stream_(gpu_.CreateStream(0)) {}
 
   void Run(Driver* driver) override {
@@ -387,12 +384,8 @@ class DpEventBackend final : public DpBackend {
   }
   void Enqueue(const TrainOp& op, int iter, const KernelCost& cost) override {
     KernelDesc desc;
-    if (trace_ != nullptr) {
-      // Labels only feed trace events; untraced runs skip the formatting.
-      desc.name =
-          StrFormat("%s[%d]#%d", TrainOpTypeName(op.type), op.layer, iter);
-      desc.category = TrainOpTypeName(op.type);
-    }
+    desc.name = StrFormat("%s[%d]#%d", TrainOpTypeName(op.type), op.layer, iter);
+    desc.category = TrainOpTypeName(op.type);
     desc.solo_duration = cost.duration;
     desc.thread_blocks = cost.thread_blocks;
     gpu_.Enqueue(stream_, std::move(desc));
@@ -408,7 +401,6 @@ class DpEventBackend final : public DpBackend {
   TimeNs channel_busy() const override { return channel_.busy_time(); }
 
  private:
-  TraceRecorder* trace_;
   SimEngine engine_;
   Gpu gpu_;
   Link channel_;
@@ -416,7 +408,7 @@ class DpEventBackend final : public DpBackend {
   Driver* driver_ = nullptr;
 };
 
-// Exact executor for untraced, unvalidated runs. The worker's GPU runs one
+// Exact executor for unobserved runs. The worker's GPU runs one
 // in-order stream with one running kernel, the channel one chunk at a
 // time, the driver one pending issue and at most one armed fusion timer,
 // so each of the event path's five event kinds has at most one pending
@@ -652,25 +644,23 @@ TrainMetrics DataParallelEngine::Run(const NnModel& model,
                                     ? config_.commit_window_bytes
                                     : 0;
 
-  // The executor reproduces the event path bit for bit; only the event
-  // path emits trace events and builds the Gpu and Link the SimValidator
-  // observes, and it steps every iteration.
-  const bool use_executor =
-      trace == nullptr && ActiveHwValidationHooks() == nullptr;
+  // The executor reproduces the event path bit for bit (src/hw/observer.h
+  // states the rule).
+  const ObserverScope scope(trace);
+  const bool observed = RunIsObserved();
   std::unique_ptr<DpBackend> backend;
-  if (use_executor) {
+  if (observed) {
+    backend = std::make_unique<DpEventBackend>(gpu_spec, channel_spec,
+                                               commit_window);
+  } else {
     backend = std::make_unique<DpExecutor>(gpu_spec, channel_spec,
                                            commit_window, iterations);
-  } else {
-    backend = std::make_unique<DpEventBackend>(gpu_spec, channel_spec,
-                                               commit_window, trace);
   }
   Driver driver(backend.get(), model, cost, *this, config_, backprop,
-                iterations, /*tracing=*/trace != nullptr);
+                iterations);
   backend->Run(&driver);
   if (replay_stats != nullptr) {
-    *replay_stats = StepStats(use_executor, trace != nullptr,
-                              driver.stepped(), iterations);
+    *replay_stats = StepStats(!observed, driver.stepped(), iterations);
   }
 
   TrainMetrics metrics;

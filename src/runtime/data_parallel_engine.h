@@ -70,12 +70,14 @@ class DataParallelEngine {
 
   // Runs warm-up + measured iterations with the given backprop order (must
   // validate against the model's TrainGraph). Throughput is global
-  // (samples/s across all workers). Untraced runs outside a ValidationScope
-  // take an exact executor, which stops at the first iteration boundary
-  // that repeats an earlier one; traced and validated runs take the event
-  // simulation, which steps every iteration. Both give the same metrics bit
-  // for bit (DESIGN.md §6.3, §9.2). `replay_stats`, when not null, says
-  // which path ran and how many iterations it stepped.
+  // (samples/s across all workers). `trace`, when not null, is subscribed
+  // to the observer list for the call: the GPU's stream is track 0 and the
+  // channel track 100. An unobserved run takes an exact executor, which
+  // stops at the first iteration boundary that repeats an earlier one; an
+  // observed run takes the event simulation, which steps every iteration.
+  // Both give the same metrics bit for bit (src/hw/observer.h, DESIGN.md
+  // §6.3, §9.2). `replay_stats`, when not null, says which path ran and how
+  // many iterations it stepped.
   TrainMetrics Run(const NnModel& model, const std::vector<TrainOp>& backprop,
                    TraceRecorder* trace = nullptr,
                    ReplayStats* replay_stats = nullptr) const;

@@ -84,7 +84,6 @@ HybridResult HybridEngine::Run(const NnModel& micro_model,
       it = stage_links
                .emplace(stage, std::make_unique<Link>(
                                    &engine, spec, /*chunk_bytes=*/1 << 20,
-                                   nullptr, 300 + stage,
                                    config_.commit_window_bytes))
                .first;
     }
@@ -97,7 +96,7 @@ HybridResult HybridEngine::Run(const NnModel& micro_model,
     engine.ScheduleAt(pipe.wgrad_done[l], [=, &engine, &sync_done] {
       for (int p = 0; p < parts; ++p) {
         const int64_t bytes = std::min<int64_t>(part, volume - p * part);
-        // No trace recorder on these links, so the name is never read.
+        // Unnamed: a trace shows these transfers on their link's track.
         link->Transfer(bytes, l, std::string(),
                        [=, &engine, &sync_done] {
                          if (--*remaining == 0) {

@@ -21,11 +21,11 @@ struct TrainMetrics {
 };
 
 // How a training run was stepped, in the same terms for the single-GPU,
-// data-parallel and pipeline engines (DESIGN.md §9.2). Untraced runs outside
-// a ValidationScope take the engine's exact executor, which stops at the
-// first iteration boundary whose state repeats an earlier one and
-// extrapolates the rest; traced and validated runs take the event
-// simulation, which steps every iteration (DESIGN.md §6.3).
+// data-parallel and pipeline engines (DESIGN.md §9.2). An unobserved run
+// takes the engine's exact executor, which stops at the first iteration
+// boundary whose state repeats an earlier one and extrapolates the rest; an
+// observed run (a trace recorder or validator subscribed, src/hw/observer.h)
+// takes the event simulation, which steps every iteration (DESIGN.md §6.3).
 struct ReplayStats {
   // The run took the executor, which looks for a repeated boundary. False
   // on the event path and for the synchronous pipeline strategies, which
@@ -34,9 +34,9 @@ struct ReplayStats {
   bool replayed = false;         // a boundary repeated; the rest extrapolated
   int simulated_iterations = 0;  // iterations stepped
   int total_iterations = 0;      // warm-up + measured
-  // Empty when replayed. "traced" or "validated" (the event path),
-  // "synchronous" (a pipeline strategy that flushes every iteration) or
-  // "aperiodic" (the executor stepped every iteration).
+  // Empty when replayed. "observed" (the event path), "synchronous" (a
+  // pipeline strategy that flushes every iteration) or "aperiodic" (the
+  // executor stepped every iteration).
   std::string fallback_reason;
   // The run went through the engine's exact executor (single-GPU: the
   // two-stream executor; data-parallel: the five-slot executor; pipeline:
@@ -45,9 +45,8 @@ struct ReplayStats {
 };
 
 // The stats of a run that stepped `simulated` of `total` iterations, on the
-// executor or, when the run was `traced` or validated, on the event path.
-inline ReplayStats StepStats(bool executor, bool traced, int simulated,
-                             int total) {
+// executor or, when the run was observed, on the event path.
+inline ReplayStats StepStats(bool executor, int simulated, int total) {
   ReplayStats stats;
   stats.executor = executor;
   stats.attempted = executor;
@@ -55,7 +54,7 @@ inline ReplayStats StepStats(bool executor, bool traced, int simulated,
   stats.simulated_iterations = simulated;
   stats.total_iterations = total;
   if (!executor) {
-    stats.fallback_reason = traced ? "traced" : "validated";
+    stats.fallback_reason = "observed";
   } else if (!stats.replayed) {
     stats.fallback_reason = "aperiodic";
   }

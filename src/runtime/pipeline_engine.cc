@@ -14,7 +14,7 @@
 #include "src/common/check.h"
 #include "src/common/str_util.h"
 #include "src/hw/link.h"
-#include "src/hw/validation_hooks.h"
+#include "src/hw/observer.h"
 #include "src/sim/engine.h"
 
 namespace oobp {
@@ -105,7 +105,8 @@ class PipeBackend {
   // Fires `event` `delay` after now.
   virtual void Schedule(TimeNs delay, PipeEvent event) = 0;
   // Sends `bytes` from GPU `src` to GPU `dst` at priority 0 and fires
-  // `arrival` when the last chunk lands. `name` labels the trace event.
+  // `arrival` when the last chunk lands. `name` labels the transfer for
+  // observers.
   virtual void Send(int src, int dst, int64_t bytes, std::string name,
                     PipeEvent arrival) = 0;
   // Busy time summed over the links: every chunk that started before the
@@ -130,7 +131,7 @@ class PipeSim {
   PipeSim(PipeBackend* backend, const PipelineConfig& config,
           const NnModel& model, const TrainGraph& graph, const CostModel& cost,
           const LayerAssignment& assignment, PipelineStrategy strategy,
-          int iterations, TraceRecorder* trace)
+          int iterations)
       : backend_(backend),
         config_(config),
         model_(model),
@@ -139,9 +140,12 @@ class PipeSim {
         assignment_(assignment),
         strategy_(strategy),
         iterations_(iterations),
-        trace_(trace),
         L_(model.num_layers()),
-        M_(config.num_micro_batches) {
+        M_(config.num_micro_batches),
+        observers_(RegisterDevice(&timeline_)) {
+    if (observers_ != nullptr) {
+      Notify(*observers_, &DeviceObserver::OnTimelineCreated, timeline_);
+    }
     defer_wgrads_ = strategy == PipelineStrategy::kOooPipe1 ||
                     strategy == PipelineStrategy::kOooPipe2 ||
                     strategy == PipelineStrategy::kMegatronFF;
@@ -479,7 +483,7 @@ class PipeSim {
     }
     AddMem(src, bytes);  // send buffer
     backend_->Send(src, dst, bytes,
-                  trace_ != nullptr
+                  observers_ != nullptr
                       ? StrFormat("act[%d]%c#%d", l, 'A' + m % 26, t)
                       : std::string(),
                   {PipeEvent::kActivation, slot});
@@ -506,7 +510,7 @@ class PipeSim {
       return;
     }
     backend_->Send(src, dst, model_.layers[l].output_bytes,
-                  trace_ != nullptr
+                  observers_ != nullptr
                       ? StrFormat("grad[%d]%c#%d", l, 'A' + m % 26, t)
                       : std::string(),
                   {PipeEvent::kGradient, slot});
@@ -550,21 +554,20 @@ class PipeSim {
   void OnOpDone(int idx) {
     Op& op = ops_[idx];
     const TimeNs now = backend_->now();
-    if (trace_ != nullptr) {
-      TraceEvent ev;
+    if (observers_ != nullptr) {
       const char* kind_name = op.kind == PipeOpKind::kFwd
                                   ? "F"
                                   : (op.kind == PipeOpKind::kDgrad ? "dO"
                                                                    : "dW");
-      ev.name = StrFormat("%s[%d]%c#%d", kind_name, op.layer,
-                          'A' + op.micro % 26, op.iter);
-      ev.category = op.kind == PipeOpKind::kFwd     ? "fwd"
-                    : op.kind == PipeOpKind::kDgrad ? "dO"
-                                                    : "dW";
-      ev.track = op.gpu;
-      ev.start = now - op.duration;
-      ev.duration = op.duration;
-      trace_->Add(ev);
+      const std::string name = StrFormat("%s[%d]%c#%d", kind_name, op.layer,
+                                         'A' + op.micro % 26, op.iter);
+      Notify(*observers_, &DeviceObserver::OnSpan,
+             Span{.timeline = timeline_, .lane = op.gpu,
+                  .start = now - op.duration, .duration = op.duration,
+                  .name = name,
+                  .category = op.kind == PipeOpKind::kFwd     ? "fwd"
+                              : op.kind == PipeOpKind::kDgrad ? "dO"
+                                                              : "dW"});
     }
     op.done = true;
     GpuState& gs = gpus_[op.gpu];
@@ -757,9 +760,11 @@ class PipeSim {
   const LayerAssignment& assignment_;
   PipelineStrategy strategy_;
   int iterations_;
-  TraceRecorder* trace_;
   const int L_;
   const int M_;
+  // The op timeline observers hear from: GPU g's ops on lane g.
+  int timeline_ = -1;
+  const ObserverList* observers_;  // null in an unobserved run
 
   bool defer_wgrads_ = false;
   bool fast_forward_ = false;
@@ -794,12 +799,11 @@ class PipeSim {
 };
 
 // The reference producer: every op completion, iteration end and link chunk
-// is a SimEngine event. Traced runs and runs under a ValidationScope take it
-// (only it emits trace events and builds observable Links).
+// is a SimEngine event. Observed runs take it (it builds the Links
+// observers hear from).
 class EventBackend final : public PipeBackend {
  public:
-  EventBackend(const PipelineConfig& config, TraceRecorder* trace)
-      : config_(config), trace_(trace) {}
+  explicit EventBackend(const PipelineConfig& config) : config_(config) {}
 
   void Run(PipeSim* sim) override {
     sim_ = sim;
@@ -835,21 +839,19 @@ class EventBackend final : public PipeBackend {
       return it->second.get();
     }
     auto link = std::make_unique<Link>(&engine_, LinkSpecFor(config_, src, dst),
-                                       kChunkBytes, trace_,
-                                       /*track=*/100 + src * 64 + dst);
+                                       kChunkBytes);
     Link* raw = link.get();
     links_.emplace(key, std::move(link));
     return raw;
   }
 
   const PipelineConfig& config_;
-  TraceRecorder* trace_;
   PipeSim* sim_ = nullptr;
   SimEngine engine_;
   std::map<std::pair<int, int>, std::unique_ptr<Link>> links_;
 };
 
-// Exact message-level executor for untraced, unvalidated runs. Pipeline
+// Exact message-level executor for unobserved runs. Pipeline
 // links carry priority-0 transfers with no commit window, so a message holds
 // its link from its first chunk to its last and its chunk boundaries change
 // nothing but event order. The executor steps op completions and iteration
@@ -1152,19 +1154,18 @@ PipelineResult PipelineEngine::Run(const NnModel& micro_model,
   const bool continuous = strategy == PipelineStrategy::kPipeDream;
   const int iterations = continuous ? 1 + config_.measured_iterations : 1;
 
-  // The executor reproduces the event path bit for bit; only the event
-  // path emits trace events and builds Links the SimValidator can observe,
-  // and it steps every iteration.
-  const bool executor =
-      trace == nullptr && ActiveHwValidationHooks() == nullptr;
+  // The executor reproduces the event path bit for bit (src/hw/observer.h
+  // states the rule).
+  const ObserverScope scope(trace);
+  const bool observed = RunIsObserved();
   std::unique_ptr<PipeBackend> backend;
-  if (executor) {
-    backend = std::make_unique<PipeExecutor>(config_);
+  if (observed) {
+    backend = std::make_unique<EventBackend>(config_);
   } else {
-    backend = std::make_unique<EventBackend>(config_, trace);
+    backend = std::make_unique<PipeExecutor>(config_);
   }
   PipeSim sim(backend.get(), config_, micro_model, graph, cost, assignment,
-              strategy, iterations, trace);
+              strategy, iterations);
   backend->Run(&sim);
   // A continuous run may have moved its horizon in by whole periods
   // (PipeSim::AtBoundary); the counters are integers, so adding the skipped
@@ -1174,8 +1175,7 @@ PipelineResult PipelineEngine::Run(const NnModel& micro_model,
   const TimeNs compute_busy = sim.compute_busy() + skip.compute_busy;
   const TimeNs comm_total = sim.comm_busy() + skip.comm_busy;
   if (replay_stats != nullptr) {
-    *replay_stats = StepStats(executor, trace != nullptr, sim.iterations(),
-                              iterations);
+    *replay_stats = StepStats(!observed, sim.iterations(), iterations);
     if (!continuous) {
       // Flush strategies run one iteration: nothing to extrapolate.
       replay_stats->attempted = false;

@@ -106,12 +106,14 @@ class PipelineEngine {
  public:
   explicit PipelineEngine(PipelineConfig config);
 
-  // Untraced runs outside a ValidationScope take an exact message-level
-  // executor, which skips whole periods of a PipeDream run once an
-  // iteration boundary repeats; traced and validated runs take the event
+  // `trace`, when not null, is subscribed to the observer list for the
+  // call: pipeline GPU g's ops are track g, and the GPU-pair links take
+  // tracks 100, 200, ... in the order they are built. An unobserved run takes an exact
+  // message-level executor, which skips whole periods of a PipeDream run
+  // once an iteration boundary repeats; an observed run takes the event
   // simulation, which steps every iteration. Both give the same result bit
-  // for bit (DESIGN.md §6.3, §9.2). `replay_stats` (optional) says which
-  // path ran and how many iterations it stepped.
+  // for bit (src/hw/observer.h, DESIGN.md §6.3, §9.2). `replay_stats`
+  // (optional) says which path ran and how many iterations it stepped.
   PipelineResult Run(const NnModel& micro_model, PipelineStrategy strategy,
                      TraceRecorder* trace = nullptr,
                      ReplayStats* replay_stats = nullptr) const;

@@ -9,7 +9,7 @@
 #include "src/core/memory_model.h"
 #include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
-#include "src/hw/validation_hooks.h"
+#include "src/hw/observer.h"
 #include "src/runtime/slot_executor.h"
 #include "src/runtime/train_sim.h"
 #include "src/sim/engine.h"
@@ -35,9 +35,11 @@ IterationSchedule NaiveSubStreamIteration(const TrainGraph& graph) {
 TrainIssuePlan BuildTrainIssuePlan(const NnModel& model,
                                    const IterationSchedule& schedule,
                                    const CostModel& cost, int iterations,
-                                   StreamId main_stream, StreamId sub_stream,
-                                   bool label_items) {
+                                   StreamId main_stream, StreamId sub_stream) {
   OOBP_CHECK_GT(iterations, 0);
+  // Labels only feed observers; an unobserved run skips the per-item string
+  // formatting entirely.
+  const bool labels = RunIsObserved();
   const size_t n = schedule.ops.size();
   const ScheduleDeps deps = IterationDeps(schedule, model.num_layers());
 
@@ -63,9 +65,7 @@ TrainIssuePlan BuildTrainIssuePlan(const NnModel& model,
 
       IssueItem item;
       item.stream = s.stream == kSubStream ? sub_stream : main_stream;
-      if (label_items) {
-        // Labels only feed trace events; untraced runs skip the per-item
-        // string formatting entirely.
+      if (labels) {
         item.name = StrFormat("%s[%s]#%d", TrainOpTypeName(s.op.type),
                               model.layers[s.op.layer].name.c_str(), t);
         item.category = TrainOpTypeName(s.op.type);
@@ -113,22 +113,21 @@ SingleGpuEngine::SingleGpuEngine(SingleGpuConfig config)
 TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
                                  const CostModel& cost, const NnModel& model,
                                  const IterationSchedule& schedule,
-                                 int iterations, TraceRecorder* trace) {
+                                 int iterations) {
   TrainSimOutcome out;
   SimEngine engine;
-  Gpu gpu(&engine, config.gpu, trace, /*trace_track_base=*/0);
+  Gpu gpu(&engine, config.gpu);
   gpu.SetBusyRecorder(&out.increments);
   const StreamId main_stream = gpu.CreateStream(/*priority=*/0);
   const StreamId sub_stream = gpu.CreateStream(/*priority=*/1);
   CpuLauncher launcher(&engine, &gpu,
                        config.precompiled_issue ? CpuLauncher::Mode::kPrecompiled
                                                 : CpuLauncher::Mode::kPerOp,
-                       config.profile.graph_launch_latency, trace,
-                       /*issue_track=*/100, config.profile.issue_queue_depth);
+                       config.profile.graph_launch_latency,
+                       config.profile.issue_queue_depth);
 
-  TrainIssuePlan plan =
-      BuildTrainIssuePlan(model, schedule, cost, iterations, main_stream,
-                          sub_stream, /*label_items=*/trace != nullptr);
+  TrainIssuePlan plan = BuildTrainIssuePlan(model, schedule, cost, iterations,
+                                            main_stream, sub_stream);
 
   // Run to completion, tracking per-item kernel ids for iteration timing.
   std::vector<KernelId> item_kernel(plan.items.size(), -1);
@@ -402,7 +401,9 @@ class TwoStreamExecutor::Pass {
     cur.ahead = slots_;
     cur.in_flight = in_flight_;
     cur.increments = increments_ != nullptr ? increments_->size() : 0;
-    barriers.push_back(cur);  // barrier b is barriers[b + 1]
+    barriers.push_back(cur);
+    OOBP_CHECK_EQ(barriers.size(), static_cast<size_t>(b + 2))
+        << "barrier b is barriers[b + 1]";
     for (int a = -1; a < b && cur.clean && b + 1 < iterations_; ++a) {
       const Barrier& earlier = barriers[a + 1];
       if (!earlier.clean || earlier.in_flight != cur.in_flight ||
@@ -577,18 +578,15 @@ TrainMetrics SingleGpuEngine::Run(const NnModel& model,
   OOBP_CHECK_GT(schedule.ops.size(), 0u)
       << "SingleGpuEngine: empty schedule for model '" << model.name << "'";
 
-  // The executor reproduces the event path bit for bit; only the event
-  // path emits trace events and feeds the SimValidator's device observers,
-  // and it simulates every iteration.
-  const bool executor =
-      trace == nullptr && ActiveHwValidationHooks() == nullptr;
+  // The executor reproduces the event path bit for bit (src/hw/observer.h
+  // states the rule).
+  const ObserverScope scope(trace);
+  const bool observed = RunIsObserved();
   const TrainSimOutcome out =
-      executor ? ExecuteTraining(config_, cost, model, schedule, iterations)
-               : SimulateTraining(config_, cost, model, schedule, iterations,
-                                  trace);
+      observed ? SimulateTraining(config_, cost, model, schedule, iterations)
+               : ExecuteTraining(config_, cost, model, schedule, iterations);
   if (replay_stats != nullptr) {
-    *replay_stats = StepStats(executor, trace != nullptr,
-                              out.simulated_iterations, iterations);
+    *replay_stats = StepStats(!observed, out.simulated_iterations, iterations);
   }
   TrainMetrics metrics;
   const TimeNs final_end = out.iter_end.back();

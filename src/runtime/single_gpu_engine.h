@@ -58,13 +58,11 @@ struct TrainIssuePlan {
   std::vector<int> iter_last_item;
 };
 
-// `label_items` controls whether trace labels are built (pure annotations;
-// skip them for untraced runs).
+// Items carry labels only in an observed run (src/hw/observer.h).
 TrainIssuePlan BuildTrainIssuePlan(const NnModel& model,
                                    const IterationSchedule& schedule,
                                    const CostModel& cost, int iterations,
-                                   StreamId main_stream, StreamId sub_stream,
-                                   bool label_items);
+                                   StreamId main_stream, StreamId sub_stream);
 
 // Per-iteration completion times: iteration t ends when the last kernel of
 // any item in (iter_last_item[t-1], iter_last_item[t]] completes.
@@ -78,14 +76,14 @@ class SingleGpuEngine {
   explicit SingleGpuEngine(SingleGpuConfig config);
 
   // Simulates warm-up + measured iterations of `schedule` over `model` and
-  // returns steady-state metrics. `trace` (optional) receives kernel/issue
-  // events: track 0 = main stream, 1 = sub stream, 100 = CPU issue thread.
-  // Untraced runs outside a ValidationScope take the exact two-stream
-  // executor, which stops at a repeated barrier; traced and validated runs
-  // take the event path, which simulates every iteration (same metrics, bit
-  // for bit; DESIGN.md §6.3, §9.2). `replay_stats` (optional) says which
-  // path ran and how many iterations it stepped. An empty schedule is a
-  // check failure.
+  // returns steady-state metrics. `trace`, when not null, is subscribed to
+  // the observer list for the call and receives kernel and issue events:
+  // track 0 = main stream, 1 = sub stream, 100 = CPU issue thread. An
+  // unobserved run takes the exact two-stream executor, which stops at a
+  // repeated barrier; an observed one takes the event path, which simulates
+  // every iteration (same metrics, bit for bit; src/hw/observer.h, DESIGN.md
+  // §6.3, §9.2). `replay_stats` (optional) says which path ran and how many
+  // iterations it stepped. An empty schedule is a check failure.
   TrainMetrics Run(const NnModel& model, const IterationSchedule& schedule,
                    TraceRecorder* trace = nullptr,
                    ReplayStats* replay_stats = nullptr) const;

@@ -3,14 +3,15 @@
 // (src/search/fast_eval.cc) and tests include this header.
 //
 // SimulateTraining is the generic event simulation: a SimEngine driving a
-// Gpu (two priority streams over a FluidProcessor) and a CpuLauncher. It is
-// the only producer that emits kernel and issue trace events, and the one
-// the SimValidator observes; it steps every iteration. TwoStreamExecutor runs
-// the same closed model on four fixed event slots, steps only until a barrier
-// repeats (src/core/schedule.h) and returns the same iteration ends and busy
-// integral bit for bit (DESIGN.md §6.3, §9.2). SingleGpuEngine::Run uses the
-// executor whenever no trace recorder and no validator is attached, and the
-// search scores every candidate with one executor's IterationTime.
+// Gpu (two priority streams over a FluidProcessor) and a CpuLauncher. It
+// builds the devices, so it is the only producer observers hear from, and
+// it steps every iteration. TwoStreamExecutor runs the same closed model on
+// four fixed event slots, steps only until a barrier repeats
+// (src/core/schedule.h) and returns the same iteration ends and busy
+// integral bit for bit (DESIGN.md §6.3, §9.2). SingleGpuEngine::Run takes
+// the event simulation in an observed run and the executor otherwise
+// (src/hw/observer.h), and the search scores every candidate with one
+// executor's IterationTime.
 
 #ifndef OOBP_SRC_RUNTIME_TRAIN_SIM_H_
 #define OOBP_SRC_RUNTIME_TRAIN_SIM_H_
@@ -24,7 +25,6 @@
 #include "src/runtime/single_gpu_engine.h"
 #include "src/runtime/slot_executor.h"
 #include "src/sim/fluid.h"
-#include "src/trace/trace.h"
 
 namespace oobp {
 
@@ -44,7 +44,7 @@ struct TrainSimOutcome {
 TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
                                  const CostModel& cost, const NnModel& model,
                                  const IterationSchedule& schedule,
-                                 int iterations, TraceRecorder* trace);
+                                 int iterations);
 
 // The exact two-stream executor (single_gpu_engine.cc says how it steps).
 // One instance serves one (model, GPU, profile) and any number of schedules:

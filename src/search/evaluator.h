@@ -4,8 +4,8 @@
 // pre-compiled issue, one warm-up plus two measured iterations
 // (ScoringConfig). The engine runs it on the exact two-stream executor,
 // which steps one iteration when the launch repeats at the first barrier,
-// or on the event simulation inside a ValidationScope; the two agree bit
-// for bit (DESIGN.md §6.3). The search scores its baseline and each
+// or on the event simulation in an observed run (src/hw/observer.h); the
+// two agree bit for bit (DESIGN.md §6.3). The search scores its baseline and each
 // trajectory's final point here, and every candidate with
 // FastScheduleEvaluator (src/search/fast_eval.h), the same executor's
 // time-only entry point.

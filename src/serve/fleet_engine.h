@@ -6,9 +6,9 @@
 // The whole fleet lives in ONE simulated timeline: routing decisions
 // observe replica queue depths at the simulated instant a request arrives,
 // the autoscaler samples fleet-wide queue depth on the same clock, and
-// every replica GPU advances in lockstep on one clock — one SimEngine under
-// a ValidationScope, the exact slot executor otherwise (both behind the
-// replica driver, src/serve/replica_driver.h). Per-replica
+// every replica GPU advances in lockstep on one clock — one SimEngine in an
+// observed run (src/hw/observer.h), the exact slot executor otherwise (both
+// behind the replica driver, src/serve/replica_driver.h). Per-replica
 // stream priorities are identical to src/serve/serve_engine.h (training
 // main prio 0, inference prio 1, ooo sub stream prio 2), so the paper's
 // co-run property — inference preempts reordered weight-gradient kernels in

@@ -12,7 +12,7 @@
 #include "src/core/memory_model.h"
 #include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
-#include "src/hw/validation_hooks.h"
+#include "src/hw/observer.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/runtime/slot_executor.h"
 #include "src/sim/engine.h"
@@ -316,8 +316,8 @@ void ReplicaDriver::FleetServeMetrics(FleetMetrics* metrics) const {
 
 // The reference producer: every arrival, batcher deadline, graph launch,
 // kernel begin, fluid wake, autoscaler tick and warm-up is a SimEngine
-// event on one engine shared by every replica. Runs under a ValidationScope
-// take it (only it builds the Gpus the SimValidator observes).
+// event on one engine shared by every replica. Observed runs take it (it
+// builds the Gpus and launchers observers hear from).
 class ReplicaEventBackend final : public ReplicaBackend {
  public:
   explicit ReplicaEventBackend(const ReplicaInputs& in)
@@ -945,17 +945,17 @@ FleetMetrics RunReplicas(const FleetConfig& config, bool fleet,
   if (train_model != nullptr) {
     plan = BuildTrainIssuePlan(*train_model, *train_schedule, cost,
                                train_iterations, kTrainMainStream,
-                               kTrainSubStream, /*label_items=*/false);
+                               kTrainSubStream);
     in.plan = &plan;
   }
 
-  // The executor reproduces the event path bit for bit; only the event
-  // path builds the Gpus the SimValidator observes.
+  // The executor reproduces the event path bit for bit (src/hw/observer.h
+  // states the rule).
   std::unique_ptr<ReplicaBackend> backend;
-  if (ActiveHwValidationHooks() == nullptr) {
-    backend = std::make_unique<ReplicaExecutor>(in);
-  } else {
+  if (RunIsObserved()) {
     backend = std::make_unique<ReplicaEventBackend>(in);
+  } else {
+    backend = std::make_unique<ReplicaExecutor>(in);
   }
   ReplicaDriver driver(backend.get(), in);
   backend->Run(&driver);

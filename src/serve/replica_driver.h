@@ -9,8 +9,8 @@
 // and autoscaler hookup, and the serve and train metrics. Two backends step
 // the events (DESIGN.md §6.3):
 //   * the event backend — SimEngine + Gpu + CpuLauncher + DynamicBatcher +
-//     Autoscaler — the reference, and the only producer the SimValidator
-//     observes; runs under a ValidationScope take it;
+//     Autoscaler — the reference, and the only producer observers hear
+//     from; observed runs take it (src/hw/observer.h);
 //   * the slot executor, which keeps each replica's events in fixed slots
 //     and reproduces the event backend bit for bit; every other run takes
 //     it.

@@ -19,8 +19,8 @@
 //
 // A ServeEngine run is the one-replica case of the replica driver that also
 // runs FleetEngine (src/serve/replica_driver.h): no router, no autoscaler.
-// Runs under a ValidationScope step SimEngine events; every other run takes
-// the exact slot executor, with the same metrics bit for bit.
+// Observed runs (src/hw/observer.h) step SimEngine events; every other run
+// takes the exact slot executor, with the same metrics bit for bit.
 
 #ifndef OOBP_SRC_SERVE_SERVE_ENGINE_H_
 #define OOBP_SRC_SERVE_SERVE_ENGINE_H_

@@ -30,7 +30,29 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+constexpr int kTracksPerDevice = 100;
+
 }  // namespace
+
+int TraceRecorder::Track(int device, int lane) {
+  const int next = kTracksPerDevice * static_cast<int>(first_track_.size());
+  return first_track_.try_emplace(device, next).first->second + lane;
+}
+
+void TraceRecorder::OnKernelFinished(const KernelEvent& e) {
+  Add({std::string(e.name), std::string(e.category), Track(e.gpu, e.stream),
+       e.start, e.now - e.start});
+}
+
+void TraceRecorder::OnTransferCompleted(const TransferEvent& e) {
+  Add({std::string(e.name), "comm", Track(e.link, 0), e.first_start,
+       e.now - e.first_start, {{"bytes", std::to_string(e.bytes)}}});
+}
+
+void TraceRecorder::OnSpan(const Span& s) {
+  Add({std::string(s.name), std::string(s.category), Track(s.timeline, s.lane),
+       s.start, s.duration});
+}
 
 std::vector<TraceEvent> TraceRecorder::TrackEvents(int track) const {
   std::vector<TraceEvent> out;

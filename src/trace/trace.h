@@ -1,10 +1,17 @@
 // Execution trace recording.
 //
-// Engines record one TraceEvent per kernel execution, communication, or
-// stall. Traces serve three purposes: Chrome-trace JSON export for visual
-// inspection (chrome://tracing / Perfetto), timeline analysis for the
-// figure-reproduction benches (e.g. Figure 2's issue-masking breakdown), and
-// utilization metrics.
+// A TraceRecorder subscribed to the observer list (src/hw/observer.h)
+// records one TraceEvent per kernel execution, transfer and timeline span
+// (a kernel issue, a pipeline op). Traces serve three purposes:
+// Chrome-trace JSON export for visual inspection (chrome://tracing /
+// Perfetto), timeline analysis for the figure scenarios (e.g. Figure 2's
+// issue-masking breakdown), and utilization metrics.
+//
+// Tracks: the k-th device the recorder sees built owns tracks 100k to
+// 100k + 99, one per lane: a Gpu's stream s is lane s, a Link and a
+// CpuLauncher use lane 0, and a pipeline's op timeline puts GPU g on lane g.
+// A single-GPU run therefore traces the main stream on track 0, the sub
+// stream on 1 and kernel issue on 100.
 
 #ifndef OOBP_SRC_TRACE_TRACE_H_
 #define OOBP_SRC_TRACE_TRACE_H_
@@ -15,6 +22,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/hw/observer.h"
 
 namespace oobp {
 
@@ -24,15 +32,26 @@ struct TraceEvent {
   int track = 0;          // device/stream id the event ran on
   TimeNs start = 0;
   TimeNs duration = 0;
-  std::map<std::string, std::string> args;  // free-form annotations
+  std::map<std::string, std::string> args = {};  // free-form annotations
 
   TimeNs end() const { return start + duration; }
 };
 
-class TraceRecorder {
+class TraceRecorder : public DeviceObserver {
  public:
   void Add(TraceEvent ev) { events_.push_back(std::move(ev)); }
   void Clear() { events_.clear(); }
+
+  // DeviceObserver: devices take tracks as they are built; finished
+  // kernels, completed transfers and spans become events.
+  void OnGpuCreated(int gpu, TimeNs, const GpuSpec&) override { Track(gpu, 0); }
+  void OnLinkCreated(int link, TimeNs, const LinkSpec&) override {
+    Track(link, 0);
+  }
+  void OnTimelineCreated(int timeline) override { Track(timeline, 0); }
+  void OnKernelFinished(const KernelEvent& e) override;
+  void OnTransferCompleted(const TransferEvent& e) override;
+  void OnSpan(const Span& s) override;
 
   const std::vector<TraceEvent>& events() const { return events_; }
 
@@ -55,7 +74,12 @@ class TraceRecorder {
                        const std::map<int, std::string>& track_names) const;
 
  private:
+  // The track of `device`'s `lane`; a device seen for the first time takes
+  // the next block of tracks.
+  int Track(int device, int lane);
+
   std::vector<TraceEvent> events_;
+  std::map<int, int> first_track_;  // by device id
 };
 
 }  // namespace oobp

@@ -189,10 +189,7 @@ Dag RandomDag(Rng& rng) {
 TimeNs RunDag(const Dag& dag, int64_t duration_scale, int extra_blocks_per_sm,
               SimValidator* validator) {
   SimEngine engine;
-  std::optional<ValidationScope> scope;
-  if (validator != nullptr) {
-    scope.emplace(validator);
-  }
+  const ObserverScope scope(validator);
   GpuSpec spec = dag.spec;
   spec.blocks_per_sm += extra_blocks_per_sm;
   Gpu gpu(&engine, spec);
@@ -360,9 +357,9 @@ void LinkFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
     std::vector<TimeNs> done(transfers.size(), -1);
     SimValidator validator;
     {
-      ValidationScope scope(&validator);
+      ObserverScope scope(&validator);
       SimEngine engine;
-      Link link(&engine, spec, chunk, nullptr, 200, window);
+      Link link(&engine, spec, chunk, window);
       for (size_t i = 0; i < transfers.size(); ++i) {
         const int64_t bytes = transfers[i].bytes;
         const int priority = fifo != nullptr ? 0 : transfers[i].priority;
@@ -443,7 +440,7 @@ void ServeFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   SimValidator validator;
   ServeMetrics m;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     m = serve.RunServeOnly();
   }
   if (!validator.ok()) {
@@ -559,7 +556,7 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
     cfg.autoscaler.min_replicas = replicas;
     cfg.autoscaler.max_replicas = replicas;
     const FleetEngine engine(std::move(cfg));
-    ValidationScope scope(validator);
+    ObserverScope scope(validator);
     return engine.RunServeOnly();
   };
 
@@ -603,7 +600,7 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   FleetMetrics scaled;
   {
     const FleetEngine engine(std::move(cfg));
-    ValidationScope scope(&v_scaled);
+    ObserverScope scope(&v_scaled);
     scaled = engine.RunServeOnly();
   }
   if (!v_scaled.ok()) {
@@ -728,7 +725,7 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
     SimValidator walk_validator;
     TimeNs simulated = 0;
     {
-      ValidationScope scope(&walk_validator);
+      ObserverScope scope(&walk_validator);
       simulated = sim.IterationTime(schedule);
     }
     if (!walk_validator.ok()) {
@@ -752,7 +749,7 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   TrainMetrics searched_metrics;
   TrainMetrics ooo_metrics;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     SingleGpuConfig cfg;
     cfg.gpu = gpu;
     cfg.profile = profile;
@@ -774,7 +771,7 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
 
 // ---------------------------------------------------------------------------
 // Pipeline executor vs event path: one random pipeline config per seed, run
-// inside a ValidationScope (SimEngine + Link events; the validator must stay
+// inside an ObserverScope (SimEngine + Link events; the validator must stay
 // clean; every iteration stepped) and outside it (the exact message-level
 // executor, which may stop at a repeated boundary). Every result field must
 // agree bit for bit, and the stepping must keep its contract
@@ -943,7 +940,7 @@ void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
   SimValidator validator;
   Run event;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     event = run();
   }
   if (!validator.ok()) {
@@ -973,7 +970,7 @@ void PipelineFuzz(uint64_t seed, std::vector<std::string>* errors) {
 
 // ---------------------------------------------------------------------------
 // Data-parallel executor vs event path: one random data-parallel config per
-// seed, run inside a ValidationScope (SimEngine + Gpu + Link; the validator
+// seed, run inside an ObserverScope (SimEngine + Gpu + Link; the validator
 // must stay clean; every iteration stepped) and outside it (the five-slot
 // executor, which may stop at a repeated boundary). Every metric must agree
 // bit for bit, and the stepping must keep its contract (SteppingMismatch).
@@ -1118,7 +1115,7 @@ void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
   SimValidator validator;
   Run event;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     event = run();
   }
   if (!validator.ok()) {
@@ -1138,8 +1135,8 @@ void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
 
 // ---------------------------------------------------------------------------
 // Serving executor vs event path: one random serving run per seed — a
-// ServeEngine or a fleet, serve-only or either co-run — inside a
-// ValidationScope (SimEngine + Gpu + CpuLauncher; the validator must stay
+// ServeEngine or a fleet, serve-only or either co-run — inside an
+// ObserverScope (SimEngine + Gpu + CpuLauncher; the validator must stay
 // clean) and outside it (the slot executor). Every metric and the event
 // count must agree bit for bit.
 
@@ -1361,7 +1358,7 @@ void ServingFuzz(uint64_t seed, std::vector<std::string>* errors) {
   SimValidator validator;
   Run event;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     event = run();
   }
   if (!validator.ok()) {
@@ -1577,7 +1574,7 @@ void FuzzOneSeed(uint64_t seed, const std::string& checks,
       ReplayStats validated_stats[2][2];
       SimValidator validator;
       {
-        ValidationScope scope(&validator);
+        ObserverScope scope(&validator);
         for (int l = 0; l < 2; ++l) {
           cfg.measured_iterations = lengths[l];
           const SingleGpuEngine engine(cfg);

@@ -1,9 +1,9 @@
 // Simulation invariant validator.
 //
-// Attaches to every Gpu and Link a scenario constructs (through the
-// thread-local hooks in src/hw/validation_hooks.h) and checks, at each
-// simulation event, that the timeline the simulator produces is physically
-// and semantically possible on real hardware:
+// Subscribes to the observer list (src/hw/observer.h), so it hears from
+// every Gpu and Link an observed run builds, and checks, at each simulation
+// event, that the timeline the simulator produces is physically and
+// semantically possible on real hardware:
 //
 //   * time monotonicity       — observed event timestamps never decrease
 //                               per device;
@@ -23,10 +23,11 @@
 //                               bytes/bandwidth, and the link never moves
 //                               more bytes than bandwidth x elapsed allows.
 //
-// The validator is an observer: it never mutates simulation state, so a
-// validated run produces byte-identical results to an unvalidated one.
-// Violations are collected (not fatal) so a fuzzer can report all failures
-// of a seed at once.
+// Every check reads only the values the callbacks carry, so a test can
+// drive the validator with hand-written events and no device. The validator
+// never mutates simulation state, and an observed run gives the values an
+// unobserved one does. Violations are collected (not fatal) so a fuzzer can
+// report all failures of a seed at once.
 
 #ifndef OOBP_SRC_VALIDATE_SIM_VALIDATOR_H_
 #define OOBP_SRC_VALIDATE_SIM_VALIDATOR_H_
@@ -37,36 +38,27 @@
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/hw/gpu.h"
+#include "src/hw/gpu_spec.h"
 #include "src/hw/link.h"
-#include "src/hw/validation_hooks.h"
+#include "src/hw/observer.h"
 
 namespace oobp {
 
-class SimValidator : public HwValidationHooks,
-                     public GpuObserver,
-                     public LinkObserver {
+class SimValidator : public DeviceObserver {
  public:
   SimValidator() = default;
   SimValidator(const SimValidator&) = delete;
   SimValidator& operator=(const SimValidator&) = delete;
 
-  // HwValidationHooks — devices created while this validator is installed.
-  void OnGpuCreated(Gpu* gpu) override;
-  void OnLinkCreated(Link* link) override;
+  void OnGpuCreated(int gpu, TimeNs now, const GpuSpec& spec) override;
+  void OnKernelEnqueued(const KernelEvent& e) override;
+  void OnKernelStarted(const KernelEvent& e) override;
+  void OnKernelFinished(const KernelEvent& e) override;
+  void OnGpuDestroyed(int gpu, TimeNs now, double busy_integral) override;
 
-  // GpuObserver.
-  void OnKernelEnqueued(const Gpu& gpu, KernelId id, const KernelId* deps,
-                        size_t num_deps) override;
-  void OnKernelStarted(const Gpu& gpu, KernelId id) override;
-  void OnKernelFinished(const Gpu& gpu, KernelId id) override;
-  void OnGpuDestroyed(const Gpu& gpu) override;
-
-  // LinkObserver.
-  void OnTransferSubmitted(const Link& link, int64_t id, int64_t bytes,
-                           int priority) override;
-  void OnTransferCompleted(const Link& link, int64_t id) override;
-  void OnLinkDestroyed(const Link& link) override;
+  void OnLinkCreated(int link, TimeNs now, const LinkSpec& spec) override;
+  void OnTransferSubmitted(const TransferEvent& e) override;
+  void OnTransferCompleted(const TransferEvent& e) override;
 
   bool ok() const { return total_violations_ == 0; }
   // First violations, capped (see kMaxStoredViolations); total_violations()
@@ -99,6 +91,7 @@ class SimValidator : public HwValidationHooks,
     size_t next_finish = 0;
   };
   struct GpuState {
+    std::string name;
     std::vector<KernelRecord> kernels;
     std::vector<StreamState> streams;
     TimeNs last_event = 0;
@@ -111,6 +104,7 @@ class SimValidator : public HwValidationHooks,
     bool done = false;
   };
   struct LinkState {
+    LinkSpec spec;
     std::map<int64_t, TransferRecord> transfers;
     TimeNs first_submit = -1;
     int64_t completed_bytes = 0;
@@ -120,33 +114,17 @@ class SimValidator : public HwValidationHooks,
   void AddViolation(std::string message);
   // Shared per-event checks: device-local time monotonicity and the
   // occupancy-at-this-instant bound.
-  GpuState* CommonGpuChecks(const Gpu& gpu, const char* event);
-  LinkState* CommonLinkChecks(const Link& link, const char* event);
+  GpuState* CommonGpuChecks(const KernelEvent& e, const char* event);
+  LinkState* CommonLinkChecks(const TransferEvent& e, const char* event);
 
-  std::map<const Gpu*, GpuState> gpus_;
-  std::map<const Link*, LinkState> links_;
+  std::map<int, GpuState> gpus_;    // by device id
+  std::map<int, LinkState> links_;  // by device id
   std::vector<std::string> violations_;
   int64_t total_violations_ = 0;
   int64_t gpus_observed_ = 0;
   int64_t links_observed_ = 0;
   int64_t kernels_finished_ = 0;
   int64_t transfers_completed_ = 0;
-};
-
-// RAII installation of a validator as the calling thread's active hooks;
-// restores the previous hooks on destruction. Devices constructed inside the
-// scope are validated; the scope must outlive them (engines destroy their
-// devices before returning, so wrapping an engine Run() call is safe).
-class ValidationScope {
- public:
-  explicit ValidationScope(SimValidator* validator)
-      : prev_(SetHwValidationHooks(validator)) {}
-  ~ValidationScope() { SetHwValidationHooks(prev_); }
-  ValidationScope(const ValidationScope&) = delete;
-  ValidationScope& operator=(const ValidationScope&) = delete;
-
- private:
-  HwValidationHooks* prev_;
 };
 
 }  // namespace oobp

@@ -113,8 +113,8 @@ TEST(CpuLauncherTest, BoundedQueueDepthThrottlesIssue) {
   Gpu gpu(&engine, TestSpec());
   const StreamId s = gpu.CreateStream(0);
   // Depth 2: the executor may run at most 2 kernels ahead.
-  CpuLauncher launcher(&engine, &gpu, CpuLauncher::Mode::kPerOp, Us(5), nullptr,
-                       100, /*max_outstanding=*/2);
+  CpuLauncher launcher(&engine, &gpu, CpuLauncher::Mode::kPerOp, Us(5),
+                       /*max_outstanding=*/2);
   std::vector<IssueItem> items;
   for (int i = 0; i < 6; ++i) {
     items.push_back(Item(s, 1000, 10, "k"));  // cheap issue, long kernels
@@ -131,8 +131,8 @@ TEST(CpuLauncherTest, QueueDepthExposesIssueAfterBlocking) {
   SimEngine engine;
   Gpu gpu(&engine, TestSpec());
   const StreamId s = gpu.CreateStream(0);
-  CpuLauncher launcher(&engine, &gpu, CpuLauncher::Mode::kPerOp, Us(5), nullptr,
-                       100, /*max_outstanding=*/1);
+  CpuLauncher launcher(&engine, &gpu, CpuLauncher::Mode::kPerOp, Us(5),
+                       /*max_outstanding=*/1);
   std::vector<IssueItem> items;
   for (int i = 0; i < 3; ++i) {
     items.push_back(Item(s, 100, 50, "k"));

@@ -140,8 +140,8 @@ TEST(DataParallelEngineTest, RejectsConfigsThatCannotRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor vs event path (DESIGN.md §6.3, §9.2). Untraced runs outside a
-// ValidationScope take the exact five-slot executor, which stops at the
+// Executor vs event path (DESIGN.md §6.3, §9.2). Runs outside an
+// ObserverScope take the exact five-slot executor, which stops at the
 // first repeated iteration boundary; inside one they take SimEngine + Gpu +
 // Link, which step every iteration. Every metric must match bit for bit,
 // and the event tally too when the executor stepped every iteration.
@@ -185,14 +185,14 @@ DpRun ExpectExecutorMatchesEventPath(const DataParallelConfig& config,
   SimValidator validator;
   DpRun event;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     event = RunDp(config, model, order);
   }
   EXPECT_TRUE(validator.ok()) << what << ": " << validator.Summary();
   const DpRun exec = RunDp(config, model, order);
   const int total = 1 + config.measured_iterations;
   EXPECT_FALSE(event.stats.executor) << what;
-  EXPECT_EQ(event.stats.fallback_reason, "validated") << what;
+  EXPECT_EQ(event.stats.fallback_reason, "observed") << what;
   EXPECT_EQ(event.stats.simulated_iterations, total) << what;
   EXPECT_TRUE(exec.stats.executor) << what;
   EXPECT_GE(exec.stats.simulated_iterations, 1) << what;

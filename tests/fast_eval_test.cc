@@ -4,7 +4,7 @@
 // exact two-stream executor, reused across candidates, and
 // ScheduleEvaluator outside a validator runs the same executor. So every
 // reference here is the event path: ScheduleEvaluator inside a
-// ValidationScope, which simulates every iteration on SimEngine, Gpu and
+// ObserverScope, which simulates every iteration on SimEngine, Gpu and
 // CpuLauncher. The scores must be BIT-IDENTICAL to it — on zoo models, on
 // fuzzed models, on arbitrary decodable genotypes, and across candidates
 // that make one instance step different numbers of iterations.
@@ -89,7 +89,7 @@ TimeNs EventPathTime(const NnModel& model, const GpuSpec& gpu,
   SimValidator validator;
   TimeNs time = 0;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     time = ScheduleEvaluator(&model, gpu, profile).IterationTime(schedule);
   }
   EXPECT_TRUE(validator.ok()) << validator.Summary();

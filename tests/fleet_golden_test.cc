@@ -1,8 +1,9 @@
 // Fleet scenario battery (ctest labels: fleet, golden, integration):
 //   * the serialized result JSON of every fleet_* scenario is byte-identical
 //     between --jobs 1 and --jobs 4 (cluster-scale determinism);
-//   * every fleet_* scenario replays clean under the SimValidator, and its
-//     validated result (the event path) equals an unvalidated run's (the
+//   * every fleet_* scenario replays clean under the SimValidator, with a
+//     TraceRecorder subscribed beside it that must record events, and its
+//     observed result (the event path) equals an unobserved run's (the
 //     slot executor) value by value, bit for bit;
 //   * results satisfy the pinned golden files in bench/golden, including
 //     the headline pair: the ooo co-run fleet holds p99 flat (<= 10%
@@ -26,6 +27,7 @@
 #include "src/runner/search_scenarios.h"
 #include "src/runner/serve_scenarios.h"
 #include "src/runner/sweep_scenarios.h"
+#include "src/trace/trace.h"
 #include "src/validate/sim_validator.h"
 
 namespace oobp {
@@ -66,9 +68,11 @@ TEST(FleetGoldenTest, AllFleetScenariosRunCleanUnderValidator) {
   ASSERT_EQ(fleet.size(), kFleetScenarios);
   for (const Scenario* scenario : fleet) {
     SimValidator validator;
+    TraceRecorder trace;
     ScenarioResult result;
     {
-      ValidationScope scope(&validator);
+      const ObserverScope validating(&validator);
+      const ObserverScope tracing(&trace);
       result = scenario->run(ScenarioParams());
     }
     EXPECT_FALSE(result.values.empty()) << scenario->name;
@@ -77,6 +81,7 @@ TEST(FleetGoldenTest, AllFleetScenariosRunCleanUnderValidator) {
     // Every fleet scenario simulates real replica GPUs to completion.
     EXPECT_GT(validator.gpus_observed(), 0) << scenario->name;
     EXPECT_GT(validator.kernels_finished(), 0) << scenario->name;
+    EXPECT_FALSE(trace.events().empty()) << scenario->name;
     // The slot executor reproduces the validated event path exactly.
     EXPECT_EQ(ValuesMismatch(scenario->run(ScenarioParams()), result), "")
         << scenario->name;

@@ -161,14 +161,17 @@ TEST(GpuTest, KernelDoneListenersFireOncePerKernel) {
 TEST(GpuTest, TraceRecordsKernelSpans) {
   SimEngine engine;
   TraceRecorder trace;
-  Gpu gpu(&engine, TestSpec(), &trace, /*trace_track_base=*/5);
+  const ObserverScope scope(&trace);
+  Gpu other(&engine, TestSpec());  // takes tracks 0-99
+  Gpu gpu(&engine, TestSpec());
+  gpu.CreateStream(0);
   const StreamId s = gpu.CreateStream(0);
   gpu.Enqueue(s, Desc("k1", 1000, 100));
   gpu.Enqueue(s, Desc("k2", 500, 100));
   engine.Run();
   ASSERT_EQ(trace.events().size(), 2u);
   EXPECT_EQ(trace.events()[0].name, "k1");
-  EXPECT_EQ(trace.events()[0].track, 5);
+  EXPECT_EQ(trace.events()[0].track, 101);  // the second device's stream 1
   EXPECT_EQ(trace.events()[0].duration, 1000);
   EXPECT_EQ(trace.events()[1].start, 1000);
 }

@@ -148,7 +148,7 @@ TEST(LinkTest, CommitWindowLimitsPreemption) {
   SimEngine engine;
   // Window of 500 bytes: that much bulk data is committed and cannot be
   // bypassed.
-  Link link(&engine, TestSpec(), /*chunk_bytes=*/100, nullptr, 200,
+  Link link(&engine, TestSpec(), /*chunk_bytes=*/100,
             /*commit_window_bytes=*/500);
   TimeNs urgent_done = -1;
   std::vector<TimeNs> bulk_done;
@@ -173,7 +173,7 @@ TEST(LinkTest, CommitWindowLimitsPreemption) {
 
 TEST(LinkTest, CommitWindowZeroIsFullyPreemptible) {
   SimEngine engine;
-  Link link(&engine, TestSpec(), /*chunk_bytes=*/100, nullptr, 200, 0);
+  Link link(&engine, TestSpec(), /*chunk_bytes=*/100, 0);
   TimeNs urgent_done = -1;
   link.Transfer(10000, 10, "bulk", [] {});
   engine.ScheduleAt(10, [&] {

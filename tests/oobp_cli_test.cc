@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #ifndef OOBP_CLI_BIN
 #error "OOBP_CLI_BIN must name the built oobp binary"
@@ -181,9 +182,10 @@ TEST(OobpCliTest, EveryModeTakesAllItsFlags) {
   std::remove(schedule.c_str());
 }
 
-// Without --trace a run passes no recorder and takes its engine's exact
+// Without --trace a run is unobserved and takes its engine's exact
 // executor, which may stop stepping at a repeated iteration boundary; with
-// it, the event path. Both print the same metric lines.
+// it, the engine subscribes a recorder and takes the event path. Both print
+// the same metric lines.
 TEST(OobpCliTest, TracingChangesNoMetricLine) {
   const std::string trace = ::testing::TempDir() + "oobp_cli_trace.json";
   const std::string runs[] = {
@@ -200,6 +202,24 @@ TEST(OobpCliTest, TracingChangesNoMetricLine) {
         << args;
   }
   std::remove(trace.c_str());
+}
+
+// A file the run cannot write fails the run closed: exit 1, naming it.
+TEST(OobpCliTest, UnwritableOutputFileExitsOneNamingIt) {
+  const std::string dir = ::testing::TempDir() + "oobp_cli_no_such_dir/";
+  const std::pair<std::string, std::string> runs[] = {
+      {"single --model=ffnn --trace=", "t.json"},
+      {"single --model=ffnn --export-schedule=", "s.txt"},
+      {"search --model=ffnn --budget=20 --export-schedule=", "s.txt"},
+      {"dp --model=ffnn --gpus=4 --k=0 --trace=", "t.json"},
+  };
+  for (const auto& [args, file] : runs) {
+    const CliRun run = RunOobp(args + dir + file);
+    EXPECT_EQ(run.exit_code, 1) << args << ":\n" << run.output;
+    EXPECT_NE(run.output.find("cannot write " + dir + file),
+              std::string::npos)
+        << args << ":\n" << run.output;
+  }
 }
 
 TEST(OobpCliTest, DataParallelPrintsItsScheme) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,8 +170,8 @@ TEST(PipelineEngineTest, ThroughputScalesWithGpus) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor vs event path (DESIGN.md §6.3, §9.2). Untraced runs outside a
-// ValidationScope take the exact message-level executor, which may stop
+// Executor vs event path (DESIGN.md §6.3, §9.2). Runs outside an
+// ObserverScope take the exact message-level executor, which may stop
 // stepping a PipeDream run at a repeated boundary; inside one they take the
 // SimEngine + Link event path, which steps every iteration. Both must
 // produce every result field bit for bit, and the event tally too when the
@@ -205,7 +206,7 @@ PipelineRun ExpectExecutorMatchesEventPath(const PipelineConfig& config,
   SimValidator validator;
   PipelineRun event;
   {
-    ValidationScope scope(&validator);
+    ObserverScope scope(&validator);
     event = RunPipeline(config, model, strategy);
   }
   EXPECT_TRUE(validator.ok()) << what << ": " << validator.Summary();
@@ -240,7 +241,7 @@ PipelineRun ExpectExecutorMatchesEventPath(const PipelineConfig& config,
       << what;
   if (strategy == PipelineStrategy::kPipeDream) {
     EXPECT_TRUE(exec.stats.attempted) << what;
-    EXPECT_EQ(event.stats.fallback_reason, "validated") << what;
+    EXPECT_EQ(event.stats.fallback_reason, "observed") << what;
   } else {
     EXPECT_EQ(total, 1) << what;
     EXPECT_EQ(exec.stats.fallback_reason, "synchronous") << what;
@@ -405,8 +406,10 @@ TEST(PipelineEngineTest, UnitTimePipeDreamCountsLayer0Backward) {
 }
 
 // Same-nanosecond events in a traced run of the event path. A transfer's
-// trace event spans its first chunk's start to its completion, on track
-// 100 + src * 64 + dst; an op's spans the op on its GPU's track.
+// trace event spans its first chunk's start to its completion, on its
+// link's track; its name says which layer's activation or gradient it
+// carries, and so its destination GPU. An op's spans the op on its GPU's
+// track.
 struct Ties {
   // Completions of messages of several chunks on different links at one
   // time whose last chunks also started at one time.
@@ -418,16 +421,28 @@ struct Ties {
 Ties CountTies(const PipelineConfig& config, const NnModel& model,
                PipelineStrategy strategy) {
   TraceRecorder trace;
-  PipelineEngine(config).Run(model, strategy, &trace);
+  const PipelineEngine engine(config);
+  engine.Run(model, strategy, &trace);
+  const LayerAssignment assignment = engine.AssignmentFor(model, strategy);
   std::vector<const TraceEvent*> comm;
   std::vector<const TraceEvent*> ops;
   for (const TraceEvent& ev : trace.events()) {
     (ev.category == "comm" ? comm : ops).push_back(&ev);
   }
+  // Source and destination GPU of a transfer: layer l's activation goes to
+  // the owner of l + 1, the gradient into l comes back from it.
+  auto ends = [&assignment](const TraceEvent& ev) {
+    int layer = -1;
+    const bool act = std::sscanf(ev.name.c_str(), "act[%d]", &layer) == 1;
+    EXPECT_TRUE(act || std::sscanf(ev.name.c_str(), "grad[%d]", &layer) == 1)
+        << ev.name;
+    const int owner = assignment[layer];
+    const int next = assignment[layer + 1];
+    return act ? std::make_pair(owner, next) : std::make_pair(next, owner);
+  };
   // Chunk count and last-chunk start of a transfer.
-  auto last_chunk = [&config](const TraceEvent& ev) {
-    const int src = (ev.track - 100) / 64;
-    const int dst = (ev.track - 100) % 64;
+  auto last_chunk = [&config, &ends](const TraceEvent& ev) {
+    const auto [src, dst] = ends(ev);
     const ChunkTiming timing(config.use_link_override
                                  ? config.link_override
                                  : config.cluster.LinkBetween(src, dst),
@@ -447,9 +462,9 @@ Ties CountTies(const PipelineConfig& config, const NnModel& model,
         ++ties.link_pairs;
       }
     }
+    const int dst = ends(*comm[i]).second;
     for (const TraceEvent* op : ops) {
-      if (op->track == (comm[i]->track - 100) % 64 &&
-          op->end() == comm[i]->end()) {
+      if (op->track == dst && op->end() == comm[i]->end()) {
         ++ties.with_destination_op;
       }
     }

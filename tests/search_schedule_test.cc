@@ -257,7 +257,7 @@ TEST(SearchScheduleTest, ZeroBudgetReturnsConventional) {
 // event simulation when a validator observes the devices. Both must give
 // the same score, and the validated run must see every kernel of the three
 // simulated iterations finish with no invariant violated.
-TEST(ScheduleEvaluatorTest, SameBitsInsideAndOutsideValidationScope) {
+TEST(ScheduleEvaluatorTest, SameBitsInsideAndOutsideObserverScope) {
   const SystemProfile profile = SystemProfile::TensorFlowXla();
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 7919);
@@ -273,7 +273,7 @@ TEST(ScheduleEvaluatorTest, SameBitsInsideAndOutsideValidationScope) {
       SimValidator validator;
       TimeNs inside = 0;
       {
-        ValidationScope scope(&validator);
+        ObserverScope scope(&validator);
         inside = eval.IterationTime(schedule);
       }
       EXPECT_EQ(inside, outside) << "seed " << seed;

@@ -6,7 +6,7 @@
 //
 // ServeExecutorTest is the differential battery of the replica driver's two
 // producers (DESIGN.md §6.3): every ServeEngine and FleetEngine config of a
-// grid runs under a ValidationScope (the event path) and outside it (the
+// grid runs under an ObserverScope (the event path) and outside it (the
 // slot executor), and every metric field and the event tally must agree bit
 // for bit.
 
@@ -241,11 +241,11 @@ struct ServingRun {
 };
 
 // One run of the config through ServeEngine (`serve_engine`) or
-// FleetEngine, inside a ValidationScope when `validator` is set.
+// FleetEngine, inside an ObserverScope when `validator` is set.
 ServingRun RunServing(const FleetConfig& config, bool serve_engine, Mode mode,
                       const TrainSide& train, SimValidator* validator) {
   ServingRun run;
-  std::optional<ValidationScope> scope;
+  std::optional<ObserverScope> scope;
   if (validator != nullptr) {
     scope.emplace(validator);
   }

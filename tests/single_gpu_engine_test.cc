@@ -143,10 +143,10 @@ void ExpectBitwiseEqual(const TrainMetrics& a, const TrainMetrics& b) {
   EXPECT_EQ(a.oom, b.oom);
 }
 
-// Untraced runs take the exact executor; traced runs and runs under the
-// SimValidator take the event path, which simulates every iteration. The
-// executor steps at most two iterations, and all three report the same
-// metrics, bit for bit, both for a short run and for a long one.
+// Unobserved runs take the exact executor; runs that a trace recorder or
+// the SimValidator observes take the event path, which simulates every
+// iteration. The executor steps at most two iterations, and all three report
+// the same metrics, bit for bit, both for a short run and for a long one.
 TEST(SingleGpuEngineTest, ExecutorRunsOnlyWhenNothingObservesTheDevices) {
   const NnModel m = DenseNet(121, 24, 32, 32);
   const TrainGraph g(&m);
@@ -176,7 +176,7 @@ TEST(SingleGpuEngineTest, ExecutorRunsOnlyWhenNothingObservesTheDevices) {
       SimValidator validator;
       TrainMetrics validated;
       {
-        ValidationScope scope(&validator);
+        ObserverScope scope(&validator);
         validated = engine.Run(m, ooo.schedule, nullptr, &validated_stats);
       }
       EXPECT_FALSE(validated_stats.executor);
@@ -247,8 +247,7 @@ void ExpectDeps(const NnModel& model, const IterationSchedule& schedule,
   const CostModel cost(GpuSpec::V100(), SystemProfile::TensorFlowXla());
   const TrainIssuePlan plan =
       BuildTrainIssuePlan(model, schedule, cost, /*iterations=*/2,
-                          /*main_stream=*/0, /*sub_stream=*/1,
-                          /*label_items=*/false);
+                          /*main_stream=*/0, /*sub_stream=*/1);
   ASSERT_EQ(plan.items.size(), 2 * n);
   EXPECT_EQ(plan.iter_last_item, (std::vector<int>{static_cast<int>(n) - 1,
                                                    static_cast<int>(2 * n) - 1}));
@@ -325,7 +324,7 @@ TEST(IterationDepsTest, OutOfOrderScheduleWithStreamWaits) {
   // Spelled out for iteration 1: the previous F2 comes first.
   const CostModel cost(GpuSpec::V100(), SystemProfile::TensorFlowXla());
   const TrainIssuePlan plan = BuildTrainIssuePlan(
-      model, schedule, cost, 2, /*main_stream=*/0, /*sub_stream=*/1, false);
+      model, schedule, cost, 2, /*main_stream=*/0, /*sub_stream=*/1);
   const IssueItem& dw2 = plan.items[12 + 3];
   ASSERT_EQ(dw2.num_deps, 2);
   EXPECT_EQ(dw2.dep_items[0], 11u);

@@ -163,18 +163,18 @@ TEST(SteadyReplayTest, SingleGpuFallbacks) {
       const TrainMetrics traced =
           engine.Run(model, schedule, &trace, &trace_stats);
       EXPECT_FALSE(trace_stats.attempted) << what;
-      EXPECT_EQ(trace_stats.fallback_reason, "traced") << what;
+      EXPECT_EQ(trace_stats.fallback_reason, "observed") << what;
       EXPECT_EQ(trace_stats.simulated_iterations, measured + 1) << what;
 
       ReplayStats validated_stats;
       SimValidator validator;
       TrainMetrics validated;
       {
-        ValidationScope scope(&validator);
+        ObserverScope scope(&validator);
         validated = engine.Run(model, schedule, nullptr, &validated_stats);
       }
       EXPECT_TRUE(validator.ok()) << validator.Summary();
-      EXPECT_EQ(validated_stats.fallback_reason, "validated") << what;
+      EXPECT_EQ(validated_stats.fallback_reason, "observed") << what;
       EXPECT_EQ(validated_stats.simulated_iterations, measured + 1) << what;
       EXPECT_EQ(validator.kernels_finished(),
                 static_cast<int64_t>(schedule.ops.size()) * (measured + 1))
@@ -227,8 +227,8 @@ TEST(SteadyReplayTest, PrecompiledIterationsRepeatTheLaunch) {
               StrFormat("%s on %s, %s, %zu ops", model.name.c_str(),
                         gpu.name.c_str(), profile.name.c_str(),
                         schedule->ops.size());
-          const TrainSimOutcome event = SimulateTraining(
-              cfg, cost, model, *schedule, kIterations, nullptr);
+          const TrainSimOutcome event =
+              SimulateTraining(cfg, cost, model, *schedule, kIterations);
           const TimeNs period =
               event.iter_end[0] - profile.graph_launch_latency;
           for (int t = 0; t + 1 < kIterations; ++t) {
@@ -310,8 +310,8 @@ TEST(SteadyReplayTest, ExecutorMatchesEventPathOnFullOutcomes) {
     cfg.profile = profile;
     cfg.precompiled_issue = precompiled;
     const CostModel cost(gpu, profile);
-    const TrainSimOutcome event = SimulateTraining(
-        cfg, cost, model, schedule, iterations, /*trace=*/nullptr);
+    const TrainSimOutcome event =
+        SimulateTraining(cfg, cost, model, schedule, iterations);
     const TrainSimOutcome exec =
         ExecuteTraining(cfg, cost, model, schedule, iterations);
     ++configs;
@@ -441,7 +441,7 @@ TEST(SteadyReplayTest, PipelineContinuousReplayIsExact) {
   const PipelineResult without_replay =
       PipelineEngine(PipeCfg(16))
           .Run(micro, PipelineStrategy::kPipeDream, &trace, &off_stats);
-  EXPECT_EQ(off_stats.fallback_reason, "traced");
+  EXPECT_EQ(off_stats.fallback_reason, "observed");
   ExpectBitwiseEqual(with_replay.metrics, without_replay.metrics, "pipedream");
   EXPECT_EQ(with_replay.weight_versions, without_replay.weight_versions);
   EXPECT_EQ(with_replay.per_gpu_peak_memory,

@@ -1,18 +1,21 @@
 // Replays every registered golden scenario — the 19 paper-figure training
 // scenarios, the 6 inference-serving scenarios, the 12 scaling, analysis
 // and ablation sweeps, the 3 steady-state replay scenarios, and the 2
-// parameter-server cluster scenarios — with the SimValidator installed,
-// asserting zero invariant violations (ctest label: validate). Each serving
-// replay (the event path) must also equal an unvalidated run of the same
-// scenario (the slot executor) value by value, bit for bit.
-// The 11 fleet scenarios are counted here but replayed under the validator
-// in fleet_golden_test.cc (which also pins their --jobs byte-identity), so
+// parameter-server cluster scenarios — observed by a SimValidator and a
+// TraceRecorder at once, asserting zero invariant violations and trace
+// events from every scenario that builds a device (ctest label: validate).
+// An observed run takes every engine's event path (src/hw/observer.h), so
+// each replay must also equal an unobserved run of the same scenario value
+// by value, bit for bit, apart from the steady_* keys that say how many
+// iterations a run stepped.
+// The 11 fleet scenarios are counted here but replayed observed in
+// fleet_golden_test.cc (which also pins their --jobs byte-identity), so
 // the suite does not pay for the multi-replica simulations twice.
 //
-// The validator attaches through thread-local hooks, so scenarios run
-// directly on this thread rather than through RunScenarios' thread pool.
-// Each scenario gets a fresh validator, keeping a violation attributable to
-// the scenario that produced it.
+// The observer list is thread-local, so scenarios run directly on this
+// thread rather than through RunScenarios' thread pool. Each scenario gets
+// a fresh validator and recorder, keeping a violation attributable to the
+// scenario that produced it.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +29,7 @@
 #include "src/runner/registry.h"
 #include "src/runner/serve_scenarios.h"
 #include "src/runner/sweep_scenarios.h"
+#include "src/trace/trace.h"
 #include "src/validate/sim_validator.h"
 
 namespace oobp {
@@ -39,6 +43,17 @@ namespace {
 constexpr const char* kAnalyticScenarios[] = {
     "ana_corun", "fig01_kernel_issue", "fig08_regions", "fig09_memory",
     "ana_recompute"};
+
+// `result` without the keys that say how a run was stepped: an observed
+// run steps every iteration, an unobserved one may stop at a repeated
+// boundary (DESIGN.md §9.2).
+ScenarioResult WithoutSteppingKeys(ScenarioResult result) {
+  std::erase_if(result.values, [](const MetricKv& kv) {
+    return kv.key.ends_with(".replayed") ||
+           kv.key.ends_with(".simulated_iterations");
+  });
+  return result;
+}
 
 TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
   RegisterPaperScenarios();
@@ -72,24 +87,30 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
       ++other;
     }
     SimValidator validator;
+    TraceRecorder trace;
     ScenarioResult result;
     {
-      ValidationScope scope(&validator);
+      const ObserverScope validating(&validator);
+      const ObserverScope tracing(&trace);
       result = scenario.run(ScenarioParams());
       EXPECT_FALSE(result.values.empty()) << scenario.name;
     }
     EXPECT_TRUE(validator.ok())
         << scenario.name << ": " << validator.Summary();
-    if (scenario.label == "serve") {
-      // The serving slot executor reproduces the validated event path
-      // exactly.
-      EXPECT_EQ(ValuesMismatch(scenario.run(ScenarioParams()), result), "")
+    // Every executor reproduces its observed event path exactly.
+    const ScenarioResult unobserved = scenario.run(ScenarioParams());
+    if (scenario.label == "steady") {
+      EXPECT_EQ(ValuesMismatch(WithoutSteppingKeys(unobserved),
+                               WithoutSteppingKeys(result)),
+                "")
           << scenario.name;
+    } else {
+      EXPECT_EQ(ValuesMismatch(unobserved, result), "") << scenario.name;
     }
     // A clean validator that saw no devices proves nothing; every scenario
-    // but the analytic ones simulates at least one validated device (the
+    // but the analytic ones simulates at least one observed device (the
     // pipeline toys model stage compute analytically and only build Links)
-    // to completion.
+    // to completion, and its trace is not empty.
     if (std::find(std::begin(kAnalyticScenarios), std::end(kAnalyticScenarios),
                   scenario.name) == std::end(kAnalyticScenarios)) {
       EXPECT_GT(validator.gpus_observed() + validator.links_observed(), 0)
@@ -97,6 +118,9 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
       EXPECT_GT(
           validator.kernels_finished() + validator.transfers_completed(), 0)
           << scenario.name;
+      EXPECT_FALSE(trace.events().empty()) << scenario.name;
+    } else {
+      EXPECT_TRUE(trace.events().empty()) << scenario.name;
     }
     total_gpus += validator.gpus_observed();
     total_links += validator.links_observed();

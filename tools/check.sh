@@ -2,7 +2,10 @@
 # One-shot health check, nine tiers:
 #   1. Release build: unit-test tier + unit-time toy scenarios vs goldens.
 #   2. ASan+UBSan build (-DOOBP_SANITIZE=ON): unit-test tier under the
-#      sanitizers (catches lifetime bugs in the event slab / callback moves).
+#      sanitizers (catches lifetime bugs in the event slab / callback moves),
+#      then the validate-labelled tier, which replays every golden scenario
+#      with a SimValidator and a TraceRecorder subscribed at once, so nested
+#      observer scopes and observer lifetimes run under the sanitizers too.
 #   3. Serve: serve-labeled ctest tier + the serve_* scenarios against their
 #      goldens (BENCH_serve_*.json), which pin the headline serving claim —
 #      ooo-backprop co-run tightens inference p99 at <= 2% training cost.
@@ -110,6 +113,8 @@ cmake -S "${REPO_ROOT}" -B "${ASAN_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${ASAN_DIR}" -j"$(nproc)"
 
 ctest --test-dir "${ASAN_DIR}" -L unit --output-on-failure
+
+ctest --test-dir "${ASAN_DIR}" -L validate --output-on-failure
 
 # --- Tier 3: serving subsystem: serve tests + serve goldens ---------------
 ctest --test-dir "${BUILD_DIR}" -L serve --output-on-failure

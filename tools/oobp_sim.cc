@@ -194,17 +194,39 @@ void PrintMetrics(const TrainMetrics& m) {
   }
 }
 
-// `recorder` when --trace names a file, else null: an untraced run takes its
-// engine's exact executor, which may stop stepping at a repeated iteration
-// boundary, and prints the same metrics (DESIGN.md §6.3, §9.2).
+// `recorder` when --trace names a file, else null. The engine subscribes the
+// recorder for its run, which makes the run observed: it takes the event
+// path and prints the same metrics as the exact executor an unobserved run
+// takes (src/hw/observer.h, DESIGN.md §6.3, §9.2).
 TraceRecorder* TraceIfAsked(const Flags& flags, TraceRecorder* recorder) {
   return flags.Get("trace", "").empty() ? nullptr : recorder;
 }
 
-void MaybeWriteTrace(const TraceRecorder& trace, const Flags& flags) {
+// Exit status 1, after naming the file that could not be written.
+int CannotWrite(const std::string& path) {
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return 1;
+}
+
+// Writes --export-schedule when it names a file; the exit status.
+int MaybeExportSchedule(const Flags& flags, const IterationSchedule& schedule,
+                        const NnModel& model) {
+  const std::string path = flags.Get("export-schedule", "");
+  if (path.empty()) {
+    return 0;
+  }
+  if (!WriteScheduleFile(path, schedule, model.name, model.num_layers())) {
+    return CannotWrite(path);
+  }
+  std::printf("schedule written to %s\n", path.c_str());
+  return 0;
+}
+
+// Writes --trace when it names a file; the exit status.
+int MaybeWriteTrace(const TraceRecorder& trace, const Flags& flags) {
   const std::string path = flags.Get("trace", "");
   if (path.empty()) {
-    return;
+    return 0;
   }
   std::map<int, std::string> tracks;
   for (const TraceEvent& ev : trace.events()) {
@@ -213,9 +235,11 @@ void MaybeWriteTrace(const TraceRecorder& trace, const Flags& flags) {
     }
   }
   tracks[0] = "main stream / GPU0";
-  if (trace.WriteChromeJson(path, tracks)) {
-    std::printf("trace written to %s\n", path.c_str());
+  if (!trace.WriteChromeJson(path, tracks)) {
+    return CannotWrite(path);
   }
+  std::printf("trace written to %s\n", path.c_str());
+  return 0;
 }
 
 int RunSingle(const Flags& flags) {
@@ -244,11 +268,8 @@ int RunSingle(const Flags& flags) {
   TrainMetrics metrics;
   if (kind == System::kOoo) {
     const JointScheduleResult sched = MakeOooSchedule(graph, gpu, config.profile);
-    const std::string export_path = flags.Get("export-schedule", "");
-    if (!export_path.empty() &&
-        WriteScheduleFile(export_path, sched.schedule, model.name,
-                          model.num_layers())) {
-      std::printf("schedule written to %s\n", export_path.c_str());
+    if (MaybeExportSchedule(flags, sched.schedule, model) != 0) {
+      return 1;
     }
     metrics = SingleGpuEngine(config).Run(model, sched.schedule,
                                           TraceIfAsked(flags, &trace));
@@ -259,8 +280,7 @@ int RunSingle(const Flags& flags) {
   std::printf("single-GPU %s on %s, %s\n", model.name.c_str(),
               gpu.name.c_str(), system.c_str());
   PrintMetrics(metrics);
-  MaybeWriteTrace(trace, flags);
-  return 0;
+  return MaybeWriteTrace(trace, flags);
 }
 
 int RunReplay(const Flags& flags) {
@@ -284,8 +304,7 @@ int RunReplay(const Flags& flags) {
       SingleGpuEngine(config).Run(model, *sched, TraceIfAsked(flags, &trace));
   std::printf("replayed schedule for %s\n", model.name.c_str());
   PrintMetrics(metrics);
-  MaybeWriteTrace(trace, flags);
-  return 0;
+  return MaybeWriteTrace(trace, flags);
 }
 
 int RunDataParallel(const Flags& flags) {
@@ -321,8 +340,7 @@ int RunDataParallel(const Flags& flags) {
               config.cluster.gpu.name.c_str(), config.cluster.name.c_str(),
               config.scheme == CommScheme::kBytePS ? "BytePS" : "Horovod", k);
   PrintMetrics(metrics);
-  MaybeWriteTrace(trace, flags);
-  return 0;
+  return MaybeWriteTrace(trace, flags);
 }
 
 PipelineStrategy ParseStrategy(const std::string& s) {
@@ -364,8 +382,7 @@ int RunPipeline(const Flags& flags) {
   if (r.weight_versions > 1) {
     std::printf("weight versions (staleness): %d\n", r.weight_versions);
   }
-  MaybeWriteTrace(trace, flags);
-  return 0;
+  return MaybeWriteTrace(trace, flags);
 }
 
 int RunHybrid(const Flags& flags) {
@@ -447,13 +464,7 @@ int RunSearch(const Flags& flags) {
               searched.peak_memory / 1e6, ooo.peak_memory / 1e6);
   std::printf("schedules verified: CheckIterationSchedule ok\n");
 
-  const std::string export_path = flags.Get("export-schedule", "");
-  if (!export_path.empty() &&
-      WriteScheduleFile(export_path, searched.schedule, model.name,
-                        model.num_layers())) {
-    std::printf("schedule written to %s\n", export_path.c_str());
-  }
-  return 0;
+  return MaybeExportSchedule(flags, searched.schedule, model);
 }
 
 int Usage() {
