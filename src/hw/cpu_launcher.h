@@ -74,7 +74,6 @@ class CpuLauncher {
               std::function<void(size_t, KernelId)> on_issued = nullptr,
               std::function<void()> on_all_issued = nullptr);
 
-  bool active() const { return active_; }
   // Host time spent issuing during the last (or current) launch.
   TimeNs issue_busy_time() const { return issue_busy_; }
 

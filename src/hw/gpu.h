@@ -91,7 +91,6 @@ class Gpu {
 
   const GpuSpec& spec() const { return spec_; }
   int num_streams() const { return static_cast<int>(streams_.size()); }
-  size_t kernels_enqueued() const { return kernels_.size(); }
   size_t kernels_completed() const { return completed_; }
 
   // SM-slot busy integral (slot-ns); divide by capacity * elapsed for

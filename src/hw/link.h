@@ -158,7 +158,6 @@ class Link {
 
   bool Done(TransferId id) const;
   bool idle() const { return !queue_.busy(); }
-  size_t pending() const { return queue_.pending(); }
   TimeNs busy_time() const { return queue_.busy_time(); }
   const LinkSpec& spec() const { return queue_.spec(); }
 

@@ -36,11 +36,9 @@ class JsonValue {
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
 
-  bool bool_value() const { return bool_; }
   double number_value() const { return number_; }
   const std::string& string_value() const { return string_; }
   const std::vector<JsonValue>& array_items() const { return array_; }
-  std::vector<JsonValue>* mutable_array() { return &array_; }
   const std::vector<std::pair<std::string, JsonValue>>& object_items() const {
     return object_;
   }

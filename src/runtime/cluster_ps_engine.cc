@@ -8,18 +8,18 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/common/str_util.h"
 #include "src/hw/gpu.h"
 #include "src/hw/link.h"
+#include "src/hw/observer.h"
 #include "src/sim/engine.h"
 
 namespace oobp {
 
 namespace {
 
-enum class PsOp { kForward, kOutputGrad, kWeightGrad };
-
 struct OpRef {
-  PsOp type;
+  TrainOpType type;  // forward, output or weight gradient
   int layer;
 };
 
@@ -39,22 +39,22 @@ std::vector<OpRef> BuildProgram(const NnModel& model, bool ooo,
   std::vector<OpRef> program;
   program.reserve(static_cast<size_t>(3 * layers));
   for (int l = 0; l < layers; ++l) {
-    program.push_back({PsOp::kForward, l});
+    program.push_back({TrainOpType::kForward, l});
   }
   for (int l = layers - 1; l >= k; --l) {
     if (model.layers[static_cast<size_t>(l)].has_params()) {
-      program.push_back({PsOp::kWeightGrad, l});
+      program.push_back({TrainOpType::kWeightGrad, l});
     }
     if (l >= 1) {
-      program.push_back({PsOp::kOutputGrad, l});
+      program.push_back({TrainOpType::kOutputGrad, l});
     }
   }
   for (int l = k - 1; l >= 1; --l) {
-    program.push_back({PsOp::kOutputGrad, l});
+    program.push_back({TrainOpType::kOutputGrad, l});
   }
   for (int l = 0; l < k; ++l) {
     if (model.layers[static_cast<size_t>(l)].has_params()) {
-      program.push_back({PsOp::kWeightGrad, l});
+      program.push_back({TrainOpType::kWeightGrad, l});
     }
   }
   return program;
@@ -102,11 +102,10 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
   }
   auto base_cost = [&](const OpRef& op) -> const KernelCost& {
     switch (op.type) {
-      case PsOp::kForward:
+      case TrainOpType::kForward:
         return fwd_cost[static_cast<size_t>(op.layer)];
-      case PsOp::kOutputGrad:
+      case TrainOpType::kOutputGrad:
         return og_cost[static_cast<size_t>(op.layer)];
-      case PsOp::kWeightGrad:
       default:
         return wg_cost[static_cast<size_t>(op.layer)];
     }
@@ -122,6 +121,7 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
 
   // Every worker GPU, the server and all links share one engine.
   SimEngine engine;
+  const bool labels = RunIsObserved();  // names only feed observers
 
   struct Worker {
     std::unique_ptr<Gpu> gpu;
@@ -169,7 +169,7 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
     }
     const OpRef& op = program[wk.pc];
     const Layer& layer = model.layers[static_cast<size_t>(op.layer)];
-    if (op.type == PsOp::kForward && wk.iter > 0 && layer.has_params() &&
+    if (op.type == TrainOpType::kForward && wk.iter > 0 && layer.has_params() &&
         wk.upd_ready[static_cast<size_t>(wk.iter - 1)]
                     [static_cast<size_t>(op.layer)] == 0) {
       if (wk.wait_since < 0) {
@@ -183,6 +183,11 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
     }
     const KernelCost& base = base_cost(op);
     KernelDesc desc;
+    if (labels) {
+      desc.name = StrFormat("%s[%d]#%d", TrainOpTypeName(op.type), op.layer,
+                            wk.iter);
+      desc.category = TrainOpTypeName(op.type);
+    }
     desc.solo_duration = static_cast<TimeNs>(
         std::llround(static_cast<double>(base.duration) * wk.factor));
     desc.thread_blocks = base.thread_blocks;
@@ -213,7 +218,9 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
     engine.ScheduleAfter(agg_ns(bytes), [&, t, l, bytes] {
       for (int w = 0; w < W; ++w) {
         down[static_cast<size_t>(w)]->Transfer(
-            bytes, push_priority(l), /*name=*/"", [&, w, t, l] {
+            bytes, push_priority(l),
+            labels ? StrFormat("pull[%d]#%d", l, t) : std::string(),
+            [&, w, t, l] {
               engine.ScheduleAt(engine.now(),
                                 [&, w, t, l] { on_update(w, t, l); });
             });
@@ -230,14 +237,16 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
           }
           wk.outstanding = -1;
           const OpRef op = program[wk.pc];
-          if (op.type == PsOp::kWeightGrad) {
+          if (op.type == TrainOpType::kWeightGrad) {
             const int t = wk.iter;
             const int l = op.layer;
             const int64_t bytes =
                 model.layers[static_cast<size_t>(l)].param_bytes;
             bytes_pushed += bytes;
             up[static_cast<size_t>(w)]->Transfer(
-                bytes, push_priority(l), /*name=*/"", [&, t, l] {
+                bytes, push_priority(l),
+                labels ? StrFormat("push[%d]#%d", l, t) : std::string(),
+                [&, t, l] {
                   engine.ScheduleAt(engine.now(),
                                     [&, t, l] { on_grad(t, l); });
                 });

@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/str_util.h"
+#include "src/hw/observer.h"
 #include "src/hw/link.h"
 #include "src/sim/engine.h"
 
@@ -62,6 +64,7 @@ HybridResult HybridEngine::Run(const NnModel& micro_model,
   // sync_done[l] is when layer l's all-reduce finishes, measured on the
   // same clock as the pipeline timings.
   SimEngine engine;
+  const bool labels = RunIsObserved();  // names only feed observers
   LinkSpec spec;
   spec.name = "dp-exchange";
   spec.bandwidth_gbps = ChannelBandwidthGbps();
@@ -96,8 +99,8 @@ HybridResult HybridEngine::Run(const NnModel& micro_model,
     engine.ScheduleAt(pipe.wgrad_done[l], [=, &engine, &sync_done] {
       for (int p = 0; p < parts; ++p) {
         const int64_t bytes = std::min<int64_t>(part, volume - p * part);
-        // Unnamed: a trace shows these transfers on their link's track.
-        link->Transfer(bytes, l, std::string(),
+        link->Transfer(bytes, l,
+                       labels ? StrFormat("sync[%d].%d", l, p) : std::string(),
                        [=, &engine, &sync_done] {
                          if (--*remaining == 0) {
                            sync_done[l] = engine.now();

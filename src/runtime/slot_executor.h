@@ -18,58 +18,10 @@
 
 #include "src/common/check.h"
 #include "src/common/time.h"
-#include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
 #include "src/sim/fluid.h"
 
 namespace oobp {
-
-// The Gpu's per-kernel dependency bookkeeping for an issue sequence, built
-// once: each item's dependents in enqueue order, repeats kept (Gpu's
-// per-kernel dependent lists), and the next item on its stream. The serving
-// executor keeps only per-item pending counts beside it. Items must name
-// streams in [0, num_streams), valid costs, and only earlier items as
-// dependencies.
-struct IssueGraph {
-  IssueGraph(const std::vector<IssueItem>& items, int num_streams)
-      : dependents_begin(items.size() + 1, 0), next_on_stream(items.size()) {
-    const size_t n = items.size();
-    for (size_t i = 0; i < n; ++i) {
-      const IssueItem& item = items[i];
-      OOBP_CHECK(item.stream >= 0 && item.stream < num_streams)
-          << "item " << i << " on stream " << item.stream;
-      OOBP_CHECK_GE(item.solo_duration, 0);
-      OOBP_CHECK_GT(item.thread_blocks, 0.0);
-      for (int d = 0; d < item.num_deps; ++d) {
-        OOBP_CHECK_LT(item.dep_items[d], i)
-            << "dependency must precede dependent in issue order";
-        ++dependents_begin[item.dep_items[d] + 1];
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      dependents_begin[i + 1] += dependents_begin[i];
-    }
-    dependents.resize(dependents_begin[n]);
-    std::vector<int> cursor(dependents_begin.begin(),
-                            dependents_begin.end() - 1);
-    std::vector<int> next(static_cast<size_t>(num_streams), -1);
-    for (size_t i = 0; i < n; ++i) {
-      const IssueItem& item = items[i];
-      for (int d = 0; d < item.num_deps; ++d) {
-        dependents[cursor[item.dep_items[d]]++] = static_cast<int>(i);
-      }
-      const size_t back = n - 1 - i;
-      next_on_stream[back] = next[items[back].stream];
-      next[items[back].stream] = static_cast<int>(back);
-    }
-  }
-
-  // Item i's dependents are dependents[dependents_begin[i]] up to
-  // dependents[dependents_begin[i + 1]], exclusive.
-  std::vector<int> dependents_begin;
-  std::vector<int> dependents;
-  std::vector<int> next_on_stream;  // -1 for a stream's last item
-};
 
 // One pending event per slot, run in SimEngine's (time, seq) order: a
 // sequence number is drawn wherever the event path calls ScheduleAt, so

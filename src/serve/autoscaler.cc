@@ -1,20 +1,10 @@
 #include "src/serve/autoscaler.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/common/check.h"
 
 namespace oobp {
-
-namespace {
-
-TimeNs NowOf(const SimEngine* engine) {
-  OOBP_CHECK(engine != nullptr);
-  return engine->now();
-}
-
-}  // namespace
 
 ScalePolicy::ScalePolicy(const AutoscalerConfig& config, TimeNs now)
     : config_(config) {
@@ -119,40 +109,6 @@ void ScalePolicy::RebuildRoutable() {
     if (state_[static_cast<size_t>(r)] == State::kUp) {
       routable_.push_back(r);
     }
-  }
-}
-
-Autoscaler::Autoscaler(SimEngine* engine, AutoscalerConfig config,
-                       QueuedFn queued)
-    : engine_(engine),
-      queued_(std::move(queued)),
-      policy_(config, NowOf(engine)),
-      warm_timer_(static_cast<size_t>(config.max_replicas)) {
-  OOBP_CHECK(queued_ != nullptr);
-}
-
-void Autoscaler::Start(TimeNs until) {
-  const TimeNs first = policy_.NextTick(engine_->now(), until);
-  if (first < 0) {
-    return;
-  }
-  engine_->ScheduleAt(first, [this, until] {
-    Evaluate();
-    Start(until);
-  });
-}
-
-void Autoscaler::Evaluate() {
-  const ScalePolicy::Step step = policy_.Evaluate(engine_->now(), queued_);
-  if (step.cancel >= 0) {
-    engine_->Cancel(warm_timer_[static_cast<size_t>(step.cancel)]);
-  }
-  if (step.warm >= 0) {
-    const int replica = step.warm;
-    warm_timer_[static_cast<size_t>(replica)] =
-        engine_->ScheduleAfter(policy_.config().warmup, [this, replica] {
-          policy_.BecomeUp(replica, engine_->now());
-        });
   }
 }
 

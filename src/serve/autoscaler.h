@@ -18,12 +18,11 @@
 // simply returns to full-rate ooo training. The routable count never drops
 // below `min_replicas`.
 //
-// Like the router, this is pure control logic. The state machine lives in
-// ScalePolicy, which has no clock: Autoscaler drives it from SimEngine
-// ticks and warm-up timers, and the serving executor
-// (src/serve/replica_driver.cc) from its own control-plane slots, so the
-// rules exist once and unit-test against scripted and fuzzed depth
-// sequences without a GPU.
+// Like the router and the batcher, this is pure control logic without a
+// clock. The replica driver (src/serve/replica_driver.cc) evaluates
+// ScalePolicy on each tick and ends each warm-up, and keeps the tick and
+// warm-up times as backend timers, so the rules are driven once and
+// unit-test against scripted and fuzzed depth sequences without a GPU.
 
 #ifndef OOBP_SRC_SERVE_AUTOSCALER_H_
 #define OOBP_SRC_SERVE_AUTOSCALER_H_
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/sim/engine.h"
 
 namespace oobp {
 
@@ -51,9 +49,8 @@ struct AutoscalerConfig {
   TimeNs warmup = Ms(10);    // spin-up cost before a new replica is routable
 };
 
-// The autoscaler's replica-state machine without a clock. Each call is one
-// step of Autoscaler's, so a driver that makes the same calls at the same
-// times reproduces it exactly.
+// The autoscaler's replica-state machine. Every call takes the current
+// time; the caller runs the ticks and warm-up timers it asks for.
 class ScalePolicy {
  public:
   // `queued` returns the total queued-request count across routable
@@ -88,15 +85,18 @@ class ScalePolicy {
   }
 
   bool routable(int replica) const;
+  // Ascending indices of up replicas; never empty (min_replicas >= 1).
   const std::vector<int>& routable_set() const { return routable_; }
   int num_routable() const { return static_cast<int>(routable_.size()); }
+  // Up + warming: replicas whose warm-up cost has been committed.
   int target() const { return target_; }
   int scale_ups() const { return scale_ups_; }
   int scale_downs() const { return scale_downs_; }
+  // (time, routable count) on every change; starts with the entry for the
+  // initial fleet. Times are non-decreasing.
   const std::vector<std::pair<TimeNs, int>>& timeline() const {
     return timeline_;
   }
-  const AutoscalerConfig& config() const { return config_; }
 
  private:
   enum class State { kDown, kWarming, kUp };
@@ -112,50 +112,6 @@ class ScalePolicy {
   int scale_ups_ = 0;
   int scale_downs_ = 0;
   std::vector<std::pair<TimeNs, int>> timeline_;
-};
-
-class Autoscaler {
- public:
-  using QueuedFn = ScalePolicy::QueuedFn;
-
-  Autoscaler(SimEngine* engine, AutoscalerConfig config, QueuedFn queued);
-  Autoscaler(const Autoscaler&) = delete;
-  Autoscaler& operator=(const Autoscaler&) = delete;
-
-  // Arms periodic evaluation at `evaluate_every` intervals, stopping once
-  // the next tick would land past `until` (the load horizon) so the
-  // simulation can drain.
-  void Start(TimeNs until);
-
-  // One control step at the current simulation time. Exposed for tests that
-  // script their own evaluation times.
-  void Evaluate();
-
-  bool routable(int replica) const { return policy_.routable(replica); }
-  // Ascending indices of up replicas; never empty (min_replicas >= 1).
-  const std::vector<int>& routable_set() const {
-    return policy_.routable_set();
-  }
-  int num_routable() const { return policy_.num_routable(); }
-  // Up + warming: replicas whose warm-up cost has been committed.
-  int target() const { return policy_.target(); }
-
-  int scale_ups() const { return policy_.scale_ups(); }
-  int scale_downs() const { return policy_.scale_downs(); }
-  // (time, routable count) on every change; starts with the t = 0 entry for
-  // the initial fleet. Times are non-decreasing.
-  const std::vector<std::pair<TimeNs, int>>& timeline() const {
-    return policy_.timeline();
-  }
-
-  const AutoscalerConfig& config() const { return policy_.config(); }
-  const ScalePolicy& policy() const { return policy_; }
-
- private:
-  SimEngine* engine_;
-  QueuedFn queued_;
-  ScalePolicy policy_;
-  std::vector<SimEngine::TimerHandle> warm_timer_;
 };
 
 }  // namespace oobp

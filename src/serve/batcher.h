@@ -1,4 +1,4 @@
-// Dynamic request batcher for the inference-serving subsystem.
+// Dynamic request batching rule for the inference-serving subsystem.
 //
 // Classic serving tradeoff: larger batches amortize per-kernel overheads and
 // raise goodput, but waiting to fill them adds queueing delay. The batcher
@@ -7,10 +7,10 @@
 // first — and keeps at most `max_inflight` batches on the accelerator, which
 // is what creates queue pressure (and thus batching) under load.
 //
-// The decisions live in BatchQueue, which has no clock: DynamicBatcher
-// drives it from SimEngine events and one cancellable deadline timer, and
-// the serving executor (src/serve/replica_driver.cc) from one event slot per
-// replica, so the rules exist once.
+// BatchQueue is the rule without a clock. The replica driver
+// (src/serve/replica_driver.cc) keeps one per replica, calls it when a
+// request arrives, a batch finishes or the deadline fires, and keeps the
+// deadline it returns as a backend timer, so the rule is driven once.
 
 #ifndef OOBP_SRC_SERVE_BATCHER_H_
 #define OOBP_SRC_SERVE_BATCHER_H_
@@ -18,11 +18,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/sim/engine.h"
 
 namespace oobp {
 
@@ -32,9 +30,8 @@ struct BatcherConfig {
   int max_inflight = 1;              // batches concurrently on the device
 };
 
-// The batcher's queue and dispatch rule without a clock. Each call is one
-// step of DynamicBatcher's, so a driver that makes the same calls at the
-// same times reproduces it exactly.
+// The batcher's queue and dispatch rule. Every call takes the current time;
+// the caller runs Release again at the deadline Release returns.
 class BatchQueue {
  public:
   explicit BatchQueue(const BatcherConfig& config);
@@ -90,37 +87,6 @@ class BatchQueue {
   std::deque<Pending> queue_;
   int inflight_ = 0;
   std::vector<int64_t> batch_;  // the batch being dispatched
-};
-
-class DynamicBatcher {
- public:
-  // `dispatch(requests)` is called at simulation time with the request ids
-  // (in arrival order) forming one batch; size in [1, max_batch].
-  using DispatchFn = std::function<void(const std::vector<int64_t>&)>;
-
-  DynamicBatcher(SimEngine* engine, BatcherConfig config, DispatchFn dispatch);
-  DynamicBatcher(const DynamicBatcher&) = delete;
-  DynamicBatcher& operator=(const DynamicBatcher&) = delete;
-
-  // A request arrived now (ids must be distinct; arrival order == call order).
-  void OnRequest(int64_t request_id);
-
-  // A previously dispatched batch finished; frees its inflight slot and
-  // immediately re-evaluates dispatch for queued requests.
-  void OnBatchDone();
-
-  int queue_depth() const { return queue_.queue_depth(); }
-  int inflight() const { return queue_.inflight(); }
-  const BatchQueue& queue() const { return queue_; }
-
- private:
-  // Dispatches what the queue releases now, then re-arms the deadline timer.
-  void MaybeDispatch();
-
-  SimEngine* engine_;
-  DispatchFn dispatch_;
-  BatchQueue queue_;
-  SimEngine::TimerHandle timer_;
 };
 
 }  // namespace oobp

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/str_util.h"
 #include "src/core/memory_model.h"
 #include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
@@ -47,9 +48,9 @@ struct ReplicaInputs {
 
 class ReplicaDriver;
 
-// The clock, the replica GPUs, their batchers and the autoscaler a
-// ReplicaDriver runs on. ReplicaEventBackend is the reference; the
-// ReplicaExecutor steps the same events in the same order (DESIGN.md §6.3).
+// The clock and the replica GPUs a ReplicaDriver runs on, and the timers it
+// sets. ReplicaEventBackend is the reference; the ReplicaExecutor steps the
+// same events in the same order (DESIGN.md §6.3).
 class ReplicaBackend {
  public:
   virtual ~ReplicaBackend() = default;
@@ -61,26 +62,27 @@ class ReplicaBackend {
   // Schedules replica `r`'s training launch: one graph-launch latency, then
   // the whole issue plan enqueued with its dependencies.
   virtual void LaunchTraining(int r) = 0;
-  // Arms the autoscaler's periodic evaluation up to `until`.
-  virtual void StartAutoscaler(TimeNs until) = 0;
-  // Request `id` joins replica `r`'s batcher, whose dispatches run
-  // ReplicaDriver::OnDispatch.
-  virtual void Submit(int r, int64_t id) = 0;
   // Batch `batch` launches like a captured graph: one graph-launch latency,
   // then `costs` (one kernel per layer) land on replica `r`'s inference
-  // stream. When its last kernel completes, ReplicaDriver::OnBatchDone runs
-  // and the batcher frees the inflight slot.
+  // stream. When its last kernel completes, ReplicaDriver::OnBatchDone runs.
   virtual void LaunchBatch(int r, size_t batch,
                            const std::vector<KernelCost>& costs) = 0;
-  virtual const BatchQueue& batcher(int r) const = 0;
-  virtual const ScalePolicy& scaler() const = 0;
+  // The driver's timers. Setting one replaces its pending event, or clears
+  // it when `t` is negative. Replica `r`'s batching deadline runs
+  // ReplicaDriver::OnDeadline(r), its warm-up ReplicaDriver::OnWarm(r), and
+  // the autoscaler's tick ReplicaDriver::OnTick().
+  virtual void SetDeadline(int r, TimeNs t) = 0;
+  virtual void SetWarmup(int r, TimeNs t) = 0;
+  virtual void SetTick(TimeNs t) = 0;
   // After Run, in co-run mode: replica `r`'s per-iteration training end
   // times and its SM busy integral.
   virtual std::vector<TimeNs> IterationEnds(int r) const = 0;
   virtual double BusyIntegral(int r) const = 0;
 };
 
-// Request and batch bookkeeping, routing, and the metrics.
+// Every decision of a serving run: request and batch bookkeeping, each
+// replica's BatchQueue, the router, the fleet's ScalePolicy, and the
+// metrics. The backend only keeps the clock, the devices and the timers.
 class ReplicaDriver {
  public:
   ReplicaDriver(ReplicaBackend* backend, const ReplicaInputs& in)
@@ -88,7 +90,9 @@ class ReplicaDriver {
         in_(in),
         records_(in.arrivals.size()),
         done_batches_(static_cast<size_t>(in.replicas), 0),
-        done_requests_(static_cast<size_t>(in.replicas), 0) {
+        done_requests_(static_cast<size_t>(in.replicas), 0),
+        batchers_(static_cast<size_t>(in.replicas),
+                  BatchQueue(in.config.batcher)) {
     for (size_t i = 0; i < records_.size(); ++i) {
       records_[i].arrival = in.arrivals[i];
     }
@@ -97,11 +101,12 @@ class ReplicaDriver {
       // Backlog estimate: queued requests plus the in-flight batches' worth
       // of work still on the device.
       router_.emplace(in.config.router, [this](int r) {
-        const BatchQueue& b = backend_->batcher(r);
+        const BatchQueue& b = batchers_[static_cast<size_t>(r)];
         return static_cast<int64_t>(b.queue_depth()) +
                static_cast<int64_t>(b.inflight()) *
                    static_cast<int64_t>(in_.config.batcher.max_batch);
       });
+      scaler_.emplace(in.config.autoscaler, /*now=*/0);
     }
   }
 
@@ -119,33 +124,27 @@ class ReplicaDriver {
     }
     if (in_.fleet) {
       backend_->ScheduleArrivals();
-      backend_->StartAutoscaler(in_.config.horizon);
+      backend_->SetTick(scaler_->NextTick(backend_->now(), in_.config.horizon));
     }
   }
 
-  void OnArrival(size_t i) {
+  // Request `i` arrives; returns the replica whose batcher it joined.
+  int OnArrival(size_t i) {
     int r = 0;
     if (router_) {
-      r = router_->Route(backend_->scaler().routable_set());
+      r = router_->Route(scaler_->routable_set());
       replica_of_[i] = r;
     }
-    backend_->Submit(r, static_cast<int64_t>(i));
+    batchers_[static_cast<size_t>(r)].Push(static_cast<int64_t>(i),
+                                           backend_->now());
+    Release(r);
+    return r;
   }
 
-  void OnDispatch(int r, const std::vector<int64_t>& ids) {
-    const size_t batch = batches_.size();
-    batches_.push_back({r, members_.size(), ids.size()});
-    members_.insert(members_.end(), ids.begin(), ids.end());
-    const TimeNs now = backend_->now();
-    for (int64_t id : ids) {
-      RequestRecord& rec = records_[static_cast<size_t>(id)];
-      rec.dispatch = now;
-      rec.batch_size = static_cast<int>(ids.size());
-    }
-    backend_->LaunchBatch(r, batch, in_.batch_costs[ids.size()]);
-  }
+  void OnDeadline(int r) { Release(r); }
 
-  // `exec_start`: when the batch's first kernel began executing.
+  // `exec_start`: when the batch's first kernel began executing. Frees the
+  // batch's inflight slot.
   void OnBatchDone(size_t batch, TimeNs exec_start) {
     const Batch& b = batches_[batch];
     const TimeNs done = backend_->now();
@@ -154,19 +153,29 @@ class ReplicaDriver {
       rec.exec_start = exec_start;
       rec.done = done;
     }
-    ++done_batches_[static_cast<size_t>(b.replica)];
-    done_requests_[static_cast<size_t>(b.replica)] +=
-        static_cast<int64_t>(b.size);
+    const int r = b.replica;
+    ++done_batches_[static_cast<size_t>(r)];
+    done_requests_[static_cast<size_t>(r)] += static_cast<int64_t>(b.size);
+    batchers_[static_cast<size_t>(r)].Done();
+    Release(r);
   }
 
-  // The autoscaler's depth sample: requests queued on routable replicas.
-  int64_t Queued() const {
-    int64_t queued = 0;
-    for (int r : backend_->scaler().routable_set()) {
-      queued += backend_->batcher(r).queue_depth();
+  // The autoscaler's tick: one control step, whose warm-up is drawn before
+  // the next tick.
+  void OnTick() {
+    const TimeNs now = backend_->now();
+    const ScalePolicy::Step step =
+        scaler_->Evaluate(now, [this] { return Queued(); });
+    if (step.cancel >= 0) {
+      backend_->SetWarmup(step.cancel, -1);
     }
-    return queued;
+    if (step.warm >= 0) {
+      backend_->SetWarmup(step.warm, now + in_.config.autoscaler.warmup);
+    }
+    backend_->SetTick(scaler_->NextTick(now, in_.config.horizon));
   }
+
+  void OnWarm(int r) { scaler_->BecomeUp(r, backend_->now()); }
 
   FleetMetrics Metrics(const NnModel* train_model,
                        const IterationSchedule* train_schedule,
@@ -180,6 +189,38 @@ class ReplicaDriver {
     size_t size;
   };
 
+  // Replica `r`'s batcher releases what its rule allows now; its deadline
+  // is drawn after the batches it dispatched.
+  void Release(int r) {
+    backend_->SetDeadline(
+        r, batchers_[static_cast<size_t>(r)].Release(
+               backend_->now(), [this, r](const std::vector<int64_t>& ids) {
+                 Dispatch(r, ids);
+               }));
+  }
+
+  void Dispatch(int r, const std::vector<int64_t>& ids) {
+    const size_t batch = batches_.size();
+    batches_.push_back({r, members_.size(), ids.size()});
+    members_.insert(members_.end(), ids.begin(), ids.end());
+    const TimeNs now = backend_->now();
+    for (int64_t id : ids) {
+      RequestRecord& rec = records_[static_cast<size_t>(id)];
+      rec.dispatch = now;
+      rec.batch_size = static_cast<int>(ids.size());
+    }
+    backend_->LaunchBatch(r, batch, in_.batch_costs[ids.size()]);
+  }
+
+  // The autoscaler's depth sample: requests queued on routable replicas.
+  int64_t Queued() const {
+    int64_t queued = 0;
+    for (int r : scaler_->routable_set()) {
+      queued += batchers_[static_cast<size_t>(r)].queue_depth();
+    }
+    return queued;
+  }
+
   void FleetServeMetrics(FleetMetrics* metrics) const;
 
   ReplicaBackend* backend_;
@@ -190,7 +231,9 @@ class ReplicaDriver {
   std::vector<int64_t> members_;
   std::vector<int64_t> done_batches_;   // completed batches per replica
   std::vector<int64_t> done_requests_;  // completed requests per replica
-  std::optional<FleetRouter> router_;
+  std::vector<BatchQueue> batchers_;    // per replica
+  std::optional<FleetRouter> router_;   // fleet only
+  std::optional<ScalePolicy> scaler_;   // fleet only
 };
 
 FleetMetrics ReplicaDriver::Metrics(const NnModel* train_model,
@@ -274,10 +317,9 @@ void ReplicaDriver::FleetServeMetrics(FleetMetrics* metrics) const {
   }
 
   // Autoscaler outcome + time-weighted routable stats over [0, horizon].
-  const ScalePolicy& scaler = backend_->scaler();
-  metrics->scale_ups = scaler.scale_ups();
-  metrics->scale_downs = scaler.scale_downs();
-  metrics->replica_timeline = scaler.timeline();
+  metrics->scale_ups = scaler_->scale_ups();
+  metrics->scale_downs = scaler_->scale_downs();
+  metrics->replica_timeline = scaler_->timeline();
   metrics->router_decisions = router_->decisions();
   {
     const auto& tl = metrics->replica_timeline;
@@ -314,10 +356,11 @@ void ReplicaDriver::FleetServeMetrics(FleetMetrics* metrics) const {
   }
 }
 
-// The reference producer: every arrival, batcher deadline, graph launch,
+// The reference producer: every arrival, batching deadline, graph launch,
 // kernel begin, fluid wake, autoscaler tick and warm-up is a SimEngine
 // event on one engine shared by every replica. Observed runs take it (it
-// builds the Gpus and launchers observers hear from).
+// builds the Gpus and launchers observers hear from), so it labels every
+// inference kernel with its layer and batch.
 class ReplicaEventBackend final : public ReplicaBackend {
  public:
   explicit ReplicaEventBackend(const ReplicaInputs& in)
@@ -333,11 +376,6 @@ class ReplicaEventBackend final : public ReplicaBackend {
       for (int priority : kStreamPriority) {
         rep.gpu->CreateStream(priority);
       }
-      rep.batcher = std::make_unique<DynamicBatcher>(
-          &engine_, config.batcher,
-          [this, r](const std::vector<int64_t>& ids) {
-            driver_->OnDispatch(r, ids);
-          });
       rep.gpu->AddKernelDoneListener(
           [this, r](KernelId id) { OnKernelDone(r, id); });
       if (in.plan != nullptr) {
@@ -345,10 +383,6 @@ class ReplicaEventBackend final : public ReplicaBackend {
             &engine_, rep.gpu.get(), CpuLauncher::Mode::kPrecompiled,
             config.profile.graph_launch_latency);
       }
-    }
-    if (in.fleet) {
-      autoscaler_ = std::make_unique<Autoscaler>(
-          &engine_, config.autoscaler, [this] { return driver_->Queued(); });
     }
   }
 
@@ -371,10 +405,6 @@ class ReplicaEventBackend final : public ReplicaBackend {
                            rep.item_kernel[index] = id;
                          });
   }
-  void StartAutoscaler(TimeNs until) override { autoscaler_->Start(until); }
-  void Submit(int r, int64_t id) override {
-    replicas_[static_cast<size_t>(r)].batcher->OnRequest(id);
-  }
   void LaunchBatch(int r, size_t batch,
                    const std::vector<KernelCost>& costs) override {
     engine_.ScheduleAfter(
@@ -382,10 +412,12 @@ class ReplicaEventBackend final : public ReplicaBackend {
           Replica& rep = replicas_[static_cast<size_t>(r)];
           KernelId first = -1;
           KernelId last = -1;
-          for (const KernelCost& cost : costs) {
+          for (size_t layer = 0; layer < costs.size(); ++layer) {
             KernelDesc desc;
-            desc.solo_duration = cost.duration;
-            desc.thread_blocks = cost.thread_blocks;
+            desc.name = StrFormat("infer[%zu]#%zu", layer, batch);
+            desc.category = "infer";
+            desc.solo_duration = costs[layer].duration;
+            desc.thread_blocks = costs[layer].thread_blocks;
             last = rep.gpu->Enqueue(kServeStream, std::move(desc));
             if (first < 0) {
               first = last;
@@ -394,10 +426,17 @@ class ReplicaEventBackend final : public ReplicaBackend {
           rep.launched.push_back({batch, first, last});
         });
   }
-  const BatchQueue& batcher(int r) const override {
-    return replicas_[static_cast<size_t>(r)].batcher->queue();
+  void SetDeadline(int r, TimeNs t) override {
+    Rearm(&replicas_[static_cast<size_t>(r)].deadline, t,
+          [this, r] { driver_->OnDeadline(r); });
   }
-  const ScalePolicy& scaler() const override { return autoscaler_->policy(); }
+  void SetWarmup(int r, TimeNs t) override {
+    Rearm(&replicas_[static_cast<size_t>(r)].warmup, t,
+          [this, r] { driver_->OnWarm(r); });
+  }
+  void SetTick(TimeNs t) override {
+    Rearm(&tick_, t, [this] { driver_->OnTick(); });
+  }
   std::vector<TimeNs> IterationEnds(int r) const override {
     const Replica& rep = replicas_[static_cast<size_t>(r)];
     return TrainIterationEndTimes(*rep.gpu, rep.item_kernel,
@@ -416,12 +455,13 @@ class ReplicaEventBackend final : public ReplicaBackend {
   };
   struct Replica {
     std::unique_ptr<Gpu> gpu;
-    std::unique_ptr<DynamicBatcher> batcher;
     std::unique_ptr<CpuLauncher> launcher;  // co-run only
     std::vector<KernelId> item_kernel;      // by training issue item
     // Launched batches, oldest first: the inference stream runs them in
     // order, so only the front's last kernel can complete a batch next.
     std::deque<Launched> launched;
+    SimEngine::TimerHandle deadline;
+    SimEngine::TimerHandle warmup;
   };
 
   void OnKernelDone(int r, KernelId id) {
@@ -432,32 +472,86 @@ class ReplicaEventBackend final : public ReplicaBackend {
     const Launched done = rep.launched.front();
     rep.launched.pop_front();
     driver_->OnBatchDone(done.batch, rep.gpu->StartTime(done.first));
-    rep.batcher->OnBatchDone();
+  }
+
+  // Cancels `timer`'s pending event, then schedules `callback` at `t`
+  // unless `t` is negative.
+  void Rearm(SimEngine::TimerHandle* timer, TimeNs t,
+             SimEngine::Callback callback) {
+    engine_.Cancel(*timer);
+    *timer = t >= 0 ? engine_.ScheduleAt(t, std::move(callback))
+                    : SimEngine::TimerHandle();
   }
 
   const ReplicaInputs& in_;
   SimEngine engine_;
   std::vector<Replica> replicas_;
-  std::unique_ptr<Autoscaler> autoscaler_;
+  SimEngine::TimerHandle tick_;
   ReplicaDriver* driver_ = nullptr;
 };
 
-// Exact executor for unvalidated runs. A replica's model is closed: each of
+// The Gpu's per-kernel dependency bookkeeping for the training issue plan,
+// built once: each item's dependents in enqueue order, repeats kept (Gpu's
+// per-kernel dependent lists), and the next item on its stream. Each
+// replica of the executor keeps only per-item pending counts beside it.
+// Items must name streams in [0, num_streams), valid costs, and only
+// earlier items as dependencies.
+struct IssueGraph {
+  IssueGraph(const std::vector<IssueItem>& items, int num_streams)
+      : dependents_begin(items.size() + 1, 0), next_on_stream(items.size()) {
+    const size_t n = items.size();
+    for (size_t i = 0; i < n; ++i) {
+      const IssueItem& item = items[i];
+      OOBP_CHECK(item.stream >= 0 && item.stream < num_streams)
+          << "item " << i << " on stream " << item.stream;
+      OOBP_CHECK_GE(item.solo_duration, 0);
+      OOBP_CHECK_GT(item.thread_blocks, 0.0);
+      for (int d = 0; d < item.num_deps; ++d) {
+        OOBP_CHECK_LT(item.dep_items[d], i)
+            << "dependency must precede dependent in issue order";
+        ++dependents_begin[item.dep_items[d] + 1];
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dependents_begin[i + 1] += dependents_begin[i];
+    }
+    dependents.resize(dependents_begin[n]);
+    std::vector<int> cursor(dependents_begin.begin(),
+                            dependents_begin.end() - 1);
+    std::vector<int> next(static_cast<size_t>(num_streams), -1);
+    for (size_t i = 0; i < n; ++i) {
+      const IssueItem& item = items[i];
+      for (int d = 0; d < item.num_deps; ++d) {
+        dependents[cursor[item.dep_items[d]]++] = static_cast<int>(i);
+      }
+      const size_t back = n - 1 - i;
+      next_on_stream[back] = next[items[back].stream];
+      next[items[back].stream] = static_cast<int>(back);
+    }
+  }
+
+  // Item i's dependents are dependents[dependents_begin[i]] up to
+  // dependents[dependents_begin[i + 1]], exclusive.
+  std::vector<int> dependents_begin;
+  std::vector<int> dependents;
+  std::vector<int> next_on_stream;  // -1 for a stream's last item
+};
+
+// Exact executor for unobserved runs. A replica's model is closed: each of
 // its three streams holds at most one dispatched or running kernel, its
-// batcher at most one deadline and its launcher one training launch. So a
-// replica's events live in fixed slots — one kernel begin per stream, the
-// fluid wake, the batcher deadline and the training launch — plus a FIFO of
-// pending batch graph launches (max_inflight > 1 can have several; their
-// constant latency keeps them in time order). An indexed heap orders the
-// replicas by their earliest event; beside it sit the control plane's
-// events: the arrival cursor, the autoscaler tick and the warm-up timers.
-// One sequence counter is drawn wherever the event path calls ScheduleAt,
-// so every event runs in SimEngine's (time, seq) order. Kernels step
-// through StreamFluid<3> (indexed by priority rank: main 0, inference 1,
-// sub 2), the batchers through BatchQueue and the autoscaler through
-// ScalePolicy, the rules the event path runs. Every replica shares one
-// training plan (items, dependents, next on stream) and keeps only pending
-// counts and iteration ends beside it.
+// batching deadline is one timer and its launcher makes one training
+// launch. So a replica's events live in fixed slots — one kernel begin per
+// stream, the fluid wake, the batching deadline and the training launch —
+// plus a FIFO of pending batch graph launches (max_inflight > 1 can have
+// several; their constant latency keeps them in time order). An indexed
+// heap orders the replicas by their earliest event; beside it sit the
+// control plane's events: the arrival cursor, the autoscaler tick and the
+// warm-up timers. One sequence counter is drawn wherever the event path
+// calls ScheduleAt, so every event runs in SimEngine's (time, seq) order.
+// Kernels step through StreamFluid<3> (indexed by priority rank: main 0,
+// inference 1, sub 2). Every replica shares one training plan (items,
+// dependents, next on stream) and keeps only pending counts and iteration
+// ends beside it.
 class ReplicaExecutor final : public ReplicaBackend {
  public:
   explicit ReplicaExecutor(const ReplicaInputs& in)
@@ -480,15 +574,12 @@ class ReplicaExecutor final : public ReplicaBackend {
         static_cast<double>(in.config.gpu.slot_capacity());
     replicas_.reserve(static_cast<size_t>(in.replicas));
     for (int r = 0; r < in.replicas; ++r) {
-      replicas_.emplace_back(capacity, in.config.batcher);
+      replicas_.emplace_back(capacity);
       Replica& rep = replicas_.back();
       if (in.plan != nullptr) {
         rep.pending.assign(items, 0);
         rep.iter_end.assign(in.plan->iter_last_item.size(), 0);
       }
-    }
-    if (in.fleet) {
-      scaler_.emplace(in.config.autoscaler, /*now=*/0);
     }
   }
 
@@ -501,7 +592,6 @@ class ReplicaExecutor final : public ReplicaBackend {
       UpdateKey(static_cast<int>(r), heap_.size() - 1);
     }
     const std::vector<TimeNs>& arrivals = in_.arrivals;
-    const ScalePolicy::QueuedFn queued = [this] { return driver_->Queued(); };
     while (true) {
       enum { kNone, kReplica, kArrival, kTick, kWarm } source = kNone;
       Event next = kNever;
@@ -534,17 +624,19 @@ class ReplicaExecutor final : public ReplicaBackend {
         case kReplica:
           Step(heap_[0]);
           break;
-        case kArrival:
-          driver_->OnArrival(arrival_++);
+        case kArrival: {
+          const int r = driver_->OnArrival(arrival_++);
+          UpdateKey(r, replicas_[static_cast<size_t>(r)].heap_pos);
           break;
+        }
         case kTick:
           tick_.seq = 0;
-          Tick(queued);
+          driver_->OnTick();
           break;
         case kWarm: {
-          const int replica = warm_.front().replica;
+          const int r = warm_.front().replica;
           warm_.erase(warm_.begin());
-          scaler_->BecomeUp(replica, now_);
+          driver_->OnWarm(r);
           break;
         }
         case kNone:
@@ -567,26 +659,29 @@ class ReplicaExecutor final : public ReplicaBackend {
     Schedule(replicas_[static_cast<size_t>(r)], kTrainLaunch,
              now_ + launch_latency_);
   }
-  void StartAutoscaler(TimeNs until) override {
-    until_ = until;
-    ArmTick();
-  }
-  // DynamicBatcher::OnRequest.
-  void Submit(int r, int64_t id) override {
-    Replica& rep = replicas_[static_cast<size_t>(r)];
-    rep.batcher.Push(id, now_);
-    Release(r);
-    UpdateKey(r, rep.heap_pos);
-  }
   void LaunchBatch(int r, size_t batch,
                    const std::vector<KernelCost>& costs) override {
     replicas_[static_cast<size_t>(r)].launches.push_back(
-        {{now_ + launch_latency_, next_seq_++}, batch, &costs});
+        {Draw(now_ + launch_latency_), batch, &costs});
   }
-  const BatchQueue& batcher(int r) const override {
-    return replicas_[static_cast<size_t>(r)].batcher;
+  // Every caller re-keys the replica: Step on return, an arrival after
+  // OnArrival.
+  void SetDeadline(int r, TimeNs t) override {
+    Reschedule(replicas_[static_cast<size_t>(r)], kDeadline, t);
   }
-  const ScalePolicy& scaler() const override { return *scaler_; }
+  // Pending warm-ups stay in (time, seq) order.
+  void SetWarmup(int r, TimeNs t) override {
+    std::erase_if(warm_, [r](const Warm& w) { return w.replica == r; });
+    if (t >= 0) {
+      const Warm warm{Draw(t), r};
+      warm_.insert(std::upper_bound(warm_.begin(), warm_.end(), warm,
+                                    [](const Warm& a, const Warm& b) {
+                                      return Before(a.event, b.event);
+                                    }),
+                   warm);
+    }
+  }
+  void SetTick(TimeNs t) override { tick_ = t >= 0 ? Draw(t) : Event{}; }
   std::vector<TimeNs> IterationEnds(int r) const override {
     return replicas_[static_cast<size_t>(r)].iter_end;
   }
@@ -619,13 +714,11 @@ class ReplicaExecutor final : public ReplicaBackend {
     const std::vector<KernelCost>* costs;
   };
   struct Replica {
-    Replica(double capacity, const BatcherConfig& config)
-        : fluid(capacity, nullptr), batcher(config) {}
+    explicit Replica(double capacity) : fluid(capacity, nullptr) {}
 
     Event slot[kSlots];
     std::deque<Launch> launches;
     StreamFluid<3> fluid;
-    BatchQueue batcher;
     bool dispatched[3] = {false, false, false};
     // Training streams: queued[s] enqueued-but-unfinished items, head[s]
     // the oldest.
@@ -645,11 +738,15 @@ class ReplicaExecutor final : public ReplicaBackend {
     size_t heap_pos = 0;
   };
 
+  // SimEngine::ScheduleAt's sequence draw.
+  Event Draw(TimeNs t) {
+    OOBP_CHECK_GE(t, now_) << "event scheduled in the past";
+    return Event{t, next_seq_++};
+  }
   // SimEngine::ScheduleAt into an empty slot.
   void Schedule(Replica& rep, int slot, TimeNs t) {
-    OOBP_CHECK_GE(t, now_) << "event scheduled in the past";
     OOBP_CHECK_EQ(rep.slot[slot].seq, 0u) << "slot " << slot << " is taken";
-    rep.slot[slot] = Event{t, next_seq_++};
+    rep.slot[slot] = Draw(t);
   }
   // Cancel of the slot's pending event, then Schedule at `t` unless it is
   // negative.
@@ -708,7 +805,7 @@ class ReplicaExecutor final : public ReplicaBackend {
           Reschedule(rep, kWake, rep.fluid.Wake(now_, finish));
           break;
         case kDeadline:
-          Release(r);
+          driver_->OnDeadline(r);
           break;
         case kTrainLaunch:
           LaunchTrainingNow(rep);
@@ -716,16 +813,6 @@ class ReplicaExecutor final : public ReplicaBackend {
       }
     }
     UpdateKey(r, rep.heap_pos);
-  }
-
-  // The batcher releases what it may now and re-arms its deadline.
-  void Release(int r) {
-    Replica& rep = replicas_[static_cast<size_t>(r)];
-    Reschedule(rep, kDeadline,
-               rep.batcher.Release(now_, [this, r](
-                                             const std::vector<int64_t>& ids) {
-                 driver_->OnDispatch(r, ids);
-               }));
   }
 
   // The graph launch's Gpu::Enqueue calls: only the first kernel can find
@@ -795,7 +882,7 @@ class ReplicaExecutor final : public ReplicaBackend {
   }
 
   // Gpu::FinishKernel of an inference kernel: a batch's last kernel runs
-  // the done listener (the batcher may dispatch), then the stream's next
+  // the done listener (the driver may dispatch), then the stream's next
   // head dispatches.
   void FinishServe(int r) {
     Replica& rep = replicas_[static_cast<size_t>(r)];
@@ -805,34 +892,8 @@ class ReplicaExecutor final : public ReplicaBackend {
       rep.served.pop_front();
       rep.layer = 0;
       driver_->OnBatchDone(batch, rep.batch_start);
-      rep.batcher.Done();
-      Release(r);
     }
     DispatchServe(rep);
-  }
-
-  // Autoscaler's tick: one control step, then the next tick.
-  void Tick(const ScalePolicy::QueuedFn& queued) {
-    const ScalePolicy::Step step = scaler_->Evaluate(now_, queued);
-    if (step.cancel >= 0) {
-      const auto it =
-          std::find_if(warm_.begin(), warm_.end(), [&step](const Warm& w) {
-            return w.replica == step.cancel;
-          });
-      OOBP_CHECK(it != warm_.end());
-      warm_.erase(it);
-    }
-    if (step.warm >= 0) {
-      warm_.push_back(
-          {{now_ + in_.config.autoscaler.warmup, next_seq_++}, step.warm});
-    }
-    ArmTick();
-  }
-  void ArmTick() {
-    const TimeNs t = scaler_->NextTick(now_, until_);
-    if (t >= 0) {
-      tick_ = Event{t, next_seq_++};
-    }
   }
 
   // Recomputes replica `r`'s earliest event and restores the heap order
@@ -902,16 +963,12 @@ class ReplicaExecutor final : public ReplicaBackend {
   // Control plane.
   size_t arrival_ = 0;        // next arrival; arrival i drew arrival_seq_ + i
   uint64_t arrival_seq_ = 0;
-  std::optional<ScalePolicy> scaler_;  // fleet only
-  TimeNs until_ = 0;
   Event tick_;
   struct Warm {
     Event event;
     int replica;
   };
-  // Pending warm-ups, earliest first: each is drawn by a tick at a later
-  // time than the last, with the same delay.
-  std::vector<Warm> warm_;
+  std::vector<Warm> warm_;  // pending warm-ups, earliest first
 };
 
 }  // namespace

@@ -3,14 +3,16 @@
 //
 // A serving run is a set of replica GPUs, each with the fixed three-stream
 // layout of serve_engine.h, a dynamic batcher and, in co-run mode, a
-// training job issued as one pre-compiled graph. ReplicaDriver holds what
-// is independent of how the events are stepped: batch dispatch, graph
-// launch, batch-done bookkeeping, the co-run training launch, the router
-// and autoscaler hookup, and the serve and train metrics. Two backends step
-// the events (DESIGN.md §6.3):
-//   * the event backend — SimEngine + Gpu + CpuLauncher + DynamicBatcher +
-//     Autoscaler — the reference, and the only producer observers hear
-//     from; observed runs take it (src/hw/observer.h);
+// training job issued as one pre-compiled graph. ReplicaDriver makes every
+// decision of the run: routing (FleetRouter), batching (one BatchQueue per
+// replica) and scaling (ScalePolicy), batch dispatch and graph launch,
+// batch-done bookkeeping, the co-run training launch, and the serve and
+// train metrics. Two backends keep the clock and the devices and offer the
+// driver timers — each replica's batching deadline and warm-up, and the
+// autoscaler's tick (DESIGN.md §6.3):
+//   * the event backend — SimEngine + Gpu + CpuLauncher — the reference,
+//     and the only producer observers hear from; observed runs take it
+//     (src/hw/observer.h);
 //   * the slot executor, which keeps each replica's events in fixed slots
 //     and reproduces the event backend bit for bit; every other run takes
 //     it.

@@ -1,14 +1,15 @@
 // Fleet-scale request router: picks a replica ServeEngine for every arriving
 // inference request.
 //
-// The router is pure control logic, like the DynamicBatcher: it owns no
-// replicas and no clock. The fleet engine hands it the currently routable
-// replica set (the autoscaler's warm replicas) and a load estimator, and the
-// router returns a replica index. Keeping it stateless apart from the
-// round-robin cursor and the power-of-two-choices Rng makes every policy
-// unit-testable against synthetic queues and byte-deterministic for a fixed
-// seed — all randomness is consumed in request order on the single-threaded
-// simulation clock.
+// The router is pure control logic, like BatchQueue and ScalePolicy: it
+// owns no replicas and no clock. The replica driver
+// (src/serve/replica_driver.cc) hands it the currently routable replica set
+// (the autoscaler's warm replicas) and a load estimator over its batch
+// queues, and the router returns a replica index. Keeping it stateless
+// apart from the round-robin cursor and the power-of-two-choices Rng makes
+// every policy unit-testable against synthetic queues and byte-deterministic
+// for a fixed seed — all randomness is consumed in request order on the
+// single-threaded simulation clock.
 //
 // Policies:
 //   kRoundRobin  — cycle through the routable set; oblivious to load.

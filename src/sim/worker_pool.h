@@ -42,8 +42,6 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
-
   // Executes fn(i, worker) for i in [0, count); blocks until all complete.
   // Inline (worker == -1, index order) when the pool is inert or count <= 1.
   // Not reentrant: fn must not call Run on the same pool.

@@ -408,78 +408,21 @@ void LinkFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
 // ---------------------------------------------------------------------------
 // Serve-subsystem fuzz.
 
-void ServeFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
-  auto fail = [errors, seed](std::string msg) {
-    errors->push_back(StrFormat("seed %llu: serve fuzz: ",
-                                static_cast<unsigned long long>(seed)) +
-                      std::move(msg));
-  };
-  ServeConfig cfg;
-  cfg.gpu = RandomGpuSpec(rng);
-  cfg.profile = RandomProfile(rng);
-  cfg.arrivals.kind =
-      rng.NextBelow(2) == 0 ? ArrivalKind::kPoisson : ArrivalKind::kBursty;
-  cfg.arrivals.rate_rps = rng.Uniform(200.0, 3000.0);
-  cfg.arrivals.seed = seed * 2 + 17;
-  cfg.batcher.max_batch = 1 + static_cast<int>(rng.NextBelow(8));
-  cfg.batcher.max_queue_delay = Us(rng.Uniform(200.0, 2000.0));
-  cfg.batcher.max_inflight = 1 + static_cast<int>(rng.NextBelow(2));
-  cfg.horizon = Ms(10.0 + static_cast<double>(rng.NextBelow(21)));
-  cfg.slo = Ms(5.0 + static_cast<double>(rng.NextBelow(16)));
-  cfg.make_model = [](int batch) {
-    NnModel m;
-    m.name = "fuzz-infer";
-    m.batch = batch;
-    m.layers.push_back(MakeConv2d("c0", "b0", batch, 8, 16, 16, 16, 3, 1));
-    m.layers.push_back(MakeConv2d("c1", "b0", batch, 16, 8, 8, 32, 3, 1));
-    m.layers.push_back(MakeDense("fc", "b1", batch, 1, 128, 64));
-    return m;
-  };
-
-  ServeEngine serve(cfg);
-  SimValidator validator;
-  ServeMetrics m;
-  {
-    ObserverScope scope(&validator);
-    m = serve.RunServeOnly();
-  }
-  if (!validator.ok()) {
-    fail(validator.Summary());
-  }
-  if (m.num_completed > m.num_requests) {
-    fail(StrFormat("completed %lld > offered %lld",
-                   static_cast<long long>(m.num_completed),
-                   static_cast<long long>(m.num_requests)));
-  }
-  if (m.num_completed > 0 &&
-      !(m.p50_latency <= m.p95_latency && m.p95_latency <= m.p99_latency &&
-        m.p99_latency <= m.max_latency)) {
-    fail(StrFormat("percentiles not monotone: p50=%lld p95=%lld p99=%lld "
-                   "max=%lld",
-                   static_cast<long long>(m.p50_latency),
-                   static_cast<long long>(m.p95_latency),
-                   static_cast<long long>(m.p99_latency),
-                   static_cast<long long>(m.max_latency)));
-  }
-  if (m.slo_attainment < 0.0 || m.slo_attainment > 1.0) {
-    fail(StrFormat("slo_attainment %.6f outside [0, 1]", m.slo_attainment));
-  }
-  if (m.goodput_rps > m.completed_rps * (1.0 + 1e-9) + 1e-9) {
-    fail(StrFormat("goodput %.3f rps exceeds completion rate %.3f rps",
-                   m.goodput_rps, m.completed_rps));
-  }
-  if (m.mean_batch_size > static_cast<double>(cfg.batcher.max_batch) + 1e-9) {
-    fail(StrFormat("mean batch %.3f exceeds max_batch %d", m.mean_batch_size,
-                   cfg.batcher.max_batch));
-  }
+// The three-layer inference model of the serve and fleet families.
+NnModel FuzzInferModel(int batch) {
+  NnModel m;
+  m.name = "fuzz-infer";
+  m.batch = batch;
+  m.layers.push_back(MakeConv2d("c0", "b0", batch, 8, 16, 16, 16, 3, 1));
+  m.layers.push_back(MakeConv2d("c1", "b0", batch, 16, 8, 8, 32, 3, 1));
+  m.layers.push_back(MakeDense("fc", "b1", batch, 1, 128, 64));
+  return m;
 }
 
-// ---------------------------------------------------------------------------
-// Fleet fuzz: random multi-replica fleets (router + autoscaler) under the
-// validator, with a metamorphic routing property.
-
-// Sanity checks shared by every fleet run.
-void FleetSanity(const ServeMetrics& m, const char* what,
+// Sanity checks shared by every serving run: no more completions than
+// requests, monotone latency percentiles, SLO attainment in [0, 1], goodput
+// within the completion rate, and a mean batch within `max_batch`.
+void ServeSanity(const ServeMetrics& m, int max_batch, const char* what,
                  const std::function<void(std::string)>& fail) {
   if (m.num_completed > m.num_requests) {
     fail(StrFormat("%s: completed %lld > offered %lld", what,
@@ -504,7 +447,48 @@ void FleetSanity(const ServeMetrics& m, const char* what,
     fail(StrFormat("%s: goodput %.3f rps exceeds completion rate %.3f rps",
                    what, m.goodput_rps, m.completed_rps));
   }
+  if (m.mean_batch_size > static_cast<double>(max_batch) + 1e-9) {
+    fail(StrFormat("%s: mean batch %.3f exceeds max_batch %d", what,
+                   m.mean_batch_size, max_batch));
+  }
 }
+
+void ServeFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
+  auto fail = [errors, seed](std::string msg) {
+    errors->push_back(StrFormat("seed %llu: serve fuzz: ",
+                                static_cast<unsigned long long>(seed)) +
+                      std::move(msg));
+  };
+  ServeConfig cfg;
+  cfg.gpu = RandomGpuSpec(rng);
+  cfg.profile = RandomProfile(rng);
+  cfg.arrivals.kind =
+      rng.NextBelow(2) == 0 ? ArrivalKind::kPoisson : ArrivalKind::kBursty;
+  cfg.arrivals.rate_rps = rng.Uniform(200.0, 3000.0);
+  cfg.arrivals.seed = seed * 2 + 17;
+  cfg.batcher.max_batch = 1 + static_cast<int>(rng.NextBelow(8));
+  cfg.batcher.max_queue_delay = Us(rng.Uniform(200.0, 2000.0));
+  cfg.batcher.max_inflight = 1 + static_cast<int>(rng.NextBelow(2));
+  cfg.horizon = Ms(10.0 + static_cast<double>(rng.NextBelow(21)));
+  cfg.slo = Ms(5.0 + static_cast<double>(rng.NextBelow(16)));
+  cfg.make_model = FuzzInferModel;
+
+  ServeEngine serve(cfg);
+  SimValidator validator;
+  ServeMetrics m;
+  {
+    ObserverScope scope(&validator);
+    m = serve.RunServeOnly();
+  }
+  if (!validator.ok()) {
+    fail(validator.Summary());
+  }
+  ServeSanity(m, cfg.batcher.max_batch, "serve-only run", fail);
+}
+
+// ---------------------------------------------------------------------------
+// Fleet fuzz: random multi-replica fleets (router + autoscaler) under the
+// validator, with a metamorphic routing property.
 
 void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   auto fail = [errors, seed](std::string msg) {
@@ -539,15 +523,7 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
         Ms(4.0 + static_cast<double>(rng.NextBelow(5))),
         rng.Uniform(0.3, 0.8), rng.Uniform(1.2, 2.0), /*steps=*/4);
   }
-  base.make_model = [](int batch) {
-    NnModel m;
-    m.name = "fuzz-infer";
-    m.batch = batch;
-    m.layers.push_back(MakeConv2d("c0", "b0", batch, 8, 16, 16, 16, 3, 1));
-    m.layers.push_back(MakeConv2d("c1", "b0", batch, 16, 8, 8, 32, 3, 1));
-    m.layers.push_back(MakeDense("fc", "b1", batch, 1, 128, 64));
-    return m;
-  };
+  base.make_model = FuzzInferModel;
 
   const int R = 1 + static_cast<int>(rng.NextBelow(3));  // 1..3
 
@@ -569,8 +545,8 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   if (!v_big.ok()) {
     fail(StrFormat("%d-replica run: %s", R + 1, v_big.Summary().c_str()));
   }
-  FleetSanity(small.serve, "fixed fleet", fail);
-  FleetSanity(big.serve, "fixed fleet+1", fail);
+  ServeSanity(small.serve, base.batcher.max_batch, "fixed fleet", fail);
+  ServeSanity(big.serve, base.batcher.max_batch, "fixed fleet+1", fail);
 
   // Metamorphic: same trace, one more replica, single-request batches ->
   // the mean queueing delay never worsens. Power-of-two-choices redraws its
@@ -606,7 +582,8 @@ void FleetFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   if (!v_scaled.ok()) {
     fail("autoscaled run: " + v_scaled.Summary());
   }
-  FleetSanity(scaled.serve, "autoscaled fleet", fail);
+  ServeSanity(scaled.serve, cfg.batcher.max_batch, "autoscaled fleet",
+              fail);
   if (scaled.min_routable < 1 || scaled.max_routable > R + 1) {
     fail(StrFormat("routable range [%d, %d] outside [1, %d]",
                    scaled.min_routable, scaled.max_routable, R + 1));
@@ -1138,7 +1115,8 @@ void DataParallelFuzz(uint64_t seed, std::vector<std::string>* errors) {
 // ServeEngine or a fleet, serve-only or either co-run — inside an
 // ObserverScope (SimEngine + Gpu + CpuLauncher; the validator must stay
 // clean) and outside it (the slot executor). Every metric and the event
-// count must agree bit for bit.
+// count must agree bit for bit, and the event path's metrics must pass
+// ServeSanity.
 
 // An inference model per batch size: a zoo model, or random conv/dense
 // layers whose shapes are drawn once and rebuilt at each batch size.
@@ -1380,6 +1358,8 @@ void ServingFuzz(uint64_t seed, std::vector<std::string>* errors) {
                    static_cast<unsigned long long>(exec.events),
                    static_cast<unsigned long long>(event.events)));
   }
+  ServeSanity(event.metrics.serve, config.batcher.max_batch, "event path",
+              fail);
   if (event.metrics.serve.num_completed != event.metrics.serve.num_requests) {
     fail(StrFormat("%lld of %lld requests completed",
                    static_cast<long long>(event.metrics.serve.num_completed),

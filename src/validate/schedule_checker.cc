@@ -8,8 +8,6 @@ namespace oobp {
 
 namespace {
 
-const char* OpName(TrainOpType type) { return TrainOpTypeName(type); }
-
 // Records the position of each (type, layer) op; duplicates are errors.
 struct OpPositions {
   std::vector<int> fwd, dgrad, wgrad, update;
@@ -69,13 +67,13 @@ ScheduleCheckReport CheckIterationSchedule(const TrainGraph& graph,
          s.op.type == TrainOpType::kWeightUpdate) &&
         !graph.HasWgrad(i)) {
       fail(StrFormat("op %zu: %s[%d] for a layer without parameters", p,
-                     OpName(s.op.type), i));
+                     TrainOpTypeName(s.op.type), i));
       continue;
     }
     int& slot = (*pos.Slot(s.op.type))[static_cast<size_t>(i)];
     if (slot >= 0) {
       fail(StrFormat("op %zu: duplicate %s[%d] (first at %d)", p,
-                     OpName(s.op.type), i, slot));
+                     TrainOpTypeName(s.op.type), i, slot));
       continue;
     }
     slot = static_cast<int>(p);
@@ -190,7 +188,8 @@ ScheduleCheckReport CheckMemoryTimeline(const NnModel& model,
       continue;
     }
     if ((*slot)[static_cast<size_t>(op.layer)] >= 0) {
-      fail(StrFormat("op %d: duplicate %s[%d]", p, OpName(op.type), op.layer));
+      fail(StrFormat("op %d: duplicate %s[%d]", p, TrainOpTypeName(op.type),
+                     op.layer));
       return report;
     }
     (*slot)[static_cast<size_t>(op.layer)] = p;
@@ -305,7 +304,7 @@ ScheduleCheckReport CheckMemoryTimeline(const NnModel& model,
     if (timeline.usage_during[static_cast<size_t>(p)] !=
         during[static_cast<size_t>(p)]) {
       fail(StrFormat("usage_during[%d] (%s[%d]): model %lld, reference %lld",
-                     p, OpName(order[static_cast<size_t>(p)].type),
+                     p, TrainOpTypeName(order[static_cast<size_t>(p)].type),
                      order[static_cast<size_t>(p)].layer,
                      static_cast<long long>(
                          timeline.usage_during[static_cast<size_t>(p)]),
@@ -314,7 +313,7 @@ ScheduleCheckReport CheckMemoryTimeline(const NnModel& model,
     if (timeline.usage_after[static_cast<size_t>(p)] !=
         after[static_cast<size_t>(p)]) {
       fail(StrFormat("usage_after[%d] (%s[%d]): model %lld, reference %lld",
-                     p, OpName(order[static_cast<size_t>(p)].type),
+                     p, TrainOpTypeName(order[static_cast<size_t>(p)].type),
                      order[static_cast<size_t>(p)].layer,
                      static_cast<long long>(
                          timeline.usage_after[static_cast<size_t>(p)]),

@@ -61,9 +61,7 @@ class SimValidator : public DeviceObserver {
   void OnTransferCompleted(const TransferEvent& e) override;
 
   bool ok() const { return total_violations_ == 0; }
-  // First violations, capped (see kMaxStoredViolations); total_violations()
-  // counts all of them.
-  const std::vector<std::string>& violations() const { return violations_; }
+  // Counts every violation; Summary lists the first kMaxStoredViolations.
   int64_t total_violations() const { return total_violations_; }
   std::string Summary() const;
 

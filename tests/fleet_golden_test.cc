@@ -2,9 +2,10 @@
 //   * the serialized result JSON of every fleet_* scenario is byte-identical
 //     between --jobs 1 and --jobs 4 (cluster-scale determinism);
 //   * every fleet_* scenario replays clean under the SimValidator, with a
-//     TraceRecorder subscribed beside it that must record events, and its
-//     observed result (the event path) equals an unobserved run's (the
-//     slot executor) value by value, bit for bit;
+//     TraceRecorder subscribed beside it that must record events, each
+//     with a name and a category, and its observed result (the event
+//     path) equals an unobserved run's (the slot executor) value by value,
+//     bit for bit;
 //   * results satisfy the pinned golden files in bench/golden, including
 //     the headline pair: the ooo co-run fleet holds p99 flat (<= 10%
 //     growth) as load doubles while the in-order baseline degrades.
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -82,6 +84,12 @@ TEST(FleetGoldenTest, AllFleetScenariosRunCleanUnderValidator) {
     EXPECT_GT(validator.gpus_observed(), 0) << scenario->name;
     EXPECT_GT(validator.kernels_finished(), 0) << scenario->name;
     EXPECT_FALSE(trace.events().empty()) << scenario->name;
+    EXPECT_EQ(std::count_if(trace.events().begin(), trace.events().end(),
+                            [](const TraceEvent& e) {
+                              return e.name.empty() || e.category.empty();
+                            }),
+              0)
+        << scenario->name << ": unlabelled events";
     // The slot executor reproduces the validated event path exactly.
     EXPECT_EQ(ValuesMismatch(scenario->run(ScenarioParams()), result), "")
         << scenario->name;

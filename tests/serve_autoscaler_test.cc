@@ -1,7 +1,9 @@
-// Autoscaler (src/serve/autoscaler.h): threshold crossing, warm-up delay,
-// cooldown spacing, warming cancellation, and the seeded property that the
-// routable floor and the prefix shape of the up-set hold under arbitrary
-// depth sequences (ctest labels: unit, serve, fleet).
+// ScalePolicy (src/serve/autoscaler.h): threshold crossing, warm-up delay,
+// cooldown spacing, warming cancellation, the tick schedule, and the seeded
+// property that the routable floor and the prefix shape of the up-set hold
+// under arbitrary depth sequences (ctest labels: unit, serve, fleet). The
+// policy has no clock: Fleet plays the replica driver's part at scripted
+// times.
 
 #include "src/serve/autoscaler.h"
 
@@ -9,11 +11,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/time.h"
-#include "src/sim/engine.h"
 
 namespace oobp {
 namespace {
@@ -30,25 +32,77 @@ AutoscalerConfig BaseConfig() {
   return cfg;
 }
 
+// A policy with the warm-up timers its steps ask for: a warm-up started at
+// `now` ends `warmup` later, before any step at or after that time (a
+// warm-up is drawn before the next tick), and a step that takes a warming
+// replica down cancels its warm-up.
+class Fleet {
+ public:
+  explicit Fleet(const AutoscalerConfig& config)
+      : policy(config, /*now=*/0), warmup_(config.warmup) {}
+
+  // One control step at `now` sampling `queued`.
+  ScalePolicy::Step Evaluate(TimeNs now, int64_t queued) {
+    EndWarmupsThrough(now);
+    const ScalePolicy::Step step =
+        policy.Evaluate(now, [queued] { return queued; });
+    if (step.cancel >= 0) {
+      std::erase_if(warming_, [&step](const std::pair<TimeNs, int>& w) {
+        return w.second == step.cancel;
+      });
+    }
+    if (step.warm >= 0) {
+      warming_.push_back({now + warmup_, step.warm});
+    }
+    return step;
+  }
+
+  // Every tick NextTick asks for up to `until`, each sampling `queued`;
+  // returns the tick count.
+  int Tick(TimeNs until, int64_t queued) {
+    int ticks = 0;
+    for (TimeNs t = policy.NextTick(0, until); t >= 0;
+         t = policy.NextTick(t, until)) {
+      Evaluate(t, queued);
+      ++ticks;
+    }
+    return ticks;
+  }
+
+  // Ends every warm-up due by `t`, earliest first.
+  void EndWarmupsThrough(TimeNs t) {
+    while (!warming_.empty() && warming_.front().first <= t) {
+      const auto [at, replica] = warming_.front();
+      warming_.erase(warming_.begin());
+      policy.BecomeUp(replica, at);
+    }
+  }
+
+  ScalePolicy policy;
+
+ private:
+  TimeNs warmup_;
+  std::vector<std::pair<TimeNs, int>> warming_;  // (end, replica)
+};
+
 TEST(AutoscalerTest, ScaleUpCrossesThresholdAndWarmupDelaysRoutability) {
-  SimEngine engine;
-  int64_t queued = 100;  // far past scale_up_depth
-  Autoscaler scaler(&engine, BaseConfig(), [&queued] { return queued; });
+  Fleet fleet(BaseConfig());
+  const ScalePolicy& scaler = fleet.policy;
   EXPECT_EQ(scaler.num_routable(), 1);
   EXPECT_EQ(scaler.target(), 1);
 
-  engine.ScheduleAt(Ms(1), [&] {
-    scaler.Evaluate();
-    // The warm-up cost is committed, but the replica cannot be routed yet.
-    EXPECT_EQ(scaler.target(), 2);
-    EXPECT_EQ(scaler.num_routable(), 1);
-    EXPECT_FALSE(scaler.routable(1));
-  });
-  engine.ScheduleAt(Ms(3) + 1, [&] {
-    EXPECT_TRUE(scaler.routable(1));
-    EXPECT_EQ(scaler.num_routable(), 2);
-  });
-  engine.Run();
+  const ScalePolicy::Step step = fleet.Evaluate(Ms(1), 100);  // far past 8
+  EXPECT_EQ(step.warm, 1);
+  EXPECT_EQ(step.cancel, -1);
+  // The warm-up cost is committed, but the replica cannot be routed yet.
+  EXPECT_EQ(scaler.target(), 2);
+  EXPECT_EQ(scaler.num_routable(), 1);
+  EXPECT_FALSE(scaler.routable(1));
+  fleet.EndWarmupsThrough(Ms(3) - 1);
+  EXPECT_FALSE(scaler.routable(1));
+  fleet.EndWarmupsThrough(Ms(3));
+  EXPECT_TRUE(scaler.routable(1));
+  EXPECT_EQ(scaler.num_routable(), 2);
 
   EXPECT_EQ(scaler.scale_ups(), 1);
   EXPECT_EQ(scaler.scale_downs(), 0);
@@ -59,24 +113,19 @@ TEST(AutoscalerTest, ScaleUpCrossesThresholdAndWarmupDelaysRoutability) {
 }
 
 TEST(AutoscalerTest, BelowThresholdNoAction) {
-  SimEngine engine;
-  AutoscalerConfig cfg = BaseConfig();
-  int64_t queued = 4;  // between down (1) and up (8) thresholds
-  Autoscaler scaler(&engine, cfg, [&queued] { return queued; });
-  scaler.Start(Ms(10));
-  engine.Run();
-  EXPECT_EQ(scaler.scale_ups(), 0);
-  EXPECT_EQ(scaler.scale_downs(), 0);
-  EXPECT_EQ(scaler.timeline().size(), 1u);
+  Fleet fleet(BaseConfig());
+  // Between the down (1) and up (8) thresholds.
+  EXPECT_EQ(fleet.Tick(Ms(10), 4), 10);
+  EXPECT_EQ(fleet.policy.scale_ups(), 0);
+  EXPECT_EQ(fleet.policy.scale_downs(), 0);
+  EXPECT_EQ(fleet.policy.timeline().size(), 1u);
 }
 
 TEST(AutoscalerTest, CooldownSpacesConsecutiveActions) {
-  SimEngine engine;
-  const AutoscalerConfig cfg = BaseConfig();  // cooldown 3 ms, warmup 2 ms
-  int64_t queued = 1000;
-  Autoscaler scaler(&engine, cfg, [&queued] { return queued; });
-  scaler.Start(Ms(20));
-  engine.Run();
+  Fleet fleet(BaseConfig());  // cooldown 3 ms, warmup 2 ms
+  fleet.Tick(Ms(20), 1000);
+  fleet.EndWarmupsThrough(Ms(20) + Ms(2));
+  const ScalePolicy& scaler = fleet.policy;
 
   // Ticks run every 1 ms, but actions are only admitted at 1, 4, 7 ms —
   // the fleet tops out at max_replicas with exactly 3 scale-ups.
@@ -89,32 +138,25 @@ TEST(AutoscalerTest, CooldownSpacesConsecutiveActions) {
 }
 
 TEST(AutoscalerTest, ZeroWarmupIsRoutableAtTheEvaluationInstant) {
-  SimEngine engine;
   AutoscalerConfig cfg = BaseConfig();
   cfg.warmup = 0;
-  int64_t queued = 100;
-  Autoscaler scaler(&engine, cfg, [&queued] { return queued; });
-  engine.ScheduleAt(Ms(1), [&] {
-    scaler.Evaluate();
-    EXPECT_TRUE(scaler.routable(1));
-    EXPECT_EQ(scaler.num_routable(), 2);
-  });
-  engine.Run();
+  Fleet fleet(cfg);
+  const ScalePolicy::Step step = fleet.Evaluate(Ms(1), 100);
+  EXPECT_EQ(step.warm, -1);  // no timer: the replica is already up
+  EXPECT_TRUE(fleet.policy.routable(1));
+  EXPECT_EQ(fleet.policy.num_routable(), 2);
 }
 
 TEST(AutoscalerTest, ScaleDownCancelsWarmingReplicaFirst) {
-  SimEngine engine;
   AutoscalerConfig cfg = BaseConfig();
   cfg.cooldown = 0;
-  int64_t queued = 100;
-  Autoscaler scaler(&engine, cfg, [&queued] { return queued; });
-  engine.ScheduleAt(Ms(1), [&] { scaler.Evaluate(); });  // replica 1 warming
-  engine.ScheduleAt(Ms(2), [&] {
-    queued = 0;
-    scaler.Evaluate();  // cancels the warm-up; replica 1 never comes up
-    EXPECT_EQ(scaler.target(), 1);
-  });
-  engine.Run();
+  Fleet fleet(cfg);
+  EXPECT_EQ(fleet.Evaluate(Ms(1), 100).warm, 1);  // replica 1 warming
+  // Cancels the warm-up; replica 1 never comes up.
+  EXPECT_EQ(fleet.Evaluate(Ms(2), 0).cancel, 1);
+  EXPECT_EQ(fleet.policy.target(), 1);
+  fleet.EndWarmupsThrough(Ms(10));
+  const ScalePolicy& scaler = fleet.policy;
 
   EXPECT_EQ(scaler.scale_ups(), 1);
   EXPECT_EQ(scaler.scale_downs(), 1);
@@ -125,10 +167,17 @@ TEST(AutoscalerTest, ScaleDownCancelsWarmingReplicaFirst) {
   EXPECT_EQ(scaler.timeline().size(), 1u);
 }
 
+TEST(AutoscalerTest, TicksRunEveryPeriodUpToTheHorizon) {
+  const ScalePolicy policy(BaseConfig(), /*now=*/0);  // every 1 ms
+  EXPECT_EQ(policy.NextTick(0, Ms(5)), Ms(1));
+  EXPECT_EQ(policy.NextTick(Ms(4), Ms(5)), Ms(5));  // a tick at the horizon
+  EXPECT_EQ(policy.NextTick(Ms(5), Ms(5)), -1);     // none past it
+  EXPECT_EQ(policy.NextTick(0, Ms(1) - 1), -1);     // none at all
+}
+
 TEST(AutoscalerTest, FloorAndPrefixShapeHoldUnderFuzzedDepths) {
   Rng rng(0xA5CA1E);
   for (int trial = 0; trial < 25; ++trial) {
-    SimEngine engine;
     AutoscalerConfig cfg;
     cfg.min_replicas = 1 + static_cast<int>(rng.NextBelow(3));
     cfg.max_replicas =
@@ -138,29 +187,26 @@ TEST(AutoscalerTest, FloorAndPrefixShapeHoldUnderFuzzedDepths) {
     cfg.evaluate_every = Us(rng.Uniform(500.0, 2000.0));
     cfg.cooldown = Us(rng.Uniform(0.0, 3000.0));
     cfg.warmup = Us(rng.Uniform(0.0, 3000.0));
-    int64_t queued = 0;
-    Autoscaler scaler(&engine, cfg, [&queued] { return queued; });
+    Fleet fleet(cfg);
+    const ScalePolicy& scaler = fleet.policy;
 
     for (int step = 0; step < 60; ++step) {
       const TimeNs at = Us(500) * (step + 1);
       const auto depth = static_cast<int64_t>(rng.NextBelow(40));
-      engine.ScheduleAt(at, [&scaler, &queued, &cfg, depth] {
-        queued = depth;
-        scaler.Evaluate();
-        // Floor and ceiling on the routable count, at every instant.
-        ASSERT_GE(scaler.num_routable(), cfg.min_replicas);
-        ASSERT_LE(scaler.num_routable(), cfg.max_replicas);
-        ASSERT_GE(scaler.target(), cfg.min_replicas);
-        ASSERT_LE(scaler.target(), cfg.max_replicas);
-        // Up replicas always form the index prefix {0..k-1}: scale-ups take
-        // the lowest down index and scale-downs the highest non-down.
-        const std::vector<int>& routable = scaler.routable_set();
-        for (size_t i = 0; i < routable.size(); ++i) {
-          ASSERT_EQ(routable[i], static_cast<int>(i));
-        }
-      });
+      fleet.Evaluate(at, depth);
+      // Floor and ceiling on the routable count, at every instant.
+      ASSERT_GE(scaler.num_routable(), cfg.min_replicas);
+      ASSERT_LE(scaler.num_routable(), cfg.max_replicas);
+      ASSERT_GE(scaler.target(), cfg.min_replicas);
+      ASSERT_LE(scaler.target(), cfg.max_replicas);
+      // Up replicas always form the index prefix {0..k-1}: scale-ups take
+      // the lowest down index and scale-downs the highest non-down.
+      const std::vector<int>& routable = scaler.routable_set();
+      for (size_t i = 0; i < routable.size(); ++i) {
+        ASSERT_EQ(routable[i], static_cast<int>(i));
+      }
     }
-    engine.Run();
+    fleet.EndWarmupsThrough(Us(500) * 61 + cfg.warmup);
     // Actions balance: routable count = initial + net actions completed.
     EXPECT_GE(scaler.scale_ups(), scaler.scale_downs() -
                                       (scaler.target() - cfg.min_replicas));

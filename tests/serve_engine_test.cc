@@ -17,7 +17,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "src/common/str_util.h"
 #include "src/core/joint_scheduler.h"
@@ -355,6 +357,146 @@ TEST(ServeExecutorTest, MatchesEventPathOverTheGrid) {
     }
   }
   EXPECT_EQ(runs, 4 * 3 * 2 * 2 * (1 + 4 * 3 * 2));
+}
+
+// ---------------------------------------------------------------------------
+// Timer wiring. Both producers run the driver's batching and scaling
+// wiring, so the battery above cannot catch a wiring bug they share; these
+// cases pin its timing end to end, on each producer.
+
+// `run()` on the event path, under a SimValidator that must stay clean,
+// then on the slot executor.
+template <typename Run>
+std::vector<std::invoke_result_t<Run>> OnBothProducers(const Run& run) {
+  SimValidator validator;
+  std::vector<std::invoke_result_t<Run>> results;
+  {
+    const ObserverScope scope(&validator);
+    results.push_back(run());
+  }
+  EXPECT_TRUE(validator.ok()) << validator.Summary();
+  EXPECT_GT(validator.gpus_observed(), 0);
+  results.push_back(run());
+  return results;
+}
+
+// A serve-only fleet of `replicas` small-model GPUs, one replica routable
+// at first, flooded with requests from t = 0.
+FleetConfig ScalingConfig(int replicas) {
+  FleetConfig config;
+  config.gpu = GpuSpec::V100();
+  config.profile = SystemProfile::TensorFlowXla();
+  config.arrivals.rate_rps = 5e6;
+  config.arrivals.seed = 5;
+  config.horizon = Us(1000);
+  config.batcher.max_batch = 4;
+  config.batcher.max_queue_delay = Us(20);
+  config.autoscaler.min_replicas = 1;
+  config.autoscaler.max_replicas = replicas;
+  config.autoscaler.scale_up_depth = 1.0;
+  config.autoscaler.scale_down_depth = 0.01;
+  config.autoscaler.evaluate_every = Us(100);
+  config.make_model = SmallInferenceModel;
+  return config;
+}
+
+TEST(ServeWiringTest, LoneRequestDispatchesAtItsDeadline) {
+  ServeConfig config;
+  config.gpu = GpuSpec::V100();
+  config.profile = SystemProfile::TensorFlowXla();
+  config.arrivals.rate_rps = 1000.0;
+  config.arrivals.seed = 1;
+  config.horizon = Ms(1);
+  config.batcher.max_batch = 4;
+  config.batcher.max_queue_delay = Us(250);
+  config.make_model = SmallInferenceModel;
+  // Dispatched at its deadline, it begins one graph launch and one setup
+  // gap later on the idle device.
+  const double queue_delay_ms =
+      ToMs(config.batcher.max_queue_delay +
+           config.profile.graph_launch_latency +
+           config.gpu.kernel_exec_overhead);
+  for (const ServeMetrics& m : OnBothProducers(
+           [&] { return ServeEngine(config).RunServeOnly(); })) {
+    ASSERT_EQ(m.num_requests, 1);
+    EXPECT_EQ(m.num_completed, 1);
+    EXPECT_DOUBLE_EQ(m.mean_queue_delay_ms, queue_delay_ms);
+  }
+  FleetConfig fleet;
+  fleet.gpu = config.gpu;
+  fleet.profile = config.profile;
+  fleet.arrivals = config.arrivals;
+  fleet.batcher = config.batcher;
+  fleet.horizon = config.horizon;
+  fleet.make_model = config.make_model;
+  for (const FleetMetrics& m : OnBothProducers(
+           [&] { return FleetEngine(fleet).RunServeOnly(); })) {
+    ASSERT_EQ(m.serve.num_requests, 1);
+    EXPECT_DOUBLE_EQ(m.serve.mean_queue_delay_ms, queue_delay_ms);
+  }
+}
+
+TEST(ServeWiringTest, ScaledUpReplicaIsRoutableAfterItsWarmup) {
+  FleetConfig config = ScalingConfig(2);
+  config.autoscaler.cooldown = Ms(10);  // one action
+  config.autoscaler.warmup = Us(300);
+  for (const FleetMetrics& m : OnBothProducers(
+           [&] { return FleetEngine(config).RunServeOnly(); })) {
+    // The first tick, at evaluate_every, scales up.
+    EXPECT_EQ(m.scale_ups, 1);
+    EXPECT_EQ(m.replica_timeline,
+              (std::vector<std::pair<TimeNs, int>>{{0, 1}, {Us(400), 2}}));
+    EXPECT_GT(m.replica_completed[1], 0);
+  }
+}
+
+TEST(ServeWiringTest, CancelledWarmupNeverShowsInTheTimeline) {
+  FleetConfig config = ScalingConfig(2);
+  // Requests arrive for the first 150 us only, and the backlog drains long
+  // before the 1 ms warm-up that the first tick starts would end.
+  config.arrivals.rate_rps = 5e5;
+  config.envelope = {{Us(150), 1.0}, {Ms(100), 0.0}};
+  config.autoscaler.cooldown = Us(100);
+  config.autoscaler.warmup = Ms(1);
+  for (const FleetMetrics& m : OnBothProducers(
+           [&] { return FleetEngine(config).RunServeOnly(); })) {
+    EXPECT_EQ(m.scale_ups, 1);
+    EXPECT_EQ(m.scale_downs, 1);
+    EXPECT_EQ(m.replica_timeline,
+              (std::vector<std::pair<TimeNs, int>>{{0, 1}}));
+    EXPECT_EQ(m.replica_completed[1], 0);
+  }
+}
+
+TEST(ServeWiringTest, ActionsAreAtLeastACooldownApart) {
+  FleetConfig config = ScalingConfig(4);
+  config.autoscaler.cooldown = Us(250);
+  config.autoscaler.warmup = Us(50);
+  for (const FleetMetrics& m : OnBothProducers(
+           [&] { return FleetEngine(config).RunServeOnly(); })) {
+    // Ticks every 100 us; the cooldown admits actions at 100, 400 and
+    // 700 us, each routable 50 us later.
+    EXPECT_EQ(m.scale_ups, 3);
+    EXPECT_EQ(m.replica_timeline,
+              (std::vector<std::pair<TimeNs, int>>{
+                  {0, 1}, {Us(150), 2}, {Us(450), 3}, {Us(750), 4}}));
+  }
+}
+
+TEST(ServeWiringTest, NoTickPastTheHorizon) {
+  FleetConfig config = ScalingConfig(8);
+  config.horizon = Us(300);
+  config.autoscaler.cooldown = 0;
+  config.autoscaler.warmup = 0;
+  for (const FleetMetrics& m : OnBothProducers(
+           [&] { return FleetEngine(config).RunServeOnly(); })) {
+    // Ticks at 100, 200 and 300 us each scale up; the backlog left at the
+    // horizon would scale up again at every later tick.
+    EXPECT_EQ(m.scale_ups, 3);
+    EXPECT_EQ(m.replica_timeline,
+              (std::vector<std::pair<TimeNs, int>>{
+                  {0, 1}, {Us(100), 2}, {Us(200), 3}, {Us(300), 4}}));
+  }
 }
 
 }  // namespace

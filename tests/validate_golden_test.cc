@@ -3,7 +3,8 @@
 // and ablation sweeps, the 3 steady-state replay scenarios, and the 2
 // parameter-server cluster scenarios — observed by a SimValidator and a
 // TraceRecorder at once, asserting zero invariant violations and trace
-// events from every scenario that builds a device (ctest label: validate).
+// events from every scenario that builds a device, each with a name and a
+// category (ctest label: validate).
 // An observed run takes every engine's event path (src/hw/observer.h), so
 // each replay must also equal an unobserved run of the same scenario value
 // by value, bit for bit, apart from the steady_* keys that say how many
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,14 @@ namespace {
 constexpr const char* kAnalyticScenarios[] = {
     "ana_corun", "fig01_kernel_issue", "fig08_regions", "fig09_memory",
     "ana_recompute"};
+
+// Recorded events without a name or a category.
+int64_t UnlabelledEvents(const TraceRecorder& trace) {
+  return std::count_if(trace.events().begin(), trace.events().end(),
+                       [](const TraceEvent& e) {
+                         return e.name.empty() || e.category.empty();
+                       });
+}
 
 // `result` without the keys that say how a run was stepped: an observed
 // run steps every iteration, an unobserved one may stop at a repeated
@@ -119,6 +129,7 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
           validator.kernels_finished() + validator.transfers_completed(), 0)
           << scenario.name;
       EXPECT_FALSE(trace.events().empty()) << scenario.name;
+      EXPECT_EQ(UnlabelledEvents(trace), 0) << scenario.name;
     } else {
       EXPECT_TRUE(trace.events().empty()) << scenario.name;
     }

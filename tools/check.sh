@@ -26,9 +26,11 @@
 #      cores with --jobs 0 (the merged report is byte-identical to a serial
 #      run, so failures still reproduce with
 #      `oobp fuzz --seeds 1 --base-seed <seed>`; see DESIGN.md §8-9), and
-#      another 200 ASan seeds restricted to the fleet fuzz family (random
-#      fleets, metamorphic add-a-replica check; every second seed runs),
-#      and 2000 ASan seeds of the train family (each seed's conventional
+#      2000 ASan seeds of the fleet fuzz family (random fleets, metamorphic
+#      add-a-replica check; every second seed runs), which with the fleet
+#      goldens and the ServeWiringTest cases independently checks the
+#      replica driver's routing, batching and scaling wiring that both
+#      serving producers share, and 2000 ASan seeds of the train family (each seed's conventional
 #      and ooo runs, short and long, under the validator on the event path,
 #      which steps every iteration, then again on the exact single-GPU
 #      executor, which stops at a repeated barrier: metrics must match bit
@@ -49,7 +51,8 @@
 #      co-run, with dense arrivals, zero gaps and nanosecond timers among
 #      the draws, under the validator on the event path, then on the slot
 #      executor: every metric field and the event count must match bit for
-#      bit).
+#      bit, and the event path's metrics must pass the serving sanity
+#      checks).
 #   7. ThreadSanitizer build (-DOOBP_SANITIZE_THREAD=ON) of what still
 #      starts threads, all of it on WorkerPool (src/sim/worker_pool.h):
 #      search_threads_identity_test (the search portfolio's pool at
@@ -138,7 +141,7 @@ ctest --test-dir "${BUILD_DIR}" -L validate --output-on-failure
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0
 
-"${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \
+"${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 \
     --checks=fleet
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 2000 --base-seed 1 --jobs 0 --checks=train
